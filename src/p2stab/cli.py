@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -34,6 +35,15 @@ from . import quiver
 from . import geometry
 from . import walls as walls_mod
 from . import acceptance
+
+
+def _read_json(path: str):
+    """Load a JSON input file; a missing, unreadable or malformed file is
+    invalid input (exit 2), not a crash."""
+    try:
+        return load_json(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _heart(label: str) -> HeartBasis:
@@ -192,7 +202,7 @@ def cmd_charge_scan(args) -> int:
 
 
 def _load_rep(path: str) -> quiver.QuiverRep:
-    return quiver.rep_from_json(load_json(path))
+    return quiver.rep_from_json(_read_json(path))
 
 
 def cmd_module_check(args) -> int:
@@ -271,7 +281,7 @@ def cmd_module_iso(args) -> int:
 
 
 def cmd_module_from_points(args) -> int:
-    cfg = geometry.PointConfig.from_json(load_json(args.points))
+    cfg = geometry.PointConfig.from_json(_read_json(args.points))
     kind = args.construction
     if kind == "point":
         if len(cfg) != 1:
@@ -323,7 +333,7 @@ def cmd_walls_svg(args) -> int:
 
 
 def cmd_hilbert_report(args) -> int:
-    obj = load_json(args.points)
+    obj = _read_json(args.points)
     if "configs" in obj:
         configs = [
             geometry.PointConfig.from_json(c if isinstance(c, dict) else {"points": c})

@@ -77,13 +77,42 @@ class RationalField:
         return {"kind": "rational"}
 
 
+#: Miller-Rabin witnesses that decide primality exactly below 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^64."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field F_p for a prime p; elements are ints in [0, p)."""
+    """The field F_p for a prime p < 2^64; elements are ints in [0, p)."""
 
     kind = "prime"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+        if p >= 2**64:
+            raise InputError(f"p must be below 2^64, got {p}")
+        if not is_prime(p):
             raise InputError(f"p must be prime, got {p}")
         self.p = p
 
@@ -169,10 +198,6 @@ def mat_copy(A: Matrix) -> Matrix:
     return [list(row) for row in A]
 
 
-def shape(A: Matrix) -> Tuple[int, int]:
-    return (len(A), len(A[0]) if A else 0)
-
-
 def transpose(A: Matrix, ncols: Optional[int] = None) -> Matrix:
     if not A:
         return [[] for _ in range(ncols or 0)]
@@ -212,22 +237,8 @@ def mat_vec(F, A: Matrix, v: Sequence) -> Row:
     return [row[0] for row in mat_mul(F, A, [[x] for x in v])]
 
 
-def mat_add(F, A: Matrix, B: Matrix) -> Matrix:
-    return [[F.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(F, A: Matrix, B: Matrix) -> Matrix:
-    return [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_neg(F, A: Matrix) -> Matrix:
     return [[F.neg(a) for a in row] for row in A]
-
-
-def mat_eq(F, A: Matrix, B: Matrix) -> bool:
-    if shape(A) != shape(B):
-        return False
-    return all(F.is_zero(F.sub(a, b)) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def is_zero_matrix(F, A: Matrix) -> bool:
@@ -240,15 +251,6 @@ def hstack(blocks: Sequence[Matrix]) -> Matrix:
         if len(b) != rows:
             raise InputError("dimension mismatch in hstack")
     return [sum((list(b[i]) for b in blocks), []) for i in range(rows)]
-
-
-def vstack(blocks: Sequence[Matrix], ncols: Optional[int] = None) -> Matrix:
-    out: Matrix = []
-    for b in blocks:
-        out.extend(list(r) for r in b)
-    if out and ncols is not None and len(out[0]) != ncols:
-        raise InputError("dimension mismatch in vstack")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +357,6 @@ def solve_right(F, A: Matrix, b: Sequence) -> Optional[Row]:
     return x
 
 
-def solve_matrix(F, A: Matrix, B: Matrix) -> Optional[Matrix]:
-    """Solve A X = B column by column; None if any column is inconsistent."""
-    cols = len(B[0]) if B else 0
-    xs = []
-    for j in range(cols):
-        x = solve_right(F, A, [row[j] for row in B])
-        if x is None:
-            return None
-        xs.append(x)
-    return transpose(xs, ncols=len(A[0]) if A else 0)
-
-
 def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
     n = len(A)
     if n == 0:
@@ -378,11 +368,6 @@ def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
     if pivots[:n] != list(range(n)) or len(pivots) != n:
         return None
     return [row[n:] for row in R]
-
-
-def det2(F, a, b, c, d):
-    """Determinant of [[a, b], [c, d]]."""
-    return F.sub(F.mul(a, d), F.mul(b, c))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import IncompleteOracleError, InputError, VerificationError
+from .errors import InputError, VerificationError
 from . import linalg
 from .linalg import (
     QQ,
@@ -625,9 +625,12 @@ class SubmoduleSearch:
     and random closures) under sums and intersections: sound, possibly
     incomplete, with explicit witnesses over the base field.  Layer 2 is an
     exhaustive enumeration over a finite field (exact there; for rational
-    modules it certifies via reductions mod several primes).  ``complete``
-    is set only when Layer 2 ran, and ``evidence`` says how strong the
-    certificate is.
+    modules it certifies via reductions mod several primes).  Since
+    (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <= delta^-1(U2), it
+    enumerates the pairs (U0, U2) of outer subspaces, each pair with
+    gamma(U0) <= delta^-1(U2) giving every dim U1 in between, or the middle
+    subspaces U1 when those are fewer.  ``complete`` is set only when
+    Layer 2 ran, and ``evidence`` says how strong the certificate is.
     """
 
     dims: DimVec
@@ -821,13 +824,57 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
 
 
 def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
-    """Exact dimvec set over the rep's own finite field, by enumerating
-    middle-vertex subspaces only.
+    """Exact dimvec set over the rep's own finite field.
 
-    For the two-step path quiver a triple (U0, U1, U2) is a submodule iff
-    U0 <= U0max(U1) and U2 >= delta(U1), and all intermediate dimensions at
-    the outer vertices are realized, so enumerating U1 gives everything.
+    A triple (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <= delta^-1(U2),
+    where gamma(U0) = sum_i gamma_i(U0) and delta^-1(U2) is the intersection
+    of the delta_j^-1(U2).  So a pair (U0, U2) of outer subspaces extends to a
+    submodule iff S = gamma(U0) lies in P = delta^-1(U2), i.e. iff
+    delta(S) <= U2, and then U1 can be S, P or anything in between: every
+    dim U1 from dim S to dim P occurs.  Enumerating the outer pairs thus
+    gives the exact set (`_layer2_by_pairs`).  When F^{n1} has no more
+    subspaces than there are pairs (n1 small against n0 and n2), the middle
+    vertex is enumerated instead (`_layer2_by_middle`); both give the same
+    set.
     """
+    n0, n1, n2 = rep.dims
+    p = rep.field.p
+    if galois_number(n1, p) <= galois_number(n0, p) * galois_number(n2, p):
+        return _layer2_by_middle(rep)
+    return _layer2_by_pairs(rep)
+
+
+def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
+    """`_layer2_dimvecs` by enumerating the pairs (U0, U2)."""
+    F = rep.field
+    n0, n1, n2 = rep.dims
+    gammas = [rep.gamma_m(i) for i in range(3)]
+    deltas = [rep.delta_m(j) for j in range(3)]
+    # U0 -> (dim U0, delta(gamma(U0))), keeping the least dim gamma(U0)
+    sources: Dict[Tuple[int, tuple], int] = {}
+    for rows, _ in iter_subspaces(F, n0):
+        S = row_space(F, [mat_vec(F, g, u) for u in rows for g in gammas], n1)[0]
+        D = row_space(F, [mat_vec(F, d, v) for v in S for d in deltas], n2)[0]
+        key = (len(rows), tuple(tuple(r) for r in D))
+        sources[key] = min(len(S), sources.get(key, n1))
+    # U2 -> dim delta^-1(U2), cut out by w o delta_j for w vanishing on U2
+    deltas_t = [transpose(d, ncols=n1) for d in deltas]
+    targets = []
+    for rows, piv in iter_subspaces(F, n2):
+        ann = right_kernel(F, rows, ncols=n2)
+        constraints = [mat_vec(F, dt, w) for w in ann for dt in deltas_t]
+        targets.append((rows, piv, n1 - linalg.rank(F, constraints)))
+    out = set()
+    for (u0, D), dim_s in sources.items():
+        for rows, piv, dim_p in targets:
+            if all(linalg.in_row_space(F, rows, piv, v) for v in D):
+                out.update((u0, u1, len(rows)) for u1 in range(dim_s, dim_p + 1))
+    return frozenset(out)
+
+
+def _layer2_by_middle(rep: QuiverRep) -> frozenset:
+    """`_layer2_dimvecs` by enumerating the middle vertex: for each U1, every
+    U0 <= U0max(U1) = gamma^-1(U1) and every U2 >= delta(U1) completes it."""
     F = rep.field
     n0, n1, n2 = rep.dims
     gam_cols = [
@@ -867,8 +914,8 @@ def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
     return frozenset(out)
 
 
-#: primes tried for rational modules, smallest first (enumeration cost is
-#: driven by the Galois number at the middle vertex)
+#: primes tried for rational modules, smallest first; the cap bounds the
+#: Galois number at the middle vertex
 _LAYER2_PRIMES = (2, 3, 5)
 _LAYER2_SUBSPACE_CAP = 150_000
 

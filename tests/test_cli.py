@@ -212,13 +212,26 @@ def test_selftest_quick(capsys):
 # failure modes
 
 
-def test_bad_input_exits_2(capsys):
+def test_bad_input_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "chern", "euler", "--a=1,0", "--b=1,0,0")
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "walls", "chamber", "--n", "2", "--theta=1,1,1")
     assert code == 2 and "perpendicular" in err
     code, _, err = run(capsys, "charge", "sigma-b", "--b=2")
     assert code == 2 and "sigma_b" in err
+    # unreadable JSON input files: malformed, missing, not UTF-8
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"points": [["1", "0", "0"]')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    missing = str(tmp_path / "missing.json")
+    out_file = str(tmp_path / "report.json")
+    for path in (str(malformed), str(binary), missing):
+        code, _, err = run(capsys, "hilbert", "report", "--n", "2",
+                           "--points", path, "--out", out_file)
+        assert code == 2 and err.startswith("error:")
+        code, _, err = run(capsys, "module", "check", "--in", path)
+        assert code == 2 and err.startswith("error:")
 
 
 def test_unknown_subcommand_exits_2(capsys):

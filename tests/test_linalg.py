@@ -4,6 +4,8 @@ Everything here is small and exact, so most checks are direct identities;
 hypothesis drives the solver/kernel round trips where random matrices are
 actually informative.
 """
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from p2stab.linalg import (
     gaussian_binomial,
     identity,
     intersect_row_spaces,
+    is_prime,
     iter_subspaces,
     mat_inverse,
     mat_mul,
@@ -64,6 +67,29 @@ def test_prime_field_arithmetic():
 def test_prime_field_requires_prime():
     with pytest.raises(InputError):
         PrimeField(6)
+    with pytest.raises(InputError):
+        PrimeField(10**18 + 1)  # = 101 * 9901 * 999999000001
+    with pytest.raises(InputError):
+        PrimeField(2**64 + 13)  # prime, but beyond the exact primality range
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-3, 20000))
+    # strong pseudoprimes to the first few prime bases, up to 2^62
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+
+
+def test_prime_field_large_p_is_prompt():
+    t0 = time.perf_counter()
+    big = field_from_json({"kind": "prime", "p": 1000000000000000003})
+    assert big.p == 1000000000000000003
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_field_json_round_trip():

@@ -1,13 +1,17 @@
 """Quiver module layer: construction, hom/iso, duality, tilting, stability."""
 
+import itertools
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from p2stab.errors import InputError, VerificationError
 from p2stab.geometry import module_ideal_A1, module_point
-from p2stab.linalg import PrimeField, QQ, mat_inverse, mat_mul
+from p2stab import linalg, quiver
+from p2stab.linalg import PrimeField, QQ, galois_number, mat_inverse, mat_mul
 from p2stab.quiver import (
     DestabilizedError,
     QuiverRep,
@@ -160,6 +164,71 @@ def test_layer1_sound_on_prime_field_reps(dims):
         assert res.layer1_dimvecs <= res.dimvecs
         for dv, wit in res.witnesses.items():
             assert is_invariant(rep, wit) and triple_dims(wit) == dv
+
+
+# ---------------------------------------------------------------------------
+# Layer 2: outer-pair enumeration against middle-vertex enumeration
+
+#: (p, dims) with dims in 0..4 whose two enumerations both stay small
+_LAYER2_SHAPES = [
+    (p, dims)
+    for p in (2, 3, 5)
+    for dims in itertools.product(range(5), repeat=3)
+    if galois_number(dims[1], p) <= 2000
+    and galois_number(dims[0], p) * galois_number(dims[2], p) <= 2000
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(_LAYER2_SHAPES),
+    algebra=st.sampled_from(["B", "Bprime"]),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=(2, (4, 1, 4)), algebra="B", seed=0)
+@example(shape=(3, (3, 0, 3)), algebra="Bprime", seed=1)
+@example(shape=(5, (2, 1, 3)), algebra="B", seed=2)
+@example(shape=(5, (0, 3, 0)), algebra="Bprime", seed=3)
+@example(shape=(3, (0, 0, 0)), algebra="B", seed=4)
+def test_layer2_pairs_match_middle(shape, algebra, seed):
+    p, dims = shape
+    rep = random_rep(algebra, PrimeField(p), dims, random.Random(seed))
+    assert quiver._layer2_by_pairs(rep) == quiver._layer2_by_middle(rep)
+
+
+def test_layer2_pairs_match_middle_on_calibration_corpus():
+    # the corpus of acceptance criterion 12
+    rng = random.Random(12)
+    for k in range(200):
+        while True:
+            dims = tuple(rng.randint(0, 4) for _ in range(3))
+            if 0 < sum(dims) <= 6:
+                break
+        rep = random_rep("B" if k % 2 == 0 else "Bprime", F2, dims, rng)
+        expected = quiver._layer2_by_middle(rep)
+        assert quiver._layer2_by_pairs(rep) == expected
+        assert quiver._layer2_dimvecs(rep) == expected
+
+
+def test_layer2_degenerate_shapes_take_the_middle_path(monkeypatch):
+    # (4,0,4) and (5,1,5) over GF(5) have 1 and 2 middle subspaces against
+    # about 10^6 and 10^13 outer pairs
+    def refuse(rep):
+        raise AssertionError("outer pairs enumerated for a degenerate shape")
+
+    monkeypatch.setattr(quiver, "_layer2_by_pairs", refuse)
+    flat = random_rep("B", F5, (4, 0, 4), random.Random(0))
+    assert quiver._layer2_dimvecs(flat) == frozenset(
+        (a, 0, c) for a in range(5) for c in range(5)
+    )
+    rep = random_rep("B", F5, (5, 1, 5), random.Random(1))
+    # U1 = 0 takes U0 in ker(gamma) and any U2; U1 = F takes any U0 and
+    # U2 containing delta(F)
+    k0 = 5 - linalg.rank(F5, [row for i in range(3) for row in rep.gamma_m(i)])
+    d2 = linalg.rank(F5, [[rep.delta[j][r][0] for r in range(5)] for j in range(3)])
+    expected = {(a, 0, c) for a in range(k0 + 1) for c in range(6)}
+    expected |= {(a, 1, c) for a in range(6) for c in range(d2, 6)}
+    assert quiver._layer2_dimvecs(rep) == frozenset(expected)
 
 
 # ---------------------------------------------------------------------------
