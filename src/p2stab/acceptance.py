@@ -242,8 +242,8 @@ def criterion_7() -> Tuple[bool, str]:
         return (False, f"point module violates relations at {bad}")
     search = submodule_dimvecs(rep)
     want = frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1)})
-    if search.dimvecs != want:
-        return (False, f"submodule classes {sorted(search.dimvecs)}, expected {sorted(want)}")
+    if search.upper != want:
+        return (False, f"submodule classes {sorted(search.upper)}, expected {sorted(want)}")
     if not search.complete:
         return (False, f"point-module search not certified complete ({search.evidence})")
     for k in range(1, 11):
@@ -309,8 +309,8 @@ def criterion_8() -> Tuple[bool, str]:
                 v = king_test(m1, theta_b1(n, b))
                 if not v.semistable:
                     return (False, f"n={n} config {idx}: interior b={b} gave {v.verdict}")
-                if v.search.complete and v.verdict != "stable":
-                    return (False, f"n={n} config {idx}: complete search but only {v.verdict} at b={b}")
+                if v.certainty == "exact" and v.verdict != "stable":
+                    return (False, f"n={n} config {idx}: certified only {v.verdict} at b={b}")
             bound = king_test(m1, theta_b1(n, 1))
             if not bound.semistable:
                 return (False, f"n={n} config {idx}: boundary gave {bound.verdict}")
@@ -411,7 +411,7 @@ def criterion_10() -> Tuple[bool, str]:
             theta = tuple(Frac(c1 * a + c2 * b) for a, b in zip(*basis))
         v = king_test(rep, theta)
         w = king_test(dualize(rep), reverse_theta(theta))
-        if v.search.complete and w.search.complete:
+        if v.certainty == "exact" and w.certainty == "exact":
             compared += 1
             if v.verdict != w.verdict:
                 return (
@@ -419,7 +419,7 @@ def criterion_10() -> Tuple[bool, str]:
                     f"sample {k} ({F!r}, dims {dims}): {v.verdict} vs dual {w.verdict} at {theta}",
                 )
     if compared < 90:
-        return (False, f"only {compared} of 100 samples had complete searches on both sides")
+        return (False, f"only {compared} of 100 samples had exact verdicts on both sides")
     return (True, f"duals semistable across the boundary; verdict invariance on {compared} random modules")
 
 
@@ -468,8 +468,8 @@ def criterion_12() -> Tuple[bool, str]:
         search = submodule_dimvecs(rep)  # raises if layer 1 invents a class
         if not search.complete:
             return (False, f"sample {k}: enumeration did not complete ({search.evidence})")
-        total_classes += len(search.dimvecs)
-        miss = search.layer1_missing
+        total_classes += len(search.upper)
+        miss = search.upper - search.witnesses.keys()
         if miss:
             flagged += 1
             missing_classes += len(miss)

@@ -37,6 +37,12 @@ from . import walls as walls_mod
 from . import acceptance
 
 
+#: the largest point count `--n` accepts: the walls of the n-point class
+#: take about a second to enumerate at n = 30 and some eight times longer
+#: at each doubling of n
+MAX_N = 30
+
+
 def _read_json(path: str):
     """Load a JSON input file; a missing, unreadable or malformed file is
     invalid input (exit 2), not a crash."""
@@ -221,10 +227,11 @@ def cmd_module_jh(args) -> int:
     factors = quiver.jh_factors(rep, theta, budget=args.budget, seed=args.seed)
     if args.exact:
         for f in factors:
-            s = quiver.submodule_dimvecs(f, budget=args.budget, seed=args.seed)
-            if not s.complete:
+            v = quiver.king_test(f, theta, budget=args.budget, seed=args.seed)
+            if (v.verdict, v.certainty) != ("stable", "exact"):
                 raise IncompleteOracleError(
-                    f"factor of dims {f.dims}: search evidence only '{s.evidence}'"
+                    f"factor of dims {f.dims}: {v.verdict} ({v.certainty}), "
+                    f"search evidence '{v.search.evidence}'"
                 )
     payload = {
         "meta": json_meta(args.seed),
@@ -459,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--theta", required=True, metavar="t0,t1,t2")
     x.add_argument("--budget", type=int, default=12)
     x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--exact", action="store_true", help="demand complete searches")
+    x.add_argument("--exact", action="store_true", help="demand certified stable factors")
     x.add_argument("--out", default=None)
     x.set_defaults(func=cmd_module_jh)
 
@@ -549,6 +556,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", 0) > MAX_N:
+            raise InputError(f"--n must be at most {MAX_N}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

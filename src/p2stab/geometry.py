@@ -39,6 +39,8 @@ from .quiver import (
     triple_dims,
 )
 
+Theta = Tuple[Fraction, Fraction, Fraction]
+
 Point = Tuple[Fraction, Fraction, Fraction]
 
 
@@ -223,17 +225,34 @@ def collinear_test(points) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the weight families, whose endpoints are the boundary walls
+
+
+def theta_b1(n: int, b) -> Theta:
+    """Weight family on the (n, 2n+1, n) class, linear in the parameter:
+    (1-b)*(0, -n, 2n+1) + b*(-n, 0, n).  b may leave (0, 1); b = 1 is the
+    Hilbert-Chow wall."""
+    b = Fraction(b)
+    return (
+        -b * n,
+        -(1 - b) * n,
+        (1 - b) * (2 * n + 1) + b * n,
+    )
+
+
+def theta_b0(n: int, b) -> Theta:
+    """Weight family on the (n, 2n, n-1) class:
+    (1-b)*(1-n, 0, n) + b*(-2n, n, 0); b = 0 is the line-contraction wall."""
+    b = Fraction(b)
+    return (
+        (1 - b) * (1 - n) - 2 * n * b,
+        n * b,
+        (1 - b) * n,
+    )
+
+
+# ---------------------------------------------------------------------------
 # wall filtration data
-
-
-def hc_boundary_theta(n: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """Weight on the Hilbert-Chow wall for the (n, 2n+1, n) module."""
-    return (Fraction(-n), Fraction(0), Fraction(n))
-
-
-def zeta_boundary_theta(n: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """Weight on the line-contraction wall for the (n, 2n, n-1) module."""
-    return (Fraction(1 - n), Fraction(0), Fraction(n))
 
 
 WALLS = ("theta1_1", "theta0_0")
@@ -253,7 +272,7 @@ def wall_filtration_data(points, wall: str, budget: int = 12, seed: int = 0) -> 
     n = len(cfg)
     if wall == "theta1_1":
         rep = module_ideal_A1(cfg)
-        theta = hc_boundary_theta(n)
+        theta = theta_b1(n, 1)
         factors = jh_factors(rep, theta, budget=budget, seed=seed)
         support: List[Optional[int]] = []
         v1_simples = 0
@@ -281,7 +300,7 @@ def wall_filtration_data(points, wall: str, budget: int = 12, seed: int = 0) -> 
         if not collinear_test(cfg):
             raise InputError("requires collinear configuration")
         rep = module_ideal_A0(cfg)
-        theta = zeta_boundary_theta(n)
+        theta = theta_b0(n, 0)
         homs = hom_space(simple("B", 1), rep)
         if not homs:
             raise VerificationError("collinear configuration with no C v_1 map")

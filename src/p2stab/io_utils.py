@@ -9,9 +9,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import InputError
 
@@ -89,28 +88,3 @@ def write_text_atomic(path: str, text: str) -> None:
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("P2STAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"P2STAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def parallel_map(fn: Callable, items: Iterable) -> List:
-    """Map preserving input order; uses threads only when P2STAB_THREADS > 1.
-
-    Work items must not depend on each other, so the result is identical
-    whatever the thread count — parallelism never changes output bytes.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))

@@ -234,6 +234,10 @@ def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_vec(F, A: Matrix, v: Sequence) -> Row:
+    """A @ v; a matrix with rows but no columns maps the empty vector to
+    the zero vector with one entry per row."""
+    if not v and A and not A[0]:
+        return [F.zero()] * len(A)
     return [row[0] for row in mat_mul(F, A, [[x] for x in v])]
 
 

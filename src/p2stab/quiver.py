@@ -14,7 +14,7 @@ Two relation ideals occur:
 
 Modules over B are the quiver side of the tilted heart A_1, modules over B'
 of the heart A'_1; the two tilt functors below move between them.  King
-stability, submodule enumeration with honest completeness flags, and
+stability, submodule enumeration with proved lower and upper sets, and
 Jordan-Hoelder filtrations live here as well.
 """
 from __future__ import annotations
@@ -130,12 +130,8 @@ def rep_to_json(rep: QuiverRep) -> dict:
 
 
 def rep_from_json(obj: dict) -> QuiverRep:
-    try:
-        field = field_from_json(obj["field"])
-        dims = tuple(int(x) for x in obj["dims"])
-        n0, n1, n2 = dims
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed module JSON: {exc}") from exc
+    """Parse the module JSON format; a missing key or a malformed entry is
+    invalid input."""
 
     def unflat(flat, nrows, ncols):
         if len(flat) != nrows * ncols:
@@ -143,9 +139,16 @@ def rep_from_json(obj: dict) -> QuiverRep:
         vals = [field.convert(Fraction(s)) for s in flat]
         return [vals[r * ncols : (r + 1) * ncols] for r in range(nrows)]
 
-    gamma = [unflat(m, n1, n0) for m in obj["gamma"]]
-    delta = [unflat(m, n2, n1) for m in obj["delta"]]
-    return QuiverRep(obj["algebra"], field, dims, gamma, delta)
+    try:
+        field = field_from_json(obj["field"])
+        dims = tuple(int(x) for x in obj["dims"])
+        n0, n1, n2 = dims
+        gamma = [unflat(m, n1, n0) for m in obj["gamma"]]
+        delta = [unflat(m, n2, n1) for m in obj["delta"]]
+        algebra = obj["algebra"]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed module JSON: {exc!r}") from exc
+    return QuiverRep(algebra, field, dims, gamma, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -621,31 +624,35 @@ def theta_transform(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
 class SubmoduleSearch:
     """Result of the two-layer submodule dimension-vector search.
 
-    Layer 1 closes a pool of generated submodules (kernels, images, cyclic
-    and random closures) under sums and intersections: sound, possibly
-    incomplete, with explicit witnesses over the base field.  Layer 2 is an
-    exhaustive enumeration over a finite field (exact there; for rational
-    modules it certifies via reductions mod several primes).  Since
-    (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <= delta^-1(U2), it
-    enumerates the pairs (U0, U2) of outer subspaces, each pair with
-    gamma(U0) <= delta^-1(U2) giving every dim U1 in between, or the middle
-    subspaces U1 when those are fewer.  ``complete`` is set only when
-    Layer 2 ran, and ``evidence`` says how strong the certificate is.
+    The true set T of submodule classes is bounded by two proved sets,
+    ``lower <= T <= upper``.  Layer 1 closes a pool of generated submodules
+    (kernels, images, cyclic and random closures) under sums and
+    intersections; its classes carry explicit witnesses over the base field
+    and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
+    field.  Since (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <=
+    delta^-1(U2), it enumerates the pairs (U0, U2) of outer subspaces, each
+    pair with gamma(U0) <= delta^-1(U2) giving every dim U1 in between, or
+    the middle subspaces U1 when those are fewer.  On the module's own prime
+    field the enumerated set is exact and is both ``lower`` and ``upper``.
+    A rational module is reduced mod several primes; a saturated reduction
+    only gains submodules, so ``upper`` is the box of all d <= dims cut down
+    by every mod-p set.  ``evidence`` names what was enumerated; a verdict's
+    certainty is read off ``lower`` and ``upper`` alone (`king_test`).
     """
 
     dims: DimVec
-    dimvecs: frozenset
-    layer1_dimvecs: frozenset
+    lower: frozenset
+    upper: frozenset
     witnesses: Dict[DimVec, SubTriple]
-    complete: bool
     evidence: str
     layers: Tuple[str, ...]
     budget: int
     seed: int
 
     @property
-    def layer1_missing(self) -> frozenset:
-        return self.dimvecs - self.layer1_dimvecs
+    def complete(self) -> bool:
+        """True when the submodule classes are known exactly."""
+        return self.lower == self.upper
 
 
 def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> List[tuple]:
@@ -944,8 +951,11 @@ def submodule_dimvecs(rep: QuiverRep, budget: int = 12, seed: int = 0) -> Submod
     witnesses, sound but possibly incomplete over Q.  Layer 2 (when the
     total dimension fits the budget): exhaustive subspace enumeration — on
     the module's own prime field this is exact; rational modules are
-    reduced mod several primes and certified either by the squeeze
-    layer1 == layer2 (rigorous) or by cross-prime agreement.
+    reduced mod several primes, each reduction narrowing the proved upper
+    set.  The evidence names the outcome: ``squeeze(p=…)`` when one mod-p
+    set equals the witnessed set, ``squeeze(intersection mod …)`` when
+    their intersection does, ``cross-prime(…)`` when the mod-p sets agree
+    but exceed it, and ``layer1-only (…)`` otherwise.
     """
     return _submodule_dimvecs_impl(rep, int(budget), int(seed))
 
@@ -953,75 +963,54 @@ def submodule_dimvecs(rep: QuiverRep, budget: int = 12, seed: int = 0) -> Submod
 @lru_cache(maxsize=256)
 def _submodule_dimvecs_impl(rep: QuiverRep, budget: int, seed: int) -> SubmoduleSearch:
     witnesses = _layer1(rep, seed)
-    layer1_set = frozenset(witnesses)
+    lower = frozenset(witnesses)
+    upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     layers = ["layer1"]
+    n1 = rep.dims[1]
 
     if rep.total_dim() > budget:
-        return SubmoduleSearch(
-            rep.dims, layer1_set, layer1_set, witnesses, False,
-            "layer1-only (budget exceeded)", tuple(layers), budget, seed,
-        )
-
-    n1 = rep.dims[1]
-    if isinstance(rep.field, PrimeField):
-        if galois_number(n1, rep.field.p) > _LAYER2_SUBSPACE_CAP:
-            return SubmoduleSearch(
-                rep.dims, layer1_set, layer1_set, witnesses, False,
-                "layer1-only (enumeration too large)", tuple(layers), budget, seed,
-            )
-        full = _layer2_dimvecs(rep)
-        layers.append(f"layer2(F_{rep.field.p})")
-        if not layer1_set <= full:
-            raise VerificationError("layer 1 produced a non-submodule dimvec")
-        return SubmoduleSearch(
-            rep.dims, full, layer1_set, witnesses, True,
-            f"exhaustive(F_{rep.field.p})", tuple(layers), budget, seed,
-        )
-
-    # rational module: reductions mod primes
-    prime_sets = []
-    for p in _LAYER2_PRIMES:
+        evidence = "layer1-only (budget exceeded)"
+    elif isinstance(rep.field, PrimeField):
+        p = rep.field.p
         if galois_number(n1, p) > _LAYER2_SUBSPACE_CAP:
-            continue
-        red = _reduce_rep_mod_p(rep, p)
-        full_p = _layer2_dimvecs(red)
-        layers.append(f"layer2(mod {p})")
-        if not layer1_set <= full_p:
-            raise VerificationError(
-                f"saturated reduction mod {p} lost a certified submodule"
-            )
-        if full_p == layer1_set:
-            return SubmoduleSearch(
-                rep.dims, layer1_set, layer1_set, witnesses, True,
-                f"squeeze(p={p})", tuple(layers), budget, seed,
-            )
-        prime_sets.append((p, full_p))
-
-    if prime_sets:
-        ps = ",".join(str(p) for p, _ in prime_sets)
-        inter = frozenset.intersection(*[s for _, s in prime_sets])
-        if inter == layer1_set:
-            # true set is sandwiched: layer1 <= true <= every reduction
-            return SubmoduleSearch(
-                rep.dims, layer1_set, layer1_set, witnesses, True,
-                f"squeeze(intersection mod {ps})", tuple(layers), budget, seed,
-            )
-        if len(prime_sets) >= 2 and all(
-            s == prime_sets[0][1] for _, s in prime_sets[1:]
-        ):
-            return SubmoduleSearch(
-                rep.dims, prime_sets[0][1], layer1_set, witnesses, True,
-                f"cross-prime({ps})", tuple(layers), budget, seed,
-            )
-    if not prime_sets:
-        reason = "no usable prime"
-    elif len(prime_sets) == 1:
-        reason = "mod-p excess unresolved"
+            evidence = "layer1-only (enumeration too large)"
+        else:
+            full = _layer2_dimvecs(rep)
+            layers.append(f"layer2(F_{p})")
+            if not lower <= full:
+                raise VerificationError("layer 1 produced a non-submodule dimvec")
+            lower = upper = full
+            evidence = f"exhaustive(F_{p})"
     else:
-        reason = "cross-prime disagreement"
+        unsqueezed = []  # (p, mod-p set) of the reductions above the witnessed set
+        for p in _LAYER2_PRIMES:
+            if galois_number(n1, p) > _LAYER2_SUBSPACE_CAP:
+                continue
+            full_p = _layer2_dimvecs(_reduce_rep_mod_p(rep, p))
+            layers.append(f"layer2(mod {p})")
+            if not lower <= full_p:
+                raise VerificationError(
+                    f"saturated reduction mod {p} lost a certified submodule"
+                )
+            upper &= full_p
+            if full_p == lower:
+                evidence = f"squeeze(p={p})"
+                break
+            unsqueezed.append((p, full_p))
+        else:
+            ps = ",".join(str(p) for p, _ in unsqueezed)
+            if not unsqueezed:
+                evidence = "layer1-only (no usable prime)"
+            elif upper == lower:
+                evidence = f"squeeze(intersection mod {ps})"
+            elif len(unsqueezed) == 1:
+                evidence = "layer1-only (mod-p excess unresolved)"
+            elif all(s == upper for _, s in unsqueezed):
+                evidence = f"cross-prime({ps})"
+            else:
+                evidence = "layer1-only (cross-prime disagreement)"
     return SubmoduleSearch(
-        rep.dims, layer1_set, layer1_set, witnesses, False,
-        f"layer1-only ({reason})", tuple(layers), budget, seed,
+        rep.dims, lower, upper, witnesses, evidence, tuple(layers), budget, seed
     )
 
 
@@ -1043,6 +1032,19 @@ class KingVerdict:
         return self.verdict in ("stable", "semistable")
 
 
+def _verdict_of(theta: Tuple, dims: DimVec, classes) -> str:
+    """The King verdict if ``classes`` were all the submodule classes.
+
+    Monotone in the set (stable < semistable < unstable), so the verdicts
+    of a proved lower and upper set bound the true one from both sides.
+    Requires theta(dims) = 0.
+    """
+    values = [theta_pair(theta, dv) for dv in classes if dv not in ((0, 0, 0), dims)]
+    if any(x < 0 for x in values):
+        return "unstable"
+    return "semistable" if 0 in values else "stable"
+
+
 def king_test(
     rep: QuiverRep,
     theta: Sequence,
@@ -1053,35 +1055,28 @@ def king_test(
     """King (semi)stability of rep for the weight theta.
 
     Requires theta(dims) = 0 (else verdict "theta-nonvanishing").  The rep
-    is unstable iff some submodule has theta < 0; a verdict is "exact" when
-    backed by an explicit witness (instability) or by a complete search
-    (semistability), and "probabilistic" otherwise — never silent.
+    is unstable iff some submodule has theta < 0, and strictly semistable
+    iff otherwise some proper nonzero submodule has theta = 0.  The verdict
+    is the one of the search's proved lower set; it is "exact" when the
+    proved upper set gives the same verdict, and "probabilistic" otherwise
+    — never silent.  An unstable verdict names the least witnessed
+    destabilizing class, or else the least destabilizing class.
     """
     theta = tuple(Fraction(x) for x in theta)
     if theta_pair(theta, rep.dims) != 0:
         return KingVerdict("theta-nonvanishing", "exact", None, None, theta, None)
     if search is None:
         search = submodule_dimvecs(rep, budget=budget, seed=seed)
-    zero = (0, 0, 0)
-    negatives = sorted(
-        (dv for dv in search.dimvecs if theta_pair(theta, dv) < 0),
-        key=lambda dv: (sum(dv), dv),
+    verdict = _verdict_of(theta, rep.dims, search.lower)
+    exact = verdict == _verdict_of(theta, rep.dims, search.upper)
+    certainty = "exact" if exact else "probabilistic"
+    if verdict != "unstable":
+        return KingVerdict(verdict, certainty, None, None, theta, search)
+    dv = min(
+        (dv for dv in search.lower if theta_pair(theta, dv) < 0),
+        key=lambda dv: (dv not in search.witnesses, sum(dv), dv),
     )
-    if negatives:
-        witnessed = [dv for dv in negatives if dv in search.witnesses]
-        if witnessed:
-            dv = witnessed[0]
-            return KingVerdict(
-                "unstable", "exact", dv, search.witnesses[dv], theta, search
-            )
-        return KingVerdict("unstable", "probabilistic", negatives[0], None, theta, search)
-    has_middle = any(
-        dv not in (zero, rep.dims) and theta_pair(theta, dv) == 0
-        for dv in search.dimvecs
-    )
-    verdict = "semistable" if has_middle else "stable"
-    certainty = "exact" if search.complete else "probabilistic"
-    return KingVerdict(verdict, certainty, None, None, theta, search)
+    return KingVerdict("unstable", certainty, dv, search.witnesses.get(dv), theta, search)
 
 
 class DestabilizedError(VerificationError):

@@ -24,19 +24,18 @@ from .linalg import (
     saturated_kernel_basis_3,
     solve_right,
 )
-from .io_utils import json_meta, parallel_map
+from .io_utils import json_meta
 from .quiver import dualize, king_test
 from .geometry import (
     PointConfig,
+    Theta,
     collinear_test,
-    hc_boundary_theta,
     module_ideal_A0,
     module_ideal_A1,
+    theta_b0,
+    theta_b1,
     wall_filtration_data,
-    zeta_boundary_theta,
 )
-
-Theta = Tuple[Fraction, Fraction, Fraction]
 
 HEARTS = ("A1", "A0")
 
@@ -73,28 +72,6 @@ def king_theta(values: Sequence[Tuple], dims: Sequence[int]) -> Theta:
     if re_m == 0 and im_m == 0:
         raise InputError("zero charge on the module class")
     return tuple(v[0] * im_m - re_m * v[1] for v in values)  # type: ignore[return-value]
-
-
-def theta_b1(n: int, b) -> Theta:
-    """Weight family on the (n, 2n+1, n) class, linear in the parameter:
-    (1-b)*(0, -n, 2n+1) + b*(-n, 0, n).  b may leave (0, 1)."""
-    b = Fraction(b)
-    return (
-        -b * n,
-        -(1 - b) * n,
-        (1 - b) * (2 * n + 1) + b * n,
-    )
-
-
-def theta_b0(n: int, b) -> Theta:
-    """Weight family on the (n, 2n, n-1) class:
-    (1-b)*(1-n, 0, n) + b*(-2n, n, 0)."""
-    b = Fraction(b)
-    return (
-        (1 - b) * (1 - n) - 2 * n * b,
-        n * b,
-        (1 - b) * n,
-    )
 
 
 def theta_family_r(n: int, r: int, b) -> Theta:
@@ -468,7 +445,7 @@ def hilbert_report(
         }
         return entry
 
-    results = parallel_map(one, list(configs))
+    results = [one(raw) for raw in configs]
 
     groups: Dict[Tuple[str, ...], List[int]] = {}
     for k, entry in enumerate(results):

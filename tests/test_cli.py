@@ -232,6 +232,21 @@ def test_bad_input_exits_2(capsys, tmp_path):
         assert code == 2 and err.startswith("error:")
         code, _, err = run(capsys, "module", "check", "--in", path)
         assert code == 2 and err.startswith("error:")
+    # module files with a key missing or an entry that is not a rational
+    good = quiver.rep_to_json(module_point([1, 0, 0]))
+    broken = [{k: v for k, v in good.items() if k != key}
+              for key in ("gamma", "delta", "algebra")]
+    broken.append({**good, "gamma": [["1/0"] + m[1:] for m in good["gamma"]]})
+    for k, blob in enumerate(broken):
+        path = tmp_path / f"broken{k}.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run(capsys, "module", "check", "--in", str(path))
+        assert code == 2 and err.startswith("error:")
+    # point counts above the documented maximum
+    for argv in (["walls", "enumerate", f"--n={cli.MAX_N + 1}"],
+                 ["hilbert", "report", "--n=400", "--points", missing]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "--n" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

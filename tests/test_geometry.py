@@ -9,12 +9,12 @@ from p2stab.geometry import (
     bprime_module_points,
     collinear_test,
     composite_lines,
-    hc_boundary_theta,
     module_ideal_A0,
     module_ideal_A1,
     module_point,
+    theta_b0,
+    theta_b1,
     wall_filtration_data,
-    zeta_boundary_theta,
 )
 from p2stab.ktheory import A0, A1, ChernCharacter, chern_of_dimvec
 from p2stab.quiver import check_relations, iso_test, theta_pair
@@ -122,10 +122,10 @@ def test_composite_lines_identity():
 
 def test_boundary_thetas_kill_the_module_class():
     for n in (1, 2, 3, 4):
-        assert theta_pair(hc_boundary_theta(n), (n, 2 * n + 1, n)) == 0
-        assert theta_pair(zeta_boundary_theta(n), (n, 2 * n, n - 1)) == 0
-    assert hc_boundary_theta(2) == (-2, 0, 2)
-    assert zeta_boundary_theta(3) == (-2, 0, 3)
+        assert theta_pair(theta_b1(n, 1), (n, 2 * n + 1, n)) == 0
+        assert theta_pair(theta_b0(n, 0), (n, 2 * n, n - 1)) == 0
+    assert theta_b1(2, 1) == (-2, 0, 2)
+    assert theta_b0(3, 0) == (-2, 0, 3)
 
 
 def test_hilbert_chow_wall_filtration():

@@ -158,6 +158,14 @@ def test_mat_mul_zero_row_matrix_is_tolerated():
     assert mat_vec(QQ, [], [Fraction(1), Fraction(2)]) == []
 
 
+def test_mat_vec_of_zero_column_matrix_is_zero():
+    # rows but no columns: the empty vector maps to zero, one entry per row
+    assert mat_vec(F2, [[], []], []) == [0, 0]
+    assert mat_vec(QQ, [[], [], []], []) == [Fraction(0)] * 3
+    with pytest.raises(InputError):
+        mat_vec(QQ, [[Fraction(1)]], [])
+
+
 def test_mat_mul_rejects_genuine_mismatch():
     with pytest.raises(InputError):
         mat_mul(QQ, [[Fraction(1)]], [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])

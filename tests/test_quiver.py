@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2stab.errors import InputError, VerificationError
-from p2stab.geometry import module_ideal_A1, module_point
+from p2stab.geometry import module_ideal_A0, module_ideal_A1, module_point, theta_b0
 from p2stab import linalg, quiver
 from p2stab.linalg import PrimeField, QQ, galois_number, mat_inverse, mat_mul
 from p2stab.quiver import (
     DestabilizedError,
     QuiverRep,
+    SubmoduleSearch,
     check_relations,
     closure,
     direct_sum,
@@ -139,10 +140,10 @@ def test_sub_from_and_quotient_complement():
 def test_skyscraper_submodule_dimvecs_exact():
     res = submodule_dimvecs(O_X)
     assert res.complete
-    assert res.dimvecs == frozenset(
+    assert res.upper == frozenset(
         {(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1)}
     )
-    assert res.layer1_dimvecs <= res.dimvecs
+    assert res.witnesses.keys() <= res.upper
     for dv, wit in res.witnesses.items():
         assert triple_dims(wit) == dv
         assert is_invariant(O_X, wit)
@@ -151,7 +152,7 @@ def test_skyscraper_submodule_dimvecs_exact():
 def test_search_is_deterministic():
     a = submodule_dimvecs(O_Z, seed=5)
     b = submodule_dimvecs(O_Z, seed=5)
-    assert a.dimvecs == b.dimvecs and a.evidence == b.evidence
+    assert (a.lower, a.upper, a.evidence) == (b.lower, b.upper, b.evidence)
 
 
 @pytest.mark.parametrize("dims", [(1, 2, 1), (2, 2, 1), (1, 3, 2)])
@@ -161,7 +162,7 @@ def test_layer1_sound_on_prime_field_reps(dims):
         rep = random_rep("B", F2, dims, rng)
         res = submodule_dimvecs(rep)
         assert res.complete  # exhaustive on the module's own field
-        assert res.layer1_dimvecs <= res.dimvecs
+        assert res.witnesses.keys() <= res.upper
         for dv, wit in res.witnesses.items():
             assert is_invariant(rep, wit) and triple_dims(wit) == dv
 
@@ -343,6 +344,73 @@ def test_king_verdicts_on_skyscraper():
     assert bad.witness_dimvec == (0, 0, 1)
     assert theta_pair(TH_UNSTABLE, bad.witness_dimvec) < 0
     assert king_test(O_X, (1, 1, 1)).verdict == "theta-nonvanishing"
+
+
+# the submodule classes of the point module O_X, all witnessed by layer 1
+O_X_CLASSES = frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1)})
+
+
+@pytest.mark.parametrize(
+    "theta,lower,upper,want",
+    [
+        # lower == upper: every verdict exact
+        (TH_STABLE, O_X_CLASSES, O_X_CLASSES, ("stable", "exact", None)),
+        (TH_UNSTABLE, O_X_CLASSES, O_X_CLASSES, ("unstable", "exact", (0, 0, 1))),
+        # a theta = 0 middle class only in upper leaves stability unproved
+        ((-2, 0, 2), O_X_CLASSES, O_X_CLASSES | {(0, 1, 0)}, ("stable", "probabilistic", None)),
+        # a theta < 0 class only in upper: neither verdict is proved
+        (TH_STABLE, O_X_CLASSES, O_X_CLASSES | {(1, 1, 1)}, ("stable", "probabilistic", None)),
+        # a witnessed theta < 0 class proves instability whatever upper holds
+        (TH_UNSTABLE, O_X_CLASSES, O_X_CLASSES | {(0, 1, 0)}, ("unstable", "exact", (0, 0, 1))),
+        # both sets semistable: exact although the sets differ
+        (TH_SEMI, O_X_CLASSES, O_X_CLASSES | {(0, 1, 0)}, ("semistable", "exact", None)),
+    ],
+)
+def test_king_certainty_from_lower_and_upper(theta, lower, upper, want):
+    witnesses = {dv: w for dv, w in submodule_dimvecs(O_X).witnesses.items() if dv in lower}
+    search = SubmoduleSearch(O_X.dims, lower, upper, witnesses, "hand-built", ("layer1",), 12, 0)
+    v = king_test(O_X, theta, search=search)
+    assert (v.verdict, v.certainty, v.witness_dimvec) == want
+    assert v.witness == (witnesses[want[2]] if want[2] else None)
+    assert search.complete == (lower == upper)
+
+
+def test_cross_prime_agreement_is_not_a_certificate():
+    # not collinear, so stable in truth; the class (0, 1, 0) exists mod 2
+    # and mod 3 only, and the two mod-p sets agree
+    rep = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
+    v = king_test(rep, theta_b0(3, Fraction(-1, 400)))
+    assert v.search.evidence == "cross-prime(2,3)"
+    assert (0, 1, 0) in v.search.upper - v.search.lower
+    assert v.verdict != "unstable" and v.certainty == "probabilistic"
+    assert v.witness_dimvec is None
+
+
+@pytest.mark.parametrize(
+    "kept,want",
+    [
+        # no theta < 0 class witnessed: the least one, from the enumeration
+        ({(0, 0, 0), (1, 2, 1)}, (0, 0, 1)),
+        # a witnessed one is preferred to a smaller unwitnessed one
+        ({(0, 0, 0), (0, 2, 1), (1, 2, 1)}, (0, 2, 1)),
+    ],
+)
+def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, kept, want):
+    rep = quiver._reduce_rep_mod_p(O_X, 5)
+    real = quiver._layer1
+    monkeypatch.setattr(
+        quiver, "_layer1",
+        lambda r, seed: {dv: w for dv, w in real(r, seed).items() if dv in kept},
+    )
+    quiver._submodule_dimvecs_impl.cache_clear()
+    try:
+        v = king_test(rep, TH_UNSTABLE)
+    finally:
+        quiver._submodule_dimvecs_impl.cache_clear()
+    assert v.search.evidence == "exhaustive(F_5)"
+    assert v.search.lower == v.search.upper == O_X_CLASSES
+    assert (v.verdict, v.certainty, v.witness_dimvec) == ("unstable", "exact", want)
+    assert (v.witness is None) == (want not in kept)
 
 
 def test_jh_factors_of_direct_sum():

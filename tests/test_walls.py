@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from p2stab.charge import z_sigma_b
 from p2stab.errors import InputError
-from p2stab.geometry import hc_boundary_theta, zeta_boundary_theta
 from p2stab.io_utils import dumps_json
 from p2stab.quiver import theta_pair
 from p2stab.walls import (
@@ -65,8 +64,8 @@ def test_king_theta_rejects_flat_charge():
 
 def test_family_endpoints_are_the_boundary_weights():
     for n in (1, 2, 3, 5):
-        assert theta_b1(n, 1) == hc_boundary_theta(n)
-        assert theta_b0(n, 0) == zeta_boundary_theta(n)
+        assert theta_b1(n, 1) == (-n, 0, n)  # Hilbert-Chow wall
+        assert theta_b0(n, 0) == (1 - n, 0, n)  # line-contraction wall
 
 
 def test_family_is_linear_interpolation():
@@ -224,7 +223,7 @@ def test_hilbert_report_single_point():
     assert entry["dual_across_hc"]["shrink_consistent"]
 
 
-def test_hilbert_report_groups_and_determinism(monkeypatch):
+def test_hilbert_report_groups_and_determinism():
     configs = [
         [(1, 0, 0), (0, 1, 0)],
         [(0, 1, 0), (1, 0, 0)],  # same support, listed in another order
@@ -233,7 +232,6 @@ def test_hilbert_report_groups_and_determinism(monkeypatch):
     rep = hilbert_report(2, configs)
     assert rep["s_equivalence_groups"] == [[0, 1], [2]]
     ser = dumps_json(rep)
-    monkeypatch.setenv("P2STAB_THREADS", "3")
     assert dumps_json(hilbert_report(2, configs)) == ser
     for entry in rep["configurations"]:
         assert entry["zeta"]["at_minus_eps"]["verdict"] == entry["zeta"]["expected"]
