@@ -42,6 +42,11 @@ from . import acceptance
 #: at each doubling of n
 MAX_N = 30
 
+#: the largest `--budget` accepted: the total dimension 4n + 1 of the
+#: largest module the point commands build; Layer 2 is bounded separately
+#: by the number of subspaces at the middle vertex
+MAX_BUDGET = 4 * MAX_N + 1
+
 
 def _read_json(path: str):
     """Load a JSON input file; a missing, unreadable or malformed file is
@@ -558,6 +563,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "n", 0) > MAX_N:
             raise InputError(f"--n must be at most {MAX_N}")
+        if not 0 <= getattr(args, "budget", 0) <= MAX_BUDGET:
+            raise InputError(f"--budget must be between 0 and {MAX_BUDGET}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -185,6 +185,8 @@ def module_ideal_A0(points) -> QuiverRep:
     evaluates to 1 at every point)."""
     cfg = _as_config(points)
     n = len(cfg)
+    if n == 0:
+        raise InputError("empty configuration")
     total = functools.reduce(direct_sum, (module_point(x) for x in cfg))
     if total.dims != (n, 2 * n, n):
         raise VerificationError("point modules summed to unexpected dims")  # pragma: no cover

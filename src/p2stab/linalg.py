@@ -2,15 +2,25 @@
 
 Every matrix computation in the package funnels through this module.
 Matrices are plain lists of row lists; entries are ``fractions.Fraction``
-over the rationals or python ints reduced mod p over a prime field.  The
-field object is passed explicitly so the same elimination code serves both
-backends.  Nothing here is clever: the matrices are tiny (a few dozen rows
-at most) and exactness beats speed everywhere in this package.
+over the rationals or python ints in [0, p) over a prime field.  The field
+object is passed explicitly, and each field has its own kernels for
+elimination, products and reduction:
+
+* over Q a row is carried as python ints over one common denominator.
+  Elimination is fraction-free (``row_i = a*row_i - b*row_r``, divided by
+  the row's content) and every entry of a result costs one ``Fraction``;
+* over GF(p) the same loops run on plain ints with ``% p`` inline and the
+  pivot inverse from Fermat's little theorem.
+
+The results are the exact values the textbook loops give, entry for entry:
+a reduced row echelon form is unique.  The matrices are tiny (a few dozen
+rows at most), so the kernels stay dense and pure python.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -171,9 +181,10 @@ QQ = RationalField()
 
 
 def field_from_json(obj: dict):
-    if obj.get("kind") == "rational":
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "rational":
         return QQ
-    if obj.get("kind") == "prime":
+    if kind == "prime":
         return PrimeField(int(obj["p"]))
     raise InputError(f"unknown field description {obj!r}")
 
@@ -194,43 +205,64 @@ def identity(F, n: int) -> Matrix:
     return M
 
 
-def mat_copy(A: Matrix) -> Matrix:
-    return [list(row) for row in A]
-
-
 def transpose(A: Matrix, ncols: Optional[int] = None) -> Matrix:
     if not A:
         return [[] for _ in range(ncols or 0)]
     return [list(col) for col in zip(*A)]
 
 
+def is_zero_matrix(F, A: Matrix) -> bool:
+    return all(F.is_zero(a) for row in A for a in row)
+
+
+# ---------------------------------------------------------------------------
+# rational rows as integers over a common denominator
+
+_ZERO = Fraction(0)
+
+
+def _q_ints(row: Sequence) -> Tuple[List[int], int]:
+    """(ints, d) with row == ints / d, d the lcm of the denominators."""
+    d = math.lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _q_entry(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else _ZERO
+
+
+def _q_row(ints: Sequence[int], d: int) -> Row:
+    return [Fraction(x, d) if x else _ZERO for x in ints]
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
 def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
     """A @ B; zero-sized factors are handled (the result is a zero matrix)."""
-    ra = len(A)
-    ca = len(A[0]) if A else 0
-    rb = len(B)
-    cb = len(B[0]) if B else 0
-    if ra == 0:
+    if not A:
         # a 0-row matrix cannot carry its width, so trust the caller
         return []
-    if ca != rb:
-        raise InputError(f"dimension mismatch in product: {ra}x{ca} by {rb}x{cb}")
-    if cb == 0:
-        return [[] for _ in range(ra)]
-    if ca == 0:
-        return zeros(F, ra, cb)
-    out = zeros(F, ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        oi = out[i]
-        for k in range(ca):
-            a = Ai[k]
-            if F.is_zero(a):
-                continue
-            Bk = B[k]
-            for j in range(cb):
-                oi[j] = F.add(oi[j], F.mul(a, Bk[j]))
-    return out
+    if len(A[0]) != len(B):
+        cb = len(B[0]) if B else 0
+        raise InputError(
+            f"dimension mismatch in product: {len(A)}x{len(A[0])} by {len(B)}x{cb}"
+        )
+    cols = list(zip(*B))
+    p = F.p
+    if p is None:
+        qcols = [_q_ints(col) for col in cols]
+        out = []
+        for row in A:
+            ints, da = _q_ints(row)
+            out.append([
+                _q_entry(sum(map(operator.mul, ints, cb)), da * db) for cb, db in qcols
+            ])
+        return out
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A]
 
 
 def mat_vec(F, A: Matrix, v: Sequence) -> Row:
@@ -239,22 +271,6 @@ def mat_vec(F, A: Matrix, v: Sequence) -> Row:
     if not v and A and not A[0]:
         return [F.zero()] * len(A)
     return [row[0] for row in mat_mul(F, A, [[x] for x in v])]
-
-
-def mat_neg(F, A: Matrix) -> Matrix:
-    return [[F.neg(a) for a in row] for row in A]
-
-
-def is_zero_matrix(F, A: Matrix) -> bool:
-    return all(F.is_zero(a) for row in A for a in row)
-
-
-def hstack(blocks: Sequence[Matrix]) -> Matrix:
-    rows = len(blocks[0])
-    for b in blocks:
-        if len(b) != rows:
-            raise InputError("dimension mismatch in hstack")
-    return [sum((list(b[i]) for b in blocks), []) for i in range(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +283,69 @@ def rref(F, A: Matrix) -> Tuple[Matrix, List[int]]:
     Zero rows are dropped from R, so R doubles as a canonical basis of the
     row space.
     """
-    M = mat_copy(A)
+    if F.p is None:
+        return _rref_q(A)
+    return _rref_p(A, F.p)
+
+
+def _rref_q(A: Matrix) -> Tuple[Matrix, List[int]]:
+    """Fraction-free Gauss-Jordan on primitive integer rows; each pivot row
+    is divided by its pivot at the end."""
+    M = []
+    for row in A:
+        ints, _ = _q_ints(row)
+        g = math.gcd(*ints)
+        M.append([x // g for x in ints] if g > 1 else ints)
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not F.is_zero(M[i][c]):
-                piv = i
+        for piv in range(r, nrows):
+            if M[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        M[r] = [F.mul(inv, x) for x in M[r]]
+        prow = M[r]
+        a = prow[c]
         for i in range(nrows):
-            if i != r and not F.is_zero(M[i][c]):
-                f = M[i][c]
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+            b = M[i][c]
+            if b and i != r:
+                g = math.gcd(a, b)
+                ag, bg = a // g, b // g
+                new = [ag * x - bg * y for x, y in zip(M[i], prow)]
+                g = math.gcd(*new)
+                M[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [_q_row(row, row[c]) for row, c in zip(M, pivots)], pivots
+
+
+def _rref_p(A: Matrix, p: int) -> Tuple[Matrix, List[int]]:
+    """Gauss-Jordan over GF(p) on ints reduced mod p."""
+    M = [[x % p for x in row] for row in A]
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        for piv in range(r, nrows):
+            if M[piv][c]:
+                break
+        else:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        prow = M[r]
+        inv = pow(prow[c], p - 2, p)
+        if inv != 1:
+            prow = M[r] = [x * inv % p for x in prow]
+        for i in range(nrows):
+            f = M[i][c]
+            if f and i != r:
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -301,16 +360,29 @@ def rank(F, A: Matrix) -> int:
 def reduce_vector(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> Row:
     """Residual of v after eliminating the pivot coordinates against the
     rref rows R; the residual is zero iff v lies in the row space."""
-    w = list(v)
+    p = F.p
+    if p is not None:
+        w = [x % p for x in v]
+        for row, c in zip(R, pivots):
+            f = w[c]
+            if f:
+                w = [(x - f * y) % p for x, y in zip(w, row)]
+        return w
+    w, d = _q_ints(v)
+    changed = False
     for row, c in zip(R, pivots):
         f = w[c]
-        if not F.is_zero(f):
-            w = [F.sub(x, F.mul(f, y)) for x, y in zip(w, row)]
-    return w
+        if f:
+            # w/d - (f/d) * (ints/dr) = (dr*w - f*ints) / (d*dr)
+            ints, dr = _q_ints(row)
+            w = [dr * x - f * y for x, y in zip(w, ints)]
+            d *= dr
+            changed = True
+    return _q_row(w, d) if changed else list(v)
 
 
 def in_row_space(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> bool:
-    return all(F.is_zero(x) for x in reduce_vector(F, R, pivots, v))
+    return not any(reduce_vector(F, R, pivots, v))
 
 
 def row_space(F, vectors: Iterable[Sequence], ncols: int) -> Tuple[Matrix, List[int]]:
@@ -332,13 +404,16 @@ def right_kernel(F, A: Matrix, ncols: Optional[int] = None) -> Matrix:
     if not A or ncols == 0:
         return identity(F, ncols)
     R, pivots = rref(F, A)
-    free = [c for c in range(ncols) if c not in pivots]
+    p = F.p
+    zero, one = F.zero(), F.one()
     basis: Matrix = []
-    for f in free:
-        v = [F.zero()] * ncols
-        v[f] = F.one()
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
         for row, c in zip(R, pivots):
-            v[c] = F.neg(row[f])
+            v[c] = -row[f] if p is None else -row[f] % p
         basis.append(v)
     return basis
 
@@ -382,25 +457,11 @@ def intersect_row_spaces(F, A: Matrix, B: Matrix, ncols: int) -> Matrix:
     """Canonical basis of (row space of A) `intersect` (row space of B)."""
     if not A or not B:
         return []
-    # x = a^T A = b^T B  <=>  (a, b) in ker [A^T | -B^T]
-    At = transpose(A, ncols)
-    Bt = transpose(B, ncols)
-    stacked = hstack([At, mat_neg(F, Bt)])
+    # a^T A = -b^T B  <=>  (a, b) in ker [A^T | B^T]; the a^T A span the meet
+    stacked = [ra + rb for ra, rb in zip(transpose(A, ncols), transpose(B, ncols))]
     combos = right_kernel(F, stacked)
-    vecs = []
-    for c in combos:
-        a = c[: len(A)]
-        vecs.append([
-            _dot(F, a, [row[j] for row in A]) for j in range(ncols)
-        ])
+    vecs = mat_mul(F, [c[: len(A)] for c in combos], A)
     return row_space(F, vecs, ncols)[0]
-
-
-def _dot(F, u: Sequence, v: Sequence):
-    acc = F.zero()
-    for a, b in zip(u, v):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def sum_row_spaces(F, A: Matrix, B: Matrix, ncols: int) -> Matrix:

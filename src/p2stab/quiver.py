@@ -282,9 +282,14 @@ def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
 def sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     """The submodule carried by an invariant subspace triple, in the basis
     given by the canonical rref rows of the triple."""
-    F = rep.field
     if not is_invariant(rep, triple):
         raise InputError("not a submodule")
+    return _sub_from(rep, triple)
+
+
+def _sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
+    """`sub_from` of a triple already known to be invariant."""
+    F = rep.field
     canon = tuple(
         _canon(F, [list(r) for r in U], rep.dims[v]) for v, U in enumerate(triple)
     )
@@ -669,10 +674,11 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
 
     def add(rows) -> Tuple[tuple, bool]:
         canon = _canon(F, [list(r) for r in rows], n1)
-        if canon in pool or len(pool) >= cap:
+        if len(pool) >= cap:
             return canon, False
-        pool[canon] = None
-        return canon, True
+        size = len(pool)
+        pool.setdefault(canon, None)  # one hash of the rows, not two
+        return canon, len(pool) > size
 
     def basis_vectors(n):
         for c in range(n):
@@ -764,7 +770,8 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
         add([list(r) for r in a] + [list(r) for r in b])
         add(linalg.intersect_row_spaces(F, [list(r) for r in a], [list(r) for r in b], n1))
         ops += 2
-    frontier = [t for t in pool if t not in set(atoms)]
+    seen = set(atoms)
+    frontier = [t for t in pool if t not in seen]
     rounds = 0
     while frontier and ops < pair_budget and len(pool) < cap and rounds < 2:
         snapshot = list(pool)
@@ -796,11 +803,14 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
     """
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas_t = [transpose(rep.gamma_m(i), ncols=n0) for i in range(3)]
+    gammas = [rep.gamma_m(i) for i in range(3)]
+    deltas_t = [transpose(rep.delta_m(j), ncols=n1) for j in range(3)]
     witnesses: Dict[DimVec, SubTriple] = {}
     for u1c in _u1_candidates(rep, seed, cap, pair_budget):
         u1 = [list(r) for r in u1c]
-        imgs = [mat_vec(F, rep.delta_m(j), list(u)) for u in u1 for j in range(3)]
+        # the rows u . delta_j^T are the images delta_j(u); a span is all
+        # that is used of them, so one product per arrow suffices
+        imgs = [row for dt in deltas_t for row in mat_mul(F, u1, dt)]
         D, dpiv = row_space(F, imgs, n2)
         d2 = len(D)
         # deterministic completion of delta(U1) towards the full end fibre
@@ -815,7 +825,7 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
                 grow_rows, grow_piv = row_space(F, grow_rows + [e], n2)
         # U0max via functionals vanishing on U1
         ann = right_kernel(F, u1, ncols=n1)
-        constraints = [mat_vec(F, gammas_t[i], list(w)) for w in ann for i in range(3)]
+        constraints = [row for g in gammas for row in mat_mul(F, ann, g)]
         u0max = right_kernel(F, constraints, ncols=n0)
         for a in range(len(u0max) + 1):
             for c in range(d2, n2 + 1):
@@ -839,14 +849,16 @@ def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
     submodule iff S = gamma(U0) lies in P = delta^-1(U2), i.e. iff
     delta(S) <= U2, and then U1 can be S, P or anything in between: every
     dim U1 from dim S to dim P occurs.  Enumerating the outer pairs thus
-    gives the exact set (`_layer2_by_pairs`).  When F^{n1} has no more
-    subspaces than there are pairs (n1 small against n0 and n2), the middle
-    vertex is enumerated instead (`_layer2_by_middle`); both give the same
-    set.
+    gives the exact set (`_layer2_by_pairs`).  Its elimination work is one
+    pass over the subspaces of F^{n0} and one over those of F^{n2}; a pair
+    itself costs only a containment test of merged sources.  So when F^{n1}
+    has no more subspaces than the two outer vertices together (n1 small
+    against n0 and n2), the middle vertex is enumerated instead
+    (`_layer2_by_middle`); both give the same set.
     """
     n0, n1, n2 = rep.dims
     p = rep.field.p
-    if galois_number(n1, p) <= galois_number(n0, p) * galois_number(n2, p):
+    if galois_number(n1, p) <= galois_number(n0, p) + galois_number(n2, p):
         return _layer2_by_middle(rep)
     return _layer2_by_pairs(rep)
 
@@ -1127,8 +1139,9 @@ def jh_factors(
             break
         dv = min(candidates, key=lambda d: (sum(d), d))
         w = search.witnesses[dv]
-        factors.append(sub_from(current, w))
-        current = quotient_by(current, w)
+        quotient = quotient_by(current, w)  # the one check that w is a submodule
+        factors.append(_sub_from(current, w))
+        current = quotient
 
     total = tuple(sum(f.dims[v] for f in factors) for v in range(3))
     if total != rep.dims:

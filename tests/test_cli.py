@@ -1,13 +1,21 @@
 """End-to-end CLI behaviour, run in-process through main(argv)."""
 
+import contextlib
+import io
 import json
+import os
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2stab import cli, quiver
 from p2stab.geometry import module_point
 from p2stab.io_utils import load_json
-from p2stab.linalg import QQ
+from p2stab.linalg import QQ, PrimeField
+from p2stab.quiver import random_rep
 
 
 def run(capsys, *argv):
@@ -247,6 +255,15 @@ def test_bad_input_exits_2(capsys, tmp_path):
                  ["hilbert", "report", "--n=400", "--points", missing]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "--n" in err
+    # search budgets below zero or above the documented maximum
+    point = write_rep(tmp_path / "point.json", module_point([1, 0, 0]))
+    for budget in (-1, cli.MAX_BUDGET + 1, 10**30):
+        code, _, err = run(capsys, "module", "jh", "--in", point, "--theta=0,0,0",
+                           f"--budget={budget}")
+        assert code == 2 and err.startswith("error:") and "--budget" in err
+    code, _, _ = run(capsys, "module", "jh", "--in", point, "--theta=0,0,0",
+                     f"--budget={cli.MAX_BUDGET}")
+    assert code == 0
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -254,3 +271,105 @@ def test_unknown_subcommand_exits_2(capsys):
         cli.main(["chern", "frobnicate"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line: every outcome is a documented exit code
+
+
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "-2/3", "1/0", "0.5", "x", "", "1e400", "nan"]),
+)
+_TRIPLE_TEXT = st.one_of(
+    st.sampled_from(["0,0,0", "1,-2,3", "-1,0,1"]),  # 0,0,0 vanishes on every class
+    st.lists(_NUMBER_TEXT, min_size=2, max_size=4).map(",".join),
+)
+_INT_TEXT = st.sampled_from(["-1", "0", "1", "2", "31", "121", "122", "x"])
+
+
+@st.composite
+def module_blobs(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    dims = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    algebra = draw(st.sampled_from(["B", "Bprime"]))
+    rep = random_rep(algebra, field, dims, random.Random(draw(st.integers(0, 99))))
+    blob = quiver.rep_to_json(rep)
+    damage = draw(st.sampled_from(["none", "none", "drop", "entry", "dims", "field", "junk"]))
+    if damage == "drop":
+        del blob[draw(st.sampled_from(sorted(blob)))]
+    elif damage == "entry" and any(blob["gamma"]):
+        first = next(m for m in blob["gamma"] if m)
+        first[0] = draw(_NUMBER_TEXT)
+    elif damage == "dims":
+        blob["dims"] = draw(st.lists(st.integers(-1, 3), min_size=2, max_size=4))
+    elif damage == "field":
+        blob["field"] = draw(st.sampled_from([{"kind": "prime", "p": 4}, {"kind": "prime"},
+                                              {"kind": "prime", "p": -7}, {}, "QQ"]))
+    elif damage == "junk":
+        return draw(st.sampled_from([[], "module", 3, None, {"gamma": 1}]))
+    return blob
+
+
+@st.composite
+def point_blobs(draw):
+    coords = st.one_of(
+        st.lists(st.integers(-3, 3).map(str), min_size=3, max_size=3),
+        st.lists(_NUMBER_TEXT, min_size=2, max_size=4),
+    )
+    pts = draw(st.lists(coords, min_size=0, max_size=3))
+    shape = draw(st.sampled_from(["points", "points", "configs", "junk"]))
+    if shape == "points":
+        return {"points": pts}
+    if shape == "configs":
+        return {"configs": [pts, {"points": pts}]}
+    return draw(st.sampled_from([{}, [], {"points": 1}, {"configs": [1]}, "pts"]))
+
+
+@st.composite
+def argv_lists(draw, mod_a, mod_b, pts, out):
+    t = draw(_TRIPLE_TEXT)
+    n = draw(st.sampled_from(["-2", "0", "1", "31", "x"]))
+    commands = [
+        ["chern", "euler", f"--a={t}", f"--b={draw(_TRIPLE_TEXT)}"],
+        ["chern", "dimvec", f"--ch={t}", "--heart", draw(st.sampled_from(["A1", "A0", "Z"]))],
+        ["charge", "eval", f"--ch={t}", f"--b={draw(_NUMBER_TEXT)}"],
+        ["charge", "sigma-b", f"--b={draw(_NUMBER_TEXT)}"],
+        ["module", "check", "--in", mod_a],
+        ["module", "jh", "--in", mod_a, f"--theta={t}", f"--budget={draw(_INT_TEXT)}"]
+        + draw(st.sampled_from([[], ["--exact"]])),
+        ["module", "dual", "--in", mod_a, "--out", out],
+        ["module", "tilt", "--in", mod_a],
+        ["module", "hom", "--a", mod_a, "--b", mod_b],
+        ["module", "iso", "--a", mod_a, "--b", mod_b] + draw(st.sampled_from([[], ["--exact"]])),
+        ["module", "from-points", "--points", pts, "--construction",
+         draw(st.sampled_from(["point", "ideal-A1", "ideal-A0", "bprime"]))],
+        ["walls", "chamber", f"--n={n}", f"--theta={t}"],
+        ["walls", "theta-family", f"--n={n}", f"--b={draw(_NUMBER_TEXT)}"],
+        ["hilbert", "report", f"--n={draw(st.sampled_from(['-1', '0', '1', '31']))}",
+         "--points", pts, "--out", out],
+        draw(st.lists(st.sampled_from(["module", "jh", "--n", "-1", "--in", "walls", "x"]),
+                      max_size=4)),
+    ]
+    return draw(st.sampled_from(commands))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, blobs in (("a", module_blobs()), ("b", module_blobs()), ("p", point_blobs())):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(data.draw(blobs), fh)
+        argv = data.draw(argv_lists(paths["a"], paths["b"], paths["p"],
+                                    os.path.join(tmp, "out.json")))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

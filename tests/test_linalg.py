@@ -254,3 +254,163 @@ def test_iter_subspaces_f5_line_count():
     # lines in F_5^2: (25 - 1) / 4 = 6
     lines = [rows for rows, _ in iter_subspaces(F5, 2) if len(rows) == 1]
     assert len(lines) == 6
+
+
+# ---------------------------------------------------------------------------
+# the per-field kernels against the generic elimination they replaced, which
+# calls the field's add/mul/is_zero on every entry
+
+
+def ref_rref(F, A):
+    M = [list(row) for row in A]
+    nrows, ncols = len(M), len(M[0]) if M else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if not F.is_zero(M[i][c])), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = F.inv(M[r][c])
+        M[r] = [F.mul(inv, x) for x in M[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(M[i][c]):
+                f = M[i][c]
+                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return M[:r], pivots
+
+
+def ref_mat_mul(F, A, B):
+    if not A:
+        return []
+    out = [[F.zero()] * (len(B[0]) if B else 0) for _ in A]
+    for Ai, oi in zip(A, out):
+        for a, Bk in zip(Ai, B):
+            if not F.is_zero(a):
+                for j, b in enumerate(Bk):
+                    oi[j] = F.add(oi[j], F.mul(a, b))
+    return out
+
+
+def ref_mat_vec(F, A, v):
+    if not v and A and not A[0]:
+        return [F.zero()] * len(A)
+    return [row[0] for row in ref_mat_mul(F, A, [[x] for x in v])]
+
+
+def ref_right_kernel(F, A, ncols):
+    if not A or ncols == 0:
+        return identity(F, ncols)
+    R, pivots = ref_rref(F, A)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero()] * ncols
+        v[f] = F.one()
+        for row, c in zip(R, pivots):
+            v[c] = F.neg(row[f])
+        basis.append(v)
+    return basis
+
+
+def ref_intersect_row_spaces(F, A, B, ncols):
+    if not A or not B:
+        return []
+    At, Bt = transpose(A, ncols), transpose(B, ncols)
+    stacked = [ra + [F.neg(x) for x in rb] for ra, rb in zip(At, Bt)]
+    vecs = []
+    for c in ref_right_kernel(F, stacked, len(stacked[0]) if stacked else 0):
+        vecs.append([ref_dot(F, c[: len(A)], [row[j] for row in A]) for j in range(ncols)])
+    return ref_rref(F, vecs)[0]
+
+
+def ref_dot(F, u, v):
+    acc = F.zero()
+    for a, b in zip(u, v):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+KERNEL_FIELDS = [QQ, F2, PrimeField(3), F5, PrimeField(7), PrimeField(2**61 - 1)]
+
+
+def field_entries(F):
+    if F.p is None:  # mixed signs and denominators
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    return st.one_of(st.integers(0, min(F.p - 1, 6)), st.integers(0, F.p - 1))
+
+
+@st.composite
+def field_matrices(draw, F, nrows=None, ncols=None):
+    """Zero, full-rank and rank-deficient matrices, zero rows included; a
+    rank-deficient one is a product C @ B with C, B of inner size k."""
+    nrows = draw(st.integers(0, 4)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 5)) if ncols is None else ncols
+    x = field_entries(F)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        C = draw(st.lists(st.lists(x, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+        B = draw(st.lists(st.lists(x, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+        return ref_mat_mul(F, C, B) if k else [[F.zero()] * ncols for _ in range(nrows)]
+    return draw(st.lists(st.lists(x, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+
+
+def same(a, b):
+    """Equal entry for entry and type for type."""
+    assert a == b
+    assert [[type(x) for x in row] for row in a] == [[type(x) for x in row] for row in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS))
+def test_rref_and_right_kernel_match_the_generic_elimination(data, F):
+    A = data.draw(field_matrices(F))
+    ncols = len(A[0]) if A else data.draw(st.integers(0, 3))
+    R, piv = rref(F, A)
+    Rr, pr = ref_rref(F, A)
+    same(R, Rr)
+    assert piv == pr
+    same(right_kernel(F, A, ncols=ncols), ref_right_kernel(F, A, ncols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4))
+def test_mat_mul_and_mat_vec_match_the_generic_products(data, F, inner, ncols):
+    A = data.draw(field_matrices(F, ncols=inner))
+    B = data.draw(field_matrices(F, nrows=inner, ncols=ncols))
+    same(mat_mul(F, A, B), ref_mat_mul(F, A, B))
+    v = data.draw(st.lists(field_entries(F), min_size=inner, max_size=inner))
+    same([mat_vec(F, A, v)], [ref_mat_vec(F, A, v)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 4))
+def test_intersect_row_spaces_matches_the_generic_construction(data, F, ncols):
+    A = data.draw(field_matrices(F, ncols=ncols))
+    B = data.draw(field_matrices(F, ncols=ncols))
+    same(intersect_row_spaces(F, A, B, ncols), ref_intersect_row_spaces(F, A, B, ncols))
+
+
+def ref_reduce_vector(F, R, pivots, v):
+    w = list(v)
+    for row, c in zip(R, pivots):
+        f = w[c]
+        if not F.is_zero(f):
+            w = [F.sub(x, F.mul(f, y)) for x, y in zip(w, row)]
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 5))
+def test_reduce_vector_matches_the_generic_reduction(data, F, ncols):
+    R, piv = rref(F, data.draw(field_matrices(F, ncols=ncols)))
+    v = data.draw(st.one_of(
+        st.lists(field_entries(F), min_size=ncols, max_size=ncols),
+        st.lists(st.just(F.zero()), min_size=ncols, max_size=ncols),
+        st.sampled_from(R or [[F.zero()] * ncols]),
+    ))
+    w = linalg.reduce_vector(F, R, piv, v)
+    same([w], [ref_reduce_vector(F, R, piv, v)])
+    assert linalg.in_row_space(F, R, piv, v) == all(F.is_zero(x) for x in w)

@@ -135,6 +135,8 @@ def test_sub_from_and_quotient_complement():
     assert tuple(s + q for s, q in zip(sub.dims, quo.dims)) == O_X.dims
     with pytest.raises(InputError):
         sub_from(O_X, ([[Fraction(1)]], [], []))  # not arrow-invariant
+    with pytest.raises(InputError):
+        quotient_by(O_X, ([[Fraction(1)]], [], []))
 
 
 def test_skyscraper_submodule_dimvecs_exact():
@@ -230,6 +232,23 @@ def test_layer2_degenerate_shapes_take_the_middle_path(monkeypatch):
     expected = {(a, 0, c) for a in range(k0 + 1) for c in range(6)}
     expected |= {(a, 1, c) for a in range(6) for c in range(d2, 6)}
     assert quiver._layer2_dimvecs(rep) == frozenset(expected)
+
+
+@pytest.mark.parametrize("p,dims,path,other", [
+    # 1,120 middle subspaces against 64 + 64 outer ones (and 4,096 pairs)
+    (5, (3, 4, 3), "_layer2_by_pairs", "_layer2_by_middle"),
+    # 28 middle subspaces against 212 + 212 outer ones
+    (3, (4, 3, 4), "_layer2_by_middle", "_layer2_by_pairs"),
+])
+def test_layer2_fork_weighs_middle_against_both_outer_vertices(monkeypatch, p, dims, path, other):
+    rep = random_rep("B", PrimeField(p), dims, random.Random(0))
+    expected = getattr(quiver, path)(rep)
+
+    def refuse(rep):
+        raise AssertionError(f"{other} taken for {dims} over GF({p})")
+
+    monkeypatch.setattr(quiver, other, refuse)
+    assert quiver._layer2_dimvecs(rep) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +438,18 @@ def test_jh_factors_of_direct_sum():
     assert sorted(f.dims for f in factors) == [(1, 2, 1), (1, 2, 1)]
     for f in factors:
         assert iso_test(f, O_X).isomorphic or iso_test(f, O_Y).isomorphic
+
+
+def test_jh_factors_checks_each_peel_once(monkeypatch):
+    calls = []
+
+    def counting(rep, triple):
+        calls.append(triple_dims(triple))
+        return is_invariant(rep, triple)
+
+    monkeypatch.setattr(quiver, "is_invariant", counting)
+    factors = jh_factors(direct_sum(O_X, O_Y), TH_STABLE)
+    assert len(factors) == 2 and calls == [factors[0].dims]
 
 
 def test_jh_factors_raises_on_unstable_input():
