@@ -561,8 +561,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "n", 0) > MAX_N:
-            raise InputError(f"--n must be at most {MAX_N}")
+        if not 0 <= getattr(args, "n", 0) <= MAX_N:
+            raise InputError(f"--n must be between 0 and {MAX_N}")
         if not 0 <= getattr(args, "budget", 0) <= MAX_BUDGET:
             raise InputError(f"--budget must be between 0 and {MAX_BUDGET}")
         return args.func(args)

@@ -10,7 +10,13 @@ elimination, products and reduction:
   Elimination is fraction-free (``row_i = a*row_i - b*row_r``, divided by
   the row's content) and every entry of a result costs one ``Fraction``;
 * over GF(p) the same loops run on plain ints with ``% p`` inline and the
-  pivot inverse from Fermat's little theorem.
+  pivot inverse from Fermat's little theorem;
+* subspaces can also be carried on integer rows throughout (``int_rref``,
+  ``int_right_kernel``, ``int_intersect``, ``int_mat_mul``), as the Layer-1
+  submodule search does.  Over Q a subspace is then its rref scaled row by
+  row to primitive integers with a positive pivot (``_rref_z``, the integer
+  core of ``rref``), which is one to one with the rref; over GF(p) it is the
+  rref.  ``int_rows_to_field`` turns such a basis back into field entries.
 
 The results are the exact values the textbook loops give, entry for entry:
 a reduced row echelon form is unique.  The matrices are tiny (a few dozen
@@ -289,11 +295,18 @@ def rref(F, A: Matrix) -> Tuple[Matrix, List[int]]:
 
 
 def _rref_q(A: Matrix) -> Tuple[Matrix, List[int]]:
-    """Fraction-free Gauss-Jordan on primitive integer rows; each pivot row
-    is divided by its pivot at the end."""
+    """`_rref_z` on the rows as integers; each pivot row is divided by its
+    pivot at the end."""
+    R, pivots = _rref_z([_q_ints(row)[0] for row in A])
+    return [_q_row(row, row[c]) for row, c in zip(R, pivots)], pivots
+
+
+def _rref_z(A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan on integer rows; returns (R, pivots) with
+    R the rational rref scaled row by row to primitive integers with a
+    positive pivot, so R is one to one with the rref and just as canonical."""
     M = []
-    for row in A:
-        ints, _ = _q_ints(row)
+    for ints in A:
         g = math.gcd(*ints)
         M.append([x // g for x in ints] if g > 1 else ints)
     nrows = len(M)
@@ -321,7 +334,9 @@ def _rref_q(A: Matrix) -> Tuple[Matrix, List[int]]:
         r += 1
         if r == nrows:
             break
-    return [_q_row(row, row[c]) for row, c in zip(M, pivots)], pivots
+    return [
+        list(row) if row[c] > 0 else [-x for x in row] for row, c in zip(M, pivots)
+    ], pivots
 
 
 def _rref_p(A: Matrix, p: int) -> Tuple[Matrix, List[int]]:
@@ -455,17 +470,79 @@ def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
 
 def intersect_row_spaces(F, A: Matrix, B: Matrix, ncols: int) -> Matrix:
     """Canonical basis of (row space of A) `intersect` (row space of B)."""
-    if not A or not B:
-        return []
-    # a^T A = -b^T B  <=>  (a, b) in ker [A^T | B^T]; the a^T A span the meet
-    stacked = [ra + rb for ra, rb in zip(transpose(A, ncols), transpose(B, ncols))]
-    combos = right_kernel(F, stacked)
-    vecs = mat_mul(F, [c[: len(A)] for c in combos], A)
-    return row_space(F, vecs, ncols)[0]
+    if F.p is None:
+        A, B = [_q_ints(row)[0] for row in A], [_q_ints(row)[0] for row in B]
+    return int_rows_to_field(F, int_intersect(F, A, B, ncols))
 
 
 def sum_row_spaces(F, A: Matrix, B: Matrix, ncols: int) -> Matrix:
     return row_space(F, list(A) + list(B), ncols)[0]
+
+
+# ---------------------------------------------------------------------------
+# subspaces on integer rows (the Layer-1 search)
+#
+# Over Q a subspace is carried as `_rref_z` gives it: its rref scaled row by
+# row to primitive integers with a positive pivot.  Over GF(p) rows are ints
+# already and a subspace is its rref.  Scaling the rows of a basis one by
+# one, or an arrow matrix as a whole (`clear_denominators`), changes no span
+# that these kernels compute.
+
+
+def int_mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
+    """A @ B over the integers, unreduced (the kernels below reduce mod p)."""
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+
+
+def int_rref(F, A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Canonical basis of the span of integer rows, with its pivots."""
+    if F.p is None:
+        return _rref_z(A)
+    return _rref_p(A, F.p)
+
+
+def int_right_kernel(F, A: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+    """Integer basis of {x : A x = 0}.  Over GF(p) this is `right_kernel`;
+    over Q it is `right_kernel`'s basis with each vector scaled to primitive
+    integers with a positive free entry."""
+    if F.p is not None:
+        return right_kernel(F, A, ncols=ncols)
+    if not A or ncols == 0:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    R, pivots = _rref_z(A)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        # v[f] = 1 and v[c] = -row[f] / row[c] over Q, times the lcm of the row[c]
+        lcm = math.lcm(*[row[c] for row, c in zip(R, pivots) if row[f]])
+        v = [0] * ncols
+        v[f] = lcm
+        for row, c in zip(R, pivots):
+            if row[f]:
+                v[c] = -row[f] * (lcm // row[c])
+        g = math.gcd(*v)
+        basis.append([x // g for x in v] if g > 1 else v)
+    return basis
+
+
+def int_intersect(F, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+    """Canonical (`int_rref`) basis of the meet of the row spaces of A and B."""
+    if not A or not B:
+        return []
+    # a^T A = -b^T B  <=>  (a, b) in ker [A^T | B^T]; the a^T A span the meet
+    stacked = [ra + rb for ra, rb in zip(transpose(A, ncols), transpose(B, ncols))]
+    combos = int_right_kernel(F, stacked, len(stacked[0]) if stacked else 0)
+    return int_rref(F, int_mat_mul([c[: len(A)] for c in combos], A))[0]
+
+
+def int_rows_to_field(F, R: Sequence[Sequence[int]]) -> Matrix:
+    """The field's rref of a canonical integer basis: over Q each row is
+    divided by its pivot, over GF(p) the rows are the rref already."""
+    if F.p is not None:
+        return [list(row) for row in R]
+    return [_q_row(row, next(x for x in row if x)) for row in R]
 
 
 # ---------------------------------------------------------------------------

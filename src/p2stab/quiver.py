@@ -34,7 +34,6 @@ from .linalg import (
     clear_denominators,
     field_from_json,
     galois_number,
-    identity,
     is_zero_matrix,
     iter_subspaces,
     mat_mul,
@@ -660,8 +659,24 @@ class SubmoduleSearch:
         return self.lower == self.upper
 
 
+def _int_arrows(rep: QuiverRep) -> Tuple[list, list]:
+    """The gammas and deltas as integer matrices; over Q each arrow is scaled
+    to a primitive integer matrix, which keeps every span Layer 1 uses."""
+    gammas = [rep.gamma_m(i) for i in range(3)]
+    deltas = [rep.delta_m(j) for j in range(3)]
+    if rep.field.p is None:
+        return [clear_denominators(g) for g in gammas], [clear_denominators(d) for d in deltas]
+    return gammas, deltas
+
+
+def _unit(n: int, c: int) -> List[int]:
+    return [int(k == c) for k in range(n)]
+
+
 def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> List[tuple]:
-    """Candidate middle-vertex subspaces, as canonical rref row tuples.
+    """Candidate middle-vertex subspaces, as canonical integer row tuples
+    (`linalg.int_rref`: over Q the rref scaled to primitive rows with
+    positive pivots, one to one with the rref itself).
 
     Sources: arrow images and kernels, cyclic spans of coordinate (and, over
     a small prime field, all) vectors, delta-preimages of a pool of
@@ -670,79 +685,75 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     """
     F = rep.field
     n0, n1, n2 = rep.dims
+    gammas, deltas = _int_arrows(rep)
     pool: Dict[tuple, None] = {}
 
-    def add(rows) -> Tuple[tuple, bool]:
-        canon = _canon(F, [list(r) for r in rows], n1)
-        if len(pool) >= cap:
-            return canon, False
-        size = len(pool)
-        pool.setdefault(canon, None)  # one hash of the rows, not two
-        return canon, len(pool) > size
+    def canon(rows) -> tuple:
+        return tuple(tuple(r) for r in linalg.int_rref(F, rows)[0])
 
-    def basis_vectors(n):
-        for c in range(n):
-            e = [F.zero()] * n
-            e[c] = F.one()
-            yield e
+    def add(rows) -> Tuple[tuple, bool]:
+        key = canon(rows)
+        if len(pool) >= cap:
+            return key, False
+        size = len(pool)
+        pool.setdefault(key, None)  # one hash of the rows, not two
+        return key, len(pool) > size
+
+    gamma_cols = [transpose(g, ncols=n0) for g in gammas]
 
     def gamma_span(x):
-        return [mat_vec(F, rep.gamma_m(i), list(x)) for i in range(3)]
+        return [row for cols in gamma_cols for row in linalg.int_mat_mul([x], cols)]
 
     add([])
-    add(identity(F, n1))
+    add([_unit(n1, c) for c in range(n1)])
 
     # arrow images and kernels
-    gamma_cols = [transpose(rep.gamma_m(i), ncols=n0) for i in range(3)]
     for i in range(3):
         add(gamma_cols[i])
     add([row for cols in gamma_cols for row in cols])
-    stacked_delta = [row for j in range(3) for row in rep.delta_m(j)]
-    add(right_kernel(F, stacked_delta, ncols=n1))
+    add(linalg.int_right_kernel(F, [row for d in deltas for row in d], n1))
     for j in range(3):
-        add(right_kernel(F, rep.delta_m(j), ncols=n1))
+        add(linalg.int_right_kernel(F, deltas[j], n1))
 
     # cyclic spans of coordinate vectors; over a small prime field every
     # vector is affordable, and then every cyclic subspace is seeded here
-    for e in basis_vectors(n0):
-        add(gamma_span(e))
-    for e in basis_vectors(n1):
-        add([e])
+    for c in range(n0):
+        add(gamma_span(_unit(n0, c)))
+    for c in range(n1):
+        add([_unit(n1, c)])
     if isinstance(F, PrimeField):
         if n0 and F.p ** n0 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n0):
                 if any(c != 0 for c in coeffs):
-                    add(gamma_span(list(coeffs)))
+                    add(gamma_span(coeffs))
         if n1 and F.p ** n1 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n1):
                 if any(c != 0 for c in coeffs):
-                    add([list(coeffs)])
+                    add([coeffs])
 
     # delta-preimages of a small pool of subspaces at the end vertex
     targets: Dict[tuple, None] = {}
 
     def add_target(rows) -> None:
         if len(targets) < 64:
-            targets.setdefault(_canon(F, [list(r) for r in rows], n2), None)
+            targets.setdefault(canon(rows), None)
 
     add_target([])
-    add_target(identity(F, n2))
-    for j in range(3):
-        add_target(transpose(rep.delta_m(j), ncols=n1))
+    add_target([_unit(n2, c) for c in range(n2)])
+    for d in deltas:
+        add_target(transpose(d, ncols=n1))
     if n2 <= 4:
-        ebasis = list(basis_vectors(n2))
         for mask in range(1, 2**n2 - 1):
-            add_target([ebasis[k] for k in range(n2) if (mask >> k) & 1])
+            add_target([_unit(n2, k) for k in range(n2) if (mask >> k) & 1])
+    deltas_t = [transpose(d, ncols=n1) for d in deltas]
     for u1c in list(pool)[:40]:
-        imgs = [mat_vec(F, rep.delta_m(j), list(u)) for u in u1c for j in range(3)]
-        add_target(row_space(F, imgs, n2)[0])
-
-    deltas_t = [transpose(rep.delta_m(j), ncols=n1) for j in range(3)]
+        add_target([row for dt in deltas_t for row in linalg.int_mat_mul(u1c, dt)])
 
     def delta_preimage(wrows):
-        ann = right_kernel(F, [list(r) for r in wrows], ncols=n2)
-        constraints = [mat_vec(F, deltas_t[j], list(w)) for w in ann for j in range(3)]
-        return right_kernel(F, constraints, ncols=n1)
+        # x in delta^-1(W) iff w(delta_j x) = 0 for every w vanishing on W
+        ann = linalg.int_right_kernel(F, wrows, n2)
+        constraints = [row for d in deltas for row in linalg.int_mat_mul(ann, d)]
+        return linalg.int_right_kernel(F, constraints, n1)
 
     for w in list(targets):
         add(delta_preimage(w))
@@ -753,7 +764,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     def rand_vec(n):
         if isinstance(F, PrimeField):
             return [rng.randrange(F.p) for _ in range(n)]
-        return [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        return [rng.randint(-3, 3) for _ in range(n)]
 
     for _ in range(8):
         if n0:
@@ -767,8 +778,14 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     for a, b in itertools.combinations(atoms, 2):
         if ops >= pair_budget or len(pool) >= cap:
             break
-        add([list(r) for r in a] + [list(r) for r in b])
-        add(linalg.intersect_row_spaces(F, [list(r) for r in a], [list(r) for r in b], n1))
+        total, _ = add(a + b)
+        # the sum settles the meet when it is direct or equals a summand
+        if len(total) == len(a) + len(b):
+            add(())
+        elif total in (a, b):
+            add(b if total == a else a)
+        else:
+            add(linalg.int_intersect(F, a, b, n1))
         ops += 2
     seen = set(atoms)
     frontier = [t for t in pool if t not in seen]
@@ -782,10 +799,10 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
             for b in snapshot:
                 if ops >= pair_budget or len(pool) >= cap:
                     break
-                canon, fresh = add([list(r) for r in a] + [list(r) for r in b])
+                key, fresh = add(a + b)
                 ops += 1
                 if fresh:
-                    new.append(canon)
+                    new.append(key)
         frontier = new
         rounds += 1
     return list(pool)
@@ -799,44 +816,47 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
     every intermediate dimension at the outer vertices is realizable.  So
     each candidate U1 certifies a full rectangle of dimension vectors, with
     explicit witnesses.  Sound for any candidate pool; complete whenever
-    the pool covers the middle subspaces that matter.
+    the pool covers the middle subspaces that matter.  The search runs on
+    integer rows (`_u1_candidates`); a witness is turned into the field's
+    rref rows when it is stored.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas = [rep.gamma_m(i) for i in range(3)]
-    deltas_t = [transpose(rep.delta_m(j), ncols=n1) for j in range(3)]
+    gammas, deltas = _int_arrows(rep)
+    deltas_t = [transpose(d, ncols=n1) for d in deltas]
+
+    def witness_rows(rows) -> tuple:
+        R = linalg.int_rref(F, rows)[0]
+        return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
+
     witnesses: Dict[DimVec, SubTriple] = {}
     for u1c in _u1_candidates(rep, seed, cap, pair_budget):
-        u1 = [list(r) for r in u1c]
-        # the rows u . delta_j^T are the images delta_j(u); a span is all
-        # that is used of them, so one product per arrow suffices
-        imgs = [row for dt in deltas_t for row in mat_mul(F, u1, dt)]
-        D, dpiv = row_space(F, imgs, n2)
+        # delta(U1) is spanned by the rows u . delta_j^T.  Its completion by
+        # e_0, e_1, ... in turn takes e_k iff delta(U1) has the same rank on
+        # the coordinates >= k as on those > k, i.e. iff k is no pivot once
+        # the columns are reversed
+        imgs = [row[::-1] for dt in deltas_t for row in linalg.int_mat_mul(u1c, dt)]
+        rev, rev_piv = linalg.int_rref(F, imgs)
+        D = [row[::-1] for row in rev]
         d2 = len(D)
-        # deterministic completion of delta(U1) towards the full end fibre
-        growth: List[List] = []
-        grow_rows, grow_piv = [list(r) for r in D], list(dpiv)
-        for k in range(n2):
-            e = [F.zero()] * n2
-            e[k] = F.one()
-            red = linalg.reduce_vector(F, grow_rows, grow_piv, list(e))
-            if any(not F.is_zero(x) for x in red):
-                growth.append(e)
-                grow_rows, grow_piv = row_space(F, grow_rows + [e], n2)
+        growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
         # U0max via functionals vanishing on U1
-        ann = right_kernel(F, u1, ncols=n1)
-        constraints = [row for g in gammas for row in mat_mul(F, ann, g)]
-        u0max = right_kernel(F, constraints, ncols=n0)
+        ann = linalg.int_right_kernel(F, u1c, n1)
+        constraints = [row for g in gammas for row in linalg.int_mat_mul(ann, g)]
+        u0max = linalg.int_right_kernel(F, constraints, n0)
+        u1rows = None
         for a in range(len(u0max) + 1):
             for c in range(d2, n2 + 1):
                 dv = (a, len(u1c), c)
                 if dv in witnesses:
                     continue
-                u0rows = _canon(F, [list(u0max[i]) for i in range(a)], n0)
-                u2rows = _canon(
-                    F, [list(r) for r in D] + [list(g) for g in growth[: c - d2]], n2
+                if u1rows is None:
+                    u1rows = tuple(tuple(r) for r in linalg.int_rows_to_field(F, u1c))
+                witnesses[dv] = (
+                    witness_rows(u0max[:a]),
+                    u1rows,
+                    witness_rows(D + growth[: c - d2]),
                 )
-                witnesses[dv] = (u0rows, u1c, u2rows)
     return witnesses
 
 
@@ -876,18 +896,25 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
         D = row_space(F, [mat_vec(F, d, v) for v in S for d in deltas], n2)[0]
         key = (len(rows), tuple(tuple(r) for r in D))
         sources[key] = min(len(S), sources.get(key, n1))
-    # U2 -> dim delta^-1(U2), cut out by w o delta_j for w vanishing on U2
+    # U2 -> dim delta^-1(U2), cut out by w o delta_j for w vanishing on U2;
+    # grouped by dim U2, the largest preimages first
     deltas_t = [transpose(d, ncols=n1) for d in deltas]
-    targets = []
+    targets: List[list] = [[] for _ in range(n2 + 1)]
     for rows, piv in iter_subspaces(F, n2):
         ann = right_kernel(F, rows, ncols=n2)
         constraints = [mat_vec(F, dt, w) for w in ann for dt in deltas_t]
-        targets.append((rows, piv, n1 - linalg.rank(F, constraints)))
+        targets[len(rows)].append((n1 - linalg.rank(F, constraints), rows, piv))
+    for group in targets:
+        group.sort(key=lambda t: -t[0])
     out = set()
     for (u0, D), dim_s in sources.items():
-        for rows, piv, dim_p in targets:
-            if all(linalg.in_row_space(F, rows, piv, v) for v in D):
-                out.update((u0, u1, len(rows)) for u1 in range(dim_s, dim_p + 1))
+        for u2, group in enumerate(targets):
+            # the containing target with the largest preimage gives every
+            # class that any containing target of this dim U2 gives
+            for dim_p, rows, piv in group:
+                if all(linalg.in_row_space(F, rows, piv, v) for v in D):
+                    out.update((u0, u1, u2) for u1 in range(dim_s, dim_p + 1))
+                    break
     return frozenset(out)
 
 

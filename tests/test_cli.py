@@ -250,9 +250,10 @@ def test_bad_input_exits_2(capsys, tmp_path):
         path.write_text(json.dumps(blob))
         code, _, err = run(capsys, "module", "check", "--in", str(path))
         assert code == 2 and err.startswith("error:")
-    # point counts above the documented maximum
+    # point counts below zero or above the documented maximum
     for argv in (["walls", "enumerate", f"--n={cli.MAX_N + 1}"],
-                 ["hilbert", "report", "--n=400", "--points", missing]):
+                 ["hilbert", "report", "--n=400", "--points", missing],
+                 ["walls", "theta-family", "--n", "-2", "--b", "1/2"]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "--n" in err
     # search budgets below zero or above the documented maximum

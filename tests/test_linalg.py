@@ -414,3 +414,64 @@ def test_reduce_vector_matches_the_generic_reduction(data, F, ncols):
     w = linalg.reduce_vector(F, R, piv, v)
     same([w], [ref_reduce_vector(F, R, piv, v)])
     assert linalg.in_row_space(F, R, piv, v) == all(F.is_zero(x) for x in w)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row subspace kernels against the field kernels, converted back
+
+
+def scaled_ints(F, A, k):
+    """A as integer rows, row i scaled by a nonzero integer chosen by k (only
+    spans matter to the integer kernels); over GF(p) the rows as they are."""
+    if F.p is not None:
+        return [list(row) for row in A]
+    return [[x * (-1) ** (i + k) * (1 + (i + k) % 3) for x in linalg._q_ints(row)[0]]
+            for i, row in enumerate(A)]
+
+
+def positive_multiple(u, v):
+    """u is a positive rational multiple of v."""
+    f = next(c for c, x in enumerate(v) if x)
+    return u[f] * v[f] > 0 and all(Fraction(x) / u[f] == y / v[f] for x, y in zip(u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 5))
+def test_integer_rref_and_kernel_match_the_field_kernels(data, F, k):
+    A = data.draw(field_matrices(F))
+    ncols = len(A[0]) if A else data.draw(st.integers(0, 3))
+    ints = scaled_ints(F, A, k)
+    R, piv = linalg.int_rref(F, ints)
+    Rf, pf = rref(F, A)
+    assert piv == pf
+    same(linalg.int_rows_to_field(F, R), Rf)
+    if F.p is None:
+        assert (R, piv) == linalg._rref_z(ints)
+        for row, c in zip(R, piv):
+            assert all(type(x) is int for x in row)
+            assert row[c] > 0 and math.gcd(*row) == 1
+    K, Kf = linalg.int_right_kernel(F, ints, ncols), right_kernel(F, A, ncols=ncols)
+    assert len(K) == len(Kf)
+    if F.p is None:
+        for u, v in zip(K, Kf):
+            assert all(type(x) is int for x in u) and math.gcd(*u) == 1
+            assert positive_multiple(u, v)
+    else:
+        same(K, Kf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 5))
+def test_integer_meet_and_product_match_the_field_kernels(data, F, ncols, k):
+    A = data.draw(field_matrices(F, ncols=ncols))
+    B = data.draw(field_matrices(F, ncols=ncols))
+    Ai, Bi = scaled_ints(F, A, k), scaled_ints(F, B, k + 1)
+    meet = linalg.int_intersect(F, Ai, Bi, ncols)
+    assert meet == linalg.int_rref(F, meet)[0]
+    same(linalg.int_rows_to_field(F, meet), intersect_row_spaces(F, A, B, ncols))
+    same(linalg.int_rows_to_field(F, meet), ref_intersect_row_spaces(F, A, B, ncols))
+    # the rows of A scaled one by one, the arrow C as a whole
+    C = data.draw(field_matrices(F, nrows=ncols))
+    Ci = clear_denominators(C) if F.p is None else C
+    prod = linalg.int_mat_mul(Ai, Ci)
+    assert rref(F, [[F.convert(x) for x in row] for row in prod])[0] == rref(F, mat_mul(F, A, C))[0]

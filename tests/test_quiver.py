@@ -170,6 +170,248 @@ def test_layer1_sound_on_prime_field_reps(dims):
 
 
 # ---------------------------------------------------------------------------
+# Layer 1 on integer rows against the search on Fraction rows it replaced
+
+
+def ref_canon(F, vectors, ncols):
+    return tuple(tuple(r) for r in linalg.row_space(F, vectors, ncols)[0])
+
+
+def ref_u1_candidates(rep, seed, cap, pair_budget):
+    F = rep.field
+    n0, n1, n2 = rep.dims
+    pool = {}
+
+    def add(rows):
+        canon = ref_canon(F, [list(r) for r in rows], n1)
+        if len(pool) >= cap:
+            return canon, False
+        size = len(pool)
+        pool.setdefault(canon, None)
+        return canon, len(pool) > size
+
+    def basis_vectors(n):
+        for c in range(n):
+            e = [F.zero()] * n
+            e[c] = F.one()
+            yield e
+
+    def gamma_span(x):
+        return [linalg.mat_vec(F, rep.gamma_m(i), list(x)) for i in range(3)]
+
+    add([])
+    add(linalg.identity(F, n1))
+    gamma_cols = [linalg.transpose(rep.gamma_m(i), ncols=n0) for i in range(3)]
+    for i in range(3):
+        add(gamma_cols[i])
+    add([row for cols in gamma_cols for row in cols])
+    stacked_delta = [row for j in range(3) for row in rep.delta_m(j)]
+    add(linalg.right_kernel(F, stacked_delta, ncols=n1))
+    for j in range(3):
+        add(linalg.right_kernel(F, rep.delta_m(j), ncols=n1))
+    for e in basis_vectors(n0):
+        add(gamma_span(e))
+    for e in basis_vectors(n1):
+        add([e])
+    if isinstance(F, PrimeField):
+        if n0 and F.p ** n0 <= 512:
+            for coeffs in itertools.product(F.elements(), repeat=n0):
+                if any(c != 0 for c in coeffs):
+                    add(gamma_span(list(coeffs)))
+        if n1 and F.p ** n1 <= 512:
+            for coeffs in itertools.product(F.elements(), repeat=n1):
+                if any(c != 0 for c in coeffs):
+                    add([list(coeffs)])
+
+    targets = {}
+
+    def add_target(rows):
+        if len(targets) < 64:
+            targets.setdefault(ref_canon(F, [list(r) for r in rows], n2), None)
+
+    add_target([])
+    add_target(linalg.identity(F, n2))
+    for j in range(3):
+        add_target(linalg.transpose(rep.delta_m(j), ncols=n1))
+    if n2 <= 4:
+        ebasis = list(basis_vectors(n2))
+        for mask in range(1, 2**n2 - 1):
+            add_target([ebasis[k] for k in range(n2) if (mask >> k) & 1])
+    for u1c in list(pool)[:40]:
+        imgs = [linalg.mat_vec(F, rep.delta_m(j), list(u)) for u in u1c for j in range(3)]
+        add_target(linalg.row_space(F, imgs, n2)[0])
+    deltas_t = [linalg.transpose(rep.delta_m(j), ncols=n1) for j in range(3)]
+
+    def delta_preimage(wrows):
+        ann = linalg.right_kernel(F, [list(r) for r in wrows], ncols=n2)
+        constraints = [linalg.mat_vec(F, deltas_t[j], list(w)) for w in ann for j in range(3)]
+        return linalg.right_kernel(F, constraints, ncols=n1)
+
+    for w in list(targets):
+        add(delta_preimage(w))
+    rng = random.Random(seed)
+
+    def rand_vec(n):
+        if isinstance(F, PrimeField):
+            return [rng.randrange(F.p) for _ in range(n)]
+        return [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+
+    for _ in range(8):
+        if n0:
+            add(gamma_span(rand_vec(n0)))
+        if n1:
+            add([rand_vec(n1)])
+    ops = 0
+    atoms = list(pool)
+    for a, b in itertools.combinations(atoms, 2):
+        if ops >= pair_budget or len(pool) >= cap:
+            break
+        add([list(r) for r in a] + [list(r) for r in b])
+        add(linalg.intersect_row_spaces(F, [list(r) for r in a], [list(r) for r in b], n1))
+        ops += 2
+    seen = set(atoms)
+    frontier = [t for t in pool if t not in seen]
+    rounds = 0
+    while frontier and ops < pair_budget and len(pool) < cap and rounds < 2:
+        snapshot = list(pool)
+        new = []
+        for a in frontier:
+            if ops >= pair_budget or len(pool) >= cap:
+                break
+            for b in snapshot:
+                if ops >= pair_budget or len(pool) >= cap:
+                    break
+                canon, fresh = add([list(r) for r in a] + [list(r) for r in b])
+                ops += 1
+                if fresh:
+                    new.append(canon)
+        frontier = new
+        rounds += 1
+    return list(pool)
+
+
+def ref_layer1(rep, seed, cap=250, pair_budget=4000):
+    F = rep.field
+    n0, n1, n2 = rep.dims
+    gammas = [rep.gamma_m(i) for i in range(3)]
+    deltas_t = [linalg.transpose(rep.delta_m(j), ncols=n1) for j in range(3)]
+    witnesses = {}
+    for u1c in ref_u1_candidates(rep, seed, cap, pair_budget):
+        u1 = [list(r) for r in u1c]
+        imgs = [row for dt in deltas_t for row in mat_mul(F, u1, dt)]
+        D, dpiv = linalg.row_space(F, imgs, n2)
+        d2 = len(D)
+        growth = []
+        grow_rows, grow_piv = [list(r) for r in D], list(dpiv)
+        for k in range(n2):
+            e = [F.zero()] * n2
+            e[k] = F.one()
+            red = linalg.reduce_vector(F, grow_rows, grow_piv, list(e))
+            if any(not F.is_zero(x) for x in red):
+                growth.append(e)
+                grow_rows, grow_piv = linalg.row_space(F, grow_rows + [e], n2)
+        ann = linalg.right_kernel(F, u1, ncols=n1)
+        constraints = [row for g in gammas for row in mat_mul(F, ann, g)]
+        u0max = linalg.right_kernel(F, constraints, ncols=n0)
+        for a in range(len(u0max) + 1):
+            for c in range(d2, n2 + 1):
+                dv = (a, len(u1c), c)
+                if dv in witnesses:
+                    continue
+                u0rows = ref_canon(F, [list(u0max[i]) for i in range(a)], n0)
+                u2rows = ref_canon(
+                    F, [list(r) for r in D] + [list(g) for g in growth[: c - d2]], n2
+                )
+                witnesses[dv] = (u0rows, u1c, u2rows)
+    return witnesses
+
+
+def rational_rep(algebra, dims, rng):
+    """A random rational module with mixed signs and denominators: a
+    `random_rep` over QQ in a random rational basis at every vertex."""
+    rep = random_rep(algebra, QQ, dims, rng)
+
+    def rand_basis(n):
+        while True:
+            P = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                 for _ in range(n)]
+            Pinv = mat_inverse(QQ, P)
+            if Pinv is not None:
+                return P, Pinv
+
+    P = [rand_basis(n) for n in dims]
+
+    def change(M, src, tgt):
+        if not M or not M[0]:
+            return M
+        return mat_mul(QQ, mat_mul(QQ, P[tgt][0], M), P[src][1])
+
+    return QuiverRep(
+        algebra, QQ, dims,
+        [change(rep.gamma_m(i), 0, 1) for i in range(3)],
+        [change(rep.delta_m(j), 1, 2) for j in range(3)],
+    )
+
+
+def entry_types(witnesses):
+    return [[[type(x) for x in row] for U in wit for row in U] for wit in witnesses.values()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from([QQ, PrimeField(3), F5]),
+    dims=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    algebra=st.sampled_from(["B", "Bprime"]),
+    seed=st.integers(0, 2**16),
+    budgets=st.sampled_from([(250, 4000), (40, 60), (12, 400)]),
+)
+@example(field=QQ, dims=(3, 4, 2), algebra="B", seed=0, budgets=(250, 4000))
+@example(field=QQ, dims=(2, 3, 2), algebra="Bprime", seed=1, budgets=(250, 4000))
+@example(field=QQ, dims=(0, 3, 0), algebra="B", seed=2, budgets=(250, 4000))
+@example(field=F5, dims=(2, 0, 3), algebra="Bprime", seed=3, budgets=(250, 4000))
+@example(field=PrimeField(3), dims=(0, 0, 0), algebra="B", seed=4, budgets=(250, 4000))
+def test_layer1_matches_the_fraction_row_search(field, dims, algebra, seed, budgets):
+    rng = random.Random(seed)
+    if field.p is None:
+        rep = rational_rep(algebra, dims, rng)
+    else:
+        rep = random_rep(algebra, field, dims, rng)
+    cap, pair_budget = budgets
+    pool = quiver._u1_candidates(rep, seed, cap, pair_budget)
+    assert [
+        tuple(tuple(r) for r in linalg.int_rows_to_field(field, u1)) for u1 in pool
+    ] == ref_u1_candidates(rep, seed, cap, pair_budget)
+    got = quiver._layer1(rep, seed, cap=cap, pair_budget=pair_budget)
+    want = ref_layer1(rep, seed, cap=cap, pair_budget=pair_budget)
+    assert list(got.items()) == list(want.items())
+    assert entry_types(got) == entry_types(want)
+
+
+def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
+    # the closure and the per-candidate loop work on integer rows, so a
+    # larger pair budget adds eliminations but no Fraction-to-int conversions
+    # (counts, not timings: the same on every machine)
+    rep = module_ideal_A1([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
+    assert rep.dims == (3, 7, 3) and rep.field == QQ
+    calls = {}
+    for name in ("_q_ints", "_rref_z"):
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    seen = {}
+    for pair_budget in (400, 4000):
+        calls.update(_q_ints=0, _rref_z=0)
+        quiver._layer1(rep, 0, pair_budget=pair_budget)
+        seen[pair_budget] = dict(calls)
+    assert seen[400]["_q_ints"] == seen[4000]["_q_ints"]
+    assert seen[400]["_rref_z"] < seen[4000]["_rref_z"]
+
+
+# ---------------------------------------------------------------------------
 # Layer 2: outer-pair enumeration against middle-vertex enumeration
 
 #: (p, dims) with dims in 0..4 whose two enumerations both stay small
