@@ -12,7 +12,7 @@ elimination, products and reduction:
 * over GF(p) the same loops run on plain ints with ``% p`` inline and the
   pivot inverse from Fermat's little theorem;
 * subspaces can also be carried on integer rows throughout (``int_rref``,
-  ``int_right_kernel``, ``int_intersect``, ``int_mat_mul``), as the Layer-1
+  ``int_right_kernel``, ``int_intersect``, ``int_mat_mul``), as the
   submodule search does.  Over Q a subspace is then its rref scaled row by
   row to primitive integers with a positive pivot (``_rref_z``, the integer
   core of ``rref``), which is one to one with the rref; over GF(p) it is the
@@ -413,24 +413,15 @@ def row_space(F, vectors: Iterable[Sequence], ncols: int) -> Tuple[Matrix, List[
 
 def right_kernel(F, A: Matrix, ncols: Optional[int] = None) -> Matrix:
     """Basis of {x : A x = 0}, one vector per row, in the standard
-    free-column parametrization of the rref (deterministic)."""
+    free-column parametrization of the rref (deterministic): over Q the
+    `int_right_kernel` vectors divided by their free entry, their last
+    nonzero one."""
     if ncols is None:
         ncols = len(A[0]) if A else 0
-    if not A or ncols == 0:
-        return identity(F, ncols)
-    R, pivots = rref(F, A)
-    p = F.p
-    zero, one = F.zero(), F.one()
-    basis: Matrix = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for row, c in zip(R, pivots):
-            v[c] = -row[f] if p is None else -row[f] % p
-        basis.append(v)
-    return basis
+    if F.p is not None:
+        return int_right_kernel(F, A, ncols)
+    K = int_right_kernel(F, [_q_ints(row)[0] for row in A], ncols)
+    return [_q_row(v, next(x for x in reversed(v) if x)) for v in K]
 
 
 def solve_right(F, A: Matrix, b: Sequence) -> Optional[Row]:
@@ -465,22 +456,7 @@ def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# subspace arithmetic (subspaces carried as canonical rref row bases)
-
-
-def intersect_row_spaces(F, A: Matrix, B: Matrix, ncols: int) -> Matrix:
-    """Canonical basis of (row space of A) `intersect` (row space of B)."""
-    if F.p is None:
-        A, B = [_q_ints(row)[0] for row in A], [_q_ints(row)[0] for row in B]
-    return int_rows_to_field(F, int_intersect(F, A, B, ncols))
-
-
-def sum_row_spaces(F, A: Matrix, B: Matrix, ncols: int) -> Matrix:
-    return row_space(F, list(A) + list(B), ncols)[0]
-
-
-# ---------------------------------------------------------------------------
-# subspaces on integer rows (the Layer-1 search)
+# subspaces on integer rows (the submodule search)
 #
 # Over Q a subspace is carried as `_rref_z` gives it: its rref scaled row by
 # row to primitive integers with a positive pivot.  Over GF(p) rows are ints
@@ -503,27 +479,32 @@ def int_rref(F, A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]
 
 
 def int_right_kernel(F, A: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
-    """Integer basis of {x : A x = 0}.  Over GF(p) this is `right_kernel`;
-    over Q it is `right_kernel`'s basis with each vector scaled to primitive
-    integers with a positive free entry."""
-    if F.p is not None:
-        return right_kernel(F, A, ncols=ncols)
-    if not A or ncols == 0:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    R, pivots = _rref_z(A)
+    """Integer basis of {x : A x = 0}, one vector per free column of the
+    rref: over GF(p) the `right_kernel`, over Q its vectors scaled to
+    primitive integers with a positive free entry."""
+    return int_rref_kernel(F, *int_rref(F, A), ncols)
+
+
+def int_rref_kernel(F, R: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> List[List[int]]:
+    """`int_right_kernel` of a canonical (`int_rref`) basis R with its pivots,
+    read off R without eliminating it again: one vector per free column f,
+    with v[f] = 1 and v[c] = -row[f] / row[c] at each pivot c, over Q
+    times the lcm of those row[c]."""
+    p = F.p
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        # v[f] = 1 and v[c] = -row[f] / row[c] over Q, times the lcm of the row[c]
         lcm = math.lcm(*[row[c] for row, c in zip(R, pivots) if row[f]])
         v = [0] * ncols
         v[f] = lcm
         for row, c in zip(R, pivots):
             if row[f]:
                 v[c] = -row[f] * (lcm // row[c])
-        g = math.gcd(*v)
-        basis.append([x // g for x in v] if g > 1 else v)
+        g = math.gcd(*v)  # 1 over GF(p), where every pivot is 1
+        if g > 1:
+            v = [x // g for x in v]
+        basis.append(v if p is None else [x % p for x in v])
     return basis
 
 
@@ -550,11 +531,12 @@ def int_rows_to_field(F, R: Sequence[Sequence[int]]) -> Matrix:
 
 
 def clear_denominators(A: Matrix) -> List[List[int]]:
-    """Scale a rational matrix to a primitive integer matrix (gcd 1).
+    """Scale a rational matrix by a positive rational to a primitive integer
+    matrix (gcd 1); signs are untouched.
 
-    The zero matrix maps to itself.  Scaling a whole matrix by a nonzero
-    rational does not change any kernel/image/submodule computation that
-    consumes it, which is the only way this is used.
+    The zero matrix maps to itself.  Callers use only what such a scaling
+    keeps: the kernels, images and submodules of an arrow, or the ray of a
+    single row (the primitive vector on it).
     """
     denlcm = 1
     for row in A:
@@ -567,20 +549,6 @@ def clear_denominators(A: Matrix) -> List[List[int]]:
             g = math.gcd(g, x)
     if g > 1:
         ints = [[x // g for x in row] for row in ints]
-    return ints
-
-
-def primitive_vector(v: Sequence[Fraction]) -> List[int]:
-    """Primitive integer vector on the same ray/line as v (sign untouched)."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
     return ints
 
 

@@ -636,7 +636,8 @@ class SubmoduleSearch:
     field.  Since (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <=
     delta^-1(U2), it enumerates the pairs (U0, U2) of outer subspaces, each
     pair with gamma(U0) <= delta^-1(U2) giving every dim U1 in between, or
-    the middle subspaces U1 when those are fewer.  On the module's own prime
+    the middle subspaces U1 when F^{n1} has at most as many subspaces as
+    F^{n0} and F^{n2} together.  On the module's own prime
     field the enumerated set is exact and is both ``lower`` and ``upper``.
     A rational module is reduced mod several primes; a saturated reduction
     only gains submodules, so ``upper`` is the box of all d <= dims cut down
@@ -661,7 +662,7 @@ class SubmoduleSearch:
 
 def _int_arrows(rep: QuiverRep) -> Tuple[list, list]:
     """The gammas and deltas as integer matrices; over Q each arrow is scaled
-    to a primitive integer matrix, which keeps every span Layer 1 uses."""
+    to a primitive integer matrix, which keeps every span the search uses."""
     gammas = [rep.gamma_m(i) for i in range(3)]
     deltas = [rep.delta_m(j) for j in range(3)]
     if rep.field.p is None:
@@ -671,6 +672,23 @@ def _int_arrows(rep: QuiverRep) -> Tuple[list, list]:
 
 def _unit(n: int, c: int) -> List[int]:
     return [int(k == c) for k in range(n)]
+
+
+def _image(rows, arrows_t) -> List[List[int]]:
+    """Integer rows spanning the sum of the images of span(rows) under the
+    arrows, each arrow A given as its transpose: the rows u . A^T."""
+    return [row for at in arrows_t for row in linalg.int_mat_mul(rows, at)]
+
+
+def _preimage(F, arrows, rows, n_src: int, n_tgt: int) -> List[List[int]]:
+    """`linalg.int_right_kernel` basis of {x in F^n_src : A x in W for every
+    arrow A}, W the span of the canonical (`linalg.int_rref`) basis ``rows``
+    in F^n_tgt.  A x lies in W iff every functional w vanishing on W kills
+    it, so the preimage is the kernel of the rows w . A."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    ann = linalg.int_rref_kernel(F, rows, pivots, n_tgt)
+    constraints = [row for A in arrows for row in linalg.int_mat_mul(ann, A)]
+    return linalg.int_right_kernel(F, constraints, n_src)
 
 
 def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> List[tuple]:
@@ -686,6 +704,8 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     F = rep.field
     n0, n1, n2 = rep.dims
     gammas, deltas = _int_arrows(rep)
+    gammas_t = [transpose(g, ncols=n0) for g in gammas]
+    deltas_t = [transpose(d, ncols=n1) for d in deltas]
     pool: Dict[tuple, None] = {}
 
     def canon(rows) -> tuple:
@@ -699,33 +719,30 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
         pool.setdefault(key, None)  # one hash of the rows, not two
         return key, len(pool) > size
 
-    gamma_cols = [transpose(g, ncols=n0) for g in gammas]
-
-    def gamma_span(x):
-        return [row for cols in gamma_cols for row in linalg.int_mat_mul([x], cols)]
-
+    units0 = [_unit(n0, c) for c in range(n0)]
+    units1 = [_unit(n1, c) for c in range(n1)]
     add([])
-    add([_unit(n1, c) for c in range(n1)])
+    add(units1)
 
     # arrow images and kernels
-    for i in range(3):
-        add(gamma_cols[i])
-    add([row for cols in gamma_cols for row in cols])
-    add(linalg.int_right_kernel(F, [row for d in deltas for row in d], n1))
-    for j in range(3):
-        add(linalg.int_right_kernel(F, deltas[j], n1))
+    for gt in gammas_t:
+        add(_image(units0, [gt]))
+    add(_image(units0, gammas_t))
+    add(_preimage(F, deltas, [], n1, n2))
+    for d in deltas:
+        add(_preimage(F, [d], [], n1, n2))
 
     # cyclic spans of coordinate vectors; over a small prime field every
     # vector is affordable, and then every cyclic subspace is seeded here
-    for c in range(n0):
-        add(gamma_span(_unit(n0, c)))
-    for c in range(n1):
-        add([_unit(n1, c)])
+    for u in units0:
+        add(_image([u], gammas_t))
+    for u in units1:
+        add([u])
     if isinstance(F, PrimeField):
         if n0 and F.p ** n0 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n0):
                 if any(c != 0 for c in coeffs):
-                    add(gamma_span(coeffs))
+                    add(_image([coeffs], gammas_t))
         if n1 and F.p ** n1 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n1):
                 if any(c != 0 for c in coeffs):
@@ -740,23 +757,15 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
 
     add_target([])
     add_target([_unit(n2, c) for c in range(n2)])
-    for d in deltas:
-        add_target(transpose(d, ncols=n1))
+    for dt in deltas_t:
+        add_target(_image(units1, [dt]))
     if n2 <= 4:
         for mask in range(1, 2**n2 - 1):
             add_target([_unit(n2, k) for k in range(n2) if (mask >> k) & 1])
-    deltas_t = [transpose(d, ncols=n1) for d in deltas]
     for u1c in list(pool)[:40]:
-        add_target([row for dt in deltas_t for row in linalg.int_mat_mul(u1c, dt)])
-
-    def delta_preimage(wrows):
-        # x in delta^-1(W) iff w(delta_j x) = 0 for every w vanishing on W
-        ann = linalg.int_right_kernel(F, wrows, n2)
-        constraints = [row for d in deltas for row in linalg.int_mat_mul(ann, d)]
-        return linalg.int_right_kernel(F, constraints, n1)
-
+        add_target(_image(u1c, deltas_t))
     for w in list(targets):
-        add(delta_preimage(w))
+        add(_preimage(F, deltas, w, n1, n2))
 
     # seeded random cyclic spans
     rng = random.Random(seed)
@@ -768,7 +777,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
 
     for _ in range(8):
         if n0:
-            add(gamma_span(rand_vec(n0)))
+            add(_image([rand_vec(n0)], gammas_t))
         if n1:
             add([rand_vec(n1)])
 
@@ -808,42 +817,49 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     return list(pool)
 
 
-def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
-    """Witnessed dimvec search driven by candidate middle subspaces.
+def _rectangles(rep: QuiverRep, u1s):
+    """The rectangle of classes each middle subspace U1 certifies.
 
     A triple (U0, U1, U2) is a submodule exactly when U0 lies inside
-    U0max(U1) = {x : gamma_i(x) in U1 for all i} and U2 contains delta(U1);
-    every intermediate dimension at the outer vertices is realizable.  So
-    each candidate U1 certifies a full rectangle of dimension vectors, with
-    explicit witnesses.  Sound for any candidate pool; complete whenever
-    the pool covers the middle subspaces that matter.  The search runs on
-    integer rows (`_u1_candidates`); a witness is turned into the field's
-    rref rows when it is stored.
+    U0max(U1) = gamma^-1(U1) = {x : gamma_i(x) in U1 for all i} and U2
+    contains delta(U1); every intermediate dimension at the outer vertices
+    is realizable.  For each canonical integer basis U1 this yields
+    (U1, U0max, D, growth): a kernel basis of U0max, the canonical basis D
+    of delta(U1), and the unit vectors that complete D, in turn, to F^{n2}.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
     gammas, deltas = _int_arrows(rep)
     deltas_t = [transpose(d, ncols=n1) for d in deltas]
+    for u1 in u1s:
+        # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
+        # delta(U1) has the same rank on the coordinates >= k as on those
+        # > k, i.e. iff k is no pivot once the columns are reversed
+        rev, rev_piv = linalg.int_rref(F, [row[::-1] for row in _image(u1, deltas_t)])
+        growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
+        yield u1, _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
+
+
+def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
+    """Witnessed dimvec search driven by candidate middle subspaces.
+
+    Each candidate U1 certifies a full rectangle of dimension vectors
+    (`_rectangles`), with explicit witnesses.  Sound for any candidate pool;
+    complete whenever the pool covers the middle subspaces that matter.  The
+    search runs on integer rows (`_u1_candidates`); a witness is turned into
+    the field's rref rows when it is stored.
+    """
+    F = rep.field
+    n2 = rep.dims[2]
 
     def witness_rows(rows) -> tuple:
         R = linalg.int_rref(F, rows)[0]
         return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
 
     witnesses: Dict[DimVec, SubTriple] = {}
-    for u1c in _u1_candidates(rep, seed, cap, pair_budget):
-        # delta(U1) is spanned by the rows u . delta_j^T.  Its completion by
-        # e_0, e_1, ... in turn takes e_k iff delta(U1) has the same rank on
-        # the coordinates >= k as on those > k, i.e. iff k is no pivot once
-        # the columns are reversed
-        imgs = [row[::-1] for dt in deltas_t for row in linalg.int_mat_mul(u1c, dt)]
-        rev, rev_piv = linalg.int_rref(F, imgs)
-        D = [row[::-1] for row in rev]
+    u1s = _u1_candidates(rep, seed, cap, pair_budget)
+    for u1c, u0max, D, growth in _rectangles(rep, u1s):
         d2 = len(D)
-        growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
-        # U0max via functionals vanishing on U1
-        ann = linalg.int_right_kernel(F, u1c, n1)
-        constraints = [row for g in gammas for row in linalg.int_mat_mul(ann, g)]
-        u0max = linalg.int_right_kernel(F, constraints, n0)
         u1rows = None
         for a in range(len(u0max) + 1):
             for c in range(d2, n2 + 1):
@@ -887,23 +903,20 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
     """`_layer2_dimvecs` by enumerating the pairs (U0, U2)."""
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas = [rep.gamma_m(i) for i in range(3)]
-    deltas = [rep.delta_m(j) for j in range(3)]
+    gammas, deltas = _int_arrows(rep)
+    gammas_t = [transpose(g, ncols=n0) for g in gammas]
+    deltas_t = [transpose(d, ncols=n1) for d in deltas]
     # U0 -> (dim U0, delta(gamma(U0))), keeping the least dim gamma(U0)
     sources: Dict[Tuple[int, tuple], int] = {}
     for rows, _ in iter_subspaces(F, n0):
-        S = row_space(F, [mat_vec(F, g, u) for u in rows for g in gammas], n1)[0]
-        D = row_space(F, [mat_vec(F, d, v) for v in S for d in deltas], n2)[0]
+        S = linalg.int_rref(F, _image(rows, gammas_t))[0]
+        D = linalg.int_rref(F, _image(S, deltas_t))[0]
         key = (len(rows), tuple(tuple(r) for r in D))
         sources[key] = min(len(S), sources.get(key, n1))
-    # U2 -> dim delta^-1(U2), cut out by w o delta_j for w vanishing on U2;
-    # grouped by dim U2, the largest preimages first
-    deltas_t = [transpose(d, ncols=n1) for d in deltas]
+    # U2 -> dim delta^-1(U2), grouped by dim U2, the largest preimages first
     targets: List[list] = [[] for _ in range(n2 + 1)]
     for rows, piv in iter_subspaces(F, n2):
-        ann = right_kernel(F, rows, ncols=n2)
-        constraints = [mat_vec(F, dt, w) for w in ann for dt in deltas_t]
-        targets[len(rows)].append((n1 - linalg.rank(F, constraints), rows, piv))
+        targets[len(rows)].append((len(_preimage(F, deltas, rows, n1, n2)), rows, piv))
     for group in targets:
         group.sort(key=lambda t: -t[0])
     out = set()
@@ -920,44 +933,15 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
 
 def _layer2_by_middle(rep: QuiverRep) -> frozenset:
     """`_layer2_dimvecs` by enumerating the middle vertex: for each U1, every
-    U0 <= U0max(U1) = gamma^-1(U1) and every U2 >= delta(U1) completes it."""
-    F = rep.field
-    n0, n1, n2 = rep.dims
-    gam_cols = [
-        [[rep.gamma[i][r][c] for r in range(n1)] for c in range(n0)]
-        for i in range(3)
-    ]
-    out = set()
-    for rows, piv in iter_subspaces(F, n1):
-        u1 = len(rows)
-        # dim of delta(U1)
-        imgs = []
-        for u in rows:
-            for j in range(3):
-                imgs.append(mat_vec(F, rep.delta_m(j), list(u)))
-        d2 = len(row_space(F, imgs, n2)[0]) if imgs else 0
-        # U0max = kernel of x |-> (gamma_i x mod U1)_i
-        if u1 == n1:
-            k0 = n0
-        else:
-            comp = [c for c in range(n1) if c not in piv]
-            res_rows = []
-            for i in range(3):
-                for c in range(n0):
-                    w = linalg.reduce_vector(F, [list(r) for r in rows], piv, gam_cols[i][c])
-                    res_rows.append([w[cc] for cc in comp])
-            # res_rows currently holds columns of the residual maps; we need
-            # the kernel of the stacked residual matrix acting on F^{n0}
-            mat = []
-            for i in range(3):
-                block = res_rows[i * n0 : (i + 1) * n0]  # one column per c
-                for rr in range(len(comp)):
-                    mat.append([block[c][rr] for c in range(n0)])
-            k0 = n0 - linalg.rank(F, mat) if mat else n0
-        for u0 in range(k0 + 1):
-            for u2 in range(d2, n2 + 1):
-                out.add((u0, u1, u2))
-    return frozenset(out)
+    U0 <= U0max(U1) and every U2 >= delta(U1) completes it (`_rectangles`)."""
+    n2 = rep.dims[2]
+    u1s = (rows for rows, _ in iter_subspaces(rep.field, rep.dims[1]))
+    return frozenset(
+        (u0, len(u1), u2)
+        for u1, u0max, D, _ in _rectangles(rep, u1s)
+        for u0 in range(len(u0max) + 1)
+        for u2 in range(len(D), n2 + 1)
+    )
 
 
 #: primes tried for rational modules, smallest first; the cap bounds the
@@ -969,18 +953,8 @@ _LAYER2_SUBSPACE_CAP = 150_000
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
     """Reduce a rational module mod p after rescaling each arrow to a
     primitive integer matrix (submodule lattices ignore arrow scaling)."""
-    F = PrimeField(p)
-
-    def red(M, nrows, ncols):
-        if nrows == 0 or ncols == 0:
-            return [[0] * ncols for _ in range(nrows)]
-        ints = clear_denominators([list(r) for r in M])
-        return [[x % p for x in row] for row in ints]
-
-    n0, n1, n2 = rep.dims
-    gamma = [red(rep.gamma[i], n1, n0) for i in range(3)]
-    delta = [red(rep.delta[j], n2, n1) for j in range(3)]
-    return QuiverRep(rep.algebra, F, rep.dims, gamma, delta)
+    gammas, deltas = _int_arrows(rep)
+    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, gammas, deltas)
 
 
 def submodule_dimvecs(rep: QuiverRep, budget: int = 12, seed: int = 0) -> SubmoduleSearch:

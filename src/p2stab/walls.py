@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, VerificationError
 from .linalg import (
     QQ,
-    primitive_vector,
+    clear_denominators,
     row_hnf_2xn,
     saturated_kernel_basis_3,
     solve_right,
@@ -173,7 +173,7 @@ class WallLine:
 
 
 def _normalize_pq(u: Fraction, v: Fraction) -> Tuple[int, int]:
-    p, q = primitive_vector([Fraction(u), Fraction(v)])
+    p, q = clear_denominators([[Fraction(u), Fraction(v)]])[0]
     if p < 0 or (p == 0 and q < 0):
         p, q = -p, -q
     return (p, q)
@@ -346,7 +346,7 @@ def walls_json(n: int, heart: str = "A1", seed: int = 0) -> dict:
 
 
 def _normalized_point(p) -> str:
-    v = primitive_vector([Fraction(c) for c in p])
+    v = clear_denominators([[Fraction(c) for c in p]])[0]
     lead = next((x for x in v if x != 0), 0)
     if lead < 0:
         v = [-x for x in v]

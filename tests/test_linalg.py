@@ -22,13 +22,11 @@ from p2stab.linalg import (
     galois_number,
     gaussian_binomial,
     identity,
-    intersect_row_spaces,
     is_prime,
     iter_subspaces,
     mat_inverse,
     mat_mul,
     mat_vec,
-    primitive_vector,
     rank,
     right_kernel,
     row_hnf_2xn,
@@ -36,7 +34,6 @@ from p2stab.linalg import (
     rref,
     saturated_kernel_basis_3,
     solve_right,
-    sum_row_spaces,
     transpose,
 )
 
@@ -176,16 +173,26 @@ def test_transpose_empty_needs_hint():
     assert transpose([[Fraction(1), Fraction(2)]]) == [[Fraction(1)], [Fraction(2)]]
 
 
+def int_rows(F, A):
+    """A as integer rows: over Q each row over its common denominator."""
+    return [linalg._q_ints(row)[0] for row in A] if F.p is None else A
+
+
+def field_meet(F, A, B, ncols):
+    """`int_intersect` of the rows of A and B, as the field's rref rows."""
+    return linalg.int_rows_to_field(F, linalg.int_intersect(F, int_rows(F, A), int_rows(F, B), ncols))
+
+
 @settings(max_examples=40, deadline=None)
 @given(qq_matrix(2, 4), qq_matrix(2, 4))
 def test_intersection_inside_both_summands(A, B):
-    inter = intersect_row_spaces(QQ, A, B, 4)
+    inter = field_meet(QQ, A, B, 4)
     RA, pA = row_space(QQ, A, 4)
     RB, pB = row_space(QQ, B, 4)
     for v in inter:
         assert linalg.in_row_space(QQ, RA, pA, v)
         assert linalg.in_row_space(QQ, RB, pB, v)
-    total = sum_row_spaces(QQ, A, B, 4)
+    total = row_space(QQ, A + B, 4)[0]
     # dim(A) + dim(B) = dim(A+B) + dim(A cap B)
     assert len(RA) + len(RB) == len(total) + len(inter)
 
@@ -194,7 +201,9 @@ def test_clear_denominators_primitive():
     A = [[Fraction(1, 2), Fraction(3, 4)], [Fraction(0), Fraction(5, 2)]]
     ints = clear_denominators(A)
     assert ints == [[2, 3], [0, 10]]
-    assert primitive_vector([Fraction(4, 6), Fraction(-2, 3)]) == [1, -1]
+    # one row: the primitive vector on its ray, sign untouched
+    assert clear_denominators([[Fraction(4, 6), Fraction(-2, 3)]])[0] == [1, -1]
+    assert clear_denominators([[Fraction(-4, 6), Fraction(0)]])[0] == [-1, 0]
 
 
 def test_saturated_kernel_basis_golden():
@@ -390,7 +399,7 @@ def test_mat_mul_and_mat_vec_match_the_generic_products(data, F, inner, ncols):
 def test_intersect_row_spaces_matches_the_generic_construction(data, F, ncols):
     A = data.draw(field_matrices(F, ncols=ncols))
     B = data.draw(field_matrices(F, ncols=ncols))
-    same(intersect_row_spaces(F, A, B, ncols), ref_intersect_row_spaces(F, A, B, ncols))
+    same(field_meet(F, A, B, ncols), ref_intersect_row_spaces(F, A, B, ncols))
 
 
 def ref_reduce_vector(F, R, pivots, v):
@@ -468,7 +477,6 @@ def test_integer_meet_and_product_match_the_field_kernels(data, F, ncols, k):
     Ai, Bi = scaled_ints(F, A, k), scaled_ints(F, B, k + 1)
     meet = linalg.int_intersect(F, Ai, Bi, ncols)
     assert meet == linalg.int_rref(F, meet)[0]
-    same(linalg.int_rows_to_field(F, meet), intersect_row_spaces(F, A, B, ncols))
     same(linalg.int_rows_to_field(F, meet), ref_intersect_row_spaces(F, A, B, ncols))
     # the rows of A scaled one by one, the arrow C as a whole
     C = data.draw(field_matrices(F, nrows=ncols))

@@ -41,6 +41,7 @@ from p2stab.quiver import (
     tilt_Bprime_to_B,
     triple_dims,
 )
+from test_linalg import ref_intersect_row_spaces
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -267,7 +268,7 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
         if ops >= pair_budget or len(pool) >= cap:
             break
         add([list(r) for r in a] + [list(r) for r in b])
-        add(linalg.intersect_row_spaces(F, [list(r) for r in a], [list(r) for r in b], n1))
+        add(ref_intersect_row_spaces(F, [list(r) for r in a], [list(r) for r in b], n1))
         ops += 2
     seen = set(atoms)
     frontier = [t for t in pool if t not in seen]
@@ -453,6 +454,31 @@ def test_layer2_pairs_match_middle_on_calibration_corpus():
         expected = quiver._layer2_by_middle(rep)
         assert quiver._layer2_by_pairs(rep) == expected
         assert quiver._layer2_dimvecs(rep) == expected
+
+
+def invariant_triple_classes(rep):
+    """The submodule classes by brute force: the dims of every triple of
+    subspaces that `is_invariant` accepts."""
+    spaces = [[rows for rows, _ in linalg.iter_subspaces(rep.field, n)] for n in rep.dims]
+    return frozenset(
+        triple_dims(t) for t in itertools.product(*spaces) if is_invariant(rep, t)
+    )
+
+
+@pytest.mark.parametrize("p,shapes", [
+    (2, list(itertools.product(range(4), repeat=3))),
+    # at most 1,568 triples each
+    (3, [(2, 2, 2), (2, 3, 2), (3, 1, 3), (1, 3, 2), (2, 2, 3)]),
+])
+@pytest.mark.parametrize("algebra", ["B", "Bprime"])
+def test_layer2_matches_the_invariant_triples(p, shapes, algebra):
+    # both paths share `_image` and `_preimage`, so they are checked against
+    # an enumeration that uses neither
+    for k, dims in enumerate(shapes):
+        rep = random_rep(algebra, PrimeField(p), dims, random.Random(k))
+        want = invariant_triple_classes(rep)
+        assert quiver._layer2_by_pairs(rep) == want, dims
+        assert quiver._layer2_by_middle(rep) == want, dims
 
 
 def test_layer2_degenerate_shapes_take_the_middle_path(monkeypatch):

@@ -1,5 +1,7 @@
 """Weight families, numerical walls, chamber location, and the reports."""
 
+import hashlib
+
 import pytest
 from fractions import Fraction
 
@@ -236,6 +238,21 @@ def test_hilbert_report_groups_and_determinism():
     for entry in rep["configurations"]:
         assert entry["zeta"]["at_minus_eps"]["verdict"] == entry["zeta"]["expected"]
         assert entry["zeta"]["shrink_consistent"]
+
+
+@pytest.mark.parametrize("n,config,digest", [
+    (2, [(1, 2, 3), (2, -1, 1)],
+     "27eee3a25641c375fe36c54fa82d8cb27d0baf551962cf504fda194d07979789"),
+    (3, [(1, 2, 3), (2, -1, 1), (3, 1, -2)],
+     "ab13814757a86f3920c2b14654773ce8d37c327f737f4973443e40837a3df22b"),
+    (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+     "ac4759b6e0eeb2de2a048b84343701da469e800e94e096e1b254a5f49ff49894"),
+])
+def test_hilbert_report_bytes_are_pinned(n, config, digest):
+    # a refactor must leave the report bytes as they are; a change that
+    # means to alter them updates these digests and says why
+    text = dumps_json(hilbert_report(n, [config]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_hilbert_report_input_checks():
