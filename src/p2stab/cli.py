@@ -42,11 +42,6 @@ from . import acceptance
 #: at each doubling of n
 MAX_N = 30
 
-#: the largest `--budget` accepted: the total dimension 4n + 1 of the
-#: largest module the point commands build; Layer 2 is bounded separately
-#: by the number of subspaces at the middle vertex
-MAX_BUDGET = 4 * MAX_N + 1
-
 
 def _read_json(path: str):
     """Load a JSON input file; a missing, unreadable or malformed file is
@@ -229,10 +224,10 @@ def cmd_module_check(args) -> int:
 def cmd_module_jh(args) -> int:
     rep = _load_rep(args.infile)
     theta = parse_triple(args.theta)
-    factors = quiver.jh_factors(rep, theta, budget=args.budget, seed=args.seed)
+    factors = quiver.jh_factors(rep, theta, seed=args.seed)
     if args.exact:
         for f in factors:
-            v = quiver.king_test(f, theta, budget=args.budget, seed=args.seed)
+            v = quiver.king_test(f, theta, seed=args.seed)
             if (v.verdict, v.certainty) != ("stable", "exact"):
                 raise IncompleteOracleError(
                     f"factor of dims {f.dims}: {v.verdict} ({v.certainty}), "
@@ -469,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     x = cs.add_parser("jh", help="Jordan-Hoelder factors at a weight")
     x.add_argument("--in", dest="infile", required=True)
     x.add_argument("--theta", required=True, metavar="t0,t1,t2")
-    x.add_argument("--budget", type=int, default=12)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--exact", action="store_true", help="demand certified stable factors")
     x.add_argument("--out", default=None)
@@ -563,8 +557,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if not 0 <= getattr(args, "n", 0) <= MAX_N:
             raise InputError(f"--n must be between 0 and {MAX_N}")
-        if not 0 <= getattr(args, "budget", 0) <= MAX_BUDGET:
-            raise InputError(f"--budget must be between 0 and {MAX_BUDGET}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

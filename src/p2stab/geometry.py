@@ -260,7 +260,7 @@ def theta_b0(n: int, b) -> Theta:
 WALLS = ("theta1_1", "theta0_0")
 
 
-def wall_filtration_data(points, wall: str, budget: int = 12, seed: int = 0) -> dict:
+def wall_filtration_data(points, wall: str, seed: int = 0) -> dict:
     """What happens to the ideal-type module on a boundary wall.
 
     * ``theta1_1`` (Hilbert-Chow side): JH factors of module_ideal_A1 at
@@ -275,7 +275,7 @@ def wall_filtration_data(points, wall: str, budget: int = 12, seed: int = 0) -> 
     if wall == "theta1_1":
         rep = module_ideal_A1(cfg)
         theta = theta_b1(n, 1)
-        factors = jh_factors(rep, theta, budget=budget, seed=seed)
+        factors = jh_factors(rep, theta, seed=seed)
         support: List[Optional[int]] = []
         v1_simples = 0
         for f in factors:

@@ -637,12 +637,14 @@ class SubmoduleSearch:
     delta^-1(U2), it enumerates the pairs (U0, U2) of outer subspaces, each
     pair with gamma(U0) <= delta^-1(U2) giving every dim U1 in between, or
     the middle subspaces U1 when F^{n1} has at most as many subspaces as
-    F^{n0} and F^{n2} together.  On the module's own prime
-    field the enumerated set is exact and is both ``lower`` and ``upper``.
-    A rational module is reduced mod several primes; a saturated reduction
-    only gains submodules, so ``upper`` is the box of all d <= dims cut down
-    by every mod-p set.  ``evidence`` names what was enumerated; a verdict's
-    certainty is read off ``lower`` and ``upper`` alone (`king_test`).
+    F^{n0} and F^{n2} together.  It runs only when that count of subspaces
+    (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
+    prime field the enumerated set is exact and is both ``lower`` and
+    ``upper``.  A rational module is reduced mod several primes; a saturated
+    reduction only gains submodules, so ``upper`` is the box of all
+    d <= dims cut down by every mod-p set.  ``evidence`` names what was
+    enumerated; a verdict's certainty is read off ``lower`` and ``upper``
+    alone (`king_test`).
     """
 
     dims: DimVec
@@ -651,7 +653,6 @@ class SubmoduleSearch:
     witnesses: Dict[DimVec, SubTriple]
     evidence: str
     layers: Tuple[str, ...]
-    budget: int
     seed: int
 
     @property
@@ -890,13 +891,21 @@ def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
     itself costs only a containment test of merged sources.  So when F^{n1}
     has no more subspaces than the two outer vertices together (n1 small
     against n0 and n2), the middle vertex is enumerated instead
-    (`_layer2_by_middle`); both give the same set.
+    (`_layer2_by_middle`); both give the same set.  The count of subspaces
+    of the path taken is `_layer2_cost`, which the search holds to
+    `_LAYER2_COST_BOUND` before it calls this.
     """
-    n0, n1, n2 = rep.dims
     p = rep.field.p
-    if galois_number(n1, p) <= galois_number(n0, p) + galois_number(n2, p):
-        return _layer2_by_middle(rep)
-    return _layer2_by_pairs(rep)
+    if _layer2_cost(rep.dims, p) < galois_number(rep.dims[1], p):
+        return _layer2_by_pairs(rep)
+    return _layer2_by_middle(rep)
+
+
+def _layer2_cost(dims: DimVec, p: int) -> int:
+    """The subspaces `_layer2_dimvecs` enumerates over GF(p): those of the
+    middle vertex, or those of the two outer vertices, whichever is fewer."""
+    n0, n1, n2 = dims
+    return min(galois_number(n1, p), galois_number(n0, p) + galois_number(n2, p))
 
 
 def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
@@ -944,10 +953,12 @@ def _layer2_by_middle(rep: QuiverRep) -> frozenset:
     )
 
 
-#: primes tried for rational modules, smallest first; the cap bounds the
-#: Galois number at the middle vertex
-_LAYER2_PRIMES = (2, 3, 5)
-_LAYER2_SUBSPACE_CAP = 150_000
+#: primes tried for rational modules, smallest first
+_LAYER2_PRIMES = (2, 3, 5, 7)
+#: the most subspaces one Layer-2 enumeration may visit (`_layer2_cost`);
+#: every prime above fits at n <= 4 points, p = 2 and 3 fit at n = 5
+_LAYER2_COST_BOUND = 10_000
+_OVER_BOUND = "layer1-only (Layer 2 over its cost bound)"
 
 
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
@@ -957,36 +968,39 @@ def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
     return QuiverRep(rep.algebra, PrimeField(p), rep.dims, gammas, deltas)
 
 
-def submodule_dimvecs(rep: QuiverRep, budget: int = 12, seed: int = 0) -> SubmoduleSearch:
+def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
     """Two-layer search for the set of submodule dimension vectors.
 
     Layer 1 (always): generated closures + sums/intersections, explicit
-    witnesses, sound but possibly incomplete over Q.  Layer 2 (when the
-    total dimension fits the budget): exhaustive subspace enumeration — on
-    the module's own prime field this is exact; rational modules are
-    reduced mod several primes, each reduction narrowing the proved upper
-    set.  The evidence names the outcome: ``squeeze(p=…)`` when one mod-p
-    set equals the witnessed set, ``squeeze(intersection mod …)`` when
-    their intersection does, ``cross-prime(…)`` when the mod-p sets agree
-    but exceed it, and ``layer1-only (…)`` otherwise.
+    witnesses, sound but possibly incomplete over Q.  Layer 2: exhaustive
+    subspace enumeration, run over GF(p) only when its count of subspaces
+    (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
+    prime field it is exact; a rational module is reduced mod the primes of
+    `_LAYER2_PRIMES` in turn, up to the first one over the bound, each
+    reduction narrowing the proved upper set.  The evidence names the
+    outcome: ``squeeze(p=…)`` when one mod-p set equals the witnessed set,
+    ``squeeze(intersection mod …)`` when their intersection does,
+    ``cross-prime(…)`` when the mod-p sets agree but exceed it, and
+    ``layer1-only (…)`` otherwise; ``layer1-only (Layer 2 over its cost
+    bound)`` when no enumeration fits the bound.
     """
-    return _submodule_dimvecs_impl(rep, int(budget), int(seed))
+    return _submodule_dimvecs_impl(rep, int(seed))
 
 
 @lru_cache(maxsize=256)
-def _submodule_dimvecs_impl(rep: QuiverRep, budget: int, seed: int) -> SubmoduleSearch:
+def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
     witnesses = _layer1(rep, seed)
     lower = frozenset(witnesses)
     upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     layers = ["layer1"]
-    n1 = rep.dims[1]
 
-    if rep.total_dim() > budget:
-        evidence = "layer1-only (budget exceeded)"
-    elif isinstance(rep.field, PrimeField):
+    def affordable(p: int) -> bool:
+        return _layer2_cost(rep.dims, p) <= _LAYER2_COST_BOUND
+
+    if isinstance(rep.field, PrimeField):
         p = rep.field.p
-        if galois_number(n1, p) > _LAYER2_SUBSPACE_CAP:
-            evidence = "layer1-only (enumeration too large)"
+        if not affordable(p):
+            evidence = _OVER_BOUND
         else:
             full = _layer2_dimvecs(rep)
             layers.append(f"layer2(F_{p})")
@@ -996,9 +1010,7 @@ def _submodule_dimvecs_impl(rep: QuiverRep, budget: int, seed: int) -> Submodule
             evidence = f"exhaustive(F_{p})"
     else:
         unsqueezed = []  # (p, mod-p set) of the reductions above the witnessed set
-        for p in _LAYER2_PRIMES:
-            if galois_number(n1, p) > _LAYER2_SUBSPACE_CAP:
-                continue
+        for p in itertools.takewhile(affordable, _LAYER2_PRIMES):
             full_p = _layer2_dimvecs(_reduce_rep_mod_p(rep, p))
             layers.append(f"layer2(mod {p})")
             if not lower <= full_p:
@@ -1013,7 +1025,7 @@ def _submodule_dimvecs_impl(rep: QuiverRep, budget: int, seed: int) -> Submodule
         else:
             ps = ",".join(str(p) for p, _ in unsqueezed)
             if not unsqueezed:
-                evidence = "layer1-only (no usable prime)"
+                evidence = _OVER_BOUND
             elif upper == lower:
                 evidence = f"squeeze(intersection mod {ps})"
             elif len(unsqueezed) == 1:
@@ -1022,9 +1034,7 @@ def _submodule_dimvecs_impl(rep: QuiverRep, budget: int, seed: int) -> Submodule
                 evidence = f"cross-prime({ps})"
             else:
                 evidence = "layer1-only (cross-prime disagreement)"
-    return SubmoduleSearch(
-        rep.dims, lower, upper, witnesses, evidence, tuple(layers), budget, seed
-    )
+    return SubmoduleSearch(rep.dims, lower, upper, witnesses, evidence, tuple(layers), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1071,6 @@ def _verdict_of(theta: Tuple, dims: DimVec, classes) -> str:
 def king_test(
     rep: QuiverRep,
     theta: Sequence,
-    budget: int = 12,
     seed: int = 0,
     search: Optional[SubmoduleSearch] = None,
 ) -> KingVerdict:
@@ -1079,7 +1088,7 @@ def king_test(
     if theta_pair(theta, rep.dims) != 0:
         return KingVerdict("theta-nonvanishing", "exact", None, None, theta, None)
     if search is None:
-        search = submodule_dimvecs(rep, budget=budget, seed=seed)
+        search = submodule_dimvecs(rep, seed=seed)
     verdict = _verdict_of(theta, rep.dims, search.lower)
     exact = verdict == _verdict_of(theta, rep.dims, search.upper)
     certainty = "exact" if exact else "probabilistic"
@@ -1105,7 +1114,6 @@ class DestabilizedError(VerificationError):
 def jh_factors(
     rep: QuiverRep,
     theta: Sequence,
-    budget: int = 12,
     seed: int = 0,
     verify: bool = False,
 ) -> List[QuiverRep]:
@@ -1117,7 +1125,7 @@ def jh_factors(
     module is not semistable.
     """
     theta = tuple(Fraction(x) for x in theta)
-    first = king_test(rep, theta, budget=budget, seed=seed)
+    first = king_test(rep, theta, seed=seed)
     if first.verdict == "theta-nonvanishing":
         raise InputError("theta does not vanish on the module class")
     if first.verdict == "unstable":
@@ -1129,7 +1137,7 @@ def jh_factors(
     while True:
         if current.total_dim() == 0:
             break
-        search = submodule_dimvecs(current, budget=budget, seed=seed)
+        search = submodule_dimvecs(current, seed=seed)
         candidates = [
             dv
             for dv in search.witnesses
@@ -1149,7 +1157,7 @@ def jh_factors(
         raise VerificationError("JH factor dims do not add up")  # pragma: no cover
     if verify:
         for f in factors:
-            v = king_test(f, theta, budget=budget, seed=seed)
+            v = king_test(f, theta, seed=seed)
             if v.verdict not in ("stable",):
                 raise VerificationError(
                     f"JH factor of dims {f.dims} failed the stability check: {v.verdict}"
@@ -1161,12 +1169,11 @@ def s_equiv(
     a: QuiverRep,
     b: QuiverRep,
     theta: Sequence,
-    budget: int = 12,
     seed: int = 0,
 ) -> bool:
     """S-equivalence: equality of JH factor multisets up to isomorphism."""
-    fa = jh_factors(a, theta, budget=budget, seed=seed)
-    fb = jh_factors(b, theta, budget=budget, seed=seed)
+    fa = jh_factors(a, theta, seed=seed)
+    fb = jh_factors(b, theta, seed=seed)
     if sorted(f.dims for f in fa) != sorted(f.dims for f in fb):
         return False
     unmatched = list(fb)

@@ -358,7 +358,6 @@ def hilbert_report(
     configs: Sequence,
     seed: int = 0,
     eps: Optional[Fraction] = None,
-    budget: int = 12,
 ) -> dict:
     """Stability of the ideal-type modules of point configurations across
     the three chambers, with filtration data on both boundary walls.
@@ -398,10 +397,10 @@ def hilbert_report(
 
         interior = []
         for b in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            v = king_test(m1, theta_b1(n, b), budget=budget, seed=seed)
+            v = king_test(m1, theta_b1(n, b), seed=seed)
             interior.append({"b": b, **verdict_dict(v)})
-        hc = king_test(m1, theta_b1(n, 1), budget=budget, seed=seed)
-        filt = wall_filtration_data(cfg, "theta1_1", budget=budget, seed=seed)
+        hc = king_test(m1, theta_b1(n, 1), seed=seed)
+        filt = wall_filtration_data(cfg, "theta1_1", seed=seed)
 
         entry: dict = {
             "points": [[str(c) for c in p] for p in cfg],
@@ -423,8 +422,8 @@ def hilbert_report(
             }
         else:
             m0 = module_ideal_A0(cfg)
-            za = king_test(m0, theta_b0(n, -eps), budget=budget, seed=seed)
-            zb = king_test(m0, theta_b0(n, -eps / 10), budget=budget, seed=seed)
+            za = king_test(m0, theta_b0(n, -eps), seed=seed)
+            zb = king_test(m0, theta_b0(n, -eps / 10), seed=seed)
             entry["zeta"] = {
                 "skipped": False,
                 "eps": eps,
@@ -435,8 +434,8 @@ def hilbert_report(
             }
 
         dual = dualize(m1)
-        da = king_test(dual, theta_b1(n, 1 + eps), budget=budget, seed=seed)
-        db = king_test(dual, theta_b1(n, 1 + eps / 10), budget=budget, seed=seed)
+        da = king_test(dual, theta_b1(n, 1 + eps), seed=seed)
+        db = king_test(dual, theta_b1(n, 1 + eps / 10), seed=seed)
         entry["dual_across_hc"] = {
             "eps": eps,
             "at_one_plus_eps": verdict_dict(da),

@@ -256,15 +256,6 @@ def test_bad_input_exits_2(capsys, tmp_path):
                  ["walls", "theta-family", "--n", "-2", "--b", "1/2"]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "--n" in err
-    # search budgets below zero or above the documented maximum
-    point = write_rep(tmp_path / "point.json", module_point([1, 0, 0]))
-    for budget in (-1, cli.MAX_BUDGET + 1, 10**30):
-        code, _, err = run(capsys, "module", "jh", "--in", point, "--theta=0,0,0",
-                           f"--budget={budget}")
-        assert code == 2 and err.startswith("error:") and "--budget" in err
-    code, _, _ = run(capsys, "module", "jh", "--in", point, "--theta=0,0,0",
-                     f"--budget={cli.MAX_BUDGET}")
-    assert code == 0
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -286,7 +277,6 @@ _TRIPLE_TEXT = st.one_of(
     st.sampled_from(["0,0,0", "1,-2,3", "-1,0,1"]),  # 0,0,0 vanishes on every class
     st.lists(_NUMBER_TEXT, min_size=2, max_size=4).map(",".join),
 )
-_INT_TEXT = st.sampled_from(["-1", "0", "1", "2", "31", "121", "122", "x"])
 
 
 @st.composite
@@ -337,7 +327,7 @@ def argv_lists(draw, mod_a, mod_b, pts, out):
         ["charge", "eval", f"--ch={t}", f"--b={draw(_NUMBER_TEXT)}"],
         ["charge", "sigma-b", f"--b={draw(_NUMBER_TEXT)}"],
         ["module", "check", "--in", mod_a],
-        ["module", "jh", "--in", mod_a, f"--theta={t}", f"--budget={draw(_INT_TEXT)}"]
+        ["module", "jh", "--in", mod_a, f"--theta={t}"]
         + draw(st.sampled_from([[], ["--exact"]])),
         ["module", "dual", "--in", mod_a, "--out", out],
         ["module", "tilt", "--in", mod_a],

@@ -655,22 +655,100 @@ O_X_CLASSES = frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1)})
 )
 def test_king_certainty_from_lower_and_upper(theta, lower, upper, want):
     witnesses = {dv: w for dv, w in submodule_dimvecs(O_X).witnesses.items() if dv in lower}
-    search = SubmoduleSearch(O_X.dims, lower, upper, witnesses, "hand-built", ("layer1",), 12, 0)
+    search = SubmoduleSearch(O_X.dims, lower, upper, witnesses, "hand-built", ("layer1",), 0)
     v = king_test(O_X, theta, search=search)
     assert (v.verdict, v.certainty, v.witness_dimvec) == want
     assert v.witness == (witnesses[want[2]] if want[2] else None)
     assert search.complete == (lower == upper)
 
 
-def test_cross_prime_agreement_is_not_a_certificate():
-    # not collinear, so stable in truth; the class (0, 1, 0) exists mod 2
-    # and mod 3 only, and the two mod-p sets agree
-    rep = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
-    v = king_test(rep, theta_b0(3, Fraction(-1, 400)))
+@pytest.fixture
+def cold_search():
+    """An empty search memo before and after a test that patches the search."""
+    quiver._submodule_dimvecs_impl.cache_clear()
+    yield
+    quiver._submodule_dimvecs_impl.cache_clear()
+
+
+#: the A0 module of a triple that is not collinear, so stable in truth at
+#: theta_b0(3, -1/400); the class (0, 1, 0) exists mod 2, 3 and 5, not mod 7
+CROSS_PRIME_A0 = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
+
+
+def test_cross_prime_agreement_is_not_a_certificate(monkeypatch, cold_search):
+    # with the primes 2 and 3 alone the two mod-p sets agree, above lower
+    theta = theta_b0(3, Fraction(-1, 400))
+    monkeypatch.setattr(quiver, "_LAYER2_PRIMES", (2, 3))
+    v = king_test(CROSS_PRIME_A0, theta)
     assert v.search.evidence == "cross-prime(2,3)"
     assert (0, 1, 0) in v.search.upper - v.search.lower
-    assert v.verdict != "unstable" and v.certainty == "probabilistic"
+    assert (v.verdict, v.certainty) == ("stable", "probabilistic")
     assert v.witness_dimvec is None
+    # the default primes go on to 7, whose set is the witnessed one
+    monkeypatch.undo()
+    quiver._submodule_dimvecs_impl.cache_clear()
+    v = king_test(CROSS_PRIME_A0, theta)
+    assert (v.verdict, v.certainty, v.search.evidence) == ("stable", "exact", "squeeze(p=7)")
+
+
+def test_layer2_cost_is_the_path_taken_and_fits_every_prime_to_n4():
+    # (3,7,3) mod 3: 28 + 28 outer subspaces against 2,052,656 middle ones
+    assert quiver._layer2_cost((3, 7, 3), 3) == 2 * galois_number(3, 3) == 56
+    assert quiver._layer2_cost((4, 3, 4), 3) == galois_number(3, 3) == 28
+    bound = quiver._LAYER2_COST_BOUND
+    assert all(quiver._layer2_cost((4, 9, 4), p) <= bound for p in quiver._LAYER2_PRIMES)
+    assert [p for p in quiver._LAYER2_PRIMES if quiver._layer2_cost((5, 11, 5), p) <= bound] == [2, 3]
+
+
+OVER_BOUND = "layer1-only (Layer 2 over its cost bound)"
+
+
+def test_fork_and_gate_read_the_layer2_cost(monkeypatch, cold_search):
+    # the fork: a cost equal to the middle count takes the middle path even
+    # where the outer pairs are fewer
+    rep = random_rep("B", F5, (3, 4, 3), random.Random(0))
+    expected = quiver._layer2_by_pairs(rep)
+
+    def refuse(rep):
+        raise AssertionError("outer pairs enumerated although the cost names the middle")
+
+    with monkeypatch.context() as m:
+        m.setattr(quiver, "_layer2_cost", lambda dims, p: galois_number(dims[1], p))
+        m.setattr(quiver, "_layer2_by_pairs", refuse)
+        assert quiver._layer2_dimvecs(rep) == expected
+
+    # the gate: the primes are tried in order up to the first one over the
+    # bound, and no later one is tried even if it would fit
+    reached = []
+    real = quiver._layer2_dimvecs
+
+    def counting(rep):
+        reached.append(rep.field.p)
+        return real(rep)
+
+    monkeypatch.setattr(quiver, "_layer2_dimvecs", counting)
+    bound = quiver._LAYER2_COST_BOUND
+    costs = {5: bound + 1}
+    monkeypatch.setattr(quiver, "_layer2_cost", lambda dims, p: costs.get(p, 1))
+    search = submodule_dimvecs(CROSS_PRIME_A0)
+    assert reached == [2, 3] and search.evidence == "cross-prime(2,3)"
+
+    # over the bound everywhere: one label, no enumeration, the whole box
+    reached.clear()
+    quiver._submodule_dimvecs_impl.cache_clear()
+    costs.update({2: bound + 1, 3: bound + 1})
+    for r in (CROSS_PRIME_A0, quiver._reduce_rep_mod_p(CROSS_PRIME_A0, 5)):
+        search = submodule_dimvecs(r)
+        assert (search.evidence, search.layers) == (OVER_BOUND, ("layer1",))
+        assert search.upper == frozenset(itertools.product(*(range(n + 1) for n in r.dims)))
+    assert reached == []
+
+    # the real cost: a (5,5,5) module over GF(7) has 285,704 subspaces at
+    # each vertex
+    monkeypatch.undo()
+    monkeypatch.setattr(quiver, "_layer2_dimvecs", counting)
+    search = submodule_dimvecs(random_rep("B", F7, (5, 5, 5), random.Random(0)))
+    assert search.evidence == OVER_BOUND and reached == []
 
 
 @pytest.mark.parametrize(
@@ -682,18 +760,14 @@ def test_cross_prime_agreement_is_not_a_certificate():
         ({(0, 0, 0), (0, 2, 1), (1, 2, 1)}, (0, 2, 1)),
     ],
 )
-def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, kept, want):
+def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, cold_search, kept, want):
     rep = quiver._reduce_rep_mod_p(O_X, 5)
     real = quiver._layer1
     monkeypatch.setattr(
         quiver, "_layer1",
         lambda r, seed: {dv: w for dv, w in real(r, seed).items() if dv in kept},
     )
-    quiver._submodule_dimvecs_impl.cache_clear()
-    try:
-        v = king_test(rep, TH_UNSTABLE)
-    finally:
-        quiver._submodule_dimvecs_impl.cache_clear()
+    v = king_test(rep, TH_UNSTABLE)
     assert v.search.evidence == "exhaustive(F_5)"
     assert v.search.lower == v.search.upper == O_X_CLASSES
     assert (v.verdict, v.certainty, v.witness_dimvec) == ("unstable", "exact", want)
