@@ -42,6 +42,10 @@ from . import acceptance
 #: at each doubling of n
 MAX_N = 30
 
+#: the most rows `charge scan --steps` accepts: a scan takes about 0.2 ms a
+#: step and holds every row in memory until the CSV is written
+MAX_STEPS = 10_000
+
 
 def _read_json(path: str):
     """Load a JSON input file; a missing, unreadable or malformed file is
@@ -165,6 +169,8 @@ def cmd_charge_scan(args) -> int:
     steps = args.steps
     if steps < 2 or not b0 < b1:
         raise InputError("need b-start < b-end and at least 2 steps")
+    if steps > MAX_STEPS:
+        raise InputError(f"--steps must be at most {MAX_STEPS}")
     rows = []
     for i in range(steps):
         b = b0 + (b1 - b0) * Fraction(i, steps - 1)

@@ -19,12 +19,13 @@ Jordan-Hoelder filtrations live here as well.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
 from . import linalg
@@ -642,9 +643,11 @@ class SubmoduleSearch:
     prime field the enumerated set is exact and is both ``lower`` and
     ``upper``.  A rational module is reduced mod several primes; a saturated
     reduction only gains submodules, so ``upper`` is the box of all
-    d <= dims cut down by every mod-p set.  ``evidence`` names what was
-    enumerated; a verdict's certainty is read off ``lower`` and ``upper``
-    alone (`king_test`).
+    d <= dims cut down by every mod-p set.  The first enumeration runs
+    before Layer 1 and stops it once the witnesses fill the enumerated set;
+    ``witnesses`` is still the one of the whole Layer-1 pool.  ``evidence``
+    names what was enumerated; a verdict's certainty is read off ``lower``
+    and ``upper`` alone (`king_test`).
     """
 
     dims: DimVec
@@ -692,15 +695,18 @@ def _preimage(F, arrows, rows, n_src: int, n_tgt: int) -> List[List[int]]:
     return linalg.int_right_kernel(F, constraints, n_src)
 
 
-def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> List[tuple]:
+def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Iterator[tuple]:
     """Candidate middle-vertex subspaces, as canonical integer row tuples
     (`linalg.int_rref`: over Q the rref scaled to primitive rows with
-    positive pivots, one to one with the rref itself).
+    positive pivots, one to one with the rref itself), each yielded once, in
+    pool order, as it enters the pool.
 
     Sources: arrow images and kernels, cyclic spans of coordinate (and, over
     a small prime field, all) vectors, delta-preimages of a pool of
     end-vertex targets, seeded random spans, then sums and intersections of
-    earlier candidates under a work budget.
+    earlier candidates under a work budget.  The pool is built lazily: a
+    consumer that stops pulling leaves the rest of it unbuilt, and the
+    candidates it did pull are the first ones of the whole pool.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
@@ -712,42 +718,45 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     def canon(rows) -> tuple:
         return tuple(tuple(r) for r in linalg.int_rref(F, rows)[0])
 
-    def add(rows) -> Tuple[tuple, bool]:
-        key = canon(rows)
-        if len(pool) >= cap:
-            return key, False
-        size = len(pool)
-        pool.setdefault(key, None)  # one hash of the rows, not two
-        return key, len(pool) > size
+    def put(key) -> Iterator[tuple]:
+        """Yield the canonical ``key`` if it enters the pool."""
+        if len(pool) < cap:
+            size = len(pool)
+            pool.setdefault(key, None)  # one hash of the rows, not two
+            if len(pool) > size:
+                yield key
+
+    def add(rows) -> Iterator[tuple]:
+        return put(canon(rows))
 
     units0 = [_unit(n0, c) for c in range(n0)]
     units1 = [_unit(n1, c) for c in range(n1)]
-    add([])
-    add(units1)
+    yield from add([])
+    yield from add(units1)
 
     # arrow images and kernels
     for gt in gammas_t:
-        add(_image(units0, [gt]))
-    add(_image(units0, gammas_t))
-    add(_preimage(F, deltas, [], n1, n2))
+        yield from add(_image(units0, [gt]))
+    yield from add(_image(units0, gammas_t))
+    yield from add(_preimage(F, deltas, [], n1, n2))
     for d in deltas:
-        add(_preimage(F, [d], [], n1, n2))
+        yield from add(_preimage(F, [d], [], n1, n2))
 
     # cyclic spans of coordinate vectors; over a small prime field every
     # vector is affordable, and then every cyclic subspace is seeded here
     for u in units0:
-        add(_image([u], gammas_t))
+        yield from add(_image([u], gammas_t))
     for u in units1:
-        add([u])
+        yield from add([u])
     if isinstance(F, PrimeField):
         if n0 and F.p ** n0 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n0):
                 if any(c != 0 for c in coeffs):
-                    add(_image([coeffs], gammas_t))
+                    yield from add(_image([coeffs], gammas_t))
         if n1 and F.p ** n1 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n1):
                 if any(c != 0 for c in coeffs):
-                    add([coeffs])
+                    yield from add([coeffs])
 
     # delta-preimages of a small pool of subspaces at the end vertex
     targets: Dict[tuple, None] = {}
@@ -766,7 +775,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     for u1c in list(pool)[:40]:
         add_target(_image(u1c, deltas_t))
     for w in list(targets):
-        add(_preimage(F, deltas, w, n1, n2))
+        yield from add(_preimage(F, deltas, w, n1, n2))
 
     # seeded random cyclic spans
     rng = random.Random(seed)
@@ -778,9 +787,9 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
 
     for _ in range(8):
         if n0:
-            add(_image([rand_vec(n0)], gammas_t))
+            yield from add(_image([rand_vec(n0)], gammas_t))
         if n1:
-            add([rand_vec(n1)])
+            yield from add([rand_vec(n1)])
 
     # close under sums and intersections with a work budget
     ops = 0
@@ -788,14 +797,15 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
     for a, b in itertools.combinations(atoms, 2):
         if ops >= pair_budget or len(pool) >= cap:
             break
-        total, _ = add(a + b)
+        total = canon(a + b)
+        yield from put(total)
         # the sum settles the meet when it is direct or equals a summand
         if len(total) == len(a) + len(b):
-            add(())
+            yield from put(())
         elif total in (a, b):
-            add(b if total == a else a)
+            yield from put(b if total == a else a)
         else:
-            add(linalg.int_intersect(F, a, b, n1))
+            yield from add(linalg.int_intersect(F, a, b, n1))
         ops += 2
     seen = set(atoms)
     frontier = [t for t in pool if t not in seen]
@@ -809,13 +819,12 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Lis
             for b in snapshot:
                 if ops >= pair_budget or len(pool) >= cap:
                     break
-                key, fresh = add(a + b)
-                ops += 1
-                if fresh:
+                for key in add(a + b):
                     new.append(key)
+                    yield key
+                ops += 1
         frontier = new
         rounds += 1
-    return list(pool)
 
 
 def _rectangles(rep: QuiverRep, u1s):
@@ -841,7 +850,13 @@ def _rectangles(rep: QuiverRep, u1s):
         yield u1, _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
 
 
-def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
+def _layer1(
+    rep: QuiverRep,
+    seed: int,
+    cap: int = 250,
+    pair_budget: int = 4000,
+    upper: Optional[frozenset] = None,
+):
     """Witnessed dimvec search driven by candidate middle subspaces.
 
     Each candidate U1 certifies a full rectangle of dimension vectors
@@ -849,6 +864,14 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
     complete whenever the pool covers the middle subspaces that matter.  The
     search runs on integer rows (`_u1_candidates`); a witness is turned into
     the field's rref rows when it is stored.
+
+    ``upper``, a proved set containing every submodule class, lets the
+    search stop early without changing its result: it pulls no further
+    candidate once every class of ``upper`` is witnessed, and forms no
+    rectangle for a candidate U1 when every class of ``upper`` with middle
+    dimension dim U1 is.  Any class such a candidate could add lies in
+    ``upper`` and is witnessed already, so the witnesses, their values and
+    their order are those of the whole pool.
     """
     F = rep.field
     n2 = rep.dims[2]
@@ -858,8 +881,22 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
         return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
 
     witnesses: Dict[DimVec, SubTriple] = {}
-    u1s = _u1_candidates(rep, seed, cap, pair_budget)
-    for u1c, u0max, D, growth in _rectangles(rep, u1s):
+    unwitnessed = set(upper) if upper is not None else set()
+    open_middle = collections.Counter(dv[1] for dv in unwitnessed)
+
+    def wanted(u1s):
+        # runs interleaved with the loop below, so it sees the witnesses of
+        # every candidate before, and pulls none once ``upper`` is covered
+        for u1c in u1s:
+            if open_middle[len(u1c)]:
+                yield u1c
+            if not unwitnessed:
+                return
+
+    candidates = _u1_candidates(rep, seed, cap, pair_budget)
+    if upper is not None:
+        candidates = wanted(candidates)
+    for u1c, u0max, D, growth in _rectangles(rep, candidates):
         d2 = len(D)
         u1rows = None
         for a in range(len(u0max) + 1):
@@ -874,6 +911,9 @@ def _layer1(rep: QuiverRep, seed: int, cap: int = 250, pair_budget: int = 4000):
                     u1rows,
                     witness_rows(D + growth[: c - d2]),
                 )
+                if dv in unwitnessed:
+                    unwitnessed.remove(dv)
+                    open_middle[dv[1]] -= 1
     return witnesses
 
 
@@ -977,7 +1017,10 @@ def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
     (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
     prime field it is exact; a rational module is reduced mod the primes of
     `_LAYER2_PRIMES` in turn, up to the first one over the bound, each
-    reduction narrowing the proved upper set.  The evidence names the
+    reduction narrowing the proved upper set.  The first enumeration runs
+    before Layer 1, which stops as soon as its witnesses fill that set
+    (`_layer1`); no later candidate could add a class, so the result is the
+    one of the whole Layer-1 pool.  The evidence names the
     outcome: ``squeeze(p=…)`` when one mod-p set equals the witnessed set,
     ``squeeze(intersection mod …)`` when their intersection does,
     ``cross-prime(…)`` when the mod-p sets agree but exceed it, and
@@ -989,29 +1032,36 @@ def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
 
 @lru_cache(maxsize=256)
 def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
-    witnesses = _layer1(rep, seed)
+    def affordable(p: int) -> bool:
+        return _layer2_cost(rep.dims, p) <= _LAYER2_COST_BOUND
+
+    own = isinstance(rep.field, PrimeField)
+    primes = list(itertools.takewhile(affordable, (rep.field.p,) if own else _LAYER2_PRIMES))
+
+    def enumerate_mod(p: int) -> frozenset:
+        return _layer2_dimvecs(rep if own else _reduce_rep_mod_p(rep, p))
+
+    # the first enumeration bounds every class, so Layer 1 may stop once it
+    # has witnessed all of that set
+    first = enumerate_mod(primes[0]) if primes else None
+    witnesses = _layer1(rep, seed, upper=first)
     lower = frozenset(witnesses)
     upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     layers = ["layer1"]
 
-    def affordable(p: int) -> bool:
-        return _layer2_cost(rep.dims, p) <= _LAYER2_COST_BOUND
-
-    if isinstance(rep.field, PrimeField):
-        p = rep.field.p
-        if not affordable(p):
-            evidence = _OVER_BOUND
-        else:
-            full = _layer2_dimvecs(rep)
-            layers.append(f"layer2(F_{p})")
-            if not lower <= full:
-                raise VerificationError("layer 1 produced a non-submodule dimvec")
-            lower = upper = full
-            evidence = f"exhaustive(F_{p})"
+    if not primes:
+        evidence = _OVER_BOUND
+    elif own:
+        p = primes[0]
+        layers.append(f"layer2(F_{p})")
+        if not lower <= first:
+            raise VerificationError("layer 1 produced a non-submodule dimvec")
+        lower = upper = first
+        evidence = f"exhaustive(F_{p})"
     else:
         unsqueezed = []  # (p, mod-p set) of the reductions above the witnessed set
-        for p in itertools.takewhile(affordable, _LAYER2_PRIMES):
-            full_p = _layer2_dimvecs(_reduce_rep_mod_p(rep, p))
+        for p in primes:
+            full_p = first if p == primes[0] else enumerate_mod(p)
             layers.append(f"layer2(mod {p})")
             if not lower <= full_p:
                 raise VerificationError(
@@ -1024,9 +1074,7 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
             unsqueezed.append((p, full_p))
         else:
             ps = ",".join(str(p) for p, _ in unsqueezed)
-            if not unsqueezed:
-                evidence = _OVER_BOUND
-            elif upper == lower:
+            if upper == lower:
                 evidence = f"squeeze(intersection mod {ps})"
             elif len(unsqueezed) == 1:
                 evidence = "layer1-only (mod-p excess unresolved)"

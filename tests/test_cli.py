@@ -256,6 +256,11 @@ def test_bad_input_exits_2(capsys, tmp_path):
                  ["walls", "theta-family", "--n", "-2", "--b", "1/2"]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "--n" in err
+    # a scan longer than the documented maximum
+    code, _, err = run(capsys, "charge", "scan", f"--steps={cli.MAX_STEPS + 1}",
+                       "--out", str(tmp_path / "scan.csv"))
+    assert code == 2 and err.startswith("error:") and "--steps" in err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -413,6 +413,115 @@ def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the search with Layer 1 stopped by the first enumeration, against the
+# search that runs the whole Layer-1 pool first
+
+
+def ref_search(rep, seed):
+    """`submodule_dimvecs` as it was before Layer 1 could stop early: the
+    whole pool, then the enumerations in turn."""
+    witnesses = quiver._layer1(rep, seed)
+    lower = frozenset(witnesses)
+    upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
+    layers = ["layer1"]
+
+    def affordable(p):
+        return quiver._layer2_cost(rep.dims, p) <= quiver._LAYER2_COST_BOUND
+
+    if rep.field.p is not None:
+        p = rep.field.p
+        if not affordable(p):
+            return lower, upper, witnesses, OVER_BOUND, tuple(layers)
+        full = quiver._layer2_dimvecs(rep)
+        assert lower <= full
+        return full, full, witnesses, f"exhaustive(F_{p})", (*layers, f"layer2(F_{p})")
+    unsqueezed = []
+    for p in itertools.takewhile(affordable, quiver._LAYER2_PRIMES):
+        full_p = quiver._layer2_dimvecs(quiver._reduce_rep_mod_p(rep, p))
+        layers.append(f"layer2(mod {p})")
+        assert lower <= full_p
+        upper &= full_p
+        if full_p == lower:
+            return lower, upper, witnesses, f"squeeze(p={p})", tuple(layers)
+        unsqueezed.append((p, full_p))
+    ps = ",".join(str(p) for p, _ in unsqueezed)
+    if not unsqueezed:
+        evidence = OVER_BOUND
+    elif upper == lower:
+        evidence = f"squeeze(intersection mod {ps})"
+    elif len(unsqueezed) == 1:
+        evidence = "layer1-only (mod-p excess unresolved)"
+    elif all(s == upper for _, s in unsqueezed):
+        evidence = f"cross-prime({ps})"
+    else:
+        evidence = "layer1-only (cross-prime disagreement)"
+    return lower, upper, witnesses, evidence, tuple(layers)
+
+
+def assert_matches_whole_pool(rep, seed):
+    got = submodule_dimvecs(rep, seed=seed)
+    lower, upper, witnesses, evidence, layers = ref_search(rep, seed)
+    assert (got.lower, got.upper, got.evidence, got.layers) == (lower, upper, evidence, layers)
+    assert list(got.witnesses.items()) == list(witnesses.items())
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from([QQ, F2, PrimeField(3), F5, F7]),
+    dims=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    algebra=st.sampled_from(["B", "Bprime"]),
+    seed=st.integers(0, 2**16),
+)
+@example(field=QQ, dims=(2, 4, 2), algebra="B", seed=0)
+@example(field=QQ, dims=(0, 4, 0), algebra="Bprime", seed=1)
+@example(field=F7, dims=(4, 4, 4), algebra="B", seed=2)
+@example(field=F2, dims=(0, 0, 0), algebra="Bprime", seed=3)
+def test_search_matches_the_whole_pool(field, dims, algebra, seed):
+    rng = random.Random(seed)
+    if field.p is None:
+        rep = rational_rep(algebra, dims, rng)
+    else:
+        rep = random_rep(algebra, field, dims, rng)
+    assert_matches_whole_pool(rep, seed)
+
+
+#: the A0 module of a triple that is not collinear, so stable in truth at
+#: theta_b0(3, -1/400); the class (0, 1, 0) exists mod 2, 3 and 5, not mod 7
+CROSS_PRIME_A0 = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
+
+
+#: rational modules of the benchmark's reports: the 2-point A1 module and
+#: the collinear triple's A1 module squeeze mod 2, the first prime, and the
+#: other triple's A0 module only mod 7
+_REPORT_MODULES = [
+    module_ideal_A1([(1, 2, 3), (2, -1, 1)]),
+    module_ideal_A1([(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    CROSS_PRIME_A0,
+]
+
+
+@pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
+def test_search_matches_the_whole_pool_on_report_modules(rep, cold_search):
+    assert_matches_whole_pool(rep, 0)
+
+
+def test_search_squeezed_at_the_first_prime_stops_layer1_early(monkeypatch, cold_search):
+    # counts, not timings: the same on every machine
+    rep = _REPORT_MODULES[0]
+    assert rep.dims == (2, 5, 2) and rep.field == QQ
+    calls = []
+    real = linalg._rref_z
+    monkeypatch.setattr(linalg, "_rref_z", lambda A: calls.append(1) or real(A))
+    search = submodule_dimvecs(rep)
+    stopped = len(calls)
+    calls.clear()
+    whole = quiver._layer1(rep, 0)
+    assert search.evidence == "squeeze(p=2)" and search.witnesses == whole
+    assert stopped < len(calls)
+
+
+# ---------------------------------------------------------------------------
 # Layer 2: outer-pair enumeration against middle-vertex enumeration
 
 #: (p, dims) with dims in 0..4 whose two enumerations both stay small
@@ -670,11 +779,6 @@ def cold_search():
     quiver._submodule_dimvecs_impl.cache_clear()
 
 
-#: the A0 module of a triple that is not collinear, so stable in truth at
-#: theta_b0(3, -1/400); the class (0, 1, 0) exists mod 2, 3 and 5, not mod 7
-CROSS_PRIME_A0 = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
-
-
 def test_cross_prime_agreement_is_not_a_certificate(monkeypatch, cold_search):
     # with the primes 2 and 3 alone the two mod-p sets agree, above lower
     theta = theta_b0(3, Fraction(-1, 400))
@@ -765,7 +869,9 @@ def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, cold
     real = quiver._layer1
     monkeypatch.setattr(
         quiver, "_layer1",
-        lambda r, seed: {dv: w for dv, w in real(r, seed).items() if dv in kept},
+        lambda r, seed, upper=None: {
+            dv: w for dv, w in real(r, seed, upper=upper).items() if dv in kept
+        },
     )
     v = king_test(rep, TH_UNSTABLE)
     assert v.search.evidence == "exhaustive(F_5)"
