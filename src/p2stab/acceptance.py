@@ -31,7 +31,6 @@ from .quiver import (
     dualize,
     direct_sum,
     iso_test,
-    jh_factors,
     king_test,
     random_rep,
     reverse_theta,
@@ -314,23 +313,13 @@ def criterion_8() -> Tuple[bool, str]:
             bound = king_test(m1, theta_b1(n, 1))
             if not bound.semistable:
                 return (False, f"n={n} config {idx}: boundary gave {bound.verdict}")
-            factors = jh_factors(m1, theta_b1(n, 1))
-            if sorted(f.dims for f in factors) != factor_want:
-                return (False, f"n={n} config {idx}: JH dims {sorted(f.dims for f in factors)}")
-            hit_points = set()
-            for f in factors:
-                if f.dims != (1, 2, 1):
-                    continue
-                match = None
-                for kp, x in enumerate(cfg):
-                    if iso_test(f, module_point(x)).isomorphic:
-                        match = kp
-                        break
-                if match is None:
-                    return (False, f"n={n} config {idx}: a point factor matches no support point")
-                hit_points.add(match)
-            if hit_points != set(range(n)):
-                return (False, f"n={n} config {idx}: support {hit_points} incomplete")
+            wall = geometry.wall_filtration_data(cfg, "theta1_1")
+            if wall["factor_dims"] != factor_want:
+                return (False, f"n={n} config {idx}: JH dims {wall['factor_dims']}")
+            if None in wall["support"]:
+                return (False, f"n={n} config {idx}: a point factor matches no support point")
+            if sorted(wall["support"]) != list(range(n)):
+                return (False, f"n={n} config {idx}: support {set(wall['support'])} incomplete")
         theta = theta_b1(n, 1)
         m_a, m_b, m_c = (module_ideal_A1(configs[i]) for i in (0, 1, 2))
         if not s_equiv(m_a, m_b, theta):

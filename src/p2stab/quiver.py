@@ -38,9 +38,7 @@ from .linalg import (
     is_zero_matrix,
     iter_subspaces,
     mat_mul,
-    mat_vec,
     right_kernel,
-    row_space,
     rref,
     solve_right,
     transpose,
@@ -223,19 +221,18 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 # subspace triples
 
 
-def _pivots_of_rref(F, R) -> List[int]:
-    piv = []
-    for row in R:
-        for c, x in enumerate(row):
-            if not F.is_zero(x):
-                piv.append(c)
-                break
-    return piv
+def _span(F, rows, n: int) -> Tuple[List[List[int]], List[int]]:
+    """Canonical integer basis (`linalg.int_rref`) of the span of field rows
+    in F^n, with its pivots; a row of another length is invalid input."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != n for r in rows):
+        raise InputError("dimension mismatch")
+    return linalg.int_rref(F, clear_denominators(rows) if F.p is None else rows)
 
 
-def _canon(F, vectors, ncols) -> tuple:
-    rows, _ = row_space(F, vectors, ncols)
-    return tuple(tuple(r) for r in rows)
+def _field_rows(F, R) -> tuple:
+    """A canonical integer basis as the field's rref rows."""
+    return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
 
 
 def closure(rep: QuiverRep, seeds0=(), seeds1=(), seeds2=()) -> SubTriple:
@@ -243,18 +240,11 @@ def closure(rep: QuiverRep, seeds0=(), seeds1=(), seeds2=()) -> SubTriple:
     because the quiver is a two-step path)."""
     F = rep.field
     n0, n1, n2 = rep.dims
-    U0 = _canon(F, [list(v) for v in seeds0], n0)
-    at1 = [list(v) for v in seeds1]
-    for u in U0:
-        for i in range(3):
-            at1.append(mat_vec(F, rep.gamma_m(i), list(u)))
-    U1 = _canon(F, at1, n1)
-    at2 = [list(v) for v in seeds2]
-    for u in U1:
-        for j in range(3):
-            at2.append(mat_vec(F, rep.delta_m(j), list(u)))
-    U2 = _canon(F, at2, n2)
-    return (U0, U1, U2)
+    gammas_t, deltas_t = _int_arrows_t(rep)
+    U0 = _span(F, seeds0, n0)[0]
+    U1 = linalg.int_rref(F, _span(F, seeds1, n1)[0] + _image(U0, gammas_t))[0]
+    U2 = linalg.int_rref(F, _span(F, seeds2, n2)[0] + _image(U1, deltas_t))[0]
+    return (_field_rows(F, U0), _field_rows(F, U1), _field_rows(F, U2))
 
 
 def triple_dims(triple: SubTriple) -> DimVec:
@@ -262,21 +252,15 @@ def triple_dims(triple: SubTriple) -> DimVec:
 
 
 def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
+    """Whether the arrows map U0 into U1 and U1 into U2: adding the images
+    to the target keeps its rank."""
     F = rep.field
-    U0, U1, U2 = triple
-    R1, p1 = row_space(F, [list(r) for r in U1], rep.dims[1])
-    R2, p2 = row_space(F, [list(r) for r in U2], rep.dims[2])
-    for u in U0:
-        for i in range(3):
-            v = mat_vec(F, rep.gamma_m(i), list(u))
-            if not linalg.in_row_space(F, R1, p1, v):
-                return False
-    for u in U1:
-        for j in range(3):
-            v = mat_vec(F, rep.delta_m(j), list(u))
-            if not linalg.in_row_space(F, R2, p2, v):
-                return False
-    return True
+    U0, U1, U2 = (_span(F, U, n)[0] for U, n in zip(triple, rep.dims))
+    gammas_t, deltas_t = _int_arrows_t(rep)
+    return all(
+        len(linalg.int_rref(F, W + _image(U, arrows_t))[0]) == len(W)
+        for U, W, arrows_t in ((U0, U1, gammas_t), (U1, U2, deltas_t))
+    )
 
 
 def sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
@@ -288,25 +272,31 @@ def sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
 
 
 def _sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
-    """`sub_from` of a triple already known to be invariant."""
+    """`sub_from` of a triple already known to be invariant.  An image of a
+    source basis vector lies in the target span, so its entries at the
+    target's pivots are its coordinates in the target's rref basis."""
     F = rep.field
-    canon = tuple(
-        _canon(F, [list(r) for r in U], rep.dims[v]) for v, U in enumerate(triple)
-    )
-    U0, U1, U2 = canon
-    piv = [_pivots_of_rref(F, U) for U in canon]
+    spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
+    U0, U1, U2 = (linalg.int_rows_to_field(F, R) for R, _ in spans)
 
-    def induced(M, src, tgt, tgt_piv):
-        cols = []
-        for u in src:
-            v = mat_vec(F, M, list(u))
-            cols.append([v[p] for p in tgt_piv])
-        return transpose(cols, ncols=len(src)) if cols else [[] for _ in range(len(tgt))]
+    def induced(M, src, n_src, tgt_piv):
+        images = mat_mul(F, M, transpose(src, ncols=n_src))
+        return [images[c] for c in tgt_piv]
 
-    gamma = [induced(rep.gamma_m(i), U0, U1, piv[1]) for i in range(3)]
-    delta = [induced(rep.delta_m(j), U1, U2, piv[2]) for j in range(3)]
-    dims = triple_dims(canon)
-    return QuiverRep(rep.algebra, F, dims, gamma, delta)
+    gamma = [induced(rep.gamma[i], U0, rep.dims[0], spans[1][1]) for i in range(3)]
+    delta = [induced(rep.delta[j], U1, rep.dims[1], spans[2][1]) for j in range(3)]
+    return QuiverRep(rep.algebra, F, (len(U0), len(U1), len(U2)), gamma, delta)
+
+
+def _project(F, R, piv, comp, W) -> List[list]:
+    """The rows of W reduced against the rref basis R with pivots ``piv``,
+    kept on the non-pivot coordinates ``comp``: W - W[:, piv] R."""
+    if piv:
+        W = [
+            [F.sub(x, y) for x, y in zip(w, r)]
+            for w, r in zip(W, mat_mul(F, [[w[c] for c in piv] for w in W], R))
+        ]
+    return [[w[c] for c in comp] for w in W]
 
 
 def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
@@ -317,32 +307,19 @@ def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     if not is_invariant(rep, triple):
         raise InputError("not a submodule")
     data = []
-    for v, U in enumerate(triple):
-        R, piv = row_space(F, [list(r) for r in U], rep.dims[v])
-        comp = [c for c in range(rep.dims[v]) if c not in piv]
-        data.append((R, piv, comp))
+    for U, n in zip(triple, rep.dims):
+        R, piv = _span(F, U, n)
+        data.append((linalg.int_rows_to_field(F, R), piv, [c for c in range(n) if c not in piv]))
 
-    def project(vertex, vec):
-        R, piv, comp = data[vertex]
-        w = linalg.reduce_vector(F, R, piv, vec)
-        return [w[c] for c in comp]
+    def induced(M, src, tgt):
+        # the arrow's columns at the kept source coordinates, projected
+        cols = transpose(M, ncols=rep.dims[src])
+        kept = _project(F, *data[tgt], [cols[c] for c in data[src][2]])
+        return transpose(kept, ncols=len(data[tgt][2]))
 
-    def induced(M, src_vertex, tgt_vertex):
-        _, _, comp_src = data[src_vertex]
-        cols = []
-        for c in comp_src:
-            e = [F.zero()] * rep.dims[src_vertex]
-            e[c] = F.one()
-            cols.append(project(tgt_vertex, mat_vec(F, M, e)))
-        tgt_dim = len(data[tgt_vertex][2])
-        return transpose(cols, ncols=len(comp_src)) if cols else [
-            [] for _ in range(tgt_dim)
-        ]
-
-    gamma = [induced(rep.gamma_m(i), 0, 1) for i in range(3)]
-    delta = [induced(rep.delta_m(j), 1, 2) for j in range(3)]
-    dims = tuple(len(d[2]) for d in data)
-    return QuiverRep(rep.algebra, F, dims, gamma, delta)
+    gamma = [induced(rep.gamma[i], 0, 1) for i in range(3)]
+    delta = [induced(rep.delta[j], 1, 2) for j in range(3)]
+    return QuiverRep(rep.algebra, F, tuple(len(d[2]) for d in data), gamma, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +398,25 @@ class IsoResult:
         return self.isomorphic
 
 
-def iso_test(a: QuiverRep, b: QuiverRep, seed: int = 0, samples: int = 20) -> IsoResult:
+#: the most coefficient vectors `iso_test` tries to decide exactly
+_ISO_EXACT_BOUND = 4096
+#: the random combinations `iso_test` tries past that bound
+_ISO_SAMPLES = 20
+
+
+def iso_test(a: QuiverRep, b: QuiverRep, seed: int = 0) -> IsoResult:
     """Isomorphy via an invertible intertwiner.
 
-    A found invertible element of Hom(a, b) is a proof; failure to find one
-    among random linear combinations is only probabilistic, with the
-    Schwartz-Zippel failure bound reported (never silent).
+    With h_1, ..., h_h a basis of Hom(a, b) and deg = dim a, the combination
+    sum c_k h_k is invertible iff P(c) = det f0 det f1 det f2 != 0, and P
+    has degree deg.  Let S = {0, ..., min(deg, p - 1)} (p = infinity over
+    Q).  If p <= deg + 1, S^h is all of F_p^h; otherwise a nonzero P, of
+    degree deg < |S|, cannot vanish on all of S^h.  So trying every c in
+    S^h decides isomorphy exactly, and it is done whenever |S|^h is at most
+    `_ISO_EXACT_BOUND`.  Past the bound random combinations are tried: a
+    found invertible one is a proof, failure to find one is only
+    probabilistic, with the Schwartz-Zippel failure bound reported (never
+    silent).
     """
     if a.dims != b.dims or a.field != b.field or a.algebra != b.algebra:
         return IsoResult(False, "exact", None)
@@ -457,9 +447,9 @@ def iso_test(a: QuiverRep, b: QuiverRep, seed: int = 0, samples: int = 20) -> Is
         )
 
     deg = a.total_dim()
-    if isinstance(F, PrimeField) and F.p ** len(homs) <= 4096:
-        # small enough to decide exactly
-        for coeffs in itertools.product(F.elements(), repeat=len(homs)):
+    S = [F.convert(c) for c in range(deg + 1 if F.p is None else min(deg + 1, F.p))]
+    if len(S) ** len(homs) <= _ISO_EXACT_BOUND:
+        for coeffs in itertools.product(S, repeat=len(homs)):
             if all(F.is_zero(c) for c in coeffs):
                 continue
             fs = combo(coeffs)
@@ -475,11 +465,11 @@ def iso_test(a: QuiverRep, b: QuiverRep, seed: int = 0, samples: int = 20) -> Is
         span = 1 << 31
         sample = lambda: Fraction(rng.randrange(span))
         per = deg / (1 << 31)
-    for _ in range(samples):
+    for _ in range(_ISO_SAMPLES):
         fs = combo([sample() for _ in homs])
         if invertible(fs):
             return IsoResult(True, "exact", None, tuple(fs))
-    return IsoResult(False, "probabilistic", min(1.0, per ** samples) if per > 0 else 0.0)
+    return IsoResult(False, "probabilistic", min(1.0, per ** _ISO_SAMPLES) if per > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,35 +511,26 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
         raise InputError("tilt_B_to_Bprime expects a B-module")
     F = rep.field
     n0, n1, n2 = rep.dims
-    stacked = []
-    for j in range(3):
-        stacked.extend(rep.delta_m(j))
-    stacked_rank = linalg.rank(F, stacked) if stacked else 0
-    if stacked_rank < n1:
-        raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
+    stacked = [row for j in range(3) for row in rep.delta[j]]
     # image of delta_V inside F^{3 n2}, as a row space
-    img_rows, img_piv = row_space(F, transpose(stacked, ncols=n1), 3 * n2) if stacked else ([], [])
+    img_rows, img_piv = rref(F, transpose(stacked, ncols=n1))
+    if len(img_rows) < n1:
+        raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
     comp = [c for c in range(3 * n2) if c not in img_piv]
-    m2 = len(comp)
-    assert m2 == 3 * n2 - n1
-
-    def project(vec):
-        w = linalg.reduce_vector(F, img_rows, img_piv, vec)
-        return [w[c] for c in comp]
-
+    units = linalg.identity(F, 3 * n2)
     gamma_M = [
         mat_mul(F, rep.delta_m((i + 1) % 3), rep.gamma_m((i + 2) % 3))
         for i in range(3)
     ]
-    delta_M = []
-    for j in range(3):
-        cols = []
-        for c in range(n2):
-            e = [F.zero()] * (3 * n2)
-            e[j * n2 + c] = F.one()
-            cols.append(project(e))
-        delta_M.append(transpose(cols, ncols=n2) if cols else [[] for _ in range(m2)])
-    out = QuiverRep("Bprime", F, (n0, n2, m2), gamma_M, delta_M)
+    # delta_j sends the c-th basis vector of M1 = N2 to the class of the
+    # unit vector e_{j n2 + c} in the cokernel
+    delta_M = [
+        transpose(
+            _project(F, img_rows, img_piv, comp, units[j * n2 : (j + 1) * n2]), ncols=len(comp)
+        )
+        for j in range(3)
+    ]
+    out = QuiverRep("Bprime", F, (n0, n2, len(comp)), gamma_M, delta_M)
     return require_relations(out)
 
 
@@ -674,6 +655,13 @@ def _int_arrows(rep: QuiverRep) -> Tuple[list, list]:
     return gammas, deltas
 
 
+def _int_arrows_t(rep: QuiverRep) -> Tuple[list, list]:
+    """The transposes of `_int_arrows`, the form `_image` takes."""
+    n0, n1, _ = rep.dims
+    gammas, deltas = _int_arrows(rep)
+    return [transpose(g, ncols=n0) for g in gammas], [transpose(d, ncols=n1) for d in deltas]
+
+
 def _unit(n: int, c: int) -> List[int]:
     return [int(k == c) for k in range(n)]
 
@@ -710,9 +698,8 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     """
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas, deltas = _int_arrows(rep)
-    gammas_t = [transpose(g, ncols=n0) for g in gammas]
-    deltas_t = [transpose(d, ncols=n1) for d in deltas]
+    deltas = _int_arrows(rep)[1]
+    gammas_t, deltas_t = _int_arrows_t(rep)
     pool: Dict[tuple, None] = {}
 
     def canon(rows) -> tuple:
@@ -839,8 +826,8 @@ def _rectangles(rep: QuiverRep, u1s):
     """
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas, deltas = _int_arrows(rep)
-    deltas_t = [transpose(d, ncols=n1) for d in deltas]
+    gammas = _int_arrows(rep)[0]
+    deltas_t = _int_arrows_t(rep)[1]
     for u1 in u1s:
         # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
         # delta(U1) has the same rank on the coordinates >= k as on those
@@ -877,8 +864,7 @@ def _layer1(
     n2 = rep.dims[2]
 
     def witness_rows(rows) -> tuple:
-        R = linalg.int_rref(F, rows)[0]
-        return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
+        return _field_rows(F, linalg.int_rref(F, rows)[0])
 
     witnesses: Dict[DimVec, SubTriple] = {}
     unwitnessed = set(upper) if upper is not None else set()
@@ -905,7 +891,7 @@ def _layer1(
                 if dv in witnesses:
                     continue
                 if u1rows is None:
-                    u1rows = tuple(tuple(r) for r in linalg.int_rows_to_field(F, u1c))
+                    u1rows = _field_rows(F, u1c)
                 witnesses[dv] = (
                     witness_rows(u0max[:a]),
                     u1rows,
@@ -952,9 +938,8 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
     """`_layer2_dimvecs` by enumerating the pairs (U0, U2)."""
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas, deltas = _int_arrows(rep)
-    gammas_t = [transpose(g, ncols=n0) for g in gammas]
-    deltas_t = [transpose(d, ncols=n1) for d in deltas]
+    deltas = _int_arrows(rep)[1]
+    gammas_t, deltas_t = _int_arrows_t(rep)
     # U0 -> (dim U0, delta(gamma(U0))), keeping the least dim gamma(U0)
     sources: Dict[Tuple[int, tuple], int] = {}
     for rows, _ in iter_subspaces(F, n0):
@@ -1103,14 +1088,25 @@ class KingVerdict:
         return self.verdict in ("stable", "semistable")
 
 
-def _verdict_of(theta: Tuple, dims: DimVec, classes) -> str:
-    """The King verdict if ``classes`` were all the submodule classes.
+def _int_weight(theta: Sequence) -> Tuple[int, ...]:
+    """theta scaled by a positive rational to a primitive integer vector;
+    every pairing keeps its sign, so King verdicts do not change."""
+    return tuple(clear_denominators([list(theta)])[0])
+
+
+def _int_pair(weight: Sequence[int], dv: Sequence[int]) -> int:
+    return weight[0] * dv[0] + weight[1] * dv[1] + weight[2] * dv[2]
+
+
+def _verdict_of(weight: Tuple[int, ...], dims: DimVec, classes) -> str:
+    """The King verdict if ``classes`` were all the submodule classes, for
+    the integer weight (`_int_weight`) of theta.
 
     Monotone in the set (stable < semistable < unstable), so the verdicts
     of a proved lower and upper set bound the true one from both sides.
     Requires theta(dims) = 0.
     """
-    values = [theta_pair(theta, dv) for dv in classes if dv not in ((0, 0, 0), dims)]
+    values = [_int_pair(weight, dv) for dv in classes if dv not in ((0, 0, 0), dims)]
     if any(x < 0 for x in values):
         return "unstable"
     return "semistable" if 0 in values else "stable"
@@ -1133,17 +1129,18 @@ def king_test(
     destabilizing class, or else the least destabilizing class.
     """
     theta = tuple(Fraction(x) for x in theta)
-    if theta_pair(theta, rep.dims) != 0:
+    weight = _int_weight(theta)
+    if _int_pair(weight, rep.dims) != 0:
         return KingVerdict("theta-nonvanishing", "exact", None, None, theta, None)
     if search is None:
         search = submodule_dimvecs(rep, seed=seed)
-    verdict = _verdict_of(theta, rep.dims, search.lower)
-    exact = verdict == _verdict_of(theta, rep.dims, search.upper)
+    verdict = _verdict_of(weight, rep.dims, search.lower)
+    exact = verdict == _verdict_of(weight, rep.dims, search.upper)
     certainty = "exact" if exact else "probabilistic"
     if verdict != "unstable":
         return KingVerdict(verdict, certainty, None, None, theta, search)
     dv = min(
-        (dv for dv in search.lower if theta_pair(theta, dv) < 0),
+        (dv for dv in search.lower if _int_pair(weight, dv) < 0),
         key=lambda dv: (dv not in search.witnesses, sum(dv), dv),
     )
     return KingVerdict("unstable", certainty, dv, search.witnesses.get(dv), theta, search)
@@ -1173,6 +1170,7 @@ def jh_factors(
     module is not semistable.
     """
     theta = tuple(Fraction(x) for x in theta)
+    weight = _int_weight(theta)
     first = king_test(rep, theta, seed=seed)
     if first.verdict == "theta-nonvanishing":
         raise InputError("theta does not vanish on the module class")
@@ -1189,7 +1187,7 @@ def jh_factors(
         candidates = [
             dv
             for dv in search.witnesses
-            if dv not in (zero, current.dims) and theta_pair(theta, dv) == 0
+            if dv not in (zero, current.dims) and _int_pair(weight, dv) == 0
         ]
         if not candidates:
             factors.append(current)

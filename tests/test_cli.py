@@ -162,12 +162,24 @@ def test_module_check_reports_violations(capsys, tmp_path):
 
 
 def test_module_iso_exact_can_refuse(capsys, tmp_path):
-    # Hom is one-dimensional but nowhere invertible, so over the rationals
-    # the negative verdict stays probabilistic and --exact must bail out.
+    # Hom is one-dimensional (h = 1) but nowhere invertible; deg = 2, so the
+    # 3^1 combinations over {0, 1, 2} decide it exactly.
     zero_g = [((0,),)] * 3
     a = quiver.QuiverRep("B", QQ, (1, 1, 0), zero_g, [()] * 3)
     b = quiver.QuiverRep("B", QQ, (1, 1, 0), [((1,),), ((0,),), ((0,),)], [()] * 3)
     fa, fb = write_rep(tmp_path / "a.json", a), write_rep(tmp_path / "b.json", b)
+    for flags in ([], ["--exact"]):
+        code, out, _ = run(capsys, "module", "iso", "--a", fa, "--b", fb, *flags)
+        assert (code, out) == (0, "not isomorphic (exact)\n")
+    # zero arrows against gamma_0 = I at dims (3, 3, 0): Hom is the free
+    # f1 (h = 9, deg = 6) and 7^9 > 4096, so the search samples and the
+    # negative verdict stays probabilistic: --exact must bail out
+    eye = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
+    zero = ((0,) * 3,) * 3
+    a = quiver.QuiverRep("B", QQ, (3, 3, 0), [zero] * 3, [()] * 3)
+    b = quiver.QuiverRep("B", QQ, (3, 3, 0), [eye, zero, zero], [()] * 3)
+    assert len(quiver.hom_space(a, b)) == 9
+    fa, fb = write_rep(tmp_path / "a3.json", a), write_rep(tmp_path / "b3.json", b)
     code, out, _ = run(capsys, "module", "iso", "--a", fa, "--b", fb)
     assert code == 0 and out.startswith("not isomorphic (probabilistic")
     code, _, err = run(capsys, "module", "iso", "--a", fa, "--b", fb, "--exact")

@@ -1,5 +1,6 @@
 """Quiver module layer: construction, hom/iso, duality, tilting, stability."""
 
+import collections
 import itertools
 import random
 
@@ -138,6 +139,175 @@ def test_sub_from_and_quotient_complement():
         sub_from(O_X, ([[Fraction(1)]], [], []))  # not arrow-invariant
     with pytest.raises(InputError):
         quotient_by(O_X, ([[Fraction(1)]], [], []))
+
+
+# the four constructions on per-vector Fraction rows, as they were before they
+# moved onto the search's integer operators: the reference for the new code
+
+
+def ref_pivots_of_rref(F, R):
+    piv = []
+    for row in R:
+        for c, x in enumerate(row):
+            if not F.is_zero(x):
+                piv.append(c)
+                break
+    return piv
+
+
+def ref_closure(rep, seeds0=(), seeds1=(), seeds2=()):
+    F = rep.field
+    n0, n1, n2 = rep.dims
+    U0 = ref_canon(F, [list(v) for v in seeds0], n0)
+    at1 = [list(v) for v in seeds1]
+    for u in U0:
+        for i in range(3):
+            at1.append(linalg.mat_vec(F, rep.gamma_m(i), list(u)))
+    U1 = ref_canon(F, at1, n1)
+    at2 = [list(v) for v in seeds2]
+    for u in U1:
+        for j in range(3):
+            at2.append(linalg.mat_vec(F, rep.delta_m(j), list(u)))
+    U2 = ref_canon(F, at2, n2)
+    return (U0, U1, U2)
+
+
+def ref_is_invariant(rep, triple):
+    F = rep.field
+    U0, U1, U2 = triple
+    R1, p1 = linalg.row_space(F, [list(r) for r in U1], rep.dims[1])
+    R2, p2 = linalg.row_space(F, [list(r) for r in U2], rep.dims[2])
+    for u in U0:
+        for i in range(3):
+            v = linalg.mat_vec(F, rep.gamma_m(i), list(u))
+            if not linalg.in_row_space(F, R1, p1, v):
+                return False
+    for u in U1:
+        for j in range(3):
+            v = linalg.mat_vec(F, rep.delta_m(j), list(u))
+            if not linalg.in_row_space(F, R2, p2, v):
+                return False
+    return True
+
+
+def ref_sub_from(rep, triple):
+    if not ref_is_invariant(rep, triple):
+        raise InputError("not a submodule")
+    F = rep.field
+    canon = tuple(
+        ref_canon(F, [list(r) for r in U], rep.dims[v]) for v, U in enumerate(triple)
+    )
+    U0, U1, U2 = canon
+    piv = [ref_pivots_of_rref(F, U) for U in canon]
+
+    def induced(M, src, tgt, tgt_piv):
+        cols = []
+        for u in src:
+            v = linalg.mat_vec(F, M, list(u))
+            cols.append([v[p] for p in tgt_piv])
+        return linalg.transpose(cols, ncols=len(src)) if cols else [[] for _ in range(len(tgt))]
+
+    gamma = [induced(rep.gamma_m(i), U0, U1, piv[1]) for i in range(3)]
+    delta = [induced(rep.delta_m(j), U1, U2, piv[2]) for j in range(3)]
+    return QuiverRep(rep.algebra, F, triple_dims(canon), gamma, delta)
+
+
+def ref_quotient_by(rep, triple):
+    F = rep.field
+    if not ref_is_invariant(rep, triple):
+        raise InputError("not a submodule")
+    data = []
+    for v, U in enumerate(triple):
+        R, piv = linalg.row_space(F, [list(r) for r in U], rep.dims[v])
+        comp = [c for c in range(rep.dims[v]) if c not in piv]
+        data.append((R, piv, comp))
+
+    def project(vertex, vec):
+        R, piv, comp = data[vertex]
+        w = linalg.reduce_vector(F, R, piv, vec)
+        return [w[c] for c in comp]
+
+    def induced(M, src_vertex, tgt_vertex):
+        _, _, comp_src = data[src_vertex]
+        cols = []
+        for c in comp_src:
+            e = [F.zero()] * rep.dims[src_vertex]
+            e[c] = F.one()
+            cols.append(project(tgt_vertex, linalg.mat_vec(F, M, e)))
+        tgt_dim = len(data[tgt_vertex][2])
+        return linalg.transpose(cols, ncols=len(comp_src)) if cols else [
+            [] for _ in range(tgt_dim)
+        ]
+
+    gamma = [induced(rep.gamma_m(i), 0, 1) for i in range(3)]
+    delta = [induced(rep.delta_m(j), 1, 2) for j in range(3)]
+    return QuiverRep(rep.algebra, F, tuple(len(d[2]) for d in data), gamma, delta)
+
+
+def typed(x):
+    """x with the type of every entry beside it, for nested tuples/lists."""
+    if isinstance(x, (tuple, list)):
+        return tuple(typed(y) for y in x)
+    return (x, type(x))
+
+
+def typed_rep(rep):
+    return (rep.algebra, rep.field, rep.dims, typed(rep.gamma), typed(rep.delta))
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives: its value with entry types, or the InputError."""
+    try:
+        out = fn(*args, **kwargs)
+    except InputError:
+        return InputError
+    return typed_rep(out) if isinstance(out, QuiverRep) else typed(out)
+
+
+def random_rows(field, rng, n, k):
+    if field.p is None:
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(k)]
+    return [[rng.randrange(field.p) for _ in range(n)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5], ids=repr)
+def test_constructions_match_the_per_vector_code(field):
+    rng = random.Random(field.p or 0)
+    kinds = collections.Counter()
+    for k in range(40):
+        dims = tuple(rng.randint(0, 3) for _ in range(3))
+        algebra = "B" if k % 2 else "Bprime"
+        rep = rational_rep(algebra, dims, rng) if field.p is None else random_rep(
+            algebra, field, dims, rng)
+        triples = list(quiver._layer1(rep, k).values())  # witnesses
+        triples.append(((), (), ()))
+        triples.append(tuple(tuple(linalg.identity(field, n)) for n in dims))
+        for _ in range(4):  # mostly not invariant
+            triples.append(tuple(random_rows(field, rng, n, rng.randint(0, n)) for n in dims))
+        for triple in triples:
+            invariant = ref_is_invariant(rep, triple)
+            kinds[invariant] += 1
+            assert is_invariant(rep, triple) == invariant
+            for new, ref in ((sub_from, ref_sub_from), (quotient_by, ref_quotient_by)):
+                got = outcome(new, rep, triple)
+                assert got == outcome(ref, rep, triple)
+                assert (got is InputError) == (not invariant)
+            if invariant:
+                assert outcome(quiver._sub_from, rep, triple) == outcome(ref_sub_from, rep, triple)
+        seeds = [random_rows(field, rng, n, rng.randint(0, 2)) for n in dims]
+        assert outcome(closure, rep, *seeds) == outcome(ref_closure, rep, *seeds)
+        # a row of the wrong length is invalid input, for both
+        v = rng.randrange(3)
+        bad = [list(U) for U in triples[-1]]
+        bad[v] = bad[v] + [[field.one()] * (dims[v] + 1)]
+        for fn in (sub_from, quotient_by, ref_sub_from, ref_quotient_by):
+            assert outcome(fn, rep, tuple(bad)) is InputError
+        # the per-vector test could answer False before it met the bad row
+        assert outcome(is_invariant, rep, tuple(bad)) is InputError
+        seeds[v] = seeds[v] + [[field.one()] * (dims[v] + 1)]
+        assert outcome(closure, rep, *seeds) is InputError
+        assert outcome(ref_closure, rep, *seeds) is InputError
+    assert kinds[True] and kinds[False]
 
 
 def test_skyscraper_submodule_dimvecs_exact():
@@ -327,30 +497,39 @@ def ref_layer1(rep, seed, cap=250, pair_budget=4000):
     return witnesses
 
 
-def rational_rep(algebra, dims, rng):
-    """A random rational module with mixed signs and denominators: a
-    `random_rep` over QQ in a random rational basis at every vertex."""
-    rep = random_rep(algebra, QQ, dims, rng)
+def base_change(rep, rand_matrix):
+    """rep in a random basis at every vertex (an isomorphic module);
+    ``rand_matrix(n)`` draws an n x n matrix."""
+    F = rep.field
 
     def rand_basis(n):
         while True:
-            P = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
-                 for _ in range(n)]
-            Pinv = mat_inverse(QQ, P)
+            P = rand_matrix(n)
+            Pinv = mat_inverse(F, P)
             if Pinv is not None:
                 return P, Pinv
 
-    P = [rand_basis(n) for n in dims]
+    P = [rand_basis(n) for n in rep.dims]
 
     def change(M, src, tgt):
         if not M or not M[0]:
             return M
-        return mat_mul(QQ, mat_mul(QQ, P[tgt][0], M), P[src][1])
+        return mat_mul(F, mat_mul(F, P[tgt][0], M), P[src][1])
 
     return QuiverRep(
-        algebra, QQ, dims,
+        rep.algebra, F, rep.dims,
         [change(rep.gamma_m(i), 0, 1) for i in range(3)],
         [change(rep.delta_m(j), 1, 2) for j in range(3)],
+    )
+
+
+def rational_rep(algebra, dims, rng):
+    """A random rational module with mixed signs and denominators: a
+    `random_rep` over QQ in a random rational basis at every vertex."""
+    return base_change(
+        random_rep(algebra, QQ, dims, rng),
+        lambda n: [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                   for _ in range(n)],
     )
 
 
@@ -567,10 +746,10 @@ def test_layer2_pairs_match_middle_on_calibration_corpus():
 
 def invariant_triple_classes(rep):
     """The submodule classes by brute force: the dims of every triple of
-    subspaces that `is_invariant` accepts."""
+    subspaces that the per-vector `ref_is_invariant` accepts."""
     spaces = [[rows for rows, _ in linalg.iter_subspaces(rep.field, n)] for n in rep.dims]
     return frozenset(
-        triple_dims(t) for t in itertools.product(*spaces) if is_invariant(rep, t)
+        triple_dims(t) for t in itertools.product(*spaces) if ref_is_invariant(rep, t)
     )
 
 
@@ -665,6 +844,51 @@ def test_point_module_representative_independence():
     assert iso_test(module_point([1, 2, 3]), module_point([2, 4, 6])).isomorphic
 
 
+def ref_isomorphic(a, b):
+    """Isomorphy over GF(p) by trying every combination in all of F_p^h."""
+    F = a.field
+    homs = hom_space(a, b)
+    for coeffs in itertools.product(F.elements(), repeat=len(homs)):
+        fs = [
+            [[sum(c * h[v][r][q] for c, h in zip(coeffs, homs)) % F.p for q in range(n)]
+             for r in range(n)]
+            for v, n in enumerate(a.dims)
+        ]
+        if all(linalg.rank(F, M) == n for M, n in zip(fs, a.dims)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_iso_rule_matches_full_enumeration(p):
+    # over GF(2) and GF(3) S is mostly all of F_p; over GF(5) and GF(7) the
+    # small modules here have S = {0, ..., deg} strictly inside F_p
+    F = PrimeField(p)
+    rng = random.Random(p)
+    seen = collections.Counter()
+    for k in range(60):
+        dims = tuple(rng.randint(0, 2) for _ in range(3))
+        algebra = "B" if k % 2 else "Bprime"
+        a = random_rep(algebra, F, dims, rng)
+        if k % 3 == 0:
+            b = base_change(a, lambda n: random_rows(F, rng, n, n))
+        elif k % 3 == 1:
+            b = random_rep(algebra, F, dims, rng)
+        else:  # zero arrows: large Hom spaces
+            b = QuiverRep(algebra, F, dims, [linalg.zeros(F, dims[1], dims[0])] * 3,
+                          [linalg.zeros(F, dims[2], dims[1])] * 3)
+        h, deg = len(hom_space(a, b)), sum(dims)
+        if p**h > 3000:
+            continue
+        res = iso_test(a, b)
+        want = ref_isomorphic(a, b)
+        assert res.isomorphic == want, (dims, k)
+        if min(deg + 1, p) ** h <= 4096:
+            assert res.certainty == "exact"
+        seen[want, deg + 1 < p] += 1
+    assert seen[True, p > 3] and seen[False, p > 3]
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -740,6 +964,45 @@ def test_king_verdicts_on_skyscraper():
     assert bad.witness_dimvec == (0, 0, 1)
     assert theta_pair(TH_UNSTABLE, bad.witness_dimvec) < 0
     assert king_test(O_X, (1, 1, 1)).verdict == "theta-nonvanishing"
+
+
+def ref_king(rep, theta, search):
+    """The verdict, certainty and witness class of `king_test`, scored with
+    `theta_pair` on Fraction weights."""
+
+    def verdict_of(classes):
+        values = [theta_pair(theta, dv) for dv in classes if dv not in ((0, 0, 0), rep.dims)]
+        if any(x < 0 for x in values):
+            return "unstable"
+        return "semistable" if 0 in values else "stable"
+
+    verdict = verdict_of(search.lower)
+    certainty = "exact" if verdict == verdict_of(search.upper) else "probabilistic"
+    dv = None
+    if verdict == "unstable":
+        dv = min(
+            (d for d in search.lower if theta_pair(theta, d) < 0),
+            key=lambda d: (d not in search.witnesses, sum(d), d),
+        )
+    return verdict, certainty, dv
+
+
+def test_king_test_on_the_integer_weight_matches_fraction_scoring():
+    rng = random.Random(5)
+    reps = [O_X, module_ideal_A1([(1, 2, 3), (2, -1, 1)]), module_ideal_A0([(1, 0, 0), (0, 1, 0)])]
+    reps += [random_rep("B", QQ, (1, 2, 1), rng), random_rep("Bprime", F5, (2, 2, 1), rng)]
+    for rep in reps:
+        search = submodule_dimvecs(rep)
+        # the classes of ``upper`` beyond ``lower`` make some verdicts inexact
+        wide = SubmoduleSearch(rep.dims, search.lower, search.upper | {(0, 1, 0), (1, 1, 1)},
+                               search.witnesses, "hand-built", ("layer1",), 0)
+        for _ in range(40):
+            t0, t1 = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+            t2 = -(t0 * rep.dims[0] + t1 * rep.dims[1]) / rep.dims[2]
+            for s in (search, wide):
+                v = king_test(rep, (t0, t1, t2), search=s)
+                assert (v.verdict, v.certainty, v.witness_dimvec) == ref_king(rep, (t0, t1, t2), s)
+                assert v.theta == (t0, t1, t2) and all(type(t) is Fraction for t in v.theta)
 
 
 # the submodule classes of the point module O_X, all witnessed by layer 1
