@@ -297,7 +297,7 @@ def criterion_8() -> Tuple[bool, str]:
     t0 = time.perf_counter()
     rng = random.Random(8)
     notes = []
-    for n in (2, 3):
+    for n in (2, 3, 4):
         configs = _random_configs(n, 5, rng)
         factor_want = sorted([(0, 1, 0)] + [(1, 2, 1)] * n)
         for idx, cfg in enumerate(configs):

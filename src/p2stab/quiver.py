@@ -616,11 +616,12 @@ class SubmoduleSearch:
     intersections; its classes carry explicit witnesses over the base field
     and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
     field.  Since (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <=
-    delta^-1(U2), it enumerates the pairs (U0, U2) of outer subspaces, each
-    pair with gamma(U0) <= delta^-1(U2) giving every dim U1 in between, or
-    the middle subspaces U1 when F^{n1} has at most as many subspaces as
-    F^{n0} and F^{n2} together.  It runs only when that count of subspaces
-    (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
+    delta^-1(U2), it settles the pairs (U0, U2) of outer subspaces in one
+    pass over the lattice of F^{n2}, each subspace visiting at most
+    (p^{n2} - 1)/(p - 1) covers, or enumerates the middle subspaces U1 when
+    F^{n1} has at most as many subspaces as F^{n0} and F^{n2} together.  It
+    runs only when that count of subspaces (`_layer2_cost`) is within
+    `_LAYER2_COST_BOUND`.  On the module's own
     prime field the enumerated set is exact and is both ``lower`` and
     ``upper``.  A rational module is reduced mod several primes; a saturated
     reduction only gains submodules, so ``upper`` is the box of all
@@ -911,12 +912,12 @@ def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
     of the delta_j^-1(U2).  So a pair (U0, U2) of outer subspaces extends to a
     submodule iff S = gamma(U0) lies in P = delta^-1(U2), i.e. iff
     delta(S) <= U2, and then U1 can be S, P or anything in between: every
-    dim U1 from dim S to dim P occurs.  Enumerating the outer pairs thus
-    gives the exact set (`_layer2_by_pairs`).  Its elimination work is one
-    pass over the subspaces of F^{n0} and one over those of F^{n2}; a pair
-    itself costs only a containment test of merged sources.  So when F^{n1}
-    has no more subspaces than the two outer vertices together (n1 small
-    against n0 and n2), the middle vertex is enumerated instead
+    dim U1 from dim S to dim P occurs.  Settling the outer pairs thus gives
+    the exact set (`_layer2_by_pairs`): one pass over the subspaces of
+    F^{n2}, each visiting at most (p^{n2} - 1)/(p - 1) covers without
+    elimination, and one over those of F^{n0}, each with one lookup.  So
+    when F^{n1} has no more subspaces than the two outer vertices together
+    (n1 small against n0 and n2), the middle vertex is enumerated instead
     (`_layer2_by_middle`); both give the same set.  The count of subspaces
     of the path taken is `_layer2_cost`, which the search holds to
     `_LAYER2_COST_BOUND` before it calls this.
@@ -928,40 +929,50 @@ def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
 
 
 def _layer2_cost(dims: DimVec, p: int) -> int:
-    """The subspaces `_layer2_dimvecs` enumerates over GF(p): those of the
-    middle vertex, or those of the two outer vertices, whichever is fewer."""
+    """The subspaces `_layer2_dimvecs` visits over GF(p), not counting
+    covers: those of the middle vertex, or those of the two outer vertices,
+    whichever is fewer."""
     n0, n1, n2 = dims
     return min(galois_number(n1, p), galois_number(n0, p) + galois_number(n2, p))
 
 
+def _covers(p: int, rows, piv, n: int) -> Iterator[tuple]:
+    """The covers W + <v> of W = span(rows) in GF(p)^n in rref, one v per line
+    of F^n/W, zero on W's pivots with leading 1 at c: W with c cleared, plus v."""
+    free = [c for c in range(n) if c not in piv]
+    for j, c in enumerate(free):
+        above = sum(q < c for q in piv)
+        for vals in itertools.product(range(p), repeat=len(free) - j - 1):
+            entries = dict(zip(free[j:], (1,) + vals))
+            v = [entries.get(k, 0) for k in range(n)]
+            rest = [tuple((x - row[c] * y) % p for x, y in zip(row, v)) for row in rows]
+            yield tuple(rest[:above]) + (tuple(v),) + tuple(rest[above:])
+
+
 def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
-    """`_layer2_dimvecs` by enumerating the pairs (U0, U2)."""
+    """`_layer2_dimvecs` over the pairs (U0, U2).  One pass over the subspaces
+    W of F^{n2}, largest first, sets best[W][k] to the largest dim
+    delta^-1(U2) over U2 >= W of dim k: dim delta^-1(W) at k = dim W, else
+    the best of W's covers.  Each U0 then adds every dim U1 from
+    dim gamma(U0) to best[delta(gamma(U0))][dim U2]."""
     F = rep.field
     n0, n1, n2 = rep.dims
     deltas = _int_arrows(rep)[1]
     gammas_t, deltas_t = _int_arrows_t(rep)
-    # U0 -> (dim U0, delta(gamma(U0))), keeping the least dim gamma(U0)
-    sources: Dict[Tuple[int, tuple], int] = {}
+    best: Dict[tuple, List[int]] = {}
+    for rows, piv in reversed(list(iter_subspaces(F, n2))):
+        b = [0] * (n2 + 1)
+        for cover in _covers(F.p, rows, piv, n2):
+            b = list(map(max, b, best[cover]))
+        b[len(rows)] = len(_preimage(F, deltas, rows, n1, n2))
+        best[tuple(map(tuple, rows))] = b
+    out = set()
     for rows, _ in iter_subspaces(F, n0):
         S = linalg.int_rref(F, _image(rows, gammas_t))[0]
         D = linalg.int_rref(F, _image(S, deltas_t))[0]
-        key = (len(rows), tuple(tuple(r) for r in D))
-        sources[key] = min(len(S), sources.get(key, n1))
-    # U2 -> dim delta^-1(U2), grouped by dim U2, the largest preimages first
-    targets: List[list] = [[] for _ in range(n2 + 1)]
-    for rows, piv in iter_subspaces(F, n2):
-        targets[len(rows)].append((len(_preimage(F, deltas, rows, n1, n2)), rows, piv))
-    for group in targets:
-        group.sort(key=lambda t: -t[0])
-    out = set()
-    for (u0, D), dim_s in sources.items():
-        for u2, group in enumerate(targets):
-            # the containing target with the largest preimage gives every
-            # class that any containing target of this dim U2 gives
-            for dim_p, rows, piv in group:
-                if all(linalg.in_row_space(F, rows, piv, v) for v in D):
-                    out.update((u0, u1, u2) for u1 in range(dim_s, dim_p + 1))
-                    break
+        b = best[tuple(map(tuple, D))]
+        out.update((len(rows), u1, u2) for u2 in range(len(D), n2 + 1)
+                   for u1 in range(len(S), b[u2] + 1))
     return frozenset(out)
 
 
@@ -1156,12 +1167,7 @@ class DestabilizedError(VerificationError):
         )
 
 
-def jh_factors(
-    rep: QuiverRep,
-    theta: Sequence,
-    seed: int = 0,
-    verify: bool = False,
-) -> List[QuiverRep]:
+def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep]:
     """Jordan-Hoelder factors of a theta-semistable module.
 
     Peels a minimal-dimension theta = 0 proper submodule (automatically
@@ -1201,13 +1207,6 @@ def jh_factors(
     total = tuple(sum(f.dims[v] for f in factors) for v in range(3))
     if total != rep.dims:
         raise VerificationError("JH factor dims do not add up")  # pragma: no cover
-    if verify:
-        for f in factors:
-            v = king_test(f, theta, seed=seed)
-            if v.verdict not in ("stable",):
-                raise VerificationError(
-                    f"JH factor of dims {f.dims} failed the stability check: {v.verdict}"
-                )
     return factors
 
 

@@ -757,6 +757,8 @@ def invariant_triple_classes(rep):
     (2, list(itertools.product(range(4), repeat=3))),
     # at most 1,568 triples each
     (3, [(2, 2, 2), (2, 3, 2), (3, 1, 3), (1, 3, 2), (2, 2, 3)]),
+    # 1,024 triples each; cover entries 3 and 4 occur only from p = 5
+    (5, [(1, 2, 3), (2, 1, 3)]),
 ])
 @pytest.mark.parametrize("algebra", ["B", "Bprime"])
 def test_layer2_matches_the_invariant_triples(p, shapes, algebra):

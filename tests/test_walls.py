@@ -247,6 +247,8 @@ def test_hilbert_report_groups_and_determinism():
      "9361d2055d92c4475f1da6422b743a480cb4c9d71cd180ba2d161aac0e2becb3"),
     (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
      "b88c0c5074ee332dd3360d931208971cdd97c8e78cbf74263adae6f0fecbe2f4"),
+    (4, [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)],
+     "21b6ac4825a9d0eaa7088e541930aac5caaf0470757ea2cee4fe8b37a4b0d66d"),
 ])
 def test_hilbert_report_bytes_are_pinned(n, config, digest):
     # a refactor must leave the report bytes as they are; a change that
