@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 verification failure, 4 when
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -56,6 +57,17 @@ def _read_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Around an output write: a path that cannot be written (a missing
+    directory, a directory, no permission) is invalid input (exit 2), not a
+    crash."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _heart(label: str) -> HeartBasis:
     return HeartBasis.parse(label)
 
@@ -66,8 +78,10 @@ def _chern_arg(s: str) -> ChernCharacter:
 
 
 def _emit(args, payload) -> None:
-    text = dump_json(getattr(args, "out", None), payload)
-    if getattr(args, "out", None) is None:
+    out = getattr(args, "out", None)
+    with _writing(out):
+        text = dump_json(out, payload)
+    if out is None:
         sys.stdout.write(text)
     else:
         print(f"wrote {args.out}")
@@ -197,7 +211,7 @@ def cmd_charge_scan(args) -> int:
         "b", "t2", "epsilon", "reZ", "imZ_coeff", "abc_a", "abc_b", "abc_c", "hypotheses_ok",
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
             w.writeheader()
             w.writerows(rows)
@@ -336,7 +350,8 @@ def cmd_walls_chamber(args) -> int:
 
 def cmd_walls_svg(args) -> int:
     text = walls_mod.wall_svg(args.n, args.heart)
-    io_utils.write_text_atomic(args.out, text)
+    with _writing(args.out):
+        io_utils.write_text_atomic(args.out, text)
     print(f"wrote {args.out}")
     return 0
 
@@ -347,7 +362,11 @@ def cmd_walls_svg(args) -> int:
 
 def cmd_hilbert_report(args) -> int:
     obj = _read_json(args.points)
+    if not isinstance(obj, dict):
+        raise InputError("points file needs a 'configs' list or a 'points' array")
     if "configs" in obj:
+        if not isinstance(obj["configs"], list):
+            raise InputError("the points file's 'configs' must be a list")
         configs = [
             geometry.PointConfig.from_json(c if isinstance(c, dict) else {"points": c})
             for c in obj["configs"]
@@ -359,12 +378,9 @@ def cmd_hilbert_report(args) -> int:
     eps = parse_fraction(args.eps) if args.eps else None
     report = walls_mod.hilbert_report(args.n, configs, seed=args.seed, eps=eps)
     if args.svg:
-        io_utils.write_text_atomic(args.svg, walls_mod.wall_svg(args.n, "A1"))
-    text = dump_json(args.out, report)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out}")
+        with _writing(args.svg):
+            io_utils.write_text_atomic(args.svg, walls_mod.wall_svg(args.n, "A1"))
+    _emit(args, report)
     if args.svg:
         print(f"wrote {args.svg}")
     return 0

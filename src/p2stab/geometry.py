@@ -230,16 +230,22 @@ def collinear_test(points) -> bool:
 # the weight families, whose endpoints are the boundary walls
 
 
-def theta_b1(n: int, b) -> Theta:
-    """Weight family on the (n, 2n+1, n) class, linear in the parameter:
-    (1-b)*(0, -n, 2n+1) + b*(-n, 0, n).  b may leave (0, 1); b = 1 is the
-    Hilbert-Chow wall."""
+def theta_family_r(n: int, r: int, b) -> Theta:
+    """The weight family on the class (n+1-r, 2n+1, n), linear in the
+    parameter: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r)."""
     b = Fraction(b)
     return (
         -b * n,
         -(1 - b) * n,
-        (1 - b) * (2 * n + 1) + b * n,
+        (1 - b) * (2 * n + 1) + b * (n + 1 - r),
     )
+
+
+def theta_b1(n: int, b) -> Theta:
+    """Weight family on the (n, 2n+1, n) class, the rank-1 case of
+    theta_family_r: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n).  b may leave
+    (0, 1); b = 1 is the Hilbert-Chow wall."""
+    return theta_family_r(n, 1, b)
 
 
 def theta_b0(n: int, b) -> Theta:

@@ -25,7 +25,7 @@ from .linalg import (
     solve_right,
 )
 from .io_utils import json_meta
-from .quiver import dualize, king_test
+from .quiver import king_test, reverse_theta
 from .geometry import (
     PointConfig,
     Theta,
@@ -34,6 +34,7 @@ from .geometry import (
     module_ideal_A1,
     theta_b0,
     theta_b1,
+    theta_family_r,  # noqa: F401 - re-exported from here
     wall_filtration_data,
 )
 
@@ -72,17 +73,6 @@ def king_theta(values: Sequence[Tuple], dims: Sequence[int]) -> Theta:
     if re_m == 0 and im_m == 0:
         raise InputError("zero charge on the module class")
     return tuple(v[0] * im_m - re_m * v[1] for v in values)  # type: ignore[return-value]
-
-
-def theta_family_r(n: int, r: int, b) -> Theta:
-    """The general-rank version of theta_b1, vanishing on the class
-    (n+1-r, 2n+1, n): (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r)."""
-    b = Fraction(b)
-    return (
-        -b * n,
-        -(1 - b) * n,
-        (1 - b) * (2 * n + 1) + b * (n + 1 - r),
-    )
 
 
 def family_theta(n: int, heart: str, b) -> Theta:
@@ -368,6 +358,13 @@ def hilbert_report(
     others do not; skipped with a flag for n = 1); and the dual module
     tested across the Hilbert-Chow wall.  Wall tests are rerun at eps/10
     and must not change verdict.
+
+    The dual M* is tested on M's own search.  The submodules of M* are the
+    annihilators of the quotients of M, so e is a submodule class of M*
+    exactly when dim M - rev(e) is one of M (rev reverses a triple), with
+    the same theta(e) = reverse_theta(theta)(dim M - rev(e)); M* is thus
+    theta-(semi)stable exactly when M is reverse_theta(theta)-(semi)stable,
+    and M's proved sets prove it.  A dual witness_dimvec names a class of M.
     """
     if n < 1:
         raise InputError("need at least one point")
@@ -433,9 +430,8 @@ def hilbert_report(
                 "expected": "unstable" if col else "semistable",
             }
 
-        dual = dualize(m1)
-        da = king_test(dual, theta_b1(n, 1 + eps), seed=seed)
-        db = king_test(dual, theta_b1(n, 1 + eps / 10), seed=seed)
+        da = king_test(m1, reverse_theta(theta_b1(n, 1 + eps)), seed=seed)
+        db = king_test(m1, reverse_theta(theta_b1(n, 1 + eps / 10)), seed=seed)
         entry["dual_across_hc"] = {
             "eps": eps,
             "at_one_plus_eps": verdict_dict(da),

@@ -275,6 +275,37 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert not (tmp_path / "scan.csv").exists()
 
 
+_MISSING_DIR_OUTPUTS = [
+    ["hilbert", "report", "--n", "1", "--points", "{points}", "--out", "{missing}"],
+    ["hilbert", "report", "--n", "1", "--points", "{points}", "--svg", "{missing}"],
+    ["walls", "enumerate", "--n", "2", "--out", "{missing}"],
+    ["walls", "svg", "--n", "2", "--out", "{missing}"],
+    ["module", "jh", "--in", "{rep}", "--theta=-1,0,1", "--out", "{missing}"],
+    ["module", "dual", "--in", "{rep}", "--out", "{missing}"],
+    ["charge", "scan", "--steps", "3", "--out", "{missing}"],
+]
+_NOT_A_CONFIGS_LIST = [{"configs": 5}, {"configs": None}, {"configs": "[]"}, 5, "configs"]
+
+
+@pytest.mark.parametrize("argv,blob,message", (
+    [(argv, None, "cannot write") for argv in _MISSING_DIR_OUTPUTS]
+    + [(["hilbert", "report", "--n", "1", "--points", "{blob}"], blob, "configs")
+       for blob in _NOT_A_CONFIGS_LIST]
+))
+def test_hostile_files_exit_2(capsys, tmp_path, argv, blob, message):
+    blob_file = tmp_path / "blob.json"
+    blob_file.write_text(json.dumps(blob))
+    files = {
+        "{points}": write_points(tmp_path / "pts.json", [(1, 2, 3)]),
+        "{rep}": write_rep(tmp_path / "rep.json", module_point([1, 2, 3])),
+        "{missing}": str(tmp_path / "no-such-dir" / "out"),
+        "{blob}": str(blob_file),
+    }
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1 and "wrote" not in out
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["chern", "frobnicate"])

@@ -5,10 +5,12 @@ import hashlib
 import pytest
 from fractions import Fraction
 
+from p2stab import quiver
 from p2stab.charge import z_sigma_b
 from p2stab.errors import InputError
+from p2stab.geometry import module_ideal_A1
 from p2stab.io_utils import dumps_json
-from p2stab.quiver import theta_pair
+from p2stab.quiver import dualize, king_test, theta_pair
 from p2stab.walls import (
     ADJACENCY,
     CHAMBER_STRUCTURE,
@@ -249,12 +251,49 @@ def test_hilbert_report_groups_and_determinism():
      "b88c0c5074ee332dd3360d931208971cdd97c8e78cbf74263adae6f0fecbe2f4"),
     (4, [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)],
      "21b6ac4825a9d0eaa7088e541930aac5caaf0470757ea2cee4fe8b37a4b0d66d"),
+    (1, [(1, 2, 3)],
+     "22ba2cd115d180b87a333283eefb51133cd4b6e8379f23f98da357ac2ba11f47"),
 ])
 def test_hilbert_report_bytes_are_pinned(n, config, digest):
     # a refactor must leave the report bytes as they are; a change that
     # means to alter them updates these digests and says why
     text = dumps_json(hilbert_report(n, [config]))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_GENERAL = [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(2, 5)])
+@pytest.mark.parametrize("config", [
+    _GENERAL[:1], _GENERAL[:2], _GENERAL[:3], [(1, 0, 0), (0, 1, 0), (1, 1, 0)], _GENERAL,
+])
+def test_dual_verdicts_match_the_dualized_module(config, eps):
+    # the report reads the dual's verdicts off M at reverse_theta(theta);
+    # searching the dual module itself is the reference
+    n = len(config)
+    rep = hilbert_report(n, [config], eps=eps)
+    got = rep["configurations"][0]["dual_across_hc"]
+    e = rep["epsilon"]
+    dual = dualize(module_ideal_A1(config))
+    for key, b in (("at_one_plus_eps", 1 + e), ("at_one_plus_eps_over_10", 1 + e / 10)):
+        v = king_test(dual, theta_b1(n, b))
+        assert got[key] == {
+            "verdict": v.verdict,
+            "certainty": v.certainty,
+            "witness_dimvec": list(v.witness_dimvec) if v.witness_dimvec else None,
+            "evidence": v.search.evidence,
+        }
+
+
+@pytest.mark.parametrize("config,searches", [
+    (_GENERAL[:1], 2), (_GENERAL[:2], 4), (_GENERAL[:3], 5),
+])
+def test_a_report_searches_each_module_once(config, searches):
+    # the dual verdicts share M's search, so no second lattice is settled
+    quiver._submodule_dimvecs_impl.cache_clear()
+    hilbert_report(len(config), [config])
+    assert quiver._submodule_dimvecs_impl.cache_info().misses == searches
 
 
 def test_hilbert_report_input_checks():
