@@ -282,6 +282,7 @@ def wall_filtration_data(points, wall: str, seed: int = 0) -> dict:
         rep = module_ideal_A1(cfg)
         theta = theta_b1(n, 1)
         factors = jh_factors(rep, theta, seed=seed)
+        point_modules = [module_point(x) for x in cfg]
         support: List[Optional[int]] = []
         v1_simples = 0
         for f in factors:
@@ -291,8 +292,8 @@ def wall_filtration_data(points, wall: str, seed: int = 0) -> dict:
             if f.dims != (1, 2, 1):
                 raise VerificationError(f"unexpected JH factor dims {f.dims}")
             hit = None
-            for k, x in enumerate(cfg):
-                if iso_test(f, module_point(x), seed=seed).isomorphic:
+            for k, pm in enumerate(point_modules):
+                if iso_test(f, pm, seed=seed).isomorphic:
                     hit = k
                     break
             support.append(hit)

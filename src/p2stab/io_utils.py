@@ -25,6 +25,20 @@ def parse_fraction(s: str) -> Fraction:
         raise InputError(f"not a rational number: {s!r}") from exc
 
 
+def parse_json_int(x) -> int:
+    """An integer field of a JSON input: an integer, a number with an
+    integral value or an integer string; a boolean or a non-integral
+    value is invalid input."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError as exc:
+            raise InputError(f"not an integer: {x!r}") from exc
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        raise InputError(f"not an integer: {x}")
+    return int(x)
+
+
 def parse_triple(s: str) -> List[Fraction]:
     parts = [p for p in s.replace(" ", "").split(",") if p != ""]
     if len(parts) != 3:
@@ -86,5 +100,7 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def load_json(path: str) -> dict:
+    """Parse a JSON file, reading each number exactly as written: ``0.1``
+    is the rational 1/10, not the nearest binary float."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=Fraction)

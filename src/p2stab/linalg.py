@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
+from .io_utils import parse_json_int
 
 Row = List
 Matrix = List[Row]
@@ -148,6 +149,8 @@ class PrimeField:
             return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         if isinstance(x, str):
             return self.convert(Fraction(x))
+        if isinstance(x, float):
+            raise InputError("refusing to coerce a float into exact arithmetic")
         return int(x) % self.p
 
     def zero(self) -> int:
@@ -191,7 +194,7 @@ def field_from_json(obj: dict):
     if kind == "rational":
         return QQ
     if kind == "prime":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(parse_json_int(obj["p"]))
     raise InputError(f"unknown field description {obj!r}")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
+from .io_utils import parse_json_int
 from . import linalg
 from .linalg import (
     QQ,
@@ -139,7 +141,7 @@ def rep_from_json(obj: dict) -> QuiverRep:
 
     try:
         field = field_from_json(obj["field"])
-        dims = tuple(int(x) for x in obj["dims"])
+        dims = tuple(parse_json_int(x) for x in obj["dims"])
         n0, n1, n2 = dims
         gamma = [unflat(m, n1, n0) for m in obj["gamma"]]
         delta = [unflat(m, n2, n1) for m in obj["delta"]]
@@ -240,10 +242,10 @@ def closure(rep: QuiverRep, seeds0=(), seeds1=(), seeds2=()) -> SubTriple:
     because the quiver is a two-step path)."""
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas_t, deltas_t = _int_arrows_t(rep)
+    gammas, deltas = _int_arrows(rep)
     U0 = _span(F, seeds0, n0)[0]
-    U1 = linalg.int_rref(F, _span(F, seeds1, n1)[0] + _image(U0, gammas_t))[0]
-    U2 = linalg.int_rref(F, _span(F, seeds2, n2)[0] + _image(U1, deltas_t))[0]
+    U1 = linalg.int_rref(F, _span(F, seeds1, n1)[0] + _image(U0, gammas))[0]
+    U2 = linalg.int_rref(F, _span(F, seeds2, n2)[0] + _image(U1, deltas))[0]
     return (_field_rows(F, U0), _field_rows(F, U1), _field_rows(F, U2))
 
 
@@ -256,10 +258,10 @@ def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
     to the target keeps its rank."""
     F = rep.field
     U0, U1, U2 = (_span(F, U, n)[0] for U, n in zip(triple, rep.dims))
-    gammas_t, deltas_t = _int_arrows_t(rep)
+    gammas, deltas = _int_arrows(rep)
     return all(
-        len(linalg.int_rref(F, W + _image(U, arrows_t))[0]) == len(W)
-        for U, W, arrows_t in ((U0, U1, gammas_t), (U1, U2, deltas_t))
+        len(linalg.int_rref(F, W + _image(U, arrows))[0]) == len(W)
+        for U, W, arrows in ((U0, U1, gammas), (U1, U2, deltas))
     )
 
 
@@ -656,21 +658,15 @@ def _int_arrows(rep: QuiverRep) -> Tuple[list, list]:
     return gammas, deltas
 
 
-def _int_arrows_t(rep: QuiverRep) -> Tuple[list, list]:
-    """The transposes of `_int_arrows`, the form `_image` takes."""
-    n0, n1, _ = rep.dims
-    gammas, deltas = _int_arrows(rep)
-    return [transpose(g, ncols=n0) for g in gammas], [transpose(d, ncols=n1) for d in deltas]
-
-
 def _unit(n: int, c: int) -> List[int]:
     return [int(k == c) for k in range(n)]
 
 
-def _image(rows, arrows_t) -> List[List[int]]:
+def _image(rows, arrows) -> List[List[int]]:
     """Integer rows spanning the sum of the images of span(rows) under the
-    arrows, each arrow A given as its transpose: the rows u . A^T."""
-    return [row for at in arrows_t for row in linalg.int_mat_mul(rows, at)]
+    arrows: A u for each arrow A and each row u, one dot product per row
+    of A."""
+    return [[sum(map(operator.mul, a, u)) for a in A] for A in arrows for u in rows]
 
 
 def _preimage(F, arrows, rows, n_src: int, n_tgt: int) -> List[List[int]]:
@@ -699,8 +695,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     """
     F = rep.field
     n0, n1, n2 = rep.dims
-    deltas = _int_arrows(rep)[1]
-    gammas_t, deltas_t = _int_arrows_t(rep)
+    gammas, deltas = _int_arrows(rep)
     pool: Dict[tuple, None] = {}
 
     def canon(rows) -> tuple:
@@ -723,9 +718,9 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     yield from add(units1)
 
     # arrow images and kernels
-    for gt in gammas_t:
-        yield from add(_image(units0, [gt]))
-    yield from add(_image(units0, gammas_t))
+    for g in gammas:
+        yield from add(_image(units0, [g]))
+    yield from add(_image(units0, gammas))
     yield from add(_preimage(F, deltas, [], n1, n2))
     for d in deltas:
         yield from add(_preimage(F, [d], [], n1, n2))
@@ -733,14 +728,14 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     # cyclic spans of coordinate vectors; over a small prime field every
     # vector is affordable, and then every cyclic subspace is seeded here
     for u in units0:
-        yield from add(_image([u], gammas_t))
+        yield from add(_image([u], gammas))
     for u in units1:
         yield from add([u])
     if isinstance(F, PrimeField):
         if n0 and F.p ** n0 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n0):
                 if any(c != 0 for c in coeffs):
-                    yield from add(_image([coeffs], gammas_t))
+                    yield from add(_image([coeffs], gammas))
         if n1 and F.p ** n1 <= 512:
             for coeffs in itertools.product(F.elements(), repeat=n1):
                 if any(c != 0 for c in coeffs):
@@ -755,13 +750,13 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
 
     add_target([])
     add_target([_unit(n2, c) for c in range(n2)])
-    for dt in deltas_t:
-        add_target(_image(units1, [dt]))
+    for d in deltas:
+        add_target(_image(units1, [d]))
     if n2 <= 4:
         for mask in range(1, 2**n2 - 1):
             add_target([_unit(n2, k) for k in range(n2) if (mask >> k) & 1])
     for u1c in list(pool)[:40]:
-        add_target(_image(u1c, deltas_t))
+        add_target(_image(u1c, deltas))
     for w in list(targets):
         yield from add(_preimage(F, deltas, w, n1, n2))
 
@@ -775,7 +770,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
 
     for _ in range(8):
         if n0:
-            yield from add(_image([rand_vec(n0)], gammas_t))
+            yield from add(_image([rand_vec(n0)], gammas))
         if n1:
             yield from add([rand_vec(n1)])
 
@@ -827,13 +822,12 @@ def _rectangles(rep: QuiverRep, u1s):
     """
     F = rep.field
     n0, n1, n2 = rep.dims
-    gammas = _int_arrows(rep)[0]
-    deltas_t = _int_arrows_t(rep)[1]
+    gammas, deltas = _int_arrows(rep)
     for u1 in u1s:
         # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
         # delta(U1) has the same rank on the coordinates >= k as on those
         # > k, i.e. iff k is no pivot once the columns are reversed
-        rev, rev_piv = linalg.int_rref(F, [row[::-1] for row in _image(u1, deltas_t)])
+        rev, rev_piv = linalg.int_rref(F, [row[::-1] for row in _image(u1, deltas)])
         growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
         yield u1, _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
 
@@ -957,8 +951,7 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
     dim gamma(U0) to best[delta(gamma(U0))][dim U2]."""
     F = rep.field
     n0, n1, n2 = rep.dims
-    deltas = _int_arrows(rep)[1]
-    gammas_t, deltas_t = _int_arrows_t(rep)
+    gammas, deltas = _int_arrows(rep)
     best: Dict[tuple, List[int]] = {}
     for rows, piv in reversed(list(iter_subspaces(F, n2))):
         b = [0] * (n2 + 1)
@@ -968,8 +961,8 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
         best[tuple(map(tuple, rows))] = b
     out = set()
     for rows, _ in iter_subspaces(F, n0):
-        S = linalg.int_rref(F, _image(rows, gammas_t))[0]
-        D = linalg.int_rref(F, _image(S, deltas_t))[0]
+        S = linalg.int_rref(F, _image(rows, gammas))[0]
+        D = linalg.int_rref(F, _image(S, deltas))[0]
         b = best[tuple(map(tuple, D))]
         out.update((len(rows), u1, u2) for u2 in range(len(D), n2 + 1)
                    for u1 in range(len(S), b[u2] + 1))

@@ -25,10 +25,10 @@ from .linalg import (
     solve_right,
 )
 from .io_utils import json_meta
-from .quiver import king_test, reverse_theta
+from .quiver import king_test, reverse_theta, theta_pair
 from .geometry import (
-    PointConfig,
     Theta,
+    _as_config,
     collinear_test,
     module_ideal_A0,
     module_ideal_A1,
@@ -94,9 +94,6 @@ def family_consistency(n: int, b) -> dict:
     t1 = theta_b1(n, b)
     t0 = theta_b0(n, b)
 
-    def dot(t, v):
-        return sum((x * y for x, y in zip(t, v)), Fraction(0))
-
     pairs = {
         "structure_sheaf": ((1, 0, 0), (0, -1, 0), -n * b),
         "twist": ((0, -1, 0), (0, 0, 1), n * (1 - b)),
@@ -105,8 +102,8 @@ def family_consistency(n: int, b) -> dict:
     out = {}
     ok = True
     for name, (v1, v0, want) in pairs.items():
-        a = dot(t1, v1)
-        c = dot(t0, v0)
+        a = theta_pair(t1, v1)
+        c = theta_pair(t0, v0)
         out[name] = {"A1": a, "A0": c, "expected": want, "ok": a == c == want}
         ok = ok and a == c == want
     out["ok"] = ok
@@ -230,15 +227,6 @@ class ChamberResult:
     blocking: Optional[WallLine] = None
 
 
-def _inside_open_cone(ca, cb, w) -> bool:
-    det = ca[0] * cb[1] - ca[1] * cb[0]
-    if det == 0:
-        raise VerificationError("degenerate cone")  # pragma: no cover
-    alpha = (w[0] * cb[1] - w[1] * cb[0]) / det
-    beta = (ca[0] * w[1] - ca[1] * w[0]) / det
-    return alpha > 0 and beta > 0
-
-
 def chamber_membership(
     theta: Sequence,
     n: int,
@@ -278,11 +266,12 @@ def chamber_membership(
         return ChamberResult(name, sigma, tau, heart, n)
 
     def first_blocking(c_ray):
+        # a wall line lies strictly between the ray and the weight iff they
+        # sit strictly on opposite sides of it
         for w in walls:
             p, q = w.normal_in_plane
-            for vec in ((-q, p), (q, -p)):
-                if _inside_open_cone(c_ray, st, (Fraction(vec[0]), Fraction(vec[1]))):
-                    return w
+            if (p * c_ray[0] + q * c_ray[1]) * (p * st[0] + q * st[1]) < 0:
+                return w
         return None
 
     if sigma < 0 and tau > 0:  # beyond the b = 1 end
@@ -386,7 +375,7 @@ def hilbert_report(
         }
 
     def one(raw) -> dict:
-        cfg = raw if isinstance(raw, PointConfig) else PointConfig(tuple(tuple(Fraction(c) for c in p) for p in raw))
+        cfg = _as_config(raw)
         if len(cfg) != n:
             raise InputError(f"configuration has {len(cfg)} points, expected {n}")
         m1 = module_ideal_A1(cfg)

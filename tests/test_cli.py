@@ -257,11 +257,15 @@ def test_bad_input_exits_2(capsys, tmp_path):
     broken = [{k: v for k, v in good.items() if k != key}
               for key in ("gamma", "delta", "algebra")]
     broken.append({**good, "gamma": [["1/0"] + m[1:] for m in good["gamma"]]})
+    # a field size or a dimension that is a boolean or not an integer
+    broken += [{**good, "field": {"kind": "prime", "p": p}} for p in (2.9, True)]
+    broken += [{**good, "dims": [d, 2, 1]} for d in (1.7, True)]
     for k, blob in enumerate(broken):
         path = tmp_path / f"broken{k}.json"
         path.write_text(json.dumps(blob))
         code, _, err = run(capsys, "module", "check", "--in", str(path))
         assert code == 2 and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
     # point counts below zero or above the documented maximum
     for argv in (["walls", "enumerate", f"--n={cli.MAX_N + 1}"],
                  ["hilbert", "report", "--n=400", "--points", missing],
@@ -273,6 +277,28 @@ def test_bad_input_exits_2(capsys, tmp_path):
                        "--out", str(tmp_path / "scan.csv"))
     assert code == 2 and err.startswith("error:") and "--steps" in err
     assert not (tmp_path / "scan.csv").exists()
+
+
+def test_module_json_numbers_are_read_as_written(capsys, tmp_path):
+    # integral values and integer strings are accepted (the rejected ones
+    # are in test_bad_input_exits_2)
+    empty = {"algebra": "B", "field": {"kind": "rational"}, "dims": [1, 0, 0],
+             "gamma": [[], [], []], "delta": [[], [], []]}
+    for k, blob in enumerate([{**empty, "field": {"kind": "prime", "p": "7"}},
+                              {**empty, "dims": ["1", 0, 0]},
+                              {**empty, "dims": [1.0, 0, 0]}]):
+        path = tmp_path / f"good{k}.json"
+        path.write_text(json.dumps(blob))
+        code, _, _ = run(capsys, "module", "check", "--in", str(path))
+        assert code == 0
+    # the number 0.1 is 1/10, not its binary value
+    tenth = tmp_path / "tenth.json"
+    tenth.write_text('{"algebra": "B", "field": {"kind": "rational"}, "dims": [1, 1, 0],'
+                     ' "gamma": [[0.1], [0], [0]], "delta": [[], [], []]}')
+    dual_file = tmp_path / "tenth-dual.json"
+    code, _, _ = run(capsys, "module", "dual", "--in", str(tenth), "--out", str(dual_file))
+    assert code == 0
+    assert load_json(str(dual_file))["delta"] == [["1/10"], ["0"], ["0"]]
 
 
 _MISSING_DIR_OUTPUTS = [

@@ -59,6 +59,10 @@ def test_prime_field_arithmetic():
     assert F5.convert(Fraction(1, 3)) == 2
     with pytest.raises(ZeroDivisionError):
         F5.convert(Fraction(1, 5))  # denominator divisible by p
+    # a float is refused, as over Q, rather than truncated
+    for F in (F5, QQ):
+        with pytest.raises(InputError):
+            F.convert(2.5)
 
 
 def test_prime_field_requires_prime():

@@ -270,6 +270,28 @@ def random_rows(field, rng, n, k):
     return [[rng.randrange(field.p) for _ in range(n)] for _ in range(k)]
 
 
+@pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5, F7], ids=repr)
+def test_image_applies_the_arrows_as_stored(field):
+    # A u for each arrow A (n_tgt x n_src, as stored) and each row u, arrow
+    # by arrow and then row by row, against the field product
+    rng = random.Random(field.p or 0)
+
+    def entry():
+        return rng.randint(-4, 4) if field.p is None else rng.randrange(field.p)
+
+    for n_src, n_tgt in ((3, 4), (4, 2), (1, 1), (2, 0), (0, 3), (0, 0)):
+        arrows = [[[entry() for _ in range(n_src)] for _ in range(n_tgt)] for _ in range(3)]
+        rows = [[entry() for _ in range(n_src)] for _ in range(rng.randint(1, 3))]
+        got = quiver._image(rows, arrows)
+        want = [
+            linalg.mat_vec(field, [[field.convert(x) for x in r] for r in A],
+                           [field.convert(x) for x in u])
+            for A in arrows for u in rows
+        ]
+        assert [[field.convert(x) for x in r] for r in got] == want
+        assert all(len(r) == n_tgt for r in got)
+
+
 @pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5], ids=repr)
 def test_constructions_match_the_per_vector_code(field):
     rng = random.Random(field.p or 0)

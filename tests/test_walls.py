@@ -1,6 +1,7 @@
 """Weight families, numerical walls, chamber location, and the reports."""
 
 import hashlib
+import random
 
 import pytest
 from fractions import Fraction
@@ -183,6 +184,65 @@ def test_chamber_blocked_and_errors():
         chamber_membership((0, 0, 0), 2, "A1")
     with pytest.raises(InputError):
         chamber_membership((1, 1, 1), 2, "A1")  # not perpendicular to (2,5,2)
+
+
+def ref_blocking(theta, n, heart, walls):
+    """The first wall line strictly inside the cone spanned by the endpoint
+    ray and the weight, found by solving the 2x2 cone system for both
+    directions of the line; None where the weight is beyond no endpoint."""
+    d = module_dims(n, heart)
+    plane = perp_plane(d)
+    st = plane.coords_of(theta)
+    c0 = plane.coords_of(family_theta(n, heart, 0))
+    c1 = plane.coords_of(family_theta(n, heart, 1))
+    det = c0[0] * c1[1] - c0[1] * c1[0]
+    sigma = (st[0] * c1[1] - st[1] * c1[0]) / det
+    tau = (c0[0] * st[1] - c0[1] * st[0]) / det
+    if sigma < 0 < tau:
+        ray = c1
+    elif tau < 0 < sigma:
+        ray = c0
+    else:
+        return None
+
+    def inside_open_cone(ca, cb, w):
+        det = ca[0] * cb[1] - ca[1] * cb[0]
+        alpha = (w[0] * cb[1] - w[1] * cb[0]) / det
+        beta = (ca[0] * w[1] - ca[1] * w[0]) / det
+        return alpha > 0 and beta > 0
+
+    for w in walls:
+        p, q = w.normal_in_plane
+        if any(inside_open_cone(ray, st, (Fraction(x), Fraction(y))) for x, y in ((-q, p), (q, -p))):
+            return w
+    return None
+
+
+@pytest.mark.parametrize("heart", ["A1", "A0"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chamber_sign_rule_matches_the_cone_rule(n, heart):
+    rng = random.Random(10 * n + len(heart))
+    d = module_dims(n, heart)
+    b0, b1 = perp_plane(d).basis
+    walls = numerical_walls(d)
+
+    def weight(s, t):
+        return tuple(s * x + t * y for x, y in zip(b0, b1))
+
+    weights = [weight(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(150)]
+    for w in walls:  # both directions of every wall line, and next to it
+        p, q = w.normal_in_plane
+        weights += [weight(-q, p), weight(q, -p), weight(-q + rng.choice((-1, 1)), p)]
+    blocked = 0
+    for theta in weights:
+        if theta == (0, 0, 0):
+            continue
+        got = chamber_membership(theta, n, heart, walls=walls)
+        want = ref_blocking(theta, n, heart, walls)
+        assert got.blocking == want
+        blocked += want is not None
+    # the one wall at (n, heart) = (1, A0) blocks no outer weight
+    assert blocked or (n, heart) == (1, "A0")
 
 
 # ---------------------------------------------------------------------------
