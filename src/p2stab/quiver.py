@@ -25,8 +25,8 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
 from .io_utils import parse_json_int
@@ -136,6 +136,8 @@ def rep_from_json(obj: dict) -> QuiverRep:
     def unflat(flat, nrows, ncols):
         if len(flat) != nrows * ncols:
             raise InputError("dimension mismatch")
+        if any(isinstance(s, bool) for s in flat):
+            raise InputError("an arrow entry is a boolean, not a number")
         vals = [field.convert(Fraction(s)) for s in flat]
         return [vals[r * ncols : (r + 1) * ncols] for r in range(nrows)]
 
@@ -627,11 +629,14 @@ class SubmoduleSearch:
     prime field the enumerated set is exact and is both ``lower`` and
     ``upper``.  A rational module is reduced mod several primes; a saturated
     reduction only gains submodules, so ``upper`` is the box of all
-    d <= dims cut down by every mod-p set.  The first enumeration runs
-    before Layer 1 and stops it once the witnesses fill the enumerated set;
-    ``witnesses`` is still the one of the whole Layer-1 pool.  ``evidence``
-    names what was enumerated; a verdict's certainty is read off ``lower``
-    and ``upper`` alone (`king_test`).
+    d <= dims cut down by the mod-p sets of the primes in ``layers``, tried
+    in turn up to the first that squeezes.  Layer 1 is bounded by the
+    enumerated sets: the first one runs before it, a later one once Layer 1
+    has spent that enumeration's cost without filling its bound, and it
+    stops once the witnesses fill the intersection; each set is enumerated
+    once and reused after Layer 1, and ``witnesses`` is still the one of the
+    whole Layer-1 pool.  ``evidence`` names what was enumerated; a verdict's
+    certainty is read off ``lower`` and ``upper`` alone (`king_test`).
     """
 
     dims: DimVec
@@ -837,7 +842,7 @@ def _layer1(
     seed: int,
     cap: int = 250,
     pair_budget: int = 4000,
-    upper: Optional[frozenset] = None,
+    bounds: Iterable[Tuple[int, Callable[[], frozenset]]] = (),
 ):
     """Witnessed dimvec search driven by candidate middle subspaces.
 
@@ -847,13 +852,20 @@ def _layer1(
     search runs on integer rows (`_u1_candidates`); a witness is turned into
     the field's rref rows when it is stored.
 
-    ``upper``, a proved set containing every submodule class, lets the
-    search stop early without changing its result: it pulls no further
-    candidate once every class of ``upper`` is witnessed, and forms no
-    rectangle for a candidate U1 when every class of ``upper`` with middle
-    dimension dim U1 is.  Any class such a candidate could add lies in
-    ``upper`` and is witnessed already, so the witnesses, their values and
-    their order are those of the whole pool.
+    ``bounds`` lets the search stop early without changing its result.  It
+    is a sequence of pairs (cost, bound): ``bound()`` returns a proved set
+    containing every submodule class, and is called at most once, when the
+    search takes it.  The search takes the first bound before it pulls a
+    candidate.  It forms no rectangle for a candidate U1 when every class of
+    its bound with middle dimension dim U1 is witnessed, and pulls no
+    further candidate once every class of its bound is.  It takes the next
+    bound, cutting its own down to the intersection, once it has formed as
+    many rectangles since the last bound as that next pair's cost and its
+    bound is still not filled: an early bound then costs at most the work
+    already spent, and a bound it never needs is never formed.  Any class a
+    skipped candidate could add lies in every bound and is witnessed
+    already, so the witnesses, their values and their order are those of
+    the whole pool, whichever bounds are taken.
     """
     F = rep.field
     n2 = rep.dims[2]
@@ -862,21 +874,35 @@ def _layer1(
         return _field_rows(F, linalg.int_rref(F, rows)[0])
 
     witnesses: Dict[DimVec, SubTriple] = {}
-    unwitnessed = set(upper) if upper is not None else set()
-    open_middle = collections.Counter(dv[1] for dv in unwitnessed)
+    unwitnessed: set = set()  # the classes of the bound not yet witnessed
+    open_middle: collections.Counter = collections.Counter()
+    bounds = iter(bounds)
 
-    def wanted(u1s):
+    def tighten(bound: frozenset) -> None:
+        unwitnessed.intersection_update(bound)
+        open_middle.clear()
+        open_middle.update(dv[1] for dv in unwitnessed)
+
+    def wanted(u1s, nxt):
         # runs interleaved with the loop below, so it sees the witnesses of
-        # every candidate before, and pulls none once ``upper`` is covered
+        # every candidate before, and pulls none once the bound is covered
+        taken = 0  # candidates given a rectangle since the last bound
         for u1c in u1s:
             if open_middle[len(u1c)]:
                 yield u1c
+                taken += 1
+                if nxt is not None and taken >= nxt[0] and unwitnessed:
+                    tighten(nxt[1]())
+                    nxt, taken = next(bounds, None), 0
             if not unwitnessed:
                 return
 
     candidates = _u1_candidates(rep, seed, cap, pair_budget)
-    if upper is not None:
-        candidates = wanted(candidates)
+    first = next(bounds, None)
+    if first is not None:
+        unwitnessed.update(first[1]())
+        open_middle.update(dv[1] for dv in unwitnessed)
+        candidates = wanted(candidates, next(bounds, None))
     for u1c, u0max, D, growth in _rectangles(rep, candidates):
         d2 = len(D)
         u1rows = None
@@ -1007,9 +1033,13 @@ def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
     prime field it is exact; a rational module is reduced mod the primes of
     `_LAYER2_PRIMES` in turn, up to the first one over the bound, each
     reduction narrowing the proved upper set.  The first enumeration runs
-    before Layer 1, which stops as soon as its witnesses fill that set
-    (`_layer1`); no later candidate could add a class, so the result is the
-    one of the whole Layer-1 pool.  The evidence names the
+    before Layer 1, which stops as soon as its witnesses fill that set.
+    When Layer 1 has formed as many rectangles as the next prime's
+    enumeration costs (`_layer2_cost`) and its set is still not filled, that
+    prime is enumerated early and cuts the set down (`_layer1`); the steps
+    after Layer 1 reuse it, so no prime is enumerated twice.  No later
+    candidate could add a class, so the result is the one of the whole
+    Layer-1 pool.  The evidence names the
     outcome: ``squeeze(p=…)`` when one mod-p set equals the witnessed set,
     ``squeeze(intersection mod …)`` when their intersection does,
     ``cross-prime(…)`` when the mod-p sets agree but exceed it, and
@@ -1027,13 +1057,20 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
     own = isinstance(rep.field, PrimeField)
     primes = list(itertools.takewhile(affordable, (rep.field.p,) if own else _LAYER2_PRIMES))
 
-    def enumerate_mod(p: int) -> frozenset:
-        return _layer2_dimvecs(rep if own else _reduce_rep_mod_p(rep, p))
+    sets: Dict[int, frozenset] = {}  # each mod-p set, enumerated once
 
-    # the first enumeration bounds every class, so Layer 1 may stop once it
-    # has witnessed all of that set
-    first = enumerate_mod(primes[0]) if primes else None
-    witnesses = _layer1(rep, seed, upper=first)
+    def enumerate_mod(p: int) -> frozenset:
+        if p not in sets:
+            sets[p] = _layer2_dimvecs(rep if own else _reduce_rep_mod_p(rep, p))
+        return sets[p]
+
+    # every enumeration bounds every class, so Layer 1 may stop once it has
+    # witnessed all of the intersection of those it has taken; it takes the
+    # first at once and each later one only once it has formed as many
+    # rectangles as that enumeration visits subspaces (`_layer1`)
+    witnesses = _layer1(
+        rep, seed, bounds=[(_layer2_cost(rep.dims, p), partial(enumerate_mod, p)) for p in primes]
+    )
     lower = frozenset(witnesses)
     upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     layers = ["layer1"]
@@ -1043,19 +1080,13 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
     elif own:
         p = primes[0]
         layers.append(f"layer2(F_{p})")
-        if not lower <= first:
-            raise VerificationError("layer 1 produced a non-submodule dimvec")
-        lower = upper = first
+        lower = upper = enumerate_mod(p)
         evidence = f"exhaustive(F_{p})"
     else:
         unsqueezed = []  # (p, mod-p set) of the reductions above the witnessed set
         for p in primes:
-            full_p = first if p == primes[0] else enumerate_mod(p)
+            full_p = enumerate_mod(p)
             layers.append(f"layer2(mod {p})")
-            if not lower <= full_p:
-                raise VerificationError(
-                    f"saturated reduction mod {p} lost a certified submodule"
-                )
             upper &= full_p
             if full_p == lower:
                 evidence = f"squeeze(p={p})"
@@ -1071,6 +1102,14 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
                 evidence = f"cross-prime({ps})"
             else:
                 evidence = "layer1-only (cross-prime disagreement)"
+    # each set enumerated, whether Layer 1 took it as a bound or the loop
+    # above read it, must hold every witnessed class
+    for p, full_p in sets.items():
+        if not witnesses.keys() <= full_p:
+            raise VerificationError(
+                "layer 1 produced a non-submodule dimvec" if own
+                else f"saturated reduction mod {p} lost a certified submodule"
+            )
     return SubmoduleSearch(rep.dims, lower, upper, witnesses, evidence, tuple(layers), seed)
 
 

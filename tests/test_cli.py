@@ -260,12 +260,22 @@ def test_bad_input_exits_2(capsys, tmp_path):
     # a field size or a dimension that is a boolean or not an integer
     broken += [{**good, "field": {"kind": "prime", "p": p}} for p in (2.9, True)]
     broken += [{**good, "dims": [d, 2, 1]} for d in (1.7, True)]
+    # an arrow entry that is a boolean, not a number
+    flagged = {"algebra": "B", "field": {"kind": "rational"}, "dims": [1, 1, 0],
+               "gamma": [[True], [0], [0]], "delta": [[], [], []]}
+    broken += [flagged, {**good, "delta": [[False] + m[1:] for m in good["delta"]]}]
     for k, blob in enumerate(broken):
         path = tmp_path / f"broken{k}.json"
         path.write_text(json.dumps(blob))
         code, _, err = run(capsys, "module", "check", "--in", str(path))
         assert code == 2 and err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+    flagged_file = tmp_path / "flagged.json"
+    flagged_file.write_text(json.dumps(flagged))
+    code, _, err = run(capsys, "module", "dual", "--in", str(flagged_file),
+                       "--out", str(tmp_path / "flagged_dual.json"))
+    assert code == 2 and err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "flagged_dual.json").exists()
     # point counts below zero or above the documented maximum
     for argv in (["walls", "enumerate", f"--n={cli.MAX_N + 1}"],
                  ["hilbert", "report", "--n=400", "--points", missing],

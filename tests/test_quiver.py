@@ -692,13 +692,20 @@ def test_search_matches_the_whole_pool(field, dims, algebra, seed):
 CROSS_PRIME_A0 = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
 
 
+#: 2-point modules of the benchmark's reports that squeeze mod 3: their
+#: mod-2 sets hold classes that no Layer-1 candidate witnesses
+MOD3_A1 = module_ideal_A1([(2, 1, 2), (1, -2, -1)])
+MOD3_A0 = module_ideal_A0([(-3, 1, 1), (1, 3, 1)])
+
 #: rational modules of the benchmark's reports: the 2-point A1 module and
-#: the collinear triple's A1 module squeeze mod 2, the first prime, and the
-#: other triple's A0 module only mod 7
+#: the collinear triple's A1 module squeeze mod 2, the first prime, the
+#: other triple's A0 module only mod 7, and the last two mod 3
 _REPORT_MODULES = [
     module_ideal_A1([(1, 2, 3), (2, -1, 1)]),
     module_ideal_A1([(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
     CROSS_PRIME_A0,
+    pytest.param(MOD3_A1, id="(2, 5, 2) mod 3"),
+    pytest.param(MOD3_A0, id="(2, 4, 1) mod 3"),
 ]
 
 
@@ -720,6 +727,76 @@ def test_search_squeezed_at_the_first_prime_stops_layer1_early(monkeypatch, cold
     whole = quiver._layer1(rep, 0)
     assert search.evidence == "squeeze(p=2)" and search.witnesses == whole
     assert stopped < len(calls)
+
+
+def count_candidates(monkeypatch) -> list:
+    """The candidates `_u1_candidates` yields from now on, in order."""
+    pulled = []
+    real = quiver._u1_candidates
+
+    def counting(*args):
+        for u1c in real(*args):
+            pulled.append(u1c)
+            yield u1c
+
+    monkeypatch.setattr(quiver, "_u1_candidates", counting)
+    return pulled
+
+
+@pytest.mark.parametrize("rep,most", [(MOD3_A1, 20), (MOD3_A0, 19)],
+                         ids=["(2, 5, 2)", "(2, 4, 1)"])
+def test_layer1_takes_the_next_prime_once_it_has_spent_its_cost(monkeypatch, cold_search,
+                                                                rep, most):
+    # counts, not timings: mod 2 alone never stops Layer 1 on these modules,
+    # mod 3 does once Layer 1 has spent that enumeration's cost
+    assert rep.field == QQ and rep.dims in {(2, 5, 2), (2, 4, 1)}
+    pulled = count_candidates(monkeypatch)
+    search = submodule_dimvecs(rep)
+    assert search.evidence == "squeeze(p=3)"
+    assert len(pulled) <= most
+    pulled.clear()
+    quiver._layer1(rep, 0, bounds=[(0, lambda: quiver._layer2_dimvecs(
+        quiver._reduce_rep_mod_p(rep, 2)))])
+    assert len(pulled) == 250  # bounded by mod 2 alone: the whole pool
+
+
+@pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
+def test_search_enumerates_each_prime_at_most_once(monkeypatch, cold_search, rep):
+    reached = []
+    real = quiver._layer2_dimvecs
+    monkeypatch.setattr(quiver, "_layer2_dimvecs", lambda r: reached.append(r.field.p) or real(r))
+    search = submodule_dimvecs(rep)
+    assert len(reached) == len(set(reached))
+    # the loop after Layer 1 reads every prime it names
+    assert {int(layer[len("layer2(mod "):-1]) for layer in search.layers[1:]} <= set(reached)
+    if rep is _REPORT_MODULES[0]:
+        # its first bound fills before mod 3 is worth enumerating
+        assert reached == [2] and search.evidence == "squeeze(p=2)"
+
+
+def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_search):
+    rep = _REPORT_MODULES[0]
+    mod2 = quiver._layer2_dimvecs(quiver._reduce_rep_mod_p(rep, 2))
+    box = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
+    junk = sorted(box - mod2)[:2]  # classes of no submodule
+    pulled = count_candidates(monkeypatch)
+    whole = quiver._layer1(rep, 0)
+    pulled.clear()
+    assert quiver._layer1(rep, 0, bounds=[(0, lambda: mod2)]) == whole
+    alone = len(pulled)
+    pulled.clear()
+
+    def refuse():
+        raise AssertionError("a bound Layer 1 did not need was formed")
+
+    # neither of the first two bounds can be filled, their intersection can;
+    # it fills after the same candidates as mod 2 alone, before a bound due
+    # after 100 more rectangles
+    got = quiver._layer1(rep, 0, bounds=[(0, lambda: mod2 | {junk[0]}),
+                                         (5, lambda: mod2 | {junk[1]}),
+                                         (100, refuse)])
+    assert got == whole and set(got) == mod2
+    assert len(pulled) == alone < 250
 
 
 # ---------------------------------------------------------------------------
@@ -1156,8 +1233,8 @@ def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, cold
     real = quiver._layer1
     monkeypatch.setattr(
         quiver, "_layer1",
-        lambda r, seed, upper=None: {
-            dv: w for dv, w in real(r, seed, upper=upper).items() if dv in kept
+        lambda r, seed, *args, **kwargs: {
+            dv: w for dv, w in real(r, seed, *args, **kwargs).items() if dv in kept
         },
     )
     v = king_test(rep, TH_UNSTABLE)
