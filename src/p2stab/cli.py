@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import IncompleteOracleError, InputError, VerificationError
 from . import io_utils
@@ -401,181 +401,214 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    """A leaf of the command tree: its help line, its handler, and its
+    options as (flag, `add_argument` keywords) pairs."""
+
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    args: Tuple[Tuple[str, dict], ...]
+
+
+def _arg(flag: str, **kwargs) -> Tuple[str, dict]:
+    return flag, kwargs
+
+
+#: every command, in the order help lists them: per group its help line and
+#: its commands, or, for a group that is a command itself, that command
+COMMANDS: Dict[str, Union[_Command, Tuple[str, Dict[str, _Command]]]] = {
+    "chern": ("lattice arithmetic on character triples", {
+        "euler": _Command("Euler pairing of two classes", cmd_chern_euler, (
+            _arg("--a", required=True, metavar="r,d,s"),
+            _arg("--b", required=True, metavar="r,d,s"),
+        )),
+        "mukai": _Command("symmetrized pairing of two classes", cmd_chern_mukai, (
+            _arg("--a", required=True, metavar="r,d,s"),
+            _arg("--b", required=True, metavar="r,d,s"),
+        )),
+        "twist": _Command("tensor by the k-th power of the polarization", cmd_chern_twist, (
+            _arg("--ch", required=True, metavar="r,d,s"),
+            _arg("--k", required=True, type=int),
+        )),
+        "dimvec": _Command("dimension vector of a class in a heart", cmd_chern_dimvec, (
+            _arg("--ch", required=True, metavar="r,d,s"),
+            _arg("--heart", default="A1"),
+        )),
+        "bogomolov": _Command("discriminant of a class", cmd_chern_bogomolov, (
+            _arg("--ch", required=True, metavar="r,d,s"),
+        )),
+        "expected-dim": _Command("expected moduli dimension of a class", cmd_chern_expected_dim, (
+            _arg("--ch", required=True, metavar="r,d,s"),
+        )),
+    }),
+    "charge": ("central charges and their conditions", {
+        "eval": _Command("evaluate the charge of a class", cmd_charge_eval, (
+            _arg("--ch", required=True, metavar="r,d,s"),
+            _arg("--b", required=True),
+            _arg("--t2", default=None, help="defaults to b(1-b)"),
+            _arg("--form", choices=("geometric", "cha"), default="geometric"),
+        )),
+        "sigma-b": _Command(
+            "the three simple-object values of the b-family charge", cmd_charge_sigma_b,
+            (_arg("--b", required=True),),
+        ),
+        "abc": _Command("the three positivity conditions at a parameter", cmd_charge_abc, (
+            _arg("--b", required=True),
+        )),
+        "hypotheses": _Command(
+            "check the main stability hypotheses for a class", cmd_charge_hypotheses, (
+                _arg("--ch", required=True, metavar="r,d,s"),
+                _arg("--b", required=True),
+                _arg("--t2", default=None),
+            ),
+        ),
+        "verify-T": _Command("verify the base-change matrix identity at b", cmd_charge_verify_t, (
+            _arg("--b", required=True),
+        )),
+        "scan": _Command("CSV scan of charge data over a parameter range", cmd_charge_scan, (
+            _arg("--ch", default="2,1,0", metavar="r,d,s"),
+            _arg("--b-start", default="1/10"),
+            _arg("--b-end", default="9/10"),
+            _arg("--steps", type=int, default=17),
+            _arg("--t2", default=None, help="fixed t2; defaults to b(1-b) pointwise"),
+            _arg("--out", default=None),
+        )),
+    }),
+    "module": ("quiver modules (JSON in and out)", {
+        "check": _Command("validate shapes and relations", cmd_module_check, (
+            _arg("--in", dest="infile", required=True),
+        )),
+        "jh": _Command("Jordan-Hoelder factors at a weight", cmd_module_jh, (
+            _arg("--in", dest="infile", required=True),
+            _arg("--theta", required=True, metavar="t0,t1,t2"),
+            _arg("--seed", type=int, default=0),
+            _arg("--exact", action="store_true", help="demand certified stable factors"),
+            _arg("--out", default=None),
+        )),
+        "dual": _Command("the linear dual with reversed grading", cmd_module_dual, (
+            _arg("--in", dest="infile", required=True),
+            _arg("--out", default=None),
+        )),
+        "tilt": _Command("tilt between the two relation algebras", cmd_module_tilt, (
+            _arg("--in", dest="infile", required=True),
+            _arg("--out", default=None),
+        )),
+        "hom": _Command("dimension of the intertwiner space", cmd_module_hom, (
+            _arg("--a", required=True),
+            _arg("--b", required=True),
+        )),
+        "iso": _Command("isomorphy test", cmd_module_iso, (
+            _arg("--a", required=True),
+            _arg("--b", required=True),
+            _arg("--seed", type=int, default=0),
+            _arg("--exact", action="store_true"),
+        )),
+        "from-points": _Command(
+            "build a module from a point configuration", cmd_module_from_points, (
+                _arg("--points", required=True, help="JSON file with a 'points' array"),
+                _arg("--construction", choices=("point", "ideal-A1", "ideal-A0", "bprime"),
+                     default="ideal-A1"),
+                _arg("--out", default=None),
+            ),
+        ),
+    }),
+    "walls": ("weight-plane walls and chambers", {
+        "enumerate": _Command("numerical walls for the ideal-type class", cmd_walls_enumerate, (
+            _arg("--n", type=int, required=True),
+            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--seed", type=int, default=0),
+            _arg("--out", default=None),
+        )),
+        "theta-family": _Command("the weight family at a parameter", cmd_walls_theta_family, (
+            _arg("--n", type=int, required=True),
+            _arg("--b", required=True),
+            _arg("--heart", default="A1", choices=("A1", "A0")),
+        )),
+        "chamber": _Command("locate a weight in the chamber picture", cmd_walls_chamber, (
+            _arg("--n", type=int, required=True),
+            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--theta", required=True, metavar="t0,t1,t2"),
+        )),
+        "svg": _Command("render the weight plane", cmd_walls_svg, (
+            _arg("--n", type=int, required=True),
+            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--out", required=True),
+        )),
+    }),
+    "hilbert": ("configuration stability report", {
+        "report": _Command(
+            "full three-chamber report for configurations", cmd_hilbert_report, (
+                _arg("--n", type=int, required=True),
+                _arg("--points", required=True, help="JSON with 'configs' or 'points'"),
+                _arg("--eps", default=None),
+                _arg("--seed", type=int, default=0),
+                _arg("--out", default=None),
+                _arg("--svg", default=None),
+            ),
+        ),
+    }),
+    "selftest": _Command("run the acceptance battery", cmd_selftest, (
+        _arg("--level", choices=("quick", "full"), default="quick"),
+    )),
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser, dest: str, names, whole: bool):
+    """The subcommand action of ``parser``.  In a parser built for one
+    command (`_parser`) it holds that command alone, and its metavar names
+    every command, as the whole tree's usage does."""
+    if whole:
+        return parser.add_subparsers(dest=dest, required=True)
+    return parser.add_subparsers(dest=dest, required=True, metavar="{%s}" % ",".join(names))
+
+
+def _add_command(sub, name: str, command: _Command) -> None:
+    x = sub.add_parser(name, help=command.help)
+    for flag, kwargs in command.args:
+        x.add_argument(flag, **kwargs)
+    x.set_defaults(func=command.func)
+
+
+def _parser(path: Tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The parser of every command, or, for a ``path`` (group,) or
+    (group, command) from `_command_path`, the chain top -> group -> command
+    that parses that command's argv alike, help, usage errors and exit
+    codes included."""
     p = argparse.ArgumentParser(prog="p2stab", description=__doc__)
-    sub = p.add_subparsers(dest="group", required=True)
-
-    # chern ------------------------------------------------------------
-    chern = sub.add_parser("chern", help="lattice arithmetic on character triples")
-    cs = chern.add_subparsers(dest="cmd", required=True)
-
-    x = cs.add_parser("euler", help="Euler pairing of two classes")
-    x.add_argument("--a", required=True, metavar="r,d,s")
-    x.add_argument("--b", required=True, metavar="r,d,s")
-    x.set_defaults(func=cmd_chern_euler)
-
-    x = cs.add_parser("mukai", help="symmetrized pairing of two classes")
-    x.add_argument("--a", required=True, metavar="r,d,s")
-    x.add_argument("--b", required=True, metavar="r,d,s")
-    x.set_defaults(func=cmd_chern_mukai)
-
-    x = cs.add_parser("twist", help="tensor by the k-th power of the polarization")
-    x.add_argument("--ch", required=True, metavar="r,d,s")
-    x.add_argument("--k", required=True, type=int)
-    x.set_defaults(func=cmd_chern_twist)
-
-    x = cs.add_parser("dimvec", help="dimension vector of a class in a heart")
-    x.add_argument("--ch", required=True, metavar="r,d,s")
-    x.add_argument("--heart", default="A1")
-    x.set_defaults(func=cmd_chern_dimvec)
-
-    x = cs.add_parser("bogomolov", help="discriminant of a class")
-    x.add_argument("--ch", required=True, metavar="r,d,s")
-    x.set_defaults(func=cmd_chern_bogomolov)
-
-    x = cs.add_parser("expected-dim", help="expected moduli dimension of a class")
-    x.add_argument("--ch", required=True, metavar="r,d,s")
-    x.set_defaults(func=cmd_chern_expected_dim)
-
-    # charge -----------------------------------------------------------
-    charge_p = sub.add_parser("charge", help="central charges and their conditions")
-    cs = charge_p.add_subparsers(dest="cmd", required=True)
-
-    x = cs.add_parser("eval", help="evaluate the charge of a class")
-    x.add_argument("--ch", required=True, metavar="r,d,s")
-    x.add_argument("--b", required=True)
-    x.add_argument("--t2", default=None, help="defaults to b(1-b)")
-    x.add_argument("--form", choices=("geometric", "cha"), default="geometric")
-    x.set_defaults(func=cmd_charge_eval)
-
-    x = cs.add_parser("sigma-b", help="the three simple-object values of the b-family charge")
-    x.add_argument("--b", required=True)
-    x.set_defaults(func=cmd_charge_sigma_b)
-
-    x = cs.add_parser("abc", help="the three positivity conditions at a parameter")
-    x.add_argument("--b", required=True)
-    x.set_defaults(func=cmd_charge_abc)
-
-    x = cs.add_parser("hypotheses", help="check the main stability hypotheses for a class")
-    x.add_argument("--ch", required=True, metavar="r,d,s")
-    x.add_argument("--b", required=True)
-    x.add_argument("--t2", default=None)
-    x.set_defaults(func=cmd_charge_hypotheses)
-
-    x = cs.add_parser("verify-T", help="verify the base-change matrix identity at b")
-    x.add_argument("--b", required=True)
-    x.set_defaults(func=cmd_charge_verify_t)
-
-    x = cs.add_parser("scan", help="CSV scan of charge data over a parameter range")
-    x.add_argument("--ch", default="2,1,0", metavar="r,d,s")
-    x.add_argument("--b-start", default="1/10")
-    x.add_argument("--b-end", default="9/10")
-    x.add_argument("--steps", type=int, default=17)
-    x.add_argument("--t2", default=None, help="fixed t2; defaults to b(1-b) pointwise")
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_charge_scan)
-
-    # module -----------------------------------------------------------
-    module_p = sub.add_parser("module", help="quiver modules (JSON in and out)")
-    cs = module_p.add_subparsers(dest="cmd", required=True)
-
-    x = cs.add_parser("check", help="validate shapes and relations")
-    x.add_argument("--in", dest="infile", required=True)
-    x.set_defaults(func=cmd_module_check)
-
-    x = cs.add_parser("jh", help="Jordan-Hoelder factors at a weight")
-    x.add_argument("--in", dest="infile", required=True)
-    x.add_argument("--theta", required=True, metavar="t0,t1,t2")
-    x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--exact", action="store_true", help="demand certified stable factors")
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_module_jh)
-
-    x = cs.add_parser("dual", help="the linear dual with reversed grading")
-    x.add_argument("--in", dest="infile", required=True)
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_module_dual)
-
-    x = cs.add_parser("tilt", help="tilt between the two relation algebras")
-    x.add_argument("--in", dest="infile", required=True)
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_module_tilt)
-
-    x = cs.add_parser("hom", help="dimension of the intertwiner space")
-    x.add_argument("--a", required=True)
-    x.add_argument("--b", required=True)
-    x.set_defaults(func=cmd_module_hom)
-
-    x = cs.add_parser("iso", help="isomorphy test")
-    x.add_argument("--a", required=True)
-    x.add_argument("--b", required=True)
-    x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--exact", action="store_true")
-    x.set_defaults(func=cmd_module_iso)
-
-    x = cs.add_parser("from-points", help="build a module from a point configuration")
-    x.add_argument("--points", required=True, help="JSON file with a 'points' array")
-    x.add_argument(
-        "--construction",
-        choices=("point", "ideal-A1", "ideal-A0", "bprime"),
-        default="ideal-A1",
-    )
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_module_from_points)
-
-    # walls --------------------------------------------------------------
-    walls_p = sub.add_parser("walls", help="weight-plane walls and chambers")
-    cs = walls_p.add_subparsers(dest="cmd", required=True)
-
-    x = cs.add_parser("enumerate", help="numerical walls for the ideal-type class")
-    x.add_argument("--n", type=int, required=True)
-    x.add_argument("--heart", default="A1", choices=("A1", "A0"))
-    x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=cmd_walls_enumerate)
-
-    x = cs.add_parser("theta-family", help="the weight family at a parameter")
-    x.add_argument("--n", type=int, required=True)
-    x.add_argument("--b", required=True)
-    x.add_argument("--heart", default="A1", choices=("A1", "A0"))
-    x.set_defaults(func=cmd_walls_theta_family)
-
-    x = cs.add_parser("chamber", help="locate a weight in the chamber picture")
-    x.add_argument("--n", type=int, required=True)
-    x.add_argument("--heart", default="A1", choices=("A1", "A0"))
-    x.add_argument("--theta", required=True, metavar="t0,t1,t2")
-    x.set_defaults(func=cmd_walls_chamber)
-
-    x = cs.add_parser("svg", help="render the weight plane")
-    x.add_argument("--n", type=int, required=True)
-    x.add_argument("--heart", default="A1", choices=("A1", "A0"))
-    x.add_argument("--out", required=True)
-    x.set_defaults(func=cmd_walls_svg)
-
-    # hilbert ------------------------------------------------------------
-    hil = sub.add_parser("hilbert", help="configuration stability report")
-    cs = hil.add_subparsers(dest="cmd", required=True)
-
-    x = cs.add_parser("report", help="full three-chamber report for configurations")
-    x.add_argument("--n", type=int, required=True)
-    x.add_argument("--points", required=True, help="JSON with 'configs' or 'points'")
-    x.add_argument("--eps", default=None)
-    x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--out", default=None)
-    x.add_argument("--svg", default=None)
-    x.set_defaults(func=cmd_hilbert_report)
-
-    # selftest -----------------------------------------------------------
-    x = sub.add_parser("selftest", help="run the acceptance battery")
-    x.add_argument("--level", choices=("quick", "full"), default="quick")
-    x.set_defaults(func=cmd_selftest)
-
+    sub = _subparsers(p, "group", COMMANDS, not path)
+    for group, entry in COMMANDS.items():
+        if path and group != path[0]:
+            continue
+        if isinstance(entry, _Command):
+            _add_command(sub, group, entry)
+            continue
+        help_line, commands = entry
+        cs = _subparsers(sub.add_parser(group, help=help_line), "cmd", commands, not path)
+        for name, command in commands.items():
+            if not path or name == path[1]:
+                _add_command(cs, name, command)
     return p
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    return _parser()
+
+
+def _command_path(argv: Sequence[str]) -> Tuple[str, ...]:
+    """The command that ``argv`` opens with, as (group,) or (group, command),
+    or () when it names none (help, a typo, a bare group)."""
+    entry = COMMANDS.get(argv[0]) if argv else None
+    if isinstance(entry, _Command):
+        return (argv[0],)
+    if entry is not None and len(argv) > 1 and argv[1] in entry[1]:
+        return (argv[0], argv[1])
+    return ()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(_command_path(argv)).parse_args(argv)
     try:
         if not 0 <= getattr(args, "n", 0) <= MAX_N:
             raise InputError(f"--n must be between 0 and {MAX_N}")

@@ -205,19 +205,20 @@ def module_ideal_A0(points) -> QuiverRep:
 # collinearity
 
 
-def collinear_test(points) -> bool:
+def collinear_test(points, _a0: Optional[QuiverRep] = None) -> bool:
     """Whether the configuration lies on a line.
 
     Decided by the rank of the coordinate matrix; for n >= 3 the module
     criterion dim Hom(C v_1, module_ideal_A0) != 0 is computed as well and
-    the two answers are required to agree.
+    the two answers are required to agree.  A caller that has built
+    module_ideal_A0 of the points already passes it as ``_a0``.
     """
     cfg = _as_config(points)
     n = len(cfg)
     if n <= 2:
         return True
     by_rank = linalg.rank(QQ, cfg.matrix()) <= 2
-    homs = hom_space(simple("B", 1), module_ideal_A0(cfg))
+    homs = hom_space(simple("B", 1), module_ideal_A0(cfg) if _a0 is None else _a0)
     by_hom = len(homs) > 0
     if by_rank != by_hom:
         raise VerificationError(
@@ -266,7 +267,9 @@ def theta_b0(n: int, b) -> Theta:
 WALLS = ("theta1_1", "theta0_0")
 
 
-def wall_filtration_data(points, wall: str, seed: int = 0) -> dict:
+def wall_filtration_data(
+    points, wall: str, seed: int = 0, _module: Optional[QuiverRep] = None
+) -> dict:
     """What happens to the ideal-type module on a boundary wall.
 
     * ``theta1_1`` (Hilbert-Chow side): JH factors of module_ideal_A1 at
@@ -275,11 +278,14 @@ def wall_filtration_data(points, wall: str, seed: int = 0) -> dict:
     * ``theta0_0`` (line-contraction side; collinear configurations only):
       the C v_1 submodule of module_ideal_A0 and the quotient, whose class
       is checked to be that of a shifted line bundle on the common line.
+
+    A caller that has built the wall's module of the points already
+    (module_ideal_A1 or module_ideal_A0) passes it as ``_module``.
     """
     cfg = _as_config(points)
     n = len(cfg)
     if wall == "theta1_1":
-        rep = module_ideal_A1(cfg)
+        rep = module_ideal_A1(cfg) if _module is None else _module
         theta = theta_b1(n, 1)
         factors = jh_factors(rep, theta, seed=seed)
         point_modules = [module_point(x) for x in cfg]
@@ -306,9 +312,9 @@ def wall_filtration_data(points, wall: str, seed: int = 0) -> dict:
             "v1_simple_count": v1_simples,
         }
     if wall == "theta0_0":
-        if not collinear_test(cfg):
+        rep = module_ideal_A0(cfg) if _module is None else _module
+        if not collinear_test(cfg, rep):
             raise InputError("requires collinear configuration")
-        rep = module_ideal_A0(cfg)
         theta = theta_b0(n, 0)
         homs = hom_space(simple("B", 1), rep)
         if not homs:

@@ -73,7 +73,13 @@ def _freeze_matrix(F, M, nrows: int, ncols: int):
 
 @dataclass(frozen=True)
 class QuiverRep:
-    """A finite-dimensional right module, given by its pullback matrices."""
+    """A finite-dimensional right module, given by its pullback matrices.
+
+    Immutable, so its hash and its integer arrows (`_int_arrows`) are each
+    computed at most once, when first asked for, and kept on it: the search
+    memo hashes a module on every lookup, and every search step reads those
+    arrows.
+    """
 
     algebra: str
     field: object
@@ -100,6 +106,15 @@ class QuiverRep:
             "delta",
             tuple(_freeze_matrix(self.field, d, n2, n1) for d in self.delta),
         )
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int_form", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.algebra, self.field, self.dims, self.gamma, self.delta))
+            )
+        return self._hash
 
     # -- small conveniences -------------------------------------------------
 
@@ -653,14 +668,19 @@ class SubmoduleSearch:
         return self.lower == self.upper
 
 
-def _int_arrows(rep: QuiverRep) -> Tuple[list, list]:
-    """The gammas and deltas as integer matrices; over Q each arrow is scaled
-    to a primitive integer matrix, which keeps every span the search uses."""
-    gammas = [rep.gamma_m(i) for i in range(3)]
-    deltas = [rep.delta_m(j) for j in range(3)]
-    if rep.field.p is None:
-        return [clear_denominators(g) for g in gammas], [clear_denominators(d) for d in deltas]
-    return gammas, deltas
+def _int_arrows(rep: QuiverRep) -> Tuple[tuple, tuple]:
+    """The gammas and deltas as integer matrices of tuples: over GF(p) the
+    arrows as stored; over Q each arrow scaled to a primitive integer
+    matrix, which keeps every span the search uses.  Formed once per module
+    and kept on it."""
+    if rep._int_form is None:
+        arrows = (rep.gamma, rep.delta)
+        if rep.field.p is None:
+            arrows = tuple(
+                tuple(tuple(map(tuple, clear_denominators(A))) for A in side) for side in arrows
+            )
+        object.__setattr__(rep, "_int_form", arrows)
+    return rep._int_form
 
 
 def _unit(n: int, c: int) -> List[int]:

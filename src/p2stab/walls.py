@@ -379,14 +379,15 @@ def hilbert_report(
         if len(cfg) != n:
             raise InputError(f"configuration has {len(cfg)} points, expected {n}")
         m1 = module_ideal_A1(cfg)
-        col = collinear_test(cfg)
+        m0 = module_ideal_A0(cfg) if n > 1 else None
+        col = collinear_test(cfg, m0)
 
         interior = []
         for b in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             v = king_test(m1, theta_b1(n, b), seed=seed)
             interior.append({"b": b, **verdict_dict(v)})
         hc = king_test(m1, theta_b1(n, 1), seed=seed)
-        filt = wall_filtration_data(cfg, "theta1_1", seed=seed)
+        filt = wall_filtration_data(cfg, "theta1_1", seed=seed, _module=m1)
 
         entry: dict = {
             "points": [[str(c) for c in p] for p in cfg],
@@ -407,7 +408,6 @@ def hilbert_report(
                 "reason": "single point: the line-side wall is not part of the picture",
             }
         else:
-            m0 = module_ideal_A0(cfg)
             za = king_test(m0, theta_b0(n, -eps), seed=seed)
             zb = king_test(m0, theta_b0(n, -eps / 10), seed=seed)
             entry["zeta"] = {

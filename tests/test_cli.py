@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, run in-process through main(argv)."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -347,6 +348,76 @@ def test_unknown_subcommand_exits_2(capsys):
         cli.main(["chern", "frobnicate"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# main builds only the parsers of the command it runs; what argparse prints
+# and the exit code must be those of the whole tree (`build_parser`)
+
+
+def _subcommands(parser):
+    """The subcommand parsers of an argparse parser, by name."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _exiting_argvs():
+    tree = cli.build_parser()
+    argvs = [[], ["--help"], ["frobnicate"], ["chern", "frobnicate"], ["-h", "hilbert", "report"],
+             ["hilbert", "--help", "report"], ["selftest", "--level", "full", "extra"],
+             ["chern", "bogomolov", "--ch", "1,0,0", "extra"],
+             ["hilbert", "report", "--n", "2", "--points", "p.json", "extra", "--out", "o.json"],
+             ["hilbert", "report", "--n", "two", "--points", "p.json"],
+             ["walls", "enumerate", "--he", "A1"], ["module", "jh", "--in"]]
+    for group, group_parser in _subcommands(tree).items():
+        argvs.append([group, "--help"])
+        leaves = _subcommands(group_parser) or {"": group_parser}
+        if leaves.keys() != {""}:
+            argvs.append([group])
+        for leaf, leaf_parser in leaves.items():
+            path = [group, leaf] if leaf else [group]
+            argvs += [path + ["--help"], path + ["--bogus"]]
+            if any(a.required for a in leaf_parser._actions):
+                argvs.append(path)  # a required option is missing
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _exiting_argvs(), ids=" ".join)
+def test_usage_output_is_the_whole_trees(argv):
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                parse(list(argv))
+        return info.value.code, out.getvalue(), err.getvalue()
+
+    assert outcome(cli.main) == outcome(cli.build_parser().parse_args)
+
+
+def test_a_command_builds_only_its_own_parsers(monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "chern", "bogomolov", "--ch", "1,0,0")[0] == 0
+    assert built == ["p2stab", "p2stab chern", "p2stab chern bogomolov"]
+    built.clear()
+    assert run(capsys, "selftest", "--level", "quick")[0] == 0
+    assert built == ["p2stab", "p2stab selftest"]
+    built.clear()
+    cli.build_parser()
+    whole = len(built)
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["chern"])  # a bare group: the whole tree tells what is missing
+    capsys.readouterr()
+    assert len(built) == whole > 20
 
 
 # ---------------------------------------------------------------------------

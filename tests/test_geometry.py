@@ -3,6 +3,7 @@
 import pytest
 from fractions import Fraction
 
+from p2stab import geometry
 from p2stab.errors import InputError
 from p2stab.geometry import (
     PointConfig,
@@ -151,6 +152,22 @@ def test_line_contraction_wall_filtration():
     two = wall_filtration_data(TWO, "theta0_0")
     assert two["quotient_dims"] == (2, 3, 1)
     assert two["quotient_class"] == (0, -1, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("points,wall", [
+    (LINE3, "theta0_0"), (TWO, "theta0_0"), (TRIANGLE, "theta1_1"), (TWO, "theta1_1"),
+])
+def test_wall_filtration_builds_its_module_once(monkeypatch, points, wall):
+    # on the line-contraction wall the collinearity check reads the module
+    # the wall data is built from; a module passed in is not built again
+    builds = []
+    name = "module_ideal_A0" if wall == "theta0_0" else "module_ideal_A1"
+    real = getattr(geometry, name)
+    monkeypatch.setattr(geometry, name, lambda pts: builds.append(pts) or real(pts))
+    data = wall_filtration_data(points, wall)
+    assert len(builds) == 1
+    assert wall_filtration_data(points, wall, _module=real(points)) == data
+    assert len(builds) == 1
 
 
 def test_line_contraction_wall_needs_collinear_points():

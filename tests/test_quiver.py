@@ -115,6 +115,60 @@ def test_rep_from_json_rejects_garbage():
         rep_from_json({"algebra": "B", "dims": [1, "x", 1]})
 
 
+def test_equal_modules_built_apart_are_one_memo_key():
+    # the hash is kept on the module; equal modules built separately still
+    # compare and hash equal, and the hash is that of the fields
+    pts = [(1, 2, 3), (2, -1, 1)]
+    a, b = module_ideal_A1(pts), module_ideal_A1(pts)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.algebra, a.field, a.dims, a.gamma, a.delta))
+    assert module_ideal_A0(pts) != a
+    assert len({a, b, module_ideal_A0(pts), module_ideal_A0(pts)}) == 2
+
+
+def ref_int_arrows(rep):
+    """The integer arrows as `quiver._int_arrows` formed them on every call."""
+    gammas = [rep.gamma_m(i) for i in range(3)]
+    deltas = [rep.delta_m(j) for j in range(3)]
+    if rep.field.p is None:
+        return ([linalg.clear_denominators(g) for g in gammas],
+                [linalg.clear_denominators(d) for d in deltas])
+    return gammas, deltas
+
+
+def _as_lists(arrows):
+    return [[[list(row) for row in A] for A in side] for side in arrows]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5, F7], ids=repr)
+def test_int_arrows_are_formed_once_and_immutable(field):
+    rng = random.Random(field.p or 0)
+    shapes = ((1, 2, 1), (2, 3, 2), (0, 2, 1), (2, 0, 0))
+    reps = [random_rep("B", field, dims, rng) for dims in shapes]
+    reps += [random_rep("Bprime", field, (2, 2, 1), rng)]
+    if field.p is None:
+        pts = [(1, 2, 3), (2, -1, 1)]
+        reps += [module_ideal_A1(pts), module_ideal_A0(pts)]
+        # a rational arrow that is not integral, so the scaling shows
+        reps += [QuiverRep("B", QQ, (1, 1, 0), [((Fraction(2, 3),),), ((Fraction(-4, 9),),),
+                                                  ((0,),)], [()] * 3)]
+    for rep in reps:
+        arrows = quiver._int_arrows(rep)
+        assert quiver._int_arrows(rep) is arrows
+        assert _as_lists(arrows) == _as_lists(ref_int_arrows(rep))
+        assert all(isinstance(A, tuple) and all(isinstance(r, tuple) for r in A)
+                   for side in arrows for A in side)
+        with pytest.raises(TypeError):
+            arrows[0][0] = None
+        if field.p is not None:
+            continue
+        for p in (2, 3, 5, 7):
+            want = QuiverRep(rep.algebra, PrimeField(p), rep.dims, *ref_int_arrows(rep))
+            got = quiver._reduce_rep_mod_p(rep, p)
+            assert got == want and hash(got) == hash(want)
+            assert _as_lists(quiver._int_arrows(got)) == _as_lists(ref_int_arrows(want))
+
+
 # ---------------------------------------------------------------------------
 # submodule mechanics
 

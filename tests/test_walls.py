@@ -1,12 +1,14 @@
 """Weight families, numerical walls, chamber location, and the reports."""
 
+import collections
 import hashlib
 import random
+import sys
 
 import pytest
 from fractions import Fraction
 
-from p2stab import quiver
+from p2stab import geometry, quiver, walls
 from p2stab.charge import z_sigma_b
 from p2stab.errors import InputError
 from p2stab.geometry import module_ideal_A1
@@ -349,11 +351,40 @@ def test_dual_verdicts_match_the_dualized_module(config, eps):
 @pytest.mark.parametrize("config,searches", [
     (_GENERAL[:1], 2), (_GENERAL[:2], 4), (_GENERAL[:3], 5),
 ])
-def test_a_report_searches_each_module_once(config, searches):
-    # the dual verdicts share M's search, so no second lattice is settled
+def test_a_report_searches_each_module_once(monkeypatch, config, searches):
+    # the dual verdicts share M's search, so no second lattice is settled;
+    # the ideal modules are built once, M with one tilt, and each module's
+    # rational arrows are made integers once (counts: the same on every machine)
+    n = len(config)
+    calls = collections.Counter()
+    for name in ("module_ideal_A1", "module_ideal_A0", "tilt_Bprime_to_B"):
+        real = getattr(geometry, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (geometry, walls):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    converted = collections.Counter()  # module -> arrows made integers
+    real_clear = quiver.clear_denominators
+
+    def clear(A):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        if frame.f_code is quiver._int_arrows.__code__:
+            converted[frame.f_locals["rep"]] += 1
+        return real_clear(A)
+
+    monkeypatch.setattr(quiver, "clear_denominators", clear)
     quiver._submodule_dimvecs_impl.cache_clear()
-    hilbert_report(len(config), [config])
+    hilbert_report(n, [config])
     assert quiver._submodule_dimvecs_impl.cache_info().misses == searches
+    assert [calls[k] for k in ("module_ideal_A1", "tilt_Bprime_to_B", "module_ideal_A0")] == [
+        1, 1, int(n > 1)]
+    assert converted and set(converted.values()) == {6}  # three gammas, three deltas
 
 
 def test_hilbert_report_input_checks():
