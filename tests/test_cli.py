@@ -384,7 +384,7 @@ def _exiting_argvs():
     return argvs
 
 
-@pytest.mark.parametrize("argv", _exiting_argvs(), ids=" ".join)
+@pytest.mark.parametrize("argv", _exiting_argvs(), ids=lambda argv: " ".join(argv) or "no-args")
 def test_usage_output_is_the_whole_trees(argv):
     def outcome(parse):
         out, err = io.StringIO(), io.StringIO()
