@@ -51,7 +51,6 @@ from .geometry import (
     module_ideal_A1,
     module_point,
 )
-from . import walls
 from .walls import (
     family_consistency,
     king_theta,
@@ -288,7 +287,7 @@ def _random_configs(n: int, count: int, rng: random.Random) -> List[PointConfig]
     out = [base, twin]
     while len(out) < count:
         cfg = fresh()
-        if sorted(map(walls._normalized_point, cfg)) != sorted(map(walls._normalized_point, base)):
+        if sorted(map(geometry._normalized_point, cfg)) != sorted(map(geometry._normalized_point, base)):
             out.append(cfg)
     return out
 

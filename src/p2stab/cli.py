@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -53,7 +52,7 @@ def _read_json(path: str):
     invalid input (exit 2), not a crash."""
     try:
         return load_json(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad bytes, syntax, digit count
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -22,14 +22,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
 from . import linalg
-from .linalg import QQ, right_kernel, solve_right, transpose
+from .linalg import QQ, clear_denominators, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .quiver import (
     QuiverRep,
     closure,
     direct_sum,
     hom_space,
-    iso_test,
     jh_factors,
     quotient_by,
     require_relations,
@@ -123,16 +122,42 @@ def module_point(x: Sequence) -> QuiverRep:
         raise InputError("need a nonzero coordinate triple")
     W = right_kernel(QQ, [list(x)], ncols=3)  # two rows w1, w2
     gamma = [[[W[0][i]], [W[1][i]]] for i in range(3)]
-    Wt = transpose(W, ncols=3)  # 3 x 2, columns w1 w2
+    # w1, w2 are (1, 0), (0, 1) at the free columns f of [x]: v = v[f1] w1 + v[f2] w2
+    free = [i for i in range(3) if i != next(k for k, c in enumerate(x) if c)]
     delta = []
     for j in range(3):
         v = [Fraction(0)] * 3
         v[(j + 1) % 3] = x[(j + 2) % 3]
         v[(j + 2) % 3] = -x[(j + 1) % 3]
-        c = solve_right(QQ, Wt, v)
-        assert c is not None  # v . x = 0, so v lies in the kernel plane
-        delta.append([c])
+        delta.append([[v[i] for i in free]])  # v . x = 0: v lies in the plane
     return require_relations(QuiverRep("B", QQ, (1, 2, 1), gamma, delta))
+
+
+def _point_of(rep: QuiverRep) -> Optional[Point]:
+    """The point x with rep isomorphic to module_point(x), for a (1, 2, 1)
+    B-module over Q; None if rep is no point module.
+
+    Write g_i in F^2 for the gamma columns, G = [g0 g1 g2], D for the 3 x 2
+    matrix of delta rows.  The B relations make A = D G alternating.  If
+    rank G = 2, ker G is the line [x], x the cross product of G's rows; A
+    kills x, so A = lambda (y -> x cross y), and as G is onto, lambda fixes
+    D, with lambda != 0 iff D != 0.  An isomorphism (f0, f1, f2) acts as
+    G -> f1 G f0^-1, which keeps ker G, and scales lambda by f2/f0.
+    Conversely, two such modules with one ker G have G' = h G for an h in
+    GL_2, and (1, h, lambda'/lambda) is an isomorphism if lambda != 0.
+    module_point(x') has ker G = [x'] and D != 0, so rep is isomorphic to
+    it iff rank G = 2, [x] = [x'] and D != 0.
+    """
+    x = _cross(*([g[k][0] for g in rep.gamma] for k in range(2)))
+    return x if any(x) and any(c for d in rep.delta for c in d[0]) else None
+
+
+def _normalized_point(p) -> str:
+    v = clear_denominators([[Fraction(c) for c in p]])[0]
+    lead = next((x for x in v if x != 0), 0)
+    if lead < 0:
+        v = [-x for x in v]
+    return "[" + ":".join(str(x) for x in v) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +299,7 @@ def wall_filtration_data(
 
     * ``theta1_1`` (Hilbert-Chow side): JH factors of module_ideal_A1 at
       the boundary weight, with each (1, 2, 1) factor matched to its
-      support point by explicit isomorphism.
+      support point by the point read off its arrows (`_point_of`).
     * ``theta0_0`` (line-contraction side; collinear configurations only):
       the C v_1 submodule of module_ideal_A0 and the quotient, whose class
       is checked to be that of a shifted line bundle on the common line.
@@ -288,28 +313,21 @@ def wall_filtration_data(
         rep = module_ideal_A1(cfg) if _module is None else _module
         theta = theta_b1(n, 1)
         factors = jh_factors(rep, theta, seed=seed)
-        point_modules = [module_point(x) for x in cfg]
+        where = {_normalized_point(x): k for k, x in enumerate(cfg)}
         support: List[Optional[int]] = []
-        v1_simples = 0
         for f in factors:
-            if f.dims == (0, 1, 0):
-                v1_simples += 1
-                continue
-            if f.dims != (1, 2, 1):
+            if f.dims not in ((0, 1, 0), (1, 2, 1)):
                 raise VerificationError(f"unexpected JH factor dims {f.dims}")
-            hit = None
-            for k, pm in enumerate(point_modules):
-                if iso_test(f, pm, seed=seed).isomorphic:
-                    hit = k
-                    break
-            support.append(hit)
+            if f.dims == (1, 2, 1):
+                x = _point_of(f)
+                support.append(None if x is None else where.get(_normalized_point(x)))
         return {
             "wall": "theta1_1",
             "label": "Hilbert-Chow",
             "theta": theta,
             "factor_dims": sorted(f.dims for f in factors),
             "support": support,
-            "v1_simple_count": v1_simples,
+            "v1_simple_count": sum(f.dims == (0, 1, 0) for f in factors),
         }
     if wall == "theta0_0":
         rep = module_ideal_A0(cfg) if _module is None else _module

@@ -17,18 +17,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
-from .linalg import (
-    QQ,
-    clear_denominators,
-    row_hnf_2xn,
-    saturated_kernel_basis_3,
-    solve_right,
-)
+from .linalg import QQ, row_hnf_2xn, saturated_kernel_basis_3, solve_right
 from .io_utils import json_meta
 from .quiver import king_test, reverse_theta, theta_pair
 from .geometry import (
     Theta,
     _as_config,
+    _normalized_point,
     collinear_test,
     module_ideal_A0,
     module_ideal_A1,
@@ -159,13 +154,6 @@ class WallLine:
     status: str = "numerical"
 
 
-def _normalize_pq(u: Fraction, v: Fraction) -> Tuple[int, int]:
-    p, q = clear_denominators([[Fraction(u), Fraction(v)]])[0]
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    return (p, q)
-
-
 def _angle_key(pq: Tuple[int, int]):
     p, q = pq
     if p > 0:
@@ -204,7 +192,9 @@ def numerical_walls(d: Sequence[int]) -> List[WallLine]:
                 v = sum(x * y for x, y in zip(b2, dp))
                 if u == 0 and v == 0:  # pragma: no cover - only for dp || d
                     continue
-                buckets.setdefault(_normalize_pq(u, v), []).append(dp)
+                # the primitive pair (p, q) on the ray with p > 0, or p = 0 < q
+                g = math.gcd(u, v) * (-1 if u < 0 or (u == 0 and v < 0) else 1)
+                buckets.setdefault((u // g, v // g), []).append(dp)
     walls = [
         WallLine(pq, min(ws), tuple(sorted(ws)))
         for pq, ws in buckets.items()
@@ -296,25 +286,27 @@ CHAMBER_STRUCTURE = (
 ADJACENCY = ("C_plus", "theta1_1 (Hilbert-Chow)", "C_P2", "theta0_0 (zeta-contraction)", "C_minus")
 
 
+def _walls_entries(d: Sequence[int]) -> List[dict]:
+    return [
+        {
+            "normal_in_plane": list(w.normal_in_plane),
+            "witness": list(w.witness),
+            "witnesses": [list(x) for x in w.witnesses],
+            "status": w.status,
+        }
+        for w in numerical_walls(d)
+    ]
+
+
 def walls_json(n: int, heart: str = "A1", seed: int = 0) -> dict:
     d = module_dims(n, heart)
-    plane = perp_plane(d)
-    walls = numerical_walls(d)
     return {
         "meta": json_meta(seed),
         "heart": heart,
         "n": n,
         "class": list(d),
-        "plane_basis": [list(b) for b in plane.basis],
-        "walls": [
-            {
-                "normal_in_plane": list(w.normal_in_plane),
-                "witness": list(w.witness),
-                "witnesses": [list(x) for x in w.witnesses],
-                "status": w.status,
-            }
-            for w in walls
-        ],
+        "plane_basis": [list(b) for b in perp_plane(d).basis],
+        "walls": _walls_entries(d),
         "chambers": [dict(c) for c in CHAMBER_STRUCTURE],
         "adjacency": list(ADJACENCY),
     }
@@ -322,14 +314,6 @@ def walls_json(n: int, heart: str = "A1", seed: int = 0) -> dict:
 
 # ---------------------------------------------------------------------------
 # the Hilbert-scheme report
-
-
-def _normalized_point(p) -> str:
-    v = clear_denominators([[Fraction(c) for c in p]])[0]
-    lead = next((x for x in v if x != 0), 0)
-    if lead < 0:
-        v = [-x for x in v]
-    return "[" + ":".join(str(x) for x in v) + "]"
 
 
 def hilbert_report(
@@ -443,8 +427,8 @@ def hilbert_report(
         "class_A0": list(d0),
         "plane_A1": [list(b) for b in perp_plane(d1).basis],
         "plane_A0": [list(b) for b in perp_plane(d0).basis],
-        "walls_A1": walls_json(n, "A1", seed)["walls"],
-        "walls_A0": walls_json(n, "A0", seed)["walls"],
+        "walls_A1": _walls_entries(d1),
+        "walls_A0": _walls_entries(d0),
         "chambers": [dict(c) for c in CHAMBER_STRUCTURE],
         "adjacency": list(ADJACENCY),
         "configurations": results,

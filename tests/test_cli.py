@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 
 import pytest
@@ -348,6 +349,25 @@ def test_unknown_subcommand_exits_2(capsys):
         cli.main(["chern", "frobnicate"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < 5000, reason="no integer-string limit below 5000 digits")
+@pytest.mark.parametrize("argv,blob", [
+    (["hilbert", "report", "--n", "1", "--points"], '{"points": [[%s, 2, 3]]}'),
+    (["module", "check", "--in"], '{"algebra": "B", "field": {"kind": "rational"}, "dims": [1, 1, 0],'
+                                  ' "gamma": [[%s], [0], [0]], "delta": [[], [], []]}'),
+])
+def test_overlong_json_number_exits_2(capsys, tmp_path, argv, blob):
+    # json.load turns a number past the interpreter's digit limit into a
+    # plain ValueError, which is invalid input like any other bad JSON
+    path = tmp_path / "long.json"
+    path.write_text(blob % ("1" * 5000))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and err.startswith("error: cannot read JSON") and out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Point configurations and the modules they generate."""
 
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ from p2stab import geometry
 from p2stab.errors import InputError
 from p2stab.geometry import (
     PointConfig,
+    _normalized_point,
+    _point_of,
     bprime_module_points,
     collinear_test,
     composite_lines,
@@ -18,7 +22,8 @@ from p2stab.geometry import (
     wall_filtration_data,
 )
 from p2stab.ktheory import A0, A1, ChernCharacter, chern_of_dimvec
-from p2stab.quiver import check_relations, iso_test, theta_pair
+from p2stab.linalg import QQ, mat_mul
+from p2stab.quiver import QuiverRep, check_relations, iso_test, random_rep, theta_pair
 
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 LINE3 = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
@@ -84,6 +89,75 @@ def test_module_point_rejects_zero():
 
 def test_module_point_respects_scaling():
     assert iso_test(module_point([3, -1, 2]), module_point([-6, 2, -4])).isomorphic
+
+
+def _random_point(rng):
+    while True:
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        if any(x):
+            return x
+
+
+def _twisted(rep, rng):
+    """rep moved along a random isomorphism: a nonzero scalar at vertices 0
+    and 2 and an invertible 2 x 2 matrix h at vertex 1."""
+    while True:
+        h = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+        det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+        if det:
+            break
+    h_inv = [[h[1][1] / det, -h[0][1] / det], [-h[1][0] / det, h[0][0] / det]]
+    a, c = (Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(2))
+    gamma = [[[e / a for e in row] for row in mat_mul(QQ, h, rep.gamma_m(i))] for i in range(3)]
+    delta = [[[c * e for e in row] for row in mat_mul(QQ, rep.delta_m(j), h_inv)] for j in range(3)]
+    return QuiverRep("B", QQ, (1, 2, 1), gamma, delta)
+
+
+def _with(rep, gamma=None, delta=None):
+    return QuiverRep("B", QQ, (1, 2, 1), gamma or rep.gamma, delta or rep.delta)
+
+
+def _agrees_with_iso_test(f, x):
+    """_point_of(f) names x's point exactly when f is isomorphic to
+    module_point(x), as iso_test decides."""
+    y = _point_of(f)
+    read = y is not None and _normalized_point(y) == _normalized_point(x)
+    return read == iso_test(f, module_point(x)).isomorphic
+
+
+def test_point_of_agrees_with_iso_test():
+    rng = random.Random(20)
+    zero_delta = tuple(((Fraction(0), Fraction(0)),) for _ in range(3))
+    cases = []
+    for _ in range(40):
+        f = random_rep("B", QQ, (1, 2, 1), rng)
+        y = _point_of(f)
+        cases += [(f, _random_point(rng))] + ([(f, y)] if y is not None else [])
+    for _ in range(15):
+        x, other = _random_point(rng), _random_point(rng)
+        pm = module_point(x)
+        # gamma of rank 1 with image [(1, 2)]; the relations make delta kill it
+        rank_one = [[[g[0][0]], [2 * g[0][0]]] for g in pm.gamma]
+        t = [Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(3)]
+        cases += [
+            (_with(pm, delta=zero_delta), x),
+            (_with(pm, gamma=rank_one, delta=[[[2 * c, -c]] for c in t]), x),
+            (_twisted(pm, rng), x),
+            (_twisted(pm, rng), other),
+            (_twisted(module_point(other), rng), x),
+        ]
+    assert sum(_point_of(f) is None for f, _ in cases) >= 30
+    assert sum(iso_test(f, module_point(x)).isomorphic for f, x in cases) >= 30
+    for f, x in cases:
+        assert check_relations(f) == (True, None)
+        assert _agrees_with_iso_test(f, x), (f, x)
+
+
+def test_point_of_reads_the_point_back():
+    rng = random.Random(21)
+    for x in [[1, 0, 0], [0, 0, 5], [3, -1, 2]] + [_random_point(rng) for _ in range(30)]:
+        y = _point_of(module_point(x))
+        assert y is not None and any(y) and not any(geometry._cross(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,27 @@ def test_walls_json_schema():
     dumps_json(out)  # must serialize cleanly
 
 
+_WALLS_JSON_DIGESTS = {
+    (1, "A1"): "3d0957b18546c80127cc745e3b181127d48decac12a5ed92a56dd0e8696b3d1e",
+    (2, "A1"): "159c55b4f4d80fa399b4bde8bc90e0f13ed2f8aebec56ac5040ef27ddf390f95",
+    (3, "A1"): "d8071b4823cf263dd514a50fa27b0bade8a9cea99e92d3c281e62961bd8029f4",
+    (4, "A1"): "1570ee1387141d5af288b24848197b7d868c09b33da931818f954c88acca071a",
+    (5, "A1"): "483f13edb57ef591531224e7dae4d04e22c9e89679f3f85b5857efffc7e6ae2d",
+    (1, "A0"): "277c3a85c22bfacc380e0e59a16d54597326b7d6d93a18f339b01a1842abfea4",
+    (2, "A0"): "5f6fcdc3c3b6268cfc64232c43438bee38bb44fca7c96329a6e277987a1d4553",
+    (3, "A0"): "79a252a9bda9cff1c728f45366b65d15db8156278724cdae171845c37d6cf9f8",
+    (4, "A0"): "a75b46543eb40deb3d5b8411431067648ea487bbca4cf673c33fb2186aaeb89e",
+    (5, "A0"): "d8881f4f0e8e486cf2a6c7d20fd55cbc8007183af2bd3556b0ae2f40def8ef95",
+}
+
+
+@pytest.mark.parametrize("n,heart", sorted(_WALLS_JSON_DIGESTS))
+def test_walls_json_bytes_are_pinned(n, heart):
+    # `walls enumerate` writes these bytes; the README promises them
+    text = dumps_json(walls_json(n, heart))
+    assert hashlib.sha256(text.encode()).hexdigest() == _WALLS_JSON_DIGESTS[n, heart]
+
+
 def test_chamber_structure_constants():
     assert CHAMBER_STRUCTURE[0]["boundary"] == "theta1_1"
     assert CHAMBER_STRUCTURE[2]["label"] == "zeta-contraction"
@@ -304,7 +325,7 @@ def test_hilbert_report_groups_and_determinism():
         assert entry["zeta"]["shrink_consistent"]
 
 
-@pytest.mark.parametrize("n,config,digest", [
+_PINNED_REPORTS = [
     (2, [(1, 2, 3), (2, -1, 1)],
      "27eee3a25641c375fe36c54fa82d8cb27d0baf551962cf504fda194d07979789"),
     (3, [(1, 2, 3), (2, -1, 1), (3, 1, -2)],
@@ -315,10 +336,26 @@ def test_hilbert_report_groups_and_determinism():
      "21b6ac4825a9d0eaa7088e541930aac5caaf0470757ea2cee4fe8b37a4b0d66d"),
     (1, [(1, 2, 3)],
      "22ba2cd115d180b87a333283eefb51133cd4b6e8379f23f98da357ac2ba11f47"),
-])
+]
+
+
+@pytest.mark.parametrize("n,config,digest", _PINNED_REPORTS)
 def test_hilbert_report_bytes_are_pinned(n, config, digest):
     # a refactor must leave the report bytes as they are; a change that
     # means to alter them updates these digests and says why
+    text = dumps_json(hilbert_report(n, [config]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,config,digest", [r for r in _PINNED_REPORTS if r[0] in (2, 3)])
+def test_hilbert_report_needs_no_iso_test(monkeypatch, n, config, digest):
+    # the support matching reads each factor's point off its arrows
+    def refuse(*args, **kwargs):
+        raise AssertionError("iso_test called on the report path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "p2stab" and hasattr(module, "iso_test"):
+            monkeypatch.setattr(module, "iso_test", refuse)
     text = dumps_json(hilbert_report(n, [config]))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
