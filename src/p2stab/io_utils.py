@@ -55,17 +55,15 @@ def format_vector(v: Sequence) -> str:
     return "[" + ",".join(format_fraction(x) for x in v) + "]"
 
 
-def jsonable(obj):
-    """Recursively rewrite Fractions (and tuples/sets) into JSON-safe data."""
+def _json_default(obj):
+    """What the encoder writes for a value JSON has no form for: a Fraction
+    as its "p/q" string, a set as the list of its elements' JSON values,
+    sorted."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(v) for v in obj)
-    return obj
+        return sorted(json.loads(json.dumps(list(obj), default=_json_default)))
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def json_meta(seed: int = 0) -> dict:
@@ -73,7 +71,7 @@ def json_meta(seed: int = 0) -> dict:
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, default=_json_default) + "\n"
 
 
 def dump_json(path: Optional[str], obj) -> str:

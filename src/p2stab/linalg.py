@@ -220,10 +220,6 @@ def transpose(A: Matrix, ncols: Optional[int] = None) -> Matrix:
     return [list(col) for col in zip(*A)]
 
 
-def is_zero_matrix(F, A: Matrix) -> bool:
-    return all(F.is_zero(a) for row in A for a in row)
-
-
 # ---------------------------------------------------------------------------
 # rational rows as integers over a common denominator
 
@@ -541,15 +537,9 @@ def clear_denominators(A: Matrix) -> List[List[int]]:
     keeps: the kernels, images and submodules of an arrow, or the ray of a
     single row (the primitive vector on it).
     """
-    denlcm = 1
-    for row in A:
-        for x in row:
-            denlcm = denlcm * x.denominator // math.gcd(denlcm, x.denominator)
-    ints = [[int(x * denlcm) for x in row] for row in A]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = math.gcd(g, x)
+    denlcm = math.lcm(*[x.denominator for row in A for x in row])
+    ints = [[x.numerator * (denlcm // x.denominator) for x in row] for row in A]
+    g = math.gcd(*[x for row in ints for x in row])
     if g > 1:
         ints = [[x // g for x in row] for row in ints]
     return ints

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -37,12 +38,8 @@ from .linalg import (
     clear_denominators,
     field_from_json,
     galois_number,
-    is_zero_matrix,
     iter_subspaces,
-    mat_mul,
     right_kernel,
-    rref,
-    solve_right,
     transpose,
     zeros,
 )
@@ -67,7 +64,7 @@ def _freeze_matrix(F, M, nrows: int, ncols: int):
     for row in M:
         if len(row) != ncols:
             raise InputError("dimension mismatch")
-        out.append(tuple(F.convert(x) for x in row))
+        out.append(tuple(map(F.convert, row)))
     return tuple(out)
 
 
@@ -172,17 +169,34 @@ def rep_from_json(obj: dict) -> QuiverRep:
 # relations
 
 
+def _common_ints(F, arrows, nrows: int) -> List[List[List[int]]]:
+    """Three arrows of ``nrows`` rows each as integer matrices: over Q all
+    scaled by one positive rational (`clear_denominators` of their stacked
+    rows), over GF(p) as stored."""
+    if F.p is not None:
+        return list(arrows)
+    ints = clear_denominators([row for A in arrows for row in A])
+    return [ints[k * nrows : (k + 1) * nrows] for k in range(3)]
+
+
 def check_relations(rep: QuiverRep) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """(True, None) if all relations hold, else (False, first bad (i, j))."""
+    """(True, None) if all relations hold, else (False, first bad (i, j)).
+
+    A relation delta_j gamma_i +- delta_i gamma_j is bilinear in the gammas
+    and the deltas, so it vanishes iff it does with all gammas scaled by one
+    positive rational and all deltas by another (`_common_ints`): then it is
+    an integer product, checked for zero (mod p over GF(p))."""
     F = rep.field
+    _, n1, n2 = rep.dims
+    gammas = _common_ints(F, rep.gamma, n1)
+    deltas = _common_ints(F, rep.delta, n2)
+    sign = 1 if rep.algebra == "B" else -1
+    p = F.p
     for (i, j) in _REL_PAIRS[rep.algebra]:
-        a = mat_mul(F, rep.delta_m(j), rep.gamma_m(i))
-        b = mat_mul(F, rep.delta_m(i), rep.gamma_m(j))
-        if rep.algebra == "B":
-            m = [[F.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        else:
-            m = [[F.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        if not is_zero_matrix(F, m):
+        a = linalg.int_mat_mul(deltas[j], gammas[i])
+        b = linalg.int_mat_mul(deltas[i], gammas[j])
+        values = (x + sign * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        if any(values if p is None else (x % p for x in values)):
             return (False, (i, j))
     return (True, None)
 
@@ -270,75 +284,145 @@ def triple_dims(triple: SubTriple) -> DimVec:
     return tuple(len(u) for u in triple)  # type: ignore[return-value]
 
 
-def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
-    """Whether the arrows map U0 into U1 and U1 into U2: adding the images
-    to the target keeps its rank."""
-    F = rep.field
-    U0, U1, U2 = (_span(F, U, n)[0] for U, n in zip(triple, rep.dims))
+def _residues(F, W, piv, rows) -> List[List[int]]:
+    """Each integer row v reduced against the canonical basis W with pivots
+    ``piv``: L v - sum_k v[c_k] (L / W_k[c_k]) W_k, L the lcm of W's pivot
+    entries (1 over GF(p), where the result is reduced mod p).  W is
+    reduced, so this vanishes at the pivots; it is L times the field's
+    residue of v, and zero iff v lies in span W."""
+    L = math.lcm(*[w[c] for w, c in zip(W, piv)])
+    terms = [(c, L // w[c], w) for w, c in zip(W, piv)]
+    out = []
+    for v in rows:
+        r = [L * x for x in v] if L > 1 else list(v)
+        for c, m, w in terms:
+            f = v[c] * m
+            if f:
+                r = [x - f * y for x, y in zip(r, w)]
+        out.append(r if F.p is None else [x % F.p for x in r])
+    return out
+
+
+def _arrow_images(rep: QuiverRep, spans) -> Tuple[List[List[int]], List[List[int]]]:
+    """The images of U0's canonical basis under the gammas and of U1's under
+    the deltas (`_image`: arrow by arrow, then row by row)."""
     gammas, deltas = _int_arrows(rep)
-    return all(
-        len(linalg.int_rref(F, W + _image(U, arrows))[0]) == len(W)
-        for U, W, arrows in ((U0, U1, gammas), (U1, U2, deltas))
+    return _image(spans[0][0], gammas), _image(spans[1][0], deltas)
+
+
+def _invariant(F, spans, images) -> bool:
+    """Whether the arrows map U0 into U1 and U1 into U2, given the canonical
+    spans and their `_arrow_images`: every image reduces to zero against
+    its target."""
+    return not any(
+        any(r) for (W, piv), rows in zip(spans[1:], images) for r in _residues(F, W, piv, rows)
     )
+
+
+def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
+    """Whether the arrows map U0 into U1 and U1 into U2."""
+    F = rep.field
+    spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
+    return _invariant(F, spans, _arrow_images(rep, spans))
 
 
 def sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     """The submodule carried by an invariant subspace triple, in the basis
     given by the canonical rref rows of the triple."""
-    if not is_invariant(rep, triple):
-        raise InputError("not a submodule")
-    return _sub_from(rep, triple)
-
-
-def _sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
-    """`sub_from` of a triple already known to be invariant.  An image of a
-    source basis vector lies in the target span, so its entries at the
-    target's pivots are its coordinates in the target's rref basis."""
-    F = rep.field
-    spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
-    U0, U1, U2 = (linalg.int_rows_to_field(F, R) for R, _ in spans)
-
-    def induced(M, src, n_src, tgt_piv):
-        images = mat_mul(F, M, transpose(src, ncols=n_src))
-        return [images[c] for c in tgt_piv]
-
-    gamma = [induced(rep.gamma[i], U0, rep.dims[0], spans[1][1]) for i in range(3)]
-    delta = [induced(rep.delta[j], U1, rep.dims[1], spans[2][1]) for j in range(3)]
-    return QuiverRep(rep.algebra, F, (len(U0), len(U1), len(U2)), gamma, delta)
-
-
-def _project(F, R, piv, comp, W) -> List[list]:
-    """The rows of W reduced against the rref basis R with pivots ``piv``,
-    kept on the non-pivot coordinates ``comp``: W - W[:, piv] R."""
-    if piv:
-        W = [
-            [F.sub(x, y) for x, y in zip(w, r)]
-            for w, r in zip(W, mat_mul(F, [[w[c] for c in piv] for w in W], R))
-        ]
-    return [[w[c] for c in comp] for w in W]
+    return _split(rep, triple)[0]
 
 
 def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     """The quotient module, in the complement-coordinate basis: at each
     vertex the surviving coordinates are the non-pivot columns of the
     subspace's rref basis ("drop the pivot coordinates after reducing")."""
+    return _split(rep, triple)[1]
+
+
+def _scale(F, A, G) -> Tuple[int, int]:
+    """The positive rational t with A = t G, for an arrow A and its integer
+    form G (`_int_arrows`), as a pair (numerator, denominator) of positive
+    integers, not reduced; (1, 1) for a zero arrow, and over GF(p), where G
+    is A."""
+    if F.p is None:
+        for ra, rg in zip(A, G):
+            for a, g in zip(ra, rg):
+                if g:  # t = a / g > 0
+                    return (abs(a.numerator), a.denominator * abs(g))
+    return (1, 1)
+
+
+_ZERO = Fraction(0)
+
+
+def _field_matrix(F, N, scale: Tuple[int, int]) -> List[list]:
+    """The integer matrix N times a positive rational scale (numerator,
+    denominator) as field rows; over GF(p) the scale is 1 and N is reduced
+    mod p."""
+    if F.p is not None:
+        return [[x % F.p for x in row] for row in N]
+    a, b = scale
+    return [[Fraction(x * a, b) if x else _ZERO for x in row] for row in N]
+
+
+def _primitive(M) -> tuple:
+    """An integer matrix divided by the gcd of its entries, as row tuples:
+    the primitive matrix on its positive ray (the zero matrix stays)."""
+    g = math.gcd(*[x for row in M for x in row])
+    if g > 1:
+        return tuple(tuple(x // g for x in row) for row in M)
+    return tuple(map(tuple, M))
+
+
+def _from_ints(algebra: str, F, dims: DimVec, gammas, deltas) -> QuiverRep:
+    """The module whose arrows are given as pairs (N, t), the integer matrix
+    N times the positive rational t (`_field_matrix`).  Over Q it keeps the
+    N, made primitive, as its `_int_arrows`, so no search converts its
+    arrows again; over GF(p) those are the arrows as stored, kept when first
+    asked for."""
+    sides = (gammas, deltas)
+    rep = QuiverRep(algebra, F, dims, *([_field_matrix(F, N, t) for N, t in side] for side in sides))
+    if F.p is None:
+        ints = tuple(tuple(_primitive(N) for N, _ in side) for side in sides)
+        object.__setattr__(rep, "_int_form", ints)
+    return rep
+
+
+def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
+    """The submodule carried by a subspace triple and the quotient by it, from
+    one canonical integer span per vertex and one invariance check; a triple
+    that is not invariant is invalid input.
+
+    Every arrow A of rep is t G, G its integer form.  The submodule's basis
+    is the triple's rref rows u_b = U_b / q_b (U_b canonical, q_b its pivot
+    entry); A u_b lies in the target span, so its coordinates are its
+    entries at the target's pivots, t (G U_b)[c] / q_b.  The quotient keeps
+    the non-pivot coordinates at each vertex; its arrow sends a kept source
+    coordinate c to t G e_c reduced against the target span (`_residues`,
+    which scales by L), at the target's kept coordinates."""
     F = rep.field
-    if not is_invariant(rep, triple):
+    spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
+    images = _arrow_images(rep, spans)
+    if not _invariant(F, spans, images):
         raise InputError("not a submodule")
-    data = []
-    for U, n in zip(triple, rep.dims):
-        R, piv = _span(F, U, n)
-        data.append((linalg.int_rows_to_field(F, R), piv, [c for c in range(n) if c not in piv]))
-
-    def induced(M, src, tgt):
-        # the arrow's columns at the kept source coordinates, projected
-        cols = transpose(M, ncols=rep.dims[src])
-        kept = _project(F, *data[tgt], [cols[c] for c in data[src][2]])
-        return transpose(kept, ncols=len(data[tgt][2]))
-
-    gamma = [induced(rep.gamma[i], 0, 1) for i in range(3)]
-    delta = [induced(rep.delta[j], 1, 2) for j in range(3)]
-    return QuiverRep(rep.algebra, F, tuple(len(d[2]) for d in data), gamma, delta)
+    comps = [[c for c in range(n) if c not in piv] for (_, piv), n in zip(spans, rep.dims)]
+    sub: Tuple[list, list] = ([], [])
+    quo: Tuple[list, list] = ([], [])
+    for s, side in enumerate(zip((rep.gamma, rep.delta), _int_arrows(rep))):
+        U, W, piv = spans[s][0], spans[s + 1][0], spans[s + 1][1]
+        q = [next(x for x in u if x) for u in U]
+        Lq = math.lcm(*q)
+        L = math.lcm(*[w[c] for w, c in zip(W, piv)])
+        for k, (A, G) in enumerate(zip(*side)):
+            a, b = _scale(F, A, G)
+            rows = images[s][k * len(U) : (k + 1) * len(U)]
+            sub[s].append(([[u[c] * (Lq // qb) for u, qb in zip(rows, q)] for c in piv], (a, b * Lq)))
+            res = _residues(F, W, piv, [[g[c] for g in G] for c in comps[s]])
+            quo[s].append(([[r[c] for r in res] for c in comps[s + 1]], (a, b * L)))
+    return (
+        _from_ints(rep.algebra, F, tuple(len(R) for R, _ in spans), *sub),
+        _from_ints(rep.algebra, F, tuple(map(len, comps)), *quo),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +614,27 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
         raise InputError("tilt_B_to_Bprime expects a B-module")
     F = rep.field
     n0, n1, n2 = rep.dims
-    stacked = [row for j in range(3) for row in rep.delta[j]]
-    # image of delta_V inside F^{3 n2}, as a row space
-    img_rows, img_piv = rref(F, transpose(stacked, ncols=n1))
-    if len(img_rows) < n1:
+    # image of delta_V inside F^{3 n2}, as a row space: the columns of the
+    # stacked deltas
+    stacked = _common_ints(F, rep.delta, n2)
+    img, img_piv = linalg.int_rref(F, [[row[b] for A in stacked for row in A] for b in range(n1)])
+    if len(img) < n1:
         raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
     comp = [c for c in range(3 * n2) if c not in img_piv]
-    units = linalg.identity(F, 3 * n2)
-    gamma_M = [
-        mat_mul(F, rep.delta_m((i + 1) % 3), rep.gamma_m((i + 2) % 3))
-        for i in range(3)
-    ]
+    L = math.lcm(*[w[c] for w, c in zip(img, img_piv)])
+    gammas, deltas = _int_arrows(rep)
+    gamma_M = []  # delta_{i+1} gamma_{i+2}, an integer product times both scales
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        (a, b), (c, d) = _scale(F, rep.delta[j], deltas[j]), _scale(F, rep.gamma[k], gammas[k])
+        gamma_M.append((linalg.int_mat_mul(deltas[j], gammas[k]), (a * c, b * d)))
     # delta_j sends the c-th basis vector of M1 = N2 to the class of the
     # unit vector e_{j n2 + c} in the cokernel
-    delta_M = [
-        transpose(
-            _project(F, img_rows, img_piv, comp, units[j * n2 : (j + 1) * n2]), ncols=len(comp)
-        )
-        for j in range(3)
-    ]
-    out = QuiverRep("Bprime", F, (n0, n2, len(comp)), gamma_M, delta_M)
-    return require_relations(out)
+    delta_M = []
+    for j in range(3):
+        res = _residues(F, img, img_piv, [_unit(3 * n2, j * n2 + c) for c in range(n2)])
+        delta_M.append(([[r[k] for r in res] for k in comp], (1, L)))
+    return require_relations(_from_ints("Bprime", F, (n0, n2, len(comp)), gamma_M, delta_M))
 
 
 def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
@@ -559,46 +643,53 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
 
     Always defined; returns (N, flag) where flag warns when delta^V is not
     surjective (the construction then sits outside the generic locus).
+
+    N1 has the basis k_b of ker D, D = [delta_0 delta_1 delta_2], read off
+    one elimination of D (`linalg.int_rref_kernel`): k_b is 1 at the b-th
+    free column f_b of D's rref and 0 at the others, so the coordinates of
+    any w in ker D are its entries at the free columns.  gamma_i sends e_a
+    to the w in F^{3 m1} with block i+2 the column a of gamma_{i+1}, block
+    i+1 minus that of gamma_{i+2} and block i zero; D w is then the
+    B'-relation of the pair {i+1, i+2} at e_a, so every such w lies in ker D
+    (has coordinates) iff the relations hold.
     """
     if rep.algebra != "Bprime":
         raise InputError("tilt_Bprime_to_B expects a B'-module")
     F = rep.field
     m0, m1, m2 = rep.dims
-    D = [
-        [rep.delta[j][r][c] for j in range(3) for c in range(m1)]
-        for r in range(m2)
-    ]
-    K = right_kernel(F, D, ncols=3 * m1)
-    n1 = len(K)
+    deltas = _common_ints(F, rep.delta, m2)
+    D = [[x for A in deltas for x in A[r]] for r in range(m2)]
+    R, piv = linalg.int_rref(F, D)
+    K = linalg.int_rref_kernel(F, R, piv, 3 * m1)
+    free = [f for f in range(3 * m1) if f not in piv]
+    n1 = len(free)
     flag = None
-    if linalg.rank(F, D) < m2:
+    if len(R) < m2:
         flag = "non-generic (dim N1 > 3*dim M1 - dim M2)"
-    Kt = transpose(K, ncols=3 * m1)  # columns are kernel basis vectors
+    if not check_relations(rep)[0]:
+        raise VerificationError("tilt image escaped the kernel; relations must be broken")
 
-    gamma_N = []
-    for i in range(3):
-        cols = []
-        gi1 = rep.gamma_m((i + 1) % 3)
-        gi2 = rep.gamma_m((i + 2) % 3)
-        for a in range(m0):
-            w = [F.zero()] * (3 * m1)
-            for r in range(m1):
-                w[((i + 2) % 3) * m1 + r] = gi1[r][a]
-                w[((i + 1) % 3) * m1 + r] = F.neg(gi2[r][a])
-            c = solve_right(F, Kt, w)
-            if c is None:
-                raise VerificationError(
-                    "tilt image escaped the kernel; relations must be broken"
-                )
-            cols.append(c)
-        gamma_N.append(transpose(cols, ncols=m0) if cols else [[] for _ in range(n1)])
+    # the w of gamma_i at f, for every a, on the gammas scaled by one t
+    gammas = _common_ints(F, rep.gamma, m1)
+    t = _scale(F, [r for A in rep.gamma for r in A], [r for A in gammas for r in A])
 
+    def coordinate(i, f):
+        j, r = divmod(f, m1)
+        if j == (i + 2) % 3:
+            return list(gammas[(i + 1) % 3][r])
+        if j == (i + 1) % 3:
+            return [-x for x in gammas[(i + 2) % 3][r]]
+        return [0] * m0
+
+    gamma_N = [([coordinate(i, f) for f in free], t) for i in range(3)]
+    # k_b as a field vector is K_b / K_b[f_b]; with L the lcm of those
+    # entries, delta_j is its integer block times L / K_b[f_b], over L
+    L = math.lcm(*[k[f] for k, f in zip(K, free)])
     delta_N = [
-        [[K[b][j * m1 + r] for b in range(n1)] for r in range(m1)]
+        ([[k[j * m1 + r] * (L // k[f]) for k, f in zip(K, free)] for r in range(m1)], (1, L))
         for j in range(3)
     ]
-    out = QuiverRep("B", F, (m0, n1, m1), gamma_N, delta_N)
-    return require_relations(out), flag
+    return require_relations(_from_ints("B", F, (m0, n1, m1), gamma_N, delta_N)), flag
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +903,8 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
             yield from put(())
         elif total in (a, b):
             yield from put(b if total == a else a)
-        else:
-            yield from add(linalg.int_intersect(F, a, b, n1))
+        else:  # the meet comes canonical already
+            yield from put(tuple(map(tuple, linalg.int_intersect(F, a, b, n1))))
         ops += 2
     seen = set(atoms)
     frontier = [t for t in pool if t not in seen]
@@ -1251,10 +1342,8 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
             factors.append(current)
             break
         dv = min(candidates, key=lambda d: (sum(d), d))
-        w = search.witnesses[dv]
-        quotient = quotient_by(current, w)  # the one check that w is a submodule
-        factors.append(_sub_from(current, w))
-        current = quotient
+        sub, current = _split(current, search.witnesses[dv])  # one check per peel
+        factors.append(sub)
 
     total = tuple(sum(f.dims[v] for f in factors) for v in range(3))
     if total != rep.dims:

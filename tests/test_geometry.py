@@ -1,5 +1,7 @@
 """Point configurations and the modules they generate."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -22,8 +24,16 @@ from p2stab.geometry import (
     wall_filtration_data,
 )
 from p2stab.ktheory import A0, A1, ChernCharacter, chern_of_dimvec
-from p2stab.linalg import QQ, mat_mul
-from p2stab.quiver import QuiverRep, check_relations, iso_test, random_rep, theta_pair
+from p2stab.linalg import QQ, clear_denominators, mat_mul
+from p2stab.quiver import (
+    QuiverRep,
+    check_relations,
+    iso_test,
+    jh_factors,
+    random_rep,
+    rep_to_json,
+    theta_pair,
+)
 
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 LINE3 = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
@@ -184,6 +194,70 @@ def test_ideal_module_dims_and_classes(pts):
 def test_single_point_ideal_dims():
     assert module_ideal_A1([(2, 3, 5)]).dims == (1, 3, 1)
     assert module_ideal_A0([(2, 3, 5)]).dims == (1, 2, 0)
+
+
+#: one configuration per n = 1..4, the n = 2 one with rational coordinates
+_PINNED_CONFIGS = {
+    1: [(1, 2, 3)],
+    2: [(Fraction(1, 2), 2, 3), (2, Fraction(-1, 3), 1)],
+    3: [(1, 2, 3), (2, -1, 1), (3, 1, -2)],
+    4: [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)],
+}
+
+#: SHA-256 of the sorted-key JSON list of `rep_to_json` of each kind of
+#: module of those configurations: the point modules in order, the B'-module,
+#: both ideal-type modules, and the JH factors of module_ideal_A1 at the
+#: Hilbert-Chow weight theta_b1(n, 1), in peel order
+_MODULE_DIGESTS = {
+    (1, "module_point"): "62000ee24d2478f0403a3f07533e768bf85577e4c7a881d7218b3b9ecc207e50",
+    (1, "bprime_module_points"): "9bb881a19b961591350dd9e082d37b6773391061cdc02990c24310607df9c364",
+    (1, "module_ideal_A1"): "fefad814e2e3c23003df9f5de40f0c1468bad7096b4f3f0d1f55a9c6100bfbfb",
+    (1, "module_ideal_A0"): "1b75a8c627db88d760f24bfc8838835873e2313b64e47afeb9bc89fc3db5b59c",
+    (1, "jh_factors"): "0c143ddb37531de37d09a9de69bc726126be870f599c51e740ebf1d65acaaa92",
+    (2, "module_point"): "7129f8eee26a0ddccc43bd621bfe875f977eede53902807c65132ad2ae84f2a9",
+    (2, "bprime_module_points"): "5aa4e7ba8b25841deb35018275232b7494736b54dbab3935501d0c119936b75b",
+    (2, "module_ideal_A1"): "1299c20ae948843e38144a6582ae2d564fcc545ac55e6df38205a9c9bfc86e5e",
+    (2, "module_ideal_A0"): "0fef0b24297182e1e03e22225e3d2139397b0b5d1c87b0755f834e47f12539fc",
+    (2, "jh_factors"): "0bc87cd9c4939e05701b3009a3c83b3c20b847abb78d5bf38f463bf6fb3970a3",
+    (3, "module_point"): "5d841ad524356fc049eb674547edd1ade340ebf779c688694bf69e256986c2b5",
+    (3, "bprime_module_points"): "9c28cd01195387aa7670027b51c33d12362d6846e3de96efc95d172979effc2f",
+    (3, "module_ideal_A1"): "9f451e737f2a46b3caba4284f53f20cb584163eead18c619cca4367ffdbf2a2d",
+    (3, "module_ideal_A0"): "19fac781b5f8a9e1667915cc0d8f4d3914814b0130b08990aded0d8041a3f453",
+    (3, "jh_factors"): "6d89a700a711378a1152593483ec6484b373d817d1fd64fb91ff6b5dec3f8721",
+    (4, "module_point"): "b1a05c99d85ca23ff1d53e737f19b630ecceb713d2e9e56c995919f09055d06d",
+    (4, "bprime_module_points"): "65b65fb9195ec8541abda0f8640ae2e0f6a7569a30698c7a2e6f4f54cbbdd476",
+    (4, "module_ideal_A1"): "cb31c322edccad60012a24e1d5656583a863e5b896c996663523395a35c0b214",
+    (4, "module_ideal_A0"): "fd7e3dcccc7d6d7b150d7a9ef27baeff9f04d52a732675c0e979703c32c1020e",
+    (4, "jh_factors"): "7c8e79c1b751f4811935d014b01f8aefd0315e959c74381488a08dfc049ad9c9",
+}
+
+
+def _int_arrows_afresh(rep):
+    return tuple(tuple(tuple(map(tuple, clear_denominators(A))) for A in side)
+                 for side in (rep.gamma, rep.delta))
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_CONFIGS))
+def test_module_constructions_are_pinned(n):
+    cfg = _PINNED_CONFIGS[n]
+    a1 = module_ideal_A1(cfg)
+    a0 = module_ideal_A0(cfg)
+    factors = jh_factors(a1, theta_b1(n, 1))
+    built = {
+        "module_point": [module_point(x) for x in cfg],
+        "bprime_module_points": [bprime_module_points(cfg)],
+        "module_ideal_A1": [a1],
+        "module_ideal_A0": [a0],
+        "jh_factors": factors,
+    }
+    for kind, reps in built.items():
+        text = json.dumps([rep_to_json(rep) for rep in reps], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == _MODULE_DIGESTS[n, kind], kind
+    # the tilt and the splits keep the integer arrows they build from, and
+    # they are the ones a search would form from the rational arrows
+    for rep in [a1, a0, *factors]:
+        assert rep._int_form is not None
+        assert rep._int_form == _int_arrows_afresh(rep)
 
 
 def test_composite_lines_identity():

@@ -140,6 +140,14 @@ def _as_lists(arrows):
     return [[[list(row) for row in A] for A in side] for side in arrows]
 
 
+def assert_kept_int_arrows(rep):
+    """A module the module algebra built keeps, over Q, the integer arrows
+    it was built from, equal to the ones `_int_arrows` forms afresh (over
+    GF(p) they are the arrows as stored, formed when first asked for)."""
+    assert (rep._int_form is None) == (rep.field.p is not None)
+    assert _as_lists(quiver._int_arrows(rep)) == _as_lists(ref_int_arrows(rep))
+
+
 @pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5, F7], ids=repr)
 def test_int_arrows_are_formed_once_and_immutable(field):
     rng = random.Random(field.p or 0)
@@ -369,7 +377,8 @@ def test_constructions_match_the_per_vector_code(field):
                 assert got == outcome(ref, rep, triple)
                 assert (got is InputError) == (not invariant)
             if invariant:
-                assert outcome(quiver._sub_from, rep, triple) == outcome(ref_sub_from, rep, triple)
+                for part in quiver._split(rep, triple):
+                    assert_kept_int_arrows(part)
         seeds = [random_rows(field, rng, n, rng.randint(0, 2)) for n in dims]
         assert outcome(closure, rep, *seeds) == outcome(ref_closure, rep, *seeds)
         # a row of the wrong length is invalid input, for both
@@ -1093,6 +1102,147 @@ def test_skyscraper_tilt_round_trip():
         tilt_Bprime_to_B(O_X)
 
 
+# The relation check and the two tilts as they were computed on field
+# matrices (products, one `solve_right` per column, a rank), the references
+# for the integer versions.
+
+
+def ref_check_relations(rep):
+    F = rep.field
+    for (i, j) in quiver._REL_PAIRS[rep.algebra]:
+        a = mat_mul(F, rep.delta_m(j), rep.gamma_m(i))
+        b = mat_mul(F, rep.delta_m(i), rep.gamma_m(j))
+        op = F.add if rep.algebra == "B" else F.sub
+        if not all(F.is_zero(op(x, y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
+            return (False, (i, j))
+    return (True, None)
+
+
+def ref_project(F, R, piv, comp, W):
+    if piv:
+        W = [[F.sub(x, y) for x, y in zip(w, r)]
+             for w, r in zip(W, mat_mul(F, [[w[c] for c in piv] for w in W], R))]
+    return [[w[c] for c in comp] for w in W]
+
+
+def ref_tilt_B_to_Bprime(rep):
+    if rep.algebra != "B":
+        raise InputError("tilt_B_to_Bprime expects a B-module")
+    F = rep.field
+    n0, n1, n2 = rep.dims
+    stacked = [row for j in range(3) for row in rep.delta[j]]
+    img_rows, img_piv = linalg.rref(F, linalg.transpose(stacked, ncols=n1))
+    if len(img_rows) < n1:
+        raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
+    comp = [c for c in range(3 * n2) if c not in img_piv]
+    units = linalg.identity(F, 3 * n2)
+    gamma_M = [mat_mul(F, rep.delta_m((i + 1) % 3), rep.gamma_m((i + 2) % 3)) for i in range(3)]
+    delta_M = [
+        linalg.transpose(ref_project(F, img_rows, img_piv, comp, units[j * n2:(j + 1) * n2]),
+                         ncols=len(comp))
+        for j in range(3)
+    ]
+    return require_relations(QuiverRep("Bprime", F, (n0, n2, len(comp)), gamma_M, delta_M))
+
+
+def ref_tilt_Bprime_to_B(rep):
+    if rep.algebra != "Bprime":
+        raise InputError("tilt_Bprime_to_B expects a B'-module")
+    F = rep.field
+    m0, m1, m2 = rep.dims
+    D = [[rep.delta[j][r][c] for j in range(3) for c in range(m1)] for r in range(m2)]
+    K = linalg.right_kernel(F, D, ncols=3 * m1)
+    n1 = len(K)
+    flag = "non-generic (dim N1 > 3*dim M1 - dim M2)" if linalg.rank(F, D) < m2 else None
+    Kt = linalg.transpose(K, ncols=3 * m1)
+    gamma_N = []
+    for i in range(3):
+        cols = []
+        gi1, gi2 = rep.gamma_m((i + 1) % 3), rep.gamma_m((i + 2) % 3)
+        for a in range(m0):
+            w = [F.zero()] * (3 * m1)
+            for r in range(m1):
+                w[((i + 2) % 3) * m1 + r] = gi1[r][a]
+                w[((i + 1) % 3) * m1 + r] = F.neg(gi2[r][a])
+            c = linalg.solve_right(F, Kt, w)
+            if c is None:
+                raise VerificationError("tilt image escaped the kernel; relations must be broken")
+            cols.append(c)
+        gamma_N.append(linalg.transpose(cols, ncols=m0) if cols else [[] for _ in range(n1)])
+    delta_N = [[[K[b][j * m1 + r] for b in range(n1)] for r in range(m1)] for j in range(3)]
+    return require_relations(QuiverRep("B", F, (m0, n1, m1), gamma_N, delta_N)), flag
+
+
+def moved(rep, rng):
+    """rep with a random delta entry, and half the time a gamma entry too,
+    shifted by a random nonzero value, which mostly breaks a relation."""
+    F = rep.field
+    arrows = [[[list(row) for row in A] for A in side] for side in (rep.gamma, rep.delta)]
+    for s in (1, 0) if rng.random() < 0.5 else (1,):
+        cells = [(k, r, c) for k in range(3) for r, row in enumerate(arrows[s][k])
+                 for c in range(len(row))]
+        if cells:
+            k, r, c = rng.choice(cells)
+            shift = (Fraction(rng.choice((-1, 1)), rng.randint(1, 3)) if F.p is None
+                     else rng.randrange(1, F.p))
+            arrows[s][k][r][c] = F.add(arrows[s][k][r][c], F.convert(shift))
+    return QuiverRep(rep.algebra, F, rep.dims, *arrows)
+
+
+def relation_samples(field, algebra, rng, count):
+    """Random modules, zero dimensions included, each with a broken copy;
+    over Q in random rational bases."""
+    shapes = [(0, 0, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 3, 0), (0, 3, 2)]
+    shapes += [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(count - len(shapes))]
+    for dims in shapes:
+        rep = (rational_rep(algebra, dims, rng) if field.p is None
+               else random_rep(algebra, field, dims, rng))
+        yield rep
+        yield moved(rep, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5, F7], ids=repr)
+def test_check_relations_matches_the_field_products(field):
+    rng = random.Random(field.p or 0)
+    first_bad = collections.Counter()
+    for algebra in ("B", "Bprime"):
+        for rep in relation_samples(field, algebra, rng, 30):
+            got = check_relations(rep)
+            assert got == ref_check_relations(rep)
+            first_bad[algebra, got[1]] += 1
+    # sound modules, and broken ones failing first at several pairs
+    assert first_bad["B", None] and first_bad["Bprime", None] and len(first_bad) > 4
+
+
+def tilt_outcome(fn, rep):
+    """A tilt's module with entry types and its flag, or its error."""
+    try:
+        out = fn(rep)
+    except (InputError, VerificationError) as exc:
+        return type(exc), str(exc)
+    out, flag = out if isinstance(out, tuple) else (out, None)
+    return typed_rep(out), flag
+
+
+@pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5, F7], ids=repr)
+def test_tilts_match_the_per_column_solves(field):
+    # tilt_Bprime_to_B reads every solution off one elimination of the
+    # stacked deltas; the reference solves each column on its own
+    rng = random.Random(field.p or 0)
+    kinds = collections.Counter()
+    for algebra, new, ref in (("Bprime", tilt_Bprime_to_B, ref_tilt_Bprime_to_B),
+                              ("B", tilt_B_to_Bprime, ref_tilt_B_to_Bprime)):
+        for rep in relation_samples(field, algebra, rng, 24):
+            got = tilt_outcome(new, rep)
+            assert got == tilt_outcome(ref, rep)
+            kinds[algebra, got[0] if isinstance(got[0], type) else got[1]] += 1
+            if not isinstance(got[0], type):
+                out = new(rep)
+                assert_kept_int_arrows(out[0] if isinstance(out, tuple) else out)
+    assert kinds["Bprime", None] and kinds["Bprime", VerificationError]
+    assert kinds["B", None] and kinds["B", InputError]
+
+
 def test_theta_transform_golden():
     assert theta_transform((1, 2, 3)) == (1, 9, -2)
     assert theta_transform((-4, 0, 4)) == (-4, 4, 0)
@@ -1308,12 +1458,13 @@ def test_jh_factors_of_direct_sum():
 
 def test_jh_factors_checks_each_peel_once(monkeypatch):
     calls = []
+    real = quiver._invariant
 
-    def counting(rep, triple):
-        calls.append(triple_dims(triple))
-        return is_invariant(rep, triple)
+    def counting(F, spans, images):
+        calls.append(tuple(len(R) for R, _ in spans))
+        return real(F, spans, images)
 
-    monkeypatch.setattr(quiver, "is_invariant", counting)
+    monkeypatch.setattr(quiver, "_invariant", counting)
     factors = jh_factors(direct_sum(O_X, O_Y), TH_STABLE)
     assert len(factors) == 2 and calls == [factors[0].dims]
 
