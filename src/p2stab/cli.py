@@ -227,11 +227,12 @@ def cmd_charge_scan(args) -> int:
 
 
 def _load_rep(path: str) -> quiver.QuiverRep:
-    return quiver.rep_from_json(_read_json(path))
+    """The module of a JSON file, its relations checked (exit 3 if broken)."""
+    return quiver.require_relations(quiver.rep_from_json(_read_json(path)))
 
 
 def cmd_module_check(args) -> int:
-    rep = _load_rep(args.infile)
+    rep = quiver.rep_from_json(_read_json(args.infile))
     ok, bad = quiver.check_relations(rep)
     if ok:
         print(f"relations OK  algebra={rep.algebra} dims={rep.dims}")

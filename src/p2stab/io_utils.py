@@ -57,12 +57,9 @@ def format_vector(v: Sequence) -> str:
 
 def _json_default(obj):
     """What the encoder writes for a value JSON has no form for: a Fraction
-    as its "p/q" string, a set as the list of its elements' JSON values,
-    sorted."""
+    as its "p/q" string; anything else is an error."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (set, frozenset)):
-        return sorted(json.loads(json.dumps(list(obj), default=_json_default)))
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

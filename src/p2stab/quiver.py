@@ -46,8 +46,9 @@ from .linalg import (
 
 ALGEBRAS = ("B", "Bprime")
 
-#: relation index pairs per algebra; for "B" the diagonal pairs encode
-#: delta_i gamma_i = 0 (the i = j case of the symmetric relations)
+#: relation index pairs per algebra; for "B" a diagonal pair (i, i) encodes
+#: delta_i gamma_i = 0 itself, not the i = j case of the symmetric relations,
+#: which is twice it and vanishes mod 2 whatever the arrows are
 _REL_PAIRS = {
     "B": [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
     "Bprime": [(0, 1), (0, 2), (1, 2)],
@@ -194,8 +195,10 @@ def check_relations(rep: QuiverRep) -> Tuple[bool, Optional[Tuple[int, int]]]:
     p = F.p
     for (i, j) in _REL_PAIRS[rep.algebra]:
         a = linalg.int_mat_mul(deltas[j], gammas[i])
-        b = linalg.int_mat_mul(deltas[i], gammas[j])
-        values = (x + sign * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        if i != j:  # a diagonal pair is delta_i gamma_i = 0, not twice it
+            b = linalg.int_mat_mul(deltas[i], gammas[j])
+            a = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        values = (x for row in a for x in row)
         if any(values if p is None else (x % p for x in values)):
             return (False, (i, j))
     return (True, None)
@@ -736,13 +739,12 @@ class SubmoduleSearch:
     ``upper``.  A rational module is reduced mod several primes; a saturated
     reduction only gains submodules, so ``upper`` is the box of all
     d <= dims cut down by the mod-p sets of the primes in ``layers``, tried
-    in turn up to the first that squeezes.  Layer 1 is bounded by the
-    enumerated sets: the first one runs before it, a later one once Layer 1
-    has spent that enumeration's cost without filling its bound, and it
-    stops once the witnesses fill the intersection; each set is enumerated
-    once and reused after Layer 1, and ``witnesses`` is still the one of the
-    whole Layer-1 pool.  ``evidence`` names what was enumerated; a verdict's
-    certainty is read off ``lower`` and ``upper`` alone (`king_test`).
+    in turn up to the first that squeezes.  Layer 1 takes the enumerated
+    sets as bounds on the schedule `_layer1` describes, so each is
+    enumerated once and reused after Layer 1, and ``witnesses`` is still the
+    one of the whole Layer-1 pool.  ``evidence`` names what was enumerated;
+    a verdict's certainty is read off ``lower`` and ``upper`` alone
+    (`king_test`).
     """
 
     dims: DimVec
@@ -794,6 +796,11 @@ def _preimage(F, arrows, rows, n_src: int, n_tgt: int) -> List[List[int]]:
     ann = linalg.int_rref_kernel(F, rows, pivots, n_tgt)
     constraints = [row for A in arrows for row in linalg.int_mat_mul(ann, A)]
     return linalg.int_right_kernel(F, constraints, n_src)
+
+
+def _box(dims: DimVec) -> frozenset:
+    """Every d <= dims: the bound on the submodule classes that needs no proof."""
+    return frozenset(itertools.product(*(range(n + 1) for n in dims)))
 
 
 def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Iterator[tuple]:
@@ -926,26 +933,25 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
         rounds += 1
 
 
-def _rectangles(rep: QuiverRep, u1s):
-    """The rectangle of classes each middle subspace U1 certifies.
+def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list]:
+    """The rectangle of classes the middle subspace U1 certifies.
 
     A triple (U0, U1, U2) is a submodule exactly when U0 lies inside
     U0max(U1) = gamma^-1(U1) = {x : gamma_i(x) in U1 for all i} and U2
     contains delta(U1); every intermediate dimension at the outer vertices
-    is realizable.  For each canonical integer basis U1 this yields
-    (U1, U0max, D, growth): a kernel basis of U0max, the canonical basis D
-    of delta(U1), and the unit vectors that complete D, in turn, to F^{n2}.
+    is realizable.  For the canonical integer basis ``u1`` this returns
+    (U0max, D, growth): a kernel basis of U0max, the canonical basis D of
+    delta(U1), and the unit vectors that complete D, in turn, to F^{n2}.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
     gammas, deltas = _int_arrows(rep)
-    for u1 in u1s:
-        # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
-        # delta(U1) has the same rank on the coordinates >= k as on those
-        # > k, i.e. iff k is no pivot once the columns are reversed
-        rev, rev_piv = linalg.int_rref(F, [row[::-1] for row in _image(u1, deltas)])
-        growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
-        yield u1, _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
+    # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
+    # delta(U1) has the same rank on the coordinates >= k as on those > k,
+    # i.e. iff k is no pivot once the columns are reversed
+    rev, rev_piv = linalg.int_rref(F, [row[::-1] for row in _image(u1, deltas)])
+    growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
+    return _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
 
 
 def _layer1(
@@ -958,7 +964,7 @@ def _layer1(
     """Witnessed dimvec search driven by candidate middle subspaces.
 
     Each candidate U1 certifies a full rectangle of dimension vectors
-    (`_rectangles`), with explicit witnesses.  Sound for any candidate pool;
+    (`_rectangle`), with explicit witnesses.  Sound for any candidate pool;
     complete whenever the pool covers the middle subspaces that matter.  The
     search runs on integer rows (`_u1_candidates`); a witness is turned into
     the field's rref rows when it is stored.
@@ -966,9 +972,10 @@ def _layer1(
     ``bounds`` lets the search stop early without changing its result.  It
     is a sequence of pairs (cost, bound): ``bound()`` returns a proved set
     containing every submodule class, and is called at most once, when the
-    search takes it.  The search takes the first bound before it pulls a
-    candidate.  It forms no rectangle for a candidate U1 when every class of
-    its bound with middle dimension dim U1 is witnessed, and pulls no
+    search takes it.  The bound schedule: the search takes the first bound
+    before it pulls a candidate (with none, its bound is the box of all
+    d <= dims).  It forms no rectangle for a candidate U1 when every class
+    of its bound with middle dimension dim U1 is witnessed, and pulls no
     further candidate once every class of its bound is.  It takes the next
     bound, cutting its own down to the intersection, once it has formed as
     many rectangles since the last bound as that next pair's cost and its
@@ -985,53 +992,38 @@ def _layer1(
         return _field_rows(F, linalg.int_rref(F, rows)[0])
 
     witnesses: Dict[DimVec, SubTriple] = {}
-    unwitnessed: set = set()  # the classes of the bound not yet witnessed
-    open_middle: collections.Counter = collections.Counter()
     bounds = iter(bounds)
-
-    def tighten(bound: frozenset) -> None:
-        unwitnessed.intersection_update(bound)
-        open_middle.clear()
-        open_middle.update(dv[1] for dv in unwitnessed)
-
-    def wanted(u1s, nxt):
-        # runs interleaved with the loop below, so it sees the witnesses of
-        # every candidate before, and pulls none once the bound is covered
-        taken = 0  # candidates given a rectangle since the last bound
-        for u1c in u1s:
-            if open_middle[len(u1c)]:
-                yield u1c
-                taken += 1
-                if nxt is not None and taken >= nxt[0] and unwitnessed:
-                    tighten(nxt[1]())
-                    nxt, taken = next(bounds, None), 0
-            if not unwitnessed:
-                return
-
-    candidates = _u1_candidates(rep, seed, cap, pair_budget)
     first = next(bounds, None)
-    if first is not None:
-        unwitnessed.update(first[1]())
-        open_middle.update(dv[1] for dv in unwitnessed)
-        candidates = wanted(candidates, next(bounds, None))
-    for u1c, u0max, D, growth in _rectangles(rep, candidates):
-        d2 = len(D)
-        u1rows = None
-        for a in range(len(u0max) + 1):
-            for c in range(d2, n2 + 1):
-                dv = (a, len(u1c), c)
-                if dv in witnesses:
-                    continue
-                if u1rows is None:
-                    u1rows = _field_rows(F, u1c)
-                witnesses[dv] = (
-                    witness_rows(u0max[:a]),
-                    u1rows,
-                    witness_rows(D + growth[: c - d2]),
-                )
-                if dv in unwitnessed:
-                    unwitnessed.remove(dv)
-                    open_middle[dv[1]] -= 1
+    # the classes of the bound not yet witnessed, and their middle dimensions
+    unwitnessed = set(first[1]() if first else _box(rep.dims))
+    open_middle = collections.Counter(dv[1] for dv in unwitnessed)
+    nxt, taken = next(bounds, None), 0  # the next bound, rectangles since the last
+    for u1c in _u1_candidates(rep, seed, cap, pair_budget):
+        if open_middle[len(u1c)]:
+            u0max, D, growth = _rectangle(rep, u1c)
+            u1rows = None
+            for a in range(len(u0max) + 1):
+                for c in range(len(D), n2 + 1):
+                    dv = (a, len(u1c), c)
+                    if dv in witnesses:
+                        continue
+                    if u1rows is None:
+                        u1rows = _field_rows(F, u1c)
+                    witnesses[dv] = (
+                        witness_rows(u0max[:a]),
+                        u1rows,
+                        witness_rows(D + growth[: c - len(D)]),
+                    )
+                    if dv in unwitnessed:
+                        unwitnessed.remove(dv)
+                        open_middle[dv[1]] -= 1
+            taken += 1
+            if nxt is not None and taken >= nxt[0] and unwitnessed:
+                unwitnessed &= nxt[1]()
+                open_middle = collections.Counter(dv[1] for dv in unwitnessed)
+                nxt, taken = next(bounds, None), 0
+        if not unwitnessed:
+            break
     return witnesses
 
 
@@ -1108,15 +1100,14 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
 
 def _layer2_by_middle(rep: QuiverRep) -> frozenset:
     """`_layer2_dimvecs` by enumerating the middle vertex: for each U1, every
-    U0 <= U0max(U1) and every U2 >= delta(U1) completes it (`_rectangles`)."""
+    U0 <= U0max(U1) and every U2 >= delta(U1) completes it (`_rectangle`)."""
     n2 = rep.dims[2]
-    u1s = (rows for rows, _ in iter_subspaces(rep.field, rep.dims[1]))
-    return frozenset(
-        (u0, len(u1), u2)
-        for u1, u0max, D, _ in _rectangles(rep, u1s)
-        for u0 in range(len(u0max) + 1)
-        for u2 in range(len(D), n2 + 1)
-    )
+    out = set()
+    for u1, _ in iter_subspaces(rep.field, rep.dims[1]):
+        u0max, D = _rectangle(rep, u1)[:2]
+        out.update((u0, len(u1), u2) for u0 in range(len(u0max) + 1)
+                   for u2 in range(len(D), n2 + 1))
+    return frozenset(out)
 
 
 #: primes tried for rational modules, smallest first
@@ -1143,15 +1134,12 @@ def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
     (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
     prime field it is exact; a rational module is reduced mod the primes of
     `_LAYER2_PRIMES` in turn, up to the first one over the bound, each
-    reduction narrowing the proved upper set.  The first enumeration runs
-    before Layer 1, which stops as soon as its witnesses fill that set.
-    When Layer 1 has formed as many rectangles as the next prime's
-    enumeration costs (`_layer2_cost`) and its set is still not filled, that
-    prime is enumerated early and cuts the set down (`_layer1`); the steps
-    after Layer 1 reuse it, so no prime is enumerated twice.  No later
-    candidate could add a class, so the result is the one of the whole
-    Layer-1 pool.  The evidence names the
-    outcome: ``squeeze(p=…)`` when one mod-p set equals the witnessed set,
+    reduction narrowing the proved upper set.  Layer 1 takes the
+    enumerations as its bounds, on the schedule `_layer1` describes; the
+    steps after Layer 1 reuse them, so no prime is enumerated twice, and the
+    result is the one of the whole Layer-1 pool.  The evidence names the
+    outcome: ``exhaustive(F_p)`` over the module's own field,
+    ``squeeze(p=…)`` when one mod-p set equals the witnessed set,
     ``squeeze(intersection mod …)`` when their intersection does,
     ``cross-prime(…)`` when the mod-p sets agree but exceed it, and
     ``layer1-only (…)`` otherwise; ``layer1-only (Layer 2 over its cost
@@ -1175,44 +1163,37 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
             sets[p] = _layer2_dimvecs(rep if own else _reduce_rep_mod_p(rep, p))
         return sets[p]
 
-    # every enumeration bounds every class, so Layer 1 may stop once it has
-    # witnessed all of the intersection of those it has taken; it takes the
-    # first at once and each later one only once it has formed as many
-    # rectangles as that enumeration visits subspaces (`_layer1`)
+    # every enumeration bounds every class; Layer 1 takes them as bounds at
+    # the cost of the subspaces each visits (`_layer1`)
     witnesses = _layer1(
         rep, seed, bounds=[(_layer2_cost(rep.dims, p), partial(enumerate_mod, p)) for p in primes]
     )
     lower = frozenset(witnesses)
-    upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
+    upper = _box(rep.dims)
     layers = ["layer1"]
-
-    if not primes:
-        evidence = _OVER_BOUND
-    elif own:
-        p = primes[0]
-        layers.append(f"layer2(F_{p})")
-        lower = upper = enumerate_mod(p)
-        evidence = f"exhaustive(F_{p})"
-    else:
-        unsqueezed = []  # (p, mod-p set) of the reductions above the witnessed set
-        for p in primes:
-            full_p = enumerate_mod(p)
-            layers.append(f"layer2(mod {p})")
-            upper &= full_p
-            if full_p == lower:
-                evidence = f"squeeze(p={p})"
-                break
-            unsqueezed.append((p, full_p))
+    # each enumeration cuts upper; one over the module's own field is exact,
+    # so it is lower as well; the first set equal to lower settles the search
+    for p in primes:
+        full_p = enumerate_mod(p)
+        layers.append(f"layer2(F_{p})" if own else f"layer2(mod {p})")
+        upper &= full_p
+        if own:
+            lower = full_p
+        if full_p == lower:
+            evidence = f"exhaustive(F_{p})" if own else f"squeeze(p={p})"
+            break
+    else:  # no enumeration within the bound, or reductions above lower
+        ps = ",".join(map(str, primes))
+        if not primes:
+            evidence = _OVER_BOUND
+        elif upper == lower:
+            evidence = f"squeeze(intersection mod {ps})"
+        elif len(primes) == 1:
+            evidence = "layer1-only (mod-p excess unresolved)"
+        elif all(sets[p] == upper for p in primes):
+            evidence = f"cross-prime({ps})"
         else:
-            ps = ",".join(str(p) for p, _ in unsqueezed)
-            if upper == lower:
-                evidence = f"squeeze(intersection mod {ps})"
-            elif len(unsqueezed) == 1:
-                evidence = "layer1-only (mod-p excess unresolved)"
-            elif all(s == upper for _, s in unsqueezed):
-                evidence = f"cross-prime({ps})"
-            else:
-                evidence = "layer1-only (cross-prime disagreement)"
+            evidence = "layer1-only (cross-prime disagreement)"
     # each set enumerated, whether Layer 1 took it as a bound or the loop
     # above read it, must hold every witnessed class
     for p, full_p in sets.items():
@@ -1402,9 +1383,12 @@ def random_rep(algebra: str, field, dims: Sequence[int], rng: random.Random) -> 
                     # delta_j[p][q] * gamma_i[q][q0]
                     idx = j * n2 * n1 + p * n1 + q
                     row[idx] = field.add(row[idx], field.convert(gamma[i][q][q0]))
-                    # +/- delta_i[p][q] * gamma_j[q][q0]
-                    idx = i * n2 * n1 + p * n1 + q
-                    row[idx] = field.add(row[idx], field.mul(sign, field.convert(gamma[j][q][q0])))
+                    if i != j:  # a diagonal pair is delta_i gamma_i alone
+                        # +/- delta_i[p][q] * gamma_j[q][q0]
+                        idx = i * n2 * n1 + p * n1 + q
+                        row[idx] = field.add(
+                            row[idx], field.mul(sign, field.convert(gamma[j][q][q0]))
+                        )
                 rows.append(row)
     basis = right_kernel(field, rows, ncols=nvars) if nvars else []
     flat = [field.zero()] * nvars

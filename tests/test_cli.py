@@ -163,6 +163,35 @@ def test_module_check_reports_violations(capsys, tmp_path):
     assert "relations violated" in err
 
 
+def delta0_gamma0(field):
+    """The B-"module" of dims (1, 1, 1) with gamma_0 = delta_0 = [[1]] and
+    every other arrow zero: delta_0 gamma_0 = 1 breaks delta_0 gamma_0 = 0."""
+    one, zero = ((1,),), ((0,),)
+    return quiver.QuiverRep("B", field, (1, 1, 1), [one, zero, zero], [one, zero, zero])
+
+
+def test_module_check_refuses_delta_i_gamma_i_over_gf2(capsys, tmp_path):
+    # the diagonal pair of delta_j gamma_i + delta_i gamma_j is 2 delta_i
+    # gamma_i, which vanishes mod 2: the check must test delta_i gamma_i
+    path = write_rep(tmp_path / "gf2.json", delta0_gamma0(PrimeField(2)))
+    code, out, err = run(capsys, "module", "check", "--in", path)
+    assert (code, out, err) == (3, "", "relations violated at arrow pair (0, 0)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["jh", "--in", "{f}", "--theta=-1,0,1"],
+    ["dual", "--in", "{f}"],
+    ["tilt", "--in", "{f}"],
+    ["hom", "--a", "{f}", "--b", "{f}"],
+    ["iso", "--a", "{f}", "--b", "{f}"],
+], ids=lambda argv: argv[0])
+def test_module_commands_check_relations_first(capsys, tmp_path, argv):
+    path = write_rep(tmp_path / "bad.json", delta0_gamma0(QQ))
+    code, out, err = run(capsys, "module", *(a.format(f=path) for a in argv))
+    assert (code, out) == (3, "")
+    assert err == "verification failed: relations violated at arrow pair (0, 0)\n"
+
+
 def test_module_iso_exact_can_refuse(capsys, tmp_path):
     # Hom is one-dimensional (h = 1) but nowhere invertible; deg = 2, so the
     # 3^1 combinations over {0, 1, 2} decide it exactly.

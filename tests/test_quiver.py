@@ -99,6 +99,21 @@ def test_random_rep_satisfies_relations(field, dims):
         assert check_relations(rep) == (True, None)
 
 
+def test_diagonal_relations_hold_over_gf2():
+    # delta_i gamma_i = 0 is the diagonal pair (i, i) of the symmetric B
+    # relations; doubled, as delta_i gamma_i + delta_i gamma_i, it would
+    # vanish mod 2 whatever the arrows are
+    one, zero = ((1,),), ((0,),)
+    for field in (QQ, F2, F5):
+        bad = QuiverRep("B", field, (1, 1, 1), [one, zero, zero], [one, zero, zero])
+        assert check_relations(bad) == (False, (0, 0))
+    rng = random.Random(2)
+    for dims in [(1, 2, 1), (2, 3, 2), (1, 1, 1), (2, 2, 2)] * 5:
+        rep = random_rep("B", F2, dims, rng)
+        for i in range(3):
+            assert not any(map(any, mat_mul(F2, rep.delta_m(i), rep.gamma_m(i))))
+
+
 @pytest.mark.parametrize("field", [QQ, F7])
 def test_json_round_trip(field):
     rng = random.Random(3)
@@ -823,6 +838,19 @@ def test_layer1_takes_the_next_prime_once_it_has_spent_its_cost(monkeypatch, col
     assert len(pulled) == 250  # bounded by mod 2 alone: the whole pool
 
 
+@pytest.mark.parametrize("points,pulls,evidence", [
+    ([(1, 2, 3), (2, -1, 1)], 20, "squeeze(p=2)"),
+    ([(1, 2, 3), (2, -1, 1), (3, 1, -2)], 86, "squeeze(p=3)"),
+], ids=["2 points", "3 points"])
+def test_layer1_pulls_no_candidate_once_its_bound_is_filled(monkeypatch, cold_search,
+                                                           points, pulls, evidence):
+    # exact counts, not bounds: Layer 1 stops pulling at the candidate whose
+    # rectangle fills its bound, and never asks the pool for one more
+    pulled = count_candidates(monkeypatch)
+    search = submodule_dimvecs(module_ideal_A1(points))
+    assert (len(pulled), search.evidence) == (pulls, evidence)
+
+
 @pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
 def test_search_enumerates_each_prime_at_most_once(monkeypatch, cold_search, rep):
     reached = []
@@ -1111,9 +1139,13 @@ def ref_check_relations(rep):
     F = rep.field
     for (i, j) in quiver._REL_PAIRS[rep.algebra]:
         a = mat_mul(F, rep.delta_m(j), rep.gamma_m(i))
-        b = mat_mul(F, rep.delta_m(i), rep.gamma_m(j))
-        op = F.add if rep.algebra == "B" else F.sub
-        if not all(F.is_zero(op(x, y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
+        if i == j:  # the diagonal pair: delta_i gamma_i = 0 on its own
+            values = [x for ra in a for x in ra]
+        else:
+            b = mat_mul(F, rep.delta_m(i), rep.gamma_m(j))
+            op = F.add if rep.algebra == "B" else F.sub
+            values = [op(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+        if not all(F.is_zero(x) for x in values):
             return (False, (i, j))
     return (True, None)
 

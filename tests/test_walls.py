@@ -264,6 +264,14 @@ def test_walls_json_schema():
     dumps_json(out)  # must serialize cleanly
 
 
+def test_dumps_json_writes_fractions_and_nothing_else_json_lacks():
+    assert dumps_json({"b": Fraction(-3, 4)}) == '{\n  "b": "-3/4"\n}\n'
+    # no payload holds a set; one fails like any value JSON has no form for
+    for value in ({1, 2}, frozenset(), object()):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps_json({"b": value})
+
+
 _WALLS_JSON_DIGESTS = {
     (1, "A1"): "3d0957b18546c80127cc745e3b181127d48decac12a5ed92a56dd0e8696b3d1e",
     (2, "A1"): "159c55b4f4d80fa399b4bde8bc90e0f13ed2f8aebec56ac5040ef27ddf390f95",
