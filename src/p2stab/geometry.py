@@ -375,15 +375,13 @@ def composite_lines(points) -> Tuple[bool, Optional[Tuple[int, int]]]:
     pts = list(cfg)
     for i in range(3):
         for j in range(3):
-            comp = linalg.mat_mul(QQ, rep.delta_m(j), rep.gamma_m(i))
-            for a in range(n):
-                for b in range(n):
-                    if i % 3 == (j + 1) % 3:
-                        want = pts[a][(j + 2) % 3] if a == b else Fraction(0)
-                    elif i % 3 == (j + 2) % 3:
-                        want = -pts[a][(j + 1) % 3] if a == b else Fraction(0)
-                    else:
-                        want = Fraction(0)
-                    if comp[a][b] != want:
-                        return (False, (i, j))
+            if i == (j + 1) % 3:
+                diag = [x[(j + 2) % 3] for x in pts]
+            elif i == (j + 2) % 3:
+                diag = [-x[(j + 1) % 3] for x in pts]
+            else:
+                diag = [0] * n
+            want = [[d if a == b else 0 for b in range(n)] for a, d in enumerate(diag)]
+            if linalg.mat_mul(QQ, rep.delta_m(j), rep.gamma_m(i)) != want:
+                return (False, (i, j))
     return (True, None)

@@ -142,9 +142,19 @@ def rep_to_json(rep: QuiverRep) -> dict:
     }
 
 
+#: the largest dimension a module file may give a vertex.  The modules the
+#: program builds from at most `cli.MAX_N` points fit, the largest being
+#: ideal-A1's (30, 61, 30).  A stated dimension costs work and memory that
+#: the file's bytes do not bound: a vertex of dimension N beside one of
+#: dimension 0 has no entries but N empty rows, and `module jh` on the
+#: zero-arrow module of dims (0, 0, 64) already takes about a second on a
+#: 2-core VM
+MAX_DIM = 64
+
+
 def rep_from_json(obj: dict) -> QuiverRep:
-    """Parse the module JSON format; a missing key or a malformed entry is
-    invalid input."""
+    """Parse the module JSON format; a missing key, a malformed entry or a
+    dimension above `MAX_DIM` is invalid input."""
 
     def unflat(flat, nrows, ncols):
         if len(flat) != nrows * ncols:
@@ -158,6 +168,8 @@ def rep_from_json(obj: dict) -> QuiverRep:
         field = field_from_json(obj["field"])
         dims = tuple(parse_json_int(x) for x in obj["dims"])
         n0, n1, n2 = dims
+        if max(dims) > MAX_DIM:
+            raise InputError(f"module dimension {max(dims)} is above the bound {MAX_DIM}")
         gamma = [unflat(m, n1, n0) for m in obj["gamma"]]
         delta = [unflat(m, n2, n1) for m in obj["delta"]]
         algebra = obj["algebra"]
@@ -229,28 +241,16 @@ def simple(algebra: str, vertex: int, field=QQ) -> QuiverRep:
 def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     if a.algebra != b.algebra or a.field != b.field:
         raise InputError("summands live over different algebras or fields")
-    F = a.field
 
-    def block(M, N, rM, cM, rN, cN):
-        out = zeros(F, rM + rN, cM + cN)
-        for i in range(rM):
-            for j in range(cM):
-                out[i][j] = M[i][j]
-        for i in range(rN):
-            for j in range(cN):
-                out[rM + i][cM + j] = N[i][j]
-        return out
+    z = a.field.zero()
+
+    def block(M, N, cM, cN):
+        return [list(r) + [z] * cN for r in M] + [[z] * cM + list(r) for r in N]
 
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    gamma = [
-        block(a.gamma[i], b.gamma[i], a.dims[1], a.dims[0], b.dims[1], b.dims[0])
-        for i in range(3)
-    ]
-    delta = [
-        block(a.delta[j], b.delta[j], a.dims[2], a.dims[1], b.dims[2], b.dims[1])
-        for j in range(3)
-    ]
-    return QuiverRep(a.algebra, F, dims, gamma, delta)
+    gamma = [block(a.gamma[i], b.gamma[i], a.dims[0], b.dims[0]) for i in range(3)]
+    delta = [block(a.delta[j], b.delta[j], a.dims[1], b.dims[1]) for j in range(3)]
+    return QuiverRep(a.algebra, a.field, dims, gamma, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -437,57 +437,31 @@ def hom_space(a: QuiverRep, b: QuiverRep) -> List[Tuple]:
     and f2 delta^a = delta^b f1."""
     if a.algebra != b.algebra or a.field != b.field:
         raise InputError("modules live over different algebras or fields")
-    F = a.field
     a0, a1, a2 = a.dims
     b0, b1, b2 = b.dims
-    nvars = b0 * a0 + b1 * a1 + b2 * a2
-    off1 = b0 * a0
-    off2 = off1 + b1 * a1
-
+    off = (0, b0 * a0, b0 * a0 + b1 * a1)  # where f0, f1, f2 start, row-major
+    nvars = off[2] + b2 * a2
     rows: List[List] = []
-
-    def add_equations(src_mats, tgt_mats, src_dims, var_off_src, var_off_tgt):
-        # f_tgt @ M_a  ==  M_b @ f_src   for each arrow M
-        (sa, ta) = src_dims  # (source vertex dim in a, target vertex dim in a)
-        for M_a, M_b in zip(src_mats, tgt_mats):
-            tb = len(M_b)  # target vertex dim in b
-            for p in range(tb):
+    # f_t M^a = M^b f_s for each arrow M from vertex s to t = s + 1: entry
+    # (p, q) is sum_m f_t[p][m] M^a[m][q] - sum_m M^b[p][m] f_s[m][q], and
+    # f_t and f_s are disjoint blocks of the variables
+    for s, arrows_a, arrows_b in ((0, a.gamma, b.gamma), (1, a.delta, b.delta)):
+        sa, ta = a.dims[s], a.dims[s + 1]
+        for M_a, M_b in zip(arrows_a, arrows_b):
+            for p, M_bp in enumerate(M_b):
                 for q in range(sa):
-                    row = [F.zero()] * nvars
-                    # + sum_m f_tgt[p][m] * M_a[m][q]
+                    row = [0] * nvars
                     for m in range(ta):
-                        row[var_off_tgt + p * ta + m] = F.add(
-                            row[var_off_tgt + p * ta + m], M_a[m][q]
-                        )
-                    # - sum_m M_b[p][m] * f_src[m][q]
-                    for m in range(len(M_b[p])):
-                        idx = var_off_src + m * sa + q
-                        row[idx] = F.sub(row[idx], M_b[p][m])
+                        row[off[s + 1] + p * ta + m] = M_a[m][q]
+                    for m, x in enumerate(M_bp):
+                        row[off[s] + m * sa + q] = -x
                     rows.append(row)
-
-    # gamma equations: f1 gamma^a_i = gamma^b_i f0
-    add_equations(
-        [a.gamma_m(i) for i in range(3)],
-        [b.gamma_m(i) for i in range(3)],
-        (a0, a1),
-        0,
-        off1,
-    )
-    # delta equations: f2 delta^a_j = delta^b_j f1
-    add_equations(
-        [a.delta_m(j) for j in range(3)],
-        [b.delta_m(j) for j in range(3)],
-        (a1, a2),
-        off1,
-        off2,
-    )
-
-    basis = right_kernel(F, rows, ncols=nvars)
+    basis = right_kernel(a.field, rows, ncols=nvars)
 
     def unflatten(vec):
         f0 = [vec[p * a0 : (p + 1) * a0] for p in range(b0)]
-        f1 = [vec[off1 + p * a1 : off1 + (p + 1) * a1] for p in range(b1)]
-        f2 = [vec[off2 + p * a2 : off2 + (p + 1) * a2] for p in range(b2)]
+        f1 = [vec[off[1] + p * a1 : off[1] + (p + 1) * a1] for p in range(b1)]
+        f2 = [vec[off[2] + p * a2 : off[2] + (p + 1) * a2] for p in range(b2)]
         return (f0, f1, f2)
 
     return [unflatten(v) for v in basis]
@@ -526,56 +500,31 @@ def iso_test(a: QuiverRep, b: QuiverRep, seed: int = 0) -> IsoResult:
     """
     if a.dims != b.dims or a.field != b.field or a.algebra != b.algebra:
         return IsoResult(False, "exact", None)
-    if a.total_dim() == 0:
+    deg = a.total_dim()
+    if deg == 0:
         return IsoResult(True, "exact", None, ((), (), ()))
     F = a.field
     homs = hom_space(a, b)
     if not homs:
         return IsoResult(False, "exact", None)
-
-    def combo(coeffs):
-        fs = []
-        for v in range(3):
-            n = a.dims[v]
-            M = zeros(F, n, n)
-            for c, h in zip(coeffs, homs):
-                if F.is_zero(c):
-                    continue
-                for p in range(n):
-                    for q in range(n):
-                        M[p][q] = F.add(M[p][q], F.mul(c, h[v][p][q]))
-            fs.append(M)
-        return fs
-
-    def invertible(fs):
-        return all(
-            linalg.rank(F, M) == a.dims[v] for v, M in enumerate(fs)
-        )
-
-    deg = a.total_dim()
-    S = [F.convert(c) for c in range(deg + 1 if F.p is None else min(deg + 1, F.p))]
-    if len(S) ** len(homs) <= _ISO_EXACT_BOUND:
-        for coeffs in itertools.product(S, repeat=len(homs)):
-            if all(F.is_zero(c) for c in coeffs):
-                continue
-            fs = combo(coeffs)
-            if invertible(fs):
-                return IsoResult(True, "exact", None, tuple(fs))
-        return IsoResult(False, "exact", None)
-
-    rng = random.Random(seed)
-    if isinstance(F, PrimeField):
-        sample = lambda: F.convert(rng.randrange(F.p))
-        per = min(1.0, deg / F.p)
+    size = deg + 1 if F.p is None else min(deg + 1, F.p)  # |S|
+    exact = size ** len(homs) <= _ISO_EXACT_BOUND
+    if exact:  # all of S^h but its first vector, zero
+        tries = itertools.islice(itertools.product(range(size), repeat=len(homs)), 1, None)
     else:
-        span = 1 << 31
-        sample = lambda: Fraction(rng.randrange(span))
-        per = deg / (1 << 31)
-    for _ in range(_ISO_SAMPLES):
-        fs = combo([sample() for _ in homs])
-        if invertible(fs):
-            return IsoResult(True, "exact", None, tuple(fs))
-    return IsoResult(False, "probabilistic", min(1.0, per ** _ISO_SAMPLES) if per > 0 else 0.0)
+        rng = random.Random(seed)
+        tries = ([rng.randrange(F.p or 1 << 31) for _ in homs] for _ in range(_ISO_SAMPLES))
+    for coeffs in tries:
+        fs = tuple(
+            [[F.convert(sum(c * h[v][r][q] for c, h in zip(coeffs, homs))) for q in range(n)]
+             for r in range(n)]
+            for v, n in enumerate(a.dims)
+        )
+        if all(linalg.rank(F, M) == n for M, n in zip(fs, a.dims)):
+            return IsoResult(True, "exact", None, fs)
+    if exact:
+        return IsoResult(False, "exact", None)
+    return IsoResult(False, "probabilistic", min(1.0, deg / (F.p or 1 << 31)) ** _ISO_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -1366,35 +1315,28 @@ def random_rep(algebra: str, field, dims: Sequence[int], rng: random.Random) -> 
     n0, n1, n2 = (int(x) for x in dims)
 
     def rand_entry():
-        if isinstance(field, PrimeField):
-            return rng.randrange(field.p)
-        return Fraction(rng.randint(-3, 3))
+        return rng.randrange(field.p) if field.p else rng.randint(-3, 3)
 
     gamma = [[[rand_entry() for _ in range(n0)] for _ in range(n1)] for _ in range(3)]
 
+    # delta_j[p][q] is variable j * n2 * n1 + p * n1 + q; the relation at
+    # (i, j) and entry (p, q0) is sum_q delta_j[p][q] gamma_i[q][q0] +-
+    # delta_i[p][q] gamma_j[q][q0], or its first sum alone when i = j
     nvars = 3 * n2 * n1
+    sign = 1 if algebra == "B" else -1
     rows = []
     for (i, j) in _REL_PAIRS[algebra]:
-        sign = field.one() if algebra == "B" else field.neg(field.one())
         for p in range(n2):
             for q0 in range(n0):
-                row = [field.zero()] * nvars
+                row = [0] * nvars
                 for q in range(n1):
-                    # delta_j[p][q] * gamma_i[q][q0]
-                    idx = j * n2 * n1 + p * n1 + q
-                    row[idx] = field.add(row[idx], field.convert(gamma[i][q][q0]))
-                    if i != j:  # a diagonal pair is delta_i gamma_i alone
-                        # +/- delta_i[p][q] * gamma_j[q][q0]
-                        idx = i * n2 * n1 + p * n1 + q
-                        row[idx] = field.add(
-                            row[idx], field.mul(sign, field.convert(gamma[j][q][q0]))
-                        )
+                    row[j * n2 * n1 + p * n1 + q] = gamma[i][q][q0]
+                    if i != j:
+                        row[i * n2 * n1 + p * n1 + q] = sign * gamma[j][q][q0]
                 rows.append(row)
-    basis = right_kernel(field, rows, ncols=nvars) if nvars else []
-    flat = [field.zero()] * nvars
-    for vec in basis:
-        c = rand_entry()
-        flat = [field.add(x, field.mul(c, y)) for x, y in zip(flat, vec)]
+    basis = right_kernel(field, rows, ncols=nvars)
+    coeffs = [rand_entry() for _ in basis]
+    flat = [sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(nvars)]
     delta = [
         [[flat[j * n2 * n1 + p * n1 + q] for q in range(n1)] for p in range(n2)]
         for j in range(3)

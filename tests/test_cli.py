@@ -8,6 +8,7 @@ import os
 import random
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +341,37 @@ def test_module_json_numbers_are_read_as_written(capsys, tmp_path):
     code, _, _ = run(capsys, "module", "dual", "--in", str(tenth), "--out", str(dual_file))
     assert code == 0
     assert load_json(str(dual_file))["delta"] == [["1/10"], ["0"], ["0"]]
+
+
+def empty_module_file(path, dims):
+    path.write_text(json.dumps({"algebra": "B", "field": {"kind": "rational"}, "dims": dims,
+                                "gamma": [[], [], []], "delta": [[], [], []]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["check"], ["jh", "--theta=0,0,0"]], ids=lambda a: a[0])
+def test_module_dimension_is_bounded(capsys, tmp_path, argv):
+    # a dimension beside a zero one takes no entries in the file: 10^9 would
+    # cost hours and hundreds of GB if it were built
+    path = empty_module_file(tmp_path / "huge.json", [0, 0, 10**9])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "module", *argv, "--in", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: module dimension 1000000000 is above the bound {quiver.MAX_DIM}\n"
+
+
+def test_module_dimension_bound_admits_the_modules_the_program_builds(capsys, tmp_path):
+    path = empty_module_file(tmp_path / "at-bound.json", [0, 0, quiver.MAX_DIM])
+    code, _, _ = run(capsys, "module", "check", "--in", path)
+    assert code == 0
+    pts = [(k, k * k, 1) for k in range(cli.MAX_N)]  # on a conic, none collinear in threes
+    out = tmp_path / "a1.json"
+    code, _, _ = run(capsys, "module", "from-points", "--points",
+                     write_points(tmp_path / "pts.json", pts), "--out", str(out))
+    assert code == 0 and load_json(str(out))["dims"] == [30, 61, 30]
+    code, _, _ = run(capsys, "module", "check", "--in", str(out))
+    assert code == 0
 
 
 _MISSING_DIR_OUTPUTS = [

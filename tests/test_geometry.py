@@ -265,6 +265,59 @@ def test_composite_lines_identity():
     assert composite_lines([(1, 2, 3), (0, 1, 4)]) == (True, None)
 
 
+def ref_composite_lines(points):
+    """`composite_lines` as first written: entry by entry."""
+    cfg = geometry._as_config(points)
+    n = len(cfg)
+    rep = geometry.module_ideal_A1(cfg)
+    pts = list(cfg)
+    for i in range(3):
+        for j in range(3):
+            comp = mat_mul(QQ, rep.delta_m(j), rep.gamma_m(i))
+            for a in range(n):
+                for b in range(n):
+                    if i % 3 == (j + 1) % 3:
+                        want = pts[a][(j + 2) % 3] if a == b else Fraction(0)
+                    elif i % 3 == (j + 2) % 3:
+                        want = -pts[a][(j + 1) % 3] if a == b else Fraction(0)
+                    else:
+                        want = Fraction(0)
+                    if comp[a][b] != want:
+                        return (False, (i, j))
+    return (True, None)
+
+
+def _shifted(rep, rng):
+    """rep with one random arrow entry shifted by a random nonzero value."""
+    arrows = [[[list(row) for row in A] for A in side] for side in (rep.gamma, rep.delta)]
+    s, k = rng.randrange(2), rng.randrange(3)
+    row = rng.choice(arrows[s][k])
+    row[rng.randrange(len(row))] += Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+    return QuiverRep(rep.algebra, rep.field, rep.dims, *arrows)
+
+
+def test_composite_lines_reports_the_first_failing_pair(monkeypatch):
+    # one comparison per (i, j) finds the pair the entry-by-entry loop
+    # finds first, on modules broken in one arrow entry
+    rng = random.Random(3)
+    seen = set()
+    for pts in (TRIANGLE, TWO, LINE3, [(1, 2, 3), (0, 1, 4)]):
+        rep = module_ideal_A1(pts)
+        for _ in range(12):
+            monkeypatch.setattr(geometry, "module_ideal_A1", lambda cfg, r=_shifted(rep, rng): r)
+            got = composite_lines(pts)
+            assert got == ref_composite_lines(pts)
+            seen.add(got)
+    assert len(seen - {(True, None)}) >= 6  # first failures at many pairs
+    # gamma_1 doubled: delta_0 gamma_1 is diag(2 x_2), not diag(x_2), while
+    # the pairs (0, j) before it still hold
+    rep = module_ideal_A1(TRIANGLE)
+    gamma = [rep.gamma[0], [[2 * x for x in row] for row in rep.gamma[1]], rep.gamma[2]]
+    broken = QuiverRep("B", QQ, rep.dims, gamma, rep.delta)
+    monkeypatch.setattr(geometry, "module_ideal_A1", lambda cfg: broken)
+    assert composite_lines(TRIANGLE) == (False, (1, 0))
+
+
 # ---------------------------------------------------------------------------
 # boundary walls
 

@@ -1081,6 +1081,251 @@ def test_iso_rule_matches_full_enumeration(p):
     assert seen[True, p > 3] and seen[False, p > 3]
 
 
+# `hom_space`, `iso_test`, `direct_sum` and `random_rep` as first written,
+# with per-entry field arithmetic (`F.add`, `F.mul`, ...), kept as references
+# for the versions on the field's own numbers: results, witnesses and random
+# streams must agree.
+
+
+def ref_direct_sum(a, b):
+    if a.algebra != b.algebra or a.field != b.field:
+        raise InputError("summands live over different algebras or fields")
+    F = a.field
+
+    def block(M, N, rM, cM, rN, cN):
+        out = linalg.zeros(F, rM + rN, cM + cN)
+        for i in range(rM):
+            for j in range(cM):
+                out[i][j] = M[i][j]
+        for i in range(rN):
+            for j in range(cN):
+                out[rM + i][cM + j] = N[i][j]
+        return out
+
+    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
+    gamma = [
+        block(a.gamma[i], b.gamma[i], a.dims[1], a.dims[0], b.dims[1], b.dims[0])
+        for i in range(3)
+    ]
+    delta = [
+        block(a.delta[j], b.delta[j], a.dims[2], a.dims[1], b.dims[2], b.dims[1])
+        for j in range(3)
+    ]
+    return QuiverRep(a.algebra, F, dims, gamma, delta)
+
+
+def ref_hom_space(a, b):
+    if a.algebra != b.algebra or a.field != b.field:
+        raise InputError("modules live over different algebras or fields")
+    F = a.field
+    a0, a1, a2 = a.dims
+    b0, b1, b2 = b.dims
+    nvars = b0 * a0 + b1 * a1 + b2 * a2
+    off1 = b0 * a0
+    off2 = off1 + b1 * a1
+    rows = []
+
+    def add_equations(src_mats, tgt_mats, src_dims, var_off_src, var_off_tgt):
+        (sa, ta) = src_dims
+        for M_a, M_b in zip(src_mats, tgt_mats):
+            tb = len(M_b)
+            for p in range(tb):
+                for q in range(sa):
+                    row = [F.zero()] * nvars
+                    for m in range(ta):
+                        row[var_off_tgt + p * ta + m] = F.add(
+                            row[var_off_tgt + p * ta + m], M_a[m][q]
+                        )
+                    for m in range(len(M_b[p])):
+                        idx = var_off_src + m * sa + q
+                        row[idx] = F.sub(row[idx], M_b[p][m])
+                    rows.append(row)
+
+    add_equations([a.gamma_m(i) for i in range(3)], [b.gamma_m(i) for i in range(3)],
+                  (a0, a1), 0, off1)
+    add_equations([a.delta_m(j) for j in range(3)], [b.delta_m(j) for j in range(3)],
+                  (a1, a2), off1, off2)
+    basis = linalg.right_kernel(F, rows, ncols=nvars)
+
+    def unflatten(vec):
+        f0 = [vec[p * a0 : (p + 1) * a0] for p in range(b0)]
+        f1 = [vec[off1 + p * a1 : off1 + (p + 1) * a1] for p in range(b1)]
+        f2 = [vec[off2 + p * a2 : off2 + (p + 1) * a2] for p in range(b2)]
+        return (f0, f1, f2)
+
+    return [unflatten(v) for v in basis]
+
+
+def ref_iso_test(a, b, seed=0):
+    if a.dims != b.dims or a.field != b.field or a.algebra != b.algebra:
+        return quiver.IsoResult(False, "exact", None)
+    if a.total_dim() == 0:
+        return quiver.IsoResult(True, "exact", None, ((), (), ()))
+    F = a.field
+    homs = ref_hom_space(a, b)
+    if not homs:
+        return quiver.IsoResult(False, "exact", None)
+
+    def combo(coeffs):
+        fs = []
+        for v in range(3):
+            n = a.dims[v]
+            M = linalg.zeros(F, n, n)
+            for c, h in zip(coeffs, homs):
+                if F.is_zero(c):
+                    continue
+                for p in range(n):
+                    for q in range(n):
+                        M[p][q] = F.add(M[p][q], F.mul(c, h[v][p][q]))
+            fs.append(M)
+        return fs
+
+    def invertible(fs):
+        return all(linalg.rank(F, M) == a.dims[v] for v, M in enumerate(fs))
+
+    deg = a.total_dim()
+    S = [F.convert(c) for c in range(deg + 1 if F.p is None else min(deg + 1, F.p))]
+    if len(S) ** len(homs) <= quiver._ISO_EXACT_BOUND:
+        for coeffs in itertools.product(S, repeat=len(homs)):
+            if all(F.is_zero(c) for c in coeffs):
+                continue
+            fs = combo(coeffs)
+            if invertible(fs):
+                return quiver.IsoResult(True, "exact", None, tuple(fs))
+        return quiver.IsoResult(False, "exact", None)
+
+    rng = random.Random(seed)
+    if isinstance(F, PrimeField):
+        sample = lambda: F.convert(rng.randrange(F.p))
+        per = min(1.0, deg / F.p)
+    else:
+        span = 1 << 31
+        sample = lambda: Fraction(rng.randrange(span))
+        per = deg / (1 << 31)
+    for _ in range(quiver._ISO_SAMPLES):
+        fs = combo([sample() for _ in homs])
+        if invertible(fs):
+            return quiver.IsoResult(True, "exact", None, tuple(fs))
+    return quiver.IsoResult(False, "probabilistic", min(1.0, per ** quiver._ISO_SAMPLES) if per > 0 else 0.0)
+
+
+def ref_random_rep(algebra, field, dims, rng):
+    n0, n1, n2 = (int(x) for x in dims)
+
+    def rand_entry():
+        if isinstance(field, PrimeField):
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-3, 3))
+
+    gamma = [[[rand_entry() for _ in range(n0)] for _ in range(n1)] for _ in range(3)]
+    nvars = 3 * n2 * n1
+    rows = []
+    for (i, j) in quiver._REL_PAIRS[algebra]:
+        sign = field.one() if algebra == "B" else field.neg(field.one())
+        for p in range(n2):
+            for q0 in range(n0):
+                row = [field.zero()] * nvars
+                for q in range(n1):
+                    idx = j * n2 * n1 + p * n1 + q
+                    row[idx] = field.add(row[idx], field.convert(gamma[i][q][q0]))
+                    if i != j:
+                        idx = i * n2 * n1 + p * n1 + q
+                        row[idx] = field.add(
+                            row[idx], field.mul(sign, field.convert(gamma[j][q][q0]))
+                        )
+                rows.append(row)
+    basis = linalg.right_kernel(field, rows, ncols=nvars) if nvars else []
+    flat = [field.zero()] * nvars
+    for vec in basis:
+        c = rand_entry()
+        flat = [field.add(x, field.mul(c, y)) for x, y in zip(flat, vec)]
+    delta = [
+        [[flat[j * n2 * n1 + p * n1 + q] for q in range(n1)] for p in range(n2)]
+        for j in range(3)
+    ]
+    return require_relations(QuiverRep(algebra, field, (n0, n1, n2), gamma, delta))
+
+
+FIELD_LOOP_FIELDS = [QQ, F2, PrimeField(3), F5, PrimeField(101)]
+
+
+def zero_arrows(algebra, F, dims):
+    n0, n1, n2 = dims
+    return QuiverRep(algebra, F, dims, [linalg.zeros(F, n1, n0)] * 3,
+                     [linalg.zeros(F, n2, n1)] * 3)
+
+
+def in_random_basis(rep, rng):
+    """An isomorphic copy of rep; over Q with denominators in its arrows."""
+    F = rep.field
+    if F.p is None:
+        return base_change(rep, lambda n: [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                            for _ in range(n)] for _ in range(n)])
+    return base_change(rep, lambda n: random_rows(F, rng, n, n))
+
+
+@pytest.mark.parametrize("field", FIELD_LOOP_FIELDS, ids=repr)
+def test_random_rep_direct_sum_and_hom_match_the_field_loops(field):
+    rng = random.Random(field.p or 0)
+    shapes = [(0, 0, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 3, 0), (0, 3, 2)]
+    shapes += [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(34)]
+    reps = {"B": [], "Bprime": []}
+    for k, dims in enumerate(shapes):
+        algebra = "B" if k % 2 else "Bprime"
+        seed = rng.randrange(1 << 30)
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = random_rep(algebra, field, dims, got_rng)
+        want = ref_random_rep(algebra, field, dims, want_rng)
+        assert rep_to_json(got) == rep_to_json(want) and typed_rep(got) == typed_rep(want)
+        assert got_rng.getstate() == want_rng.getstate()
+        reps[algebra] += [got, in_random_basis(got, rng), zero_arrows(algebra, field, dims)]
+    homs = collections.Counter()
+    for mods in reps.values():
+        for a, b in zip(mods, mods[1:] + mods[:1]):
+            ab = direct_sum(a, b)
+            assert rep_to_json(ab) == rep_to_json(ref_direct_sum(a, b))
+            assert typed_rep(ab) == typed_rep(ref_direct_sum(a, b))
+            for x, y in ((a, b), (b, a), (a, a), (ab, a), (b, ab)):
+                got = hom_space(x, y)
+                assert typed(got) == typed(ref_hom_space(x, y))
+                homs[min(len(got), 3)] += 1
+    assert all(homs[h] for h in range(4))  # zero, one, two and larger Hom spaces
+
+
+def iso_cases(field, rng):
+    """Pairs of modules for `iso_test`: isomorphic copies, random modules of
+    the same dims, and zero-arrow modules, whose large Hom spaces take the
+    sampled path at dims (3, 3, 3)."""
+    for k in range(16):
+        algebra = "B" if k % 2 else "Bprime"
+        dims = tuple(rng.randint(0, 2) for _ in range(3)) if k < 12 else (3, 3, 3)
+        a = random_rep(algebra, field, dims, rng)
+        z = zero_arrows(algebra, field, dims)
+        yield a, in_random_basis(a, rng)
+        yield a, random_rep(algebra, field, dims, rng)
+        yield z, a
+        yield z, z
+    # modules of different dims or over another algebra are never isomorphic
+    yield simple("B", 0, field), simple("B", 1, field)
+    yield simple("B", 0, field), simple("Bprime", 0, field)
+
+
+@pytest.mark.parametrize("field", FIELD_LOOP_FIELDS, ids=repr)
+def test_iso_test_matches_the_field_loops(field):
+    rng = random.Random(field.p or 1)
+    paths = collections.Counter()
+    for k, (a, b) in enumerate(iso_cases(field, rng)):
+        got, want = iso_test(a, b, seed=k), ref_iso_test(a, b, seed=k)
+        assert got == want and typed(got.witness) == typed(want.witness)
+        h = len(hom_space(a, b)) if a.dims == b.dims and a.algebra == b.algebra else 0
+        size = min(sum(a.dims) + 1, field.p or sum(a.dims) + 1)
+        paths["sampled" if size ** h > quiver._ISO_EXACT_BOUND else "exact",
+              got.isomorphic] += 1
+    # both verdicts on both paths; a zero-arrow module against one with
+    # arrows has a large Hom space with no invertible member
+    assert all(paths[path, iso] for path in ("exact", "sampled") for iso in (True, False))
+
+
 # ---------------------------------------------------------------------------
 # duality
 
