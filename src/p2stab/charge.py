@@ -39,12 +39,6 @@ FLOAT_TOL = 1e-12
 Pair = Tuple
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise InputError("refusing to coerce a float into exact arithmetic")
-    return Fraction(x)
-
-
 def sqrt_rational(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None."""
     x = Fraction(x)
@@ -77,8 +71,8 @@ class CentralCharge:
         if self.backend not in ("exact", "float"):
             raise InputError(f"unknown backend {self.backend!r}")
         vals = tuple(
-            (x if self.backend == "float" else _frac(x),
-             y if self.backend == "float" else _frac(y))
+            (x if self.backend == "float" else QQ.convert(x),
+             y if self.backend == "float" else QQ.convert(y))
             for x, y in self.values
         )
         if len(vals) != 3:
@@ -134,8 +128,8 @@ def z_geometric(a: ClassLike, b: Fraction, t2: Fraction) -> Tuple[Fraction, Frac
 
     Requires t^2 > 0 (the ample range).  Exact: t never materializes.
     """
-    b = _frac(b)
-    t2 = _frac(t2)
+    b = QQ.convert(b)
+    t2 = QQ.convert(t2)
     if t2 <= 0:
         raise InputError("not in the ample range")
     r, d, s = as_triple(a)
@@ -150,8 +144,8 @@ def z_cha_form(a: ClassLike, b: Fraction, t2: Fraction) -> Tuple[Fraction, Fract
 
     Only defined for nonzero rank.
     """
-    b = _frac(b)
-    t2 = _frac(t2)
+    b = QQ.convert(b)
+    t2 = QQ.convert(t2)
     if t2 <= 0:
         raise InputError("not in the ample range")
     r, d, s = as_triple(a)
@@ -167,8 +161,8 @@ def from_geometric(b: Fraction, t2: Fraction) -> CentralCharge:
 
     Exact backend when t^2 is a rational square, float backend otherwise.
     """
-    b = _frac(b)
-    t2 = _frac(t2)
+    b = QQ.convert(b)
+    t2 = QQ.convert(t2)
     t = sqrt_rational(t2)
     basis = [c.triple() for c in A1.signed_basis()]
     coeffs = [z_geometric(c, b, t2) for c in basis]
@@ -185,7 +179,7 @@ def z_sigma_b(b: Fraction) -> CentralCharge:
 
     Values on the simples: (-b, 0), (-1 + b, 0), (3 - 3b, 1).
     """
-    b = _frac(b)
+    b = QQ.convert(b)
     if not (0 < b < 1):
         raise InputError("sigma_b defined for 0<b<1")
     values = ((-b, Fraction(0)), (-1 + b, Fraction(0)), (3 - 3 * b, Fraction(1)))
@@ -197,7 +191,7 @@ def pi_sigma_b(b: Fraction) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
 
     u = (2b-1, b+1/2, b), v = (-1, -1/2, 0).
     """
-    b = _frac(b)
+    b = QQ.convert(b)
     if not (0 < b < 1):
         raise InputError("sigma_b defined for 0<b<1")
     u = (2 * b - 1, b + Fraction(1, 2), b)
@@ -252,7 +246,7 @@ def gl_act(T: Sequence[Sequence], Z: CentralCharge) -> CentralCharge:
         isinstance(x, float) for x in (a, b, c, d)
     )
     if not floaty:
-        a, b, c, d = _frac(a), _frac(b), _frac(c), _frac(d)
+        a, b, c, d = QQ.convert(a), QQ.convert(b), QQ.convert(c), QQ.convert(d)
     det = a * d - b * c
     if det <= 0:
         raise InputError("not in GL+")
@@ -278,7 +272,7 @@ def gl_act(T: Sequence[Sequence], Z: CentralCharge) -> CentralCharge:
 def t_matrix_inv(b: Fraction) -> GL2:
     """T^{-1} = [[b - 1/2, 2b^2 - 2b - 1/2], [t, (2b - 1) t]] with
     t = sqrt(b - b^2); exact only when that square root is rational."""
-    b = _frac(b)
+    b = QQ.convert(b)
     if not (0 < b < 1):
         raise InputError("sigma_b defined for 0<b<1")
     t = sqrt_rational(b - b * b)
@@ -302,7 +296,7 @@ def verify_T_identity(b: Fraction) -> dict:
     and sends the skyscraper value Z^b(O_x) = (1-2b, 1) to (-1, 0).
     Returns a report dict; raises nothing on mismatch (ok flags say it).
     """
-    b = _frac(b)
+    b = QQ.convert(b)
     (t00, t01), (t10, t11) = t_matrix_inv(b)
     t = sqrt_rational(b - b * b)
     u, v = pi_sigma_b(b)
@@ -376,8 +370,8 @@ def theorem1_hypotheses(a: ClassLike, b: Fraction, t2: Fraction) -> dict:
     r, d, s = as_triple(a)
     if r <= 0:
         raise InputError("positive rank required")
-    b = _frac(b)
-    t2 = _frac(t2)
+    b = QQ.convert(b)
+    t2 = QQ.convert(t2)
     re, eps = z_geometric(a, b, t2)
     ok_range = eps > 0 and eps * eps <= t2 and eps <= Fraction(1, r)
     ok_t = 0 < t2 <= 1
@@ -404,8 +398,8 @@ def slope_identity_check(a: ClassLike, b: Fraction, t2: Fraction) -> bool:
     r, d, s = as_triple(a)
     if r == 0:
         raise InputError("rank-zero class")
-    b = _frac(b)
-    t2 = _frac(t2)
+    b = QQ.convert(b)
+    t2 = QQ.convert(t2)
     re, im_coeff = z_geometric(a, b, t2)
     if im_coeff == 0:
         raise InputError("wall of infinite slope")

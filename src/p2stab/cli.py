@@ -37,9 +37,9 @@ from . import walls as walls_mod
 from . import acceptance
 
 
-#: the largest point count `--n` accepts: the walls of the n-point class
-#: take about a second to enumerate at n = 30 and some eight times longer
-#: at each doubling of n
+#: the largest point count `--n` and `module from-points` accept: the walls
+#: of the n-point class take about a second to enumerate at n = 30 and some
+#: eight times longer at each doubling of n
 MAX_N = 30
 
 #: the most rows `charge scan --steps` accepts: a scan takes about 0.2 ms a
@@ -309,6 +309,10 @@ def cmd_module_iso(args) -> int:
 
 def cmd_module_from_points(args) -> int:
     cfg = geometry.PointConfig.from_json(_read_json(args.points))
+    if len(cfg) > MAX_N:
+        # every module built from at most MAX_N points is within quiver.MAX_DIM, so
+        # every module command reads it; ideal-A1 of 32 points is not
+        raise InputError(f"a module is built from at most {MAX_N} points, not {len(cfg)}")
     kind = args.construction
     if kind == "point":
         if len(cfg) != 1:

@@ -31,12 +31,6 @@ Triple = Tuple[Fraction, Fraction, Fraction]
 LT, EQ, GT = -1, 0, 1
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise InputError("refusing to coerce a float into exact arithmetic")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class ChernCharacter:
     """A numerical class (r, d, s) with r, d integers and s a half-integer."""
@@ -46,7 +40,7 @@ class ChernCharacter:
     s: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _frac(self.s))
+        object.__setattr__(self, "s", QQ.convert(self.s))
         if int(self.r) != self.r or int(self.d) != self.d:
             raise InputError("rank and degree must be integers")
         object.__setattr__(self, "r", int(self.r))
@@ -88,7 +82,7 @@ def as_triple(a: ClassLike) -> Triple:
     """
     if isinstance(a, ChernCharacter):
         return a.triple()
-    t = tuple(_frac(x) for x in a)
+    t = tuple(QQ.convert(x) for x in a)
     if len(t) != 3:
         raise InputError(f"expected a class triple, got {a!r}")
     return t  # type: ignore[return-value]
@@ -136,7 +130,7 @@ def slopes(a: ClassLike, gamma: Fraction = Fraction(0)) -> Tuple:
     infinite: returns (math.inf, None).
     """
     r, d, s = as_triple(a)
-    gamma = _frac(gamma)
+    gamma = QQ.convert(gamma)
     if r == 0:
         return (math.inf, None)
     mu = d / r

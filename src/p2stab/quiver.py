@@ -763,7 +763,8 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     end-vertex targets, seeded random spans, then sums and intersections of
     earlier candidates under a work budget.  The pool is built lazily: a
     consumer that stops pulling leaves the rest of it unbuilt, and the
-    candidates it did pull are the first ones of the whole pool.
+    candidates it did pull are the first ones of the whole pool.  A full
+    pool pulls no further source.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
@@ -773,79 +774,65 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     def canon(rows) -> tuple:
         return tuple(tuple(r) for r in linalg.int_rref(F, rows)[0])
 
-    def put(key) -> Iterator[tuple]:
-        """Yield the canonical ``key`` if it enters the pool."""
-        if len(pool) < cap:
+    def fresh(keys) -> Iterator[tuple]:
+        """Admit the canonical ``keys`` in turn, yielding each one that is new
+        to the pool; pull no further key once the pool holds ``cap``."""
+        keys = iter(keys)
+        while len(pool) < cap:
+            key = next(keys, None)
+            if key is None:
+                return
             size = len(pool)
             pool.setdefault(key, None)  # one hash of the rows, not two
             if len(pool) > size:
                 yield key
 
-    def add(rows) -> Iterator[tuple]:
-        return put(canon(rows))
+    def sources() -> Iterator[list]:
+        """The rows spanning each candidate before the closure, in pool order;
+        it reads the pool only once every earlier source has been offered."""
+        units0 = [_unit(n0, c) for c in range(n0)]
+        units1 = [_unit(n1, c) for c in range(n1)]
+        units2 = [_unit(n2, c) for c in range(n2)]
+        yield []
+        yield units1
+        # arrow images and kernels
+        for g in gammas:
+            yield _image(units0, [g])
+        yield _image(units0, gammas)
+        yield _preimage(F, deltas, [], n1, n2)
+        for d in deltas:
+            yield _preimage(F, [d], [], n1, n2)
+        # cyclic spans of coordinate vectors; over a small prime field every
+        # vector is affordable, and then every cyclic subspace is seeded here
+        yield from (_image([u], gammas) for u in units0)
+        yield from ([u] for u in units1)
+        for n, span in ((n0, lambda v: _image([v], gammas)), (n1, lambda v: [v])):
+            if isinstance(F, PrimeField) and n and F.p ** n <= 512:
+                vectors = itertools.product(F.elements(), repeat=n)
+                yield from map(span, itertools.islice(vectors, 1, None))  # past the zero vector
+        # delta-preimages of the distinct targets at the end vertex: at most
+        # 2 + 3 + 14 + 40 of them
+        targets = [[], units2, *(_image(units1, [d]) for d in deltas)]
+        masks = range(1, 2**n2 - 1) if n2 <= 4 else ()
+        targets += ([u for k, u in enumerate(units2) if mask >> k & 1] for mask in masks)
+        targets += (_image(u1c, deltas) for u1c in list(pool)[:40])
+        for w in dict.fromkeys(map(canon, targets)):
+            yield _preimage(F, deltas, w, n1, n2)
+        # seeded random cyclic spans
+        rng = random.Random(seed)
 
-    units0 = [_unit(n0, c) for c in range(n0)]
-    units1 = [_unit(n1, c) for c in range(n1)]
-    yield from add([])
-    yield from add(units1)
+        def rand_vec(n):
+            if isinstance(F, PrimeField):
+                return [rng.randrange(F.p) for _ in range(n)]
+            return [rng.randint(-3, 3) for _ in range(n)]
 
-    # arrow images and kernels
-    for g in gammas:
-        yield from add(_image(units0, [g]))
-    yield from add(_image(units0, gammas))
-    yield from add(_preimage(F, deltas, [], n1, n2))
-    for d in deltas:
-        yield from add(_preimage(F, [d], [], n1, n2))
+        for _ in range(8):
+            if n0:
+                yield _image([rand_vec(n0)], gammas)
+            if n1:
+                yield [rand_vec(n1)]
 
-    # cyclic spans of coordinate vectors; over a small prime field every
-    # vector is affordable, and then every cyclic subspace is seeded here
-    for u in units0:
-        yield from add(_image([u], gammas))
-    for u in units1:
-        yield from add([u])
-    if isinstance(F, PrimeField):
-        if n0 and F.p ** n0 <= 512:
-            for coeffs in itertools.product(F.elements(), repeat=n0):
-                if any(c != 0 for c in coeffs):
-                    yield from add(_image([coeffs], gammas))
-        if n1 and F.p ** n1 <= 512:
-            for coeffs in itertools.product(F.elements(), repeat=n1):
-                if any(c != 0 for c in coeffs):
-                    yield from add([coeffs])
-
-    # delta-preimages of a small pool of subspaces at the end vertex
-    targets: Dict[tuple, None] = {}
-
-    def add_target(rows) -> None:
-        if len(targets) < 64:
-            targets.setdefault(canon(rows), None)
-
-    add_target([])
-    add_target([_unit(n2, c) for c in range(n2)])
-    for d in deltas:
-        add_target(_image(units1, [d]))
-    if n2 <= 4:
-        for mask in range(1, 2**n2 - 1):
-            add_target([_unit(n2, k) for k in range(n2) if (mask >> k) & 1])
-    for u1c in list(pool)[:40]:
-        add_target(_image(u1c, deltas))
-    for w in list(targets):
-        yield from add(_preimage(F, deltas, w, n1, n2))
-
-    # seeded random cyclic spans
-    rng = random.Random(seed)
-
-    def rand_vec(n):
-        if isinstance(F, PrimeField):
-            return [rng.randrange(F.p) for _ in range(n)]
-        return [rng.randint(-3, 3) for _ in range(n)]
-
-    for _ in range(8):
-        if n0:
-            yield from add(_image([rand_vec(n0)], gammas))
-        if n1:
-            yield from add([rand_vec(n1)])
-
+    yield from fresh(map(canon, sources()))
     # close under sums and intersections with a work budget
     ops = 0
     atoms = list(pool)
@@ -853,33 +840,26 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
         if ops >= pair_budget or len(pool) >= cap:
             break
         total = canon(a + b)
-        yield from put(total)
         # the sum settles the meet when it is direct or equals a summand
         if len(total) == len(a) + len(b):
-            yield from put(())
+            meet = ()
         elif total in (a, b):
-            yield from put(b if total == a else a)
+            meet = b if total == a else a
         else:  # the meet comes canonical already
-            yield from put(tuple(map(tuple, linalg.int_intersect(F, a, b, n1))))
+            meet = tuple(map(tuple, linalg.int_intersect(F, a, b, n1)))
+        yield from fresh((total, meet))
         ops += 2
-    seen = set(atoms)
-    frontier = [t for t in pool if t not in seen]
-    rounds = 0
-    while frontier and ops < pair_budget and len(pool) < cap and rounds < 2:
+    # two rounds of sums: each candidate the last phase added with the pool
+    # as the round starts
+    frontier = list(pool)[len(atoms):]
+    for _ in range(2):
         snapshot = list(pool)
-        new: List[tuple] = []
-        for a in frontier:
+        for a, b in itertools.product(frontier, snapshot):
             if ops >= pair_budget or len(pool) >= cap:
                 break
-            for b in snapshot:
-                if ops >= pair_budget or len(pool) >= cap:
-                    break
-                for key in add(a + b):
-                    new.append(key)
-                    yield key
-                ops += 1
-        frontier = new
-        rounds += 1
+            yield from fresh([canon(a + b)])
+            ops += 1
+        frontier = list(pool)[len(snapshot):]
 
 
 def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list]:

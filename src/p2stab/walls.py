@@ -23,6 +23,7 @@ from .quiver import king_test, reverse_theta, theta_pair
 from .geometry import (
     Theta,
     _as_config,
+    _cross,
     _normalized_point,
     collinear_test,
     module_ideal_A0,
@@ -161,14 +162,6 @@ def _angle_key(pq: Tuple[int, int]):
     return (1, Fraction(0))
 
 
-def _parallel(a: Sequence[int], b: Sequence[int]) -> bool:
-    return (
-        a[0] * b[1] == a[1] * b[0]
-        and a[0] * b[2] == a[2] * b[0]
-        and a[1] * b[2] == a[2] * b[1]
-    )
-
-
 def numerical_walls(d: Sequence[int]) -> List[WallLine]:
     """All lines theta(d') = 0 in the plane theta(d) = 0, for proper
     nonzero componentwise subvectors d' not proportional to d.
@@ -186,7 +179,7 @@ def numerical_walls(d: Sequence[int]) -> List[WallLine]:
         for a1 in range(d[1] + 1):
             for a2 in range(d[2] + 1):
                 dp = (a0, a1, a2)
-                if dp == (0, 0, 0) or dp == d or _parallel(dp, d):
+                if dp == (0, 0, 0) or dp == d or not any(_cross(dp, d)):
                     continue
                 u = sum(x * y for x, y in zip(b1, dp))
                 v = sum(x * y for x, y in zip(b2, dp))

@@ -372,6 +372,13 @@ def test_module_dimension_bound_admits_the_modules_the_program_builds(capsys, tm
     assert code == 0 and load_json(str(out))["dims"] == [30, 61, 30]
     code, _, _ = run(capsys, "module", "check", "--in", str(out))
     assert code == 0
+    # a point more is refused before any module is built
+    pts.append((cli.MAX_N, cli.MAX_N**2, 1))
+    out = tmp_path / "refused.json"
+    code, _, err = run(capsys, "module", "from-points", "--points",
+                       write_points(tmp_path / "more.json", pts), "--out", str(out))
+    assert (code, err) == (2, "error: a module is built from at most 30 points, not 31\n")
+    assert not out.exists()
 
 
 _MISSING_DIR_OUTPUTS = [

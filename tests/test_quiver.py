@@ -656,7 +656,13 @@ def test_layer1_matches_the_fraction_row_search(field, dims, algebra, seed, budg
         rep = rational_rep(algebra, dims, rng)
     else:
         rep = random_rep(algebra, field, dims, rng)
-    cap, pair_budget = budgets
+    assert_layer1_matches_the_fraction_row_search(rep, seed, *budgets)
+
+
+def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
+    """The pool, and the witnesses drawn from it, equal the Fraction-row
+    search's: the same candidates and witnesses in the same order."""
+    field = rep.field
     pool = quiver._u1_candidates(rep, seed, cap, pair_budget)
     assert [
         tuple(tuple(r) for r in linalg.int_rows_to_field(field, u1)) for u1 in pool
@@ -785,6 +791,31 @@ _REPORT_MODULES = [
     pytest.param(MOD3_A1, id="(2, 5, 2) mod 3"),
     pytest.param(MOD3_A0, id="(2, 4, 1) mod 3"),
 ]
+
+
+@pytest.mark.parametrize("budgets", [(250, 4000), (40, 60)], ids=str)
+@pytest.mark.parametrize("p", [None, 3], ids=["own field", "reduced mod 3"])
+@pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
+def test_layer1_matches_the_fraction_row_search_on_report_modules(rep, p, budgets):
+    # middle dimensions 4 to 7, past the random inputs above; mod 3 every
+    # vector of the first vertex, and of a middle space of dimension 4 or 5,
+    # is a source
+    if p is not None:
+        rep = quiver._reduce_rep_mod_p(rep, p)
+    assert_layer1_matches_the_fraction_row_search(rep, 0, *budgets)
+
+
+def test_a_full_pool_pulls_no_further_source(monkeypatch):
+    # counts, not timings: once the pool holds `cap` candidates, no later
+    # source is formed, the delta-preimages of the end-vertex targets among them
+    rep = _REPORT_MODULES[0]
+    calls = []
+    real = quiver._preimage
+    monkeypatch.setattr(quiver, "_preimage", lambda *args: calls.append(1) or real(*args))
+    pool = quiver._u1_candidates(rep, 0, 6, 4000)
+    assert len(list(itertools.islice(pool, 6))) == 6
+    formed = len(calls)
+    assert list(pool) == [] and len(calls) == formed
 
 
 @pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
