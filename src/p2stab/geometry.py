@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
 from . import linalg
@@ -67,12 +67,15 @@ class PointConfig:
             if all(c == 0 for c in q):
                 raise InputError("the zero vector is not a projective point")
             pts.append(q)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if all(c == 0 for c in _cross(pts[i], pts[j])):
-                    raise InputError(
-                        f"points {i} and {j} coincide (non-reduced subscheme unsupported)"
-                    )
+        # two points coincide iff their normalized representatives agree:
+        # pair each point with the first one it repeats, and name the least
+        # such pair (i, j)
+        first: Dict[str, int] = {}
+        pairs = [(first.setdefault(_normalized_point(q), j), j) for j, q in enumerate(pts)]
+        repeats = [(i, j) for i, j in pairs if i != j]
+        if repeats:
+            i, j = min(repeats)
+            raise InputError(f"points {i} and {j} coincide (non-reduced subscheme unsupported)")
         object.__setattr__(self, "points", tuple(pts))
 
     def __len__(self) -> int:

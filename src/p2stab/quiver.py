@@ -73,10 +73,10 @@ def _freeze_matrix(F, M, nrows: int, ncols: int):
 class QuiverRep:
     """A finite-dimensional right module, given by its pullback matrices.
 
-    Immutable, so its hash and its integer arrows (`_int_arrows`) are each
+    Immutable, so its hash and its integer form (`_int_sides`) are each
     computed at most once, when first asked for, and kept on it: the search
-    memo hashes a module on every lookup, and every search step reads those
-    arrows.
+    memo hashes a module on every lookup, and every relation check and
+    search step reads that form.
     """
 
     algebra: str
@@ -182,29 +182,55 @@ def rep_from_json(obj: dict) -> QuiverRep:
 # relations
 
 
-def _common_ints(F, arrows, nrows: int) -> List[List[List[int]]]:
-    """Three arrows of ``nrows`` rows each as integer matrices: over Q all
-    scaled by one positive rational (`clear_denominators` of their stacked
-    rows), over GF(p) as stored."""
+def _side_form(F, Ns, t: Tuple[int, int]) -> Tuple[tuple, Tuple[int, int]]:
+    """The integer form of a side whose arrows are t N_k, for rational (or
+    integer) matrices N_k and a positive rational t = (numerator,
+    denominator): over GF(p) the N_k mod p and t = (1, 1); over Q the N_k
+    times the lcm d of their denominators, divided by the gcd g of all
+    those entries, and t times g / d, reduced (0 on a zero side)."""
     if F.p is not None:
-        return list(arrows)
-    ints = clear_denominators([row for A in arrows for row in A])
-    return [ints[k * nrows : (k + 1) * nrows] for k in range(3)]
+        return tuple(tuple(tuple(x % F.p for x in row) for row in N) for N in Ns), (1, 1)
+    d = math.lcm(*[x.denominator for N in Ns for row in N for x in row])
+    Ns = [[[x.numerator * (d // x.denominator) for x in row] for row in N] for N in Ns]
+    g = math.gcd(*[x for N in Ns for row in N for x in row])
+    t = Fraction(t[0] * g, t[1] * d)
+    Ns = tuple(tuple(tuple(x // (g or 1) for x in row) for row in N) for N in Ns)
+    return Ns, (t.numerator, t.denominator)
+
+
+def _int_sides(rep: QuiverRep) -> Tuple[tuple, tuple]:
+    """The module's integer form: for the gammas and for the deltas a pair
+    (Ns, t), three integer matrices of tuples and one rational t =
+    (numerator, denominator) with each arrow t N (`_side_form`).  Over Q
+    the side scaled to integers with no common factor; over GF(p) the
+    arrows as stored, t = (1, 1).  Formed once per module and kept on it;
+    a module the module algebra builds keeps the one it was built from
+    (`_from_ints`)."""
+    if rep._int_form is None:
+        form = tuple(_side_form(rep.field, side, (1, 1)) for side in (rep.gamma, rep.delta))
+        object.__setattr__(rep, "_int_form", form)
+    return rep._int_form
+
+
+def _int_arrows(rep: QuiverRep) -> Tuple[tuple, tuple]:
+    """The gammas and the deltas of the integer form (`_int_sides`); each
+    is its arrow times a positive rational, which keeps every image, kernel
+    and span the searches use."""
+    (gammas, _), (deltas, _) = _int_sides(rep)
+    return gammas, deltas
 
 
 def check_relations(rep: QuiverRep) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """(True, None) if all relations hold, else (False, first bad (i, j)).
 
     A relation delta_j gamma_i +- delta_i gamma_j is bilinear in the gammas
-    and the deltas, so it vanishes iff it does with all gammas scaled by one
-    positive rational and all deltas by another (`_common_ints`): then it is
-    an integer product, checked for zero (mod p over GF(p))."""
-    F = rep.field
-    _, n1, n2 = rep.dims
-    gammas = _common_ints(F, rep.gamma, n1)
-    deltas = _common_ints(F, rep.delta, n2)
+    and the deltas, so it vanishes iff it does on the integer form, where
+    all gammas are scaled by one positive rational and all deltas by
+    another (`_int_arrows`): then it is an integer product, checked for
+    zero (mod p over GF(p))."""
+    gammas, deltas = _int_arrows(rep)
     sign = 1 if rep.algebra == "B" else -1
-    p = F.p
+    p = rep.field.p
     for (i, j) in _REL_PAIRS[rep.algebra]:
         a = linalg.int_mat_mul(deltas[j], gammas[i])
         if i != j:  # a diagonal pair is delta_i gamma_i = 0, not twice it
@@ -342,30 +368,15 @@ def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     return _split(rep, triple)[1]
 
 
-def _scale(F, A, G) -> Tuple[int, int]:
-    """The positive rational t with A = t G, for an arrow A and its integer
-    form G (`_int_arrows`), as a pair (numerator, denominator) of positive
-    integers, not reduced; (1, 1) for a zero arrow, and over GF(p), where G
-    is A."""
-    if F.p is None:
-        for ra, rg in zip(A, G):
-            for a, g in zip(ra, rg):
-                if g:  # t = a / g > 0
-                    return (abs(a.numerator), a.denominator * abs(g))
-    return (1, 1)
-
-
 _ZERO = Fraction(0)
 
 
-def _field_matrix(F, N, scale: Tuple[int, int]) -> List[list]:
-    """The integer matrix N times a positive rational scale (numerator,
-    denominator) as field rows; over GF(p) the scale is 1 and N is reduced
-    mod p."""
+def _field_matrix(F, N, t: Tuple[int, int]) -> List[list]:
+    """The integer matrix N times a rational t (numerator, denominator) as
+    field rows; over GF(p), where t is 1, N itself."""
     if F.p is not None:
-        return [[x % F.p for x in row] for row in N]
-    a, b = scale
-    return [[Fraction(x * a, b) if x else _ZERO for x in row] for row in N]
+        return N
+    return [[Fraction(x * t[0], t[1]) if x else _ZERO for x in row] for row in N]
 
 
 def _primitive(M) -> tuple:
@@ -378,16 +389,13 @@ def _primitive(M) -> tuple:
 
 
 def _from_ints(algebra: str, F, dims: DimVec, gammas, deltas) -> QuiverRep:
-    """The module whose arrows are given as pairs (N, t), the integer matrix
-    N times the positive rational t (`_field_matrix`).  Over Q it keeps the
-    N, made primitive, as its `_int_arrows`, so no search converts its
-    arrows again; over GF(p) those are the arrows as stored, kept when first
-    asked for."""
-    sides = (gammas, deltas)
-    rep = QuiverRep(algebra, F, dims, *([_field_matrix(F, N, t) for N, t in side] for side in sides))
-    if F.p is None:
-        ints = tuple(tuple(_primitive(N) for N, _ in side) for side in sides)
-        object.__setattr__(rep, "_int_form", ints)
+    """The module whose gammas, and whose deltas, are given as one pair
+    (Ns, t): the integer matrices N times the positive rational t.  It keeps
+    each pair, in its integer form (`_side_form`), as its `_int_sides`, so
+    no relation check or search converts its arrows again."""
+    form = (_side_form(F, *gammas), _side_form(F, *deltas))
+    rep = QuiverRep(algebra, F, dims, *([_field_matrix(F, N, t) for N in Ns] for Ns, t in form))
+    object.__setattr__(rep, "_int_form", form)
     return rep
 
 
@@ -396,32 +404,33 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
     one canonical integer span per vertex and one invariance check; a triple
     that is not invariant is invalid input.
 
-    Every arrow A of rep is t G, G its integer form.  The submodule's basis
-    is the triple's rref rows u_b = U_b / q_b (U_b canonical, q_b its pivot
-    entry); A u_b lies in the target span, so its coordinates are its
-    entries at the target's pivots, t (G U_b)[c] / q_b.  The quotient keeps
-    the non-pivot coordinates at each vertex; its arrow sends a kept source
-    coordinate c to t G e_c reduced against the target span (`_residues`,
-    which scales by L), at the target's kept coordinates."""
+    Every arrow A of a side is t G, G its integer matrix and t the side's
+    scale (`_int_sides`).  The submodule's basis is the triple's rref rows
+    u_b = U_b / q_b (U_b canonical, q_b its pivot entry); A u_b lies in the
+    target span, so its coordinates are its entries at the target's pivots,
+    t (G U_b)[c] / q_b.  The quotient keeps the non-pivot coordinates at
+    each vertex; its arrow sends a kept source coordinate c to t G e_c
+    reduced against the target span (`_residues`, which scales by L), at the
+    target's kept coordinates."""
     F = rep.field
     spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
     images = _arrow_images(rep, spans)
     if not _invariant(F, spans, images):
         raise InputError("not a submodule")
     comps = [[c for c in range(n) if c not in piv] for (_, piv), n in zip(spans, rep.dims)]
-    sub: Tuple[list, list] = ([], [])
-    quo: Tuple[list, list] = ([], [])
-    for s, side in enumerate(zip((rep.gamma, rep.delta), _int_arrows(rep))):
+    sub, quo = [], []
+    for s, (Ns, (a, b)) in enumerate(_int_sides(rep)):
         U, W, piv = spans[s][0], spans[s + 1][0], spans[s + 1][1]
         q = [next(x for x in u if x) for u in U]
         Lq = math.lcm(*q)
         L = math.lcm(*[w[c] for w, c in zip(W, piv)])
-        for k, (A, G) in enumerate(zip(*side)):
-            a, b = _scale(F, A, G)
+        sub.append(([], (a, b * Lq)))
+        quo.append(([], (a, b * L)))
+        for k, G in enumerate(Ns):
             rows = images[s][k * len(U) : (k + 1) * len(U)]
-            sub[s].append(([[u[c] * (Lq // qb) for u, qb in zip(rows, q)] for c in piv], (a, b * Lq)))
+            sub[s][0].append([[u[c] * (Lq // qb) for u, qb in zip(rows, q)] for c in piv])
             res = _residues(F, W, piv, [[g[c] for g in G] for c in comps[s]])
-            quo[s].append(([[r[c] for r in res] for c in comps[s + 1]], (a, b * L)))
+            quo[s][0].append([[r[c] for r in res] for c in comps[s + 1]])
     return (
         _from_ints(rep.algebra, F, tuple(len(R) for R, _ in spans), *sub),
         _from_ints(rep.algebra, F, tuple(map(len, comps)), *quo),
@@ -568,25 +577,23 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
     n0, n1, n2 = rep.dims
     # image of delta_V inside F^{3 n2}, as a row space: the columns of the
     # stacked deltas
-    stacked = _common_ints(F, rep.delta, n2)
-    img, img_piv = linalg.int_rref(F, [[row[b] for A in stacked for row in A] for b in range(n1)])
+    (gammas, tg), (deltas, td) = _int_sides(rep)
+    img, img_piv = linalg.int_rref(F, [[row[b] for A in deltas for row in A] for b in range(n1)])
     if len(img) < n1:
         raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
     comp = [c for c in range(3 * n2) if c not in img_piv]
     L = math.lcm(*[w[c] for w, c in zip(img, img_piv)])
-    gammas, deltas = _int_arrows(rep)
-    gamma_M = []  # delta_{i+1} gamma_{i+2}, an integer product times both scales
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        (a, b), (c, d) = _scale(F, rep.delta[j], deltas[j]), _scale(F, rep.gamma[k], gammas[k])
-        gamma_M.append((linalg.int_mat_mul(deltas[j], gammas[k]), (a * c, b * d)))
+    # gamma_i is delta_{i+1} gamma_{i+2}
+    gamma_M = [linalg.int_mat_mul(deltas[(i + 1) % 3], gammas[(i + 2) % 3]) for i in range(3)]
     # delta_j sends the c-th basis vector of M1 = N2 to the class of the
     # unit vector e_{j n2 + c} in the cokernel
     delta_M = []
     for j in range(3):
         res = _residues(F, img, img_piv, [_unit(3 * n2, j * n2 + c) for c in range(n2)])
-        delta_M.append(([[r[k] for r in res] for k in comp], (1, L)))
-    return require_relations(_from_ints("Bprime", F, (n0, n2, len(comp)), gamma_M, delta_M))
+        delta_M.append([[r[k] for r in res] for k in comp])
+    t = (tg[0] * td[0], tg[1] * td[1])  # the scale of every product
+    return require_relations(
+        _from_ints("Bprime", F, (n0, n2, len(comp)), (gamma_M, t), (delta_M, (1, L))))
 
 
 def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
@@ -609,7 +616,7 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
         raise InputError("tilt_Bprime_to_B expects a B'-module")
     F = rep.field
     m0, m1, m2 = rep.dims
-    deltas = _common_ints(F, rep.delta, m2)
+    (gammas, t), (deltas, _) = _int_sides(rep)
     D = [[x for A in deltas for x in A[r]] for r in range(m2)]
     R, piv = linalg.int_rref(F, D)
     K = linalg.int_rref_kernel(F, R, piv, 3 * m1)
@@ -621,10 +628,7 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
     if not check_relations(rep)[0]:
         raise VerificationError("tilt image escaped the kernel; relations must be broken")
 
-    # the w of gamma_i at f, for every a, on the gammas scaled by one t
-    gammas = _common_ints(F, rep.gamma, m1)
-    t = _scale(F, [r for A in rep.gamma for r in A], [r for A in gammas for r in A])
-
+    # the w of gamma_i at f, for every a, on the integer gammas
     def coordinate(i, f):
         j, r = divmod(f, m1)
         if j == (i + 2) % 3:
@@ -633,15 +637,14 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
             return [-x for x in gammas[(i + 2) % 3][r]]
         return [0] * m0
 
-    gamma_N = [([coordinate(i, f) for f in free], t) for i in range(3)]
+    gamma_N = [[coordinate(i, f) for f in free] for i in range(3)]
     # k_b as a field vector is K_b / K_b[f_b]; with L the lcm of those
     # entries, delta_j is its integer block times L / K_b[f_b], over L
     L = math.lcm(*[k[f] for k, f in zip(K, free)])
-    delta_N = [
-        ([[k[j * m1 + r] * (L // k[f]) for k, f in zip(K, free)] for r in range(m1)], (1, L))
-        for j in range(3)
-    ]
-    return require_relations(_from_ints("B", F, (m0, n1, m1), gamma_N, delta_N)), flag
+    delta_N = [[[k[j * m1 + r] * (L // k[f]) for k, f in zip(K, free)] for r in range(m1)]
+               for j in range(3)]
+    rep = _from_ints("B", F, (m0, n1, m1), (gamma_N, t), (delta_N, (1, L)))
+    return require_relations(rep), flag
 
 
 # ---------------------------------------------------------------------------
@@ -708,21 +711,6 @@ class SubmoduleSearch:
     def complete(self) -> bool:
         """True when the submodule classes are known exactly."""
         return self.lower == self.upper
-
-
-def _int_arrows(rep: QuiverRep) -> Tuple[tuple, tuple]:
-    """The gammas and deltas as integer matrices of tuples: over GF(p) the
-    arrows as stored; over Q each arrow scaled to a primitive integer
-    matrix, which keeps every span the search uses.  Formed once per module
-    and kept on it."""
-    if rep._int_form is None:
-        arrows = (rep.gamma, rep.delta)
-        if rep.field.p is None:
-            arrows = tuple(
-                tuple(tuple(map(tuple, clear_denominators(A))) for A in side) for side in arrows
-            )
-        object.__setattr__(rep, "_int_form", arrows)
-    return rep._int_form
 
 
 def _unit(n: int, c: int) -> List[int]:
@@ -1049,9 +1037,11 @@ _OVER_BOUND = "layer1-only (Layer 2 over its cost bound)"
 
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
     """Reduce a rational module mod p after rescaling each arrow to a
-    primitive integer matrix (submodule lattices ignore arrow scaling)."""
-    gammas, deltas = _int_arrows(rep)
-    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, gammas, deltas)
+    primitive integer matrix (`_primitive`; submodule lattices ignore arrow
+    scaling).  Each arrow on its own, not its side: an arrow that the side's
+    scale leaves divisible by p would vanish mod p."""
+    sides = ([_primitive(N) for N in Ns] for Ns in _int_arrows(rep))
+    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *sides)
 
 
 def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:

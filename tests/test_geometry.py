@@ -1,6 +1,8 @@
 """Point configurations and the modules they generate."""
 
+import collections
 import hashlib
+import itertools
 import json
 import random
 
@@ -24,7 +26,7 @@ from p2stab.geometry import (
     wall_filtration_data,
 )
 from p2stab.ktheory import A0, A1, ChernCharacter, chern_of_dimvec
-from p2stab.linalg import QQ, clear_denominators, mat_mul
+from p2stab.linalg import QQ, mat_mul
 from p2stab.quiver import (
     QuiverRep,
     check_relations,
@@ -34,6 +36,7 @@ from p2stab.quiver import (
     rep_to_json,
     theta_pair,
 )
+from test_quiver import assert_kept_int_form
 
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 LINE3 = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
@@ -58,6 +61,45 @@ def test_point_config_validation():
         )
     with pytest.raises(InputError):
         PointConfig(((Fraction(1), Fraction(0)),))
+
+
+def ref_first_coincidence(points):
+    """The first pair (i, j), in order, of points with a zero cross product,
+    as the configuration check first compared them; None if there is none."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if not any(geometry._cross(pts[i], pts[j])):
+            return (i, j)
+    return None
+
+
+def coincidence_message(points):
+    try:
+        PointConfig(tuple(tuple(Fraction(c) for c in p) for p in points))
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_coincident_points_are_named_by_the_first_pair():
+    a, b = (1, 2, 3), (2, -1, 1)
+    message = "points {} and {} coincide (non-reduced subscheme unsupported)"
+    assert coincidence_message([a, b, b, a]) == message.format(0, 3)
+    assert coincidence_message([a, b, (-4, 2, -2), (-2, -4, -6)]) == message.format(0, 3)
+    # the pairwise rule on random small configurations with repeats
+    rng = random.Random(3)
+    base = [(1, 2, 3), (2, -1, 1), (0, 0, 1), (1, 1, 0), (-1, 0, 2), (0, 3, -1)]
+    seen = collections.Counter()
+    for _ in range(400):
+        points = []
+        for _ in range(rng.randint(1, 7)):
+            scale = Fraction(rng.choice([-3, -1, 1, 2, 7]), rng.choice([1, 2, 5]))
+            points.append(tuple(scale * c for c in rng.choice(base)))
+        pair = ref_first_coincidence(points)
+        seen[pair is None, pair is not None and pair[0] > 0] += 1
+        assert coincidence_message(points) == (pair and message.format(*pair))
+    # distinct configurations, and repeats first met both at point 0 and later
+    assert seen[True, False] and seen[False, False] and seen[False, True]
 
 
 def test_point_config_json():
@@ -232,11 +274,6 @@ _MODULE_DIGESTS = {
 }
 
 
-def _int_arrows_afresh(rep):
-    return tuple(tuple(tuple(map(tuple, clear_denominators(A))) for A in side)
-                 for side in (rep.gamma, rep.delta))
-
-
 @pytest.mark.parametrize("n", sorted(_PINNED_CONFIGS))
 def test_module_constructions_are_pinned(n):
     cfg = _PINNED_CONFIGS[n]
@@ -253,11 +290,12 @@ def test_module_constructions_are_pinned(n):
     for kind, reps in built.items():
         text = json.dumps([rep_to_json(rep) for rep in reps], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == _MODULE_DIGESTS[n, kind], kind
-    # the tilt and the splits keep the integer arrows they build from, and
-    # they are the ones a search would form from the rational arrows
-    for rep in [a1, a0, *factors]:
-        assert rep._int_form is not None
-        assert rep._int_form == _int_arrows_afresh(rep)
+    # every construction keeps an integer form (the tilt and the splits the
+    # one they build from, the others the one their relation check formed),
+    # and it is the one formed afresh from the rational arrows
+    for reps in built.values():
+        for rep in reps:
+            assert_kept_int_form(rep)
 
 
 def test_composite_lines_identity():

@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2stab.errors import InputError, VerificationError
-from p2stab.geometry import module_ideal_A0, module_ideal_A1, module_point, theta_b0
+from p2stab.geometry import (
+    bprime_module_points,
+    module_ideal_A0,
+    module_ideal_A1,
+    module_point,
+    theta_b0,
+)
 from p2stab import linalg, quiver
 from p2stab.linalg import PrimeField, QQ, galois_number, mat_inverse, mat_mul
 from p2stab.quiver import (
@@ -141,55 +147,103 @@ def test_equal_modules_built_apart_are_one_memo_key():
     assert len({a, b, module_ideal_A0(pts), module_ideal_A0(pts)}) == 2
 
 
-def ref_int_arrows(rep):
-    """The integer arrows as `quiver._int_arrows` formed them on every call."""
-    gammas = [rep.gamma_m(i) for i in range(3)]
-    deltas = [rep.delta_m(j) for j in range(3)]
-    if rep.field.p is None:
-        return ([linalg.clear_denominators(g) for g in gammas],
-                [linalg.clear_denominators(d) for d in deltas])
-    return gammas, deltas
+def ref_int_sides(rep):
+    """The integer form of `quiver._int_sides`, formed afresh from the
+    arrows: over Q each side's stacked rows cleared of denominators
+    (`linalg.clear_denominators`) and its scale read off one nonzero entry
+    (0 on a zero side); over GF(p) the arrows as stored, scale (1, 1)."""
+    form = []
+    for side in (rep.gamma, rep.delta):
+        if rep.field.p is not None:
+            form.append((side, (1, 1)))
+            continue
+        n = len(side[0])
+        rows = linalg.clear_denominators([list(r) for A in side for r in A])
+        Ns = tuple(tuple(map(tuple, rows[k * n : (k + 1) * n])) for k in range(3))
+        entries = [(a, x) for A, N in zip(side, Ns) for ra, rn in zip(A, N)
+                   for a, x in zip(ra, rn) if x]
+        t = Fraction(entries[0][0]) / entries[0][1] if entries else Fraction(0)
+        form.append((Ns, (t.numerator, t.denominator)))
+    return tuple(form)
 
 
-def _as_lists(arrows):
-    return [[[list(row) for row in A] for A in side] for side in arrows]
+def ref_primitive_arrows(rep):
+    """Each arrow of a rational module scaled on its own to a primitive
+    integer matrix."""
+    return [[linalg.clear_denominators([list(r) for r in A]) for A in side]
+            for side in (rep.gamma, rep.delta)]
 
 
-def assert_kept_int_arrows(rep):
-    """A module the module algebra built keeps, over Q, the integer arrows
-    it was built from, equal to the ones `_int_arrows` forms afresh (over
-    GF(p) they are the arrows as stored, formed when first asked for)."""
-    assert (rep._int_form is None) == (rep.field.p is not None)
-    assert _as_lists(quiver._int_arrows(rep)) == _as_lists(ref_int_arrows(rep))
+def assert_scales_arrows(rep):
+    """t N equals the arrow, entry by entry, for every arrow of each side of
+    the integer form."""
+    F = rep.field
+    for (Ns, (a, b)), side in zip(quiver._int_sides(rep), (rep.gamma, rep.delta)):
+        assert len(Ns) == len(side) == 3
+        for N, A in zip(Ns, side):
+            assert [[F.convert(Fraction(a * x, b)) for x in row] for row in N] == [
+                list(r) for r in A]
+
+
+def assert_kept_int_form(rep):
+    """A module the module algebra built (a tilt, a split, `random_rep`, a
+    construction) keeps an integer form, equal to the one formed afresh
+    from its arrows, whose scales give back every arrow."""
+    assert rep._int_form is not None
+    assert rep._int_form == ref_int_sides(rep)
+    assert_scales_arrows(rep)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, PrimeField(3), F5, F7], ids=repr)
-def test_int_arrows_are_formed_once_and_immutable(field):
+def test_int_sides_are_formed_once_and_immutable(field):
     rng = random.Random(field.p or 0)
     shapes = ((1, 2, 1), (2, 3, 2), (0, 2, 1), (2, 0, 0))
     reps = [random_rep("B", field, dims, rng) for dims in shapes]
     reps += [random_rep("Bprime", field, (2, 2, 1), rng)]
+    for rep in reps:
+        assert_kept_int_form(rep)  # its relation check formed it
     if field.p is None:
         pts = [(1, 2, 3), (2, -1, 1)]
-        reps += [module_ideal_A1(pts), module_ideal_A0(pts)]
-        # a rational arrow that is not integral, so the scaling shows
+        reps += [module_ideal_A1(pts), module_ideal_A0(pts), bprime_module_points(pts)]
+        reps += [module_point(x) for x in pts]
+        # rational arrows that are not integral, so the scaling shows
         reps += [QuiverRep("B", QQ, (1, 1, 0), [((Fraction(2, 3),),), ((Fraction(-4, 9),),),
                                                   ((0,),)], [()] * 3)]
     for rep in reps:
-        arrows = quiver._int_arrows(rep)
-        assert quiver._int_arrows(rep) is arrows
-        assert _as_lists(arrows) == _as_lists(ref_int_arrows(rep))
+        form = quiver._int_sides(rep)
+        assert quiver._int_sides(rep) is form
+        assert form == ref_int_sides(rep)
+        assert_scales_arrows(rep)
+        assert quiver._int_arrows(rep) == (form[0][0], form[1][0])
         assert all(isinstance(A, tuple) and all(isinstance(r, tuple) for r in A)
-                   for side in arrows for A in side)
+                   for Ns, _ in form for A in Ns)
         with pytest.raises(TypeError):
-            arrows[0][0] = None
+            form[0][0][0] = None
         if field.p is not None:
             continue
         for p in (2, 3, 5, 7):
-            want = QuiverRep(rep.algebra, PrimeField(p), rep.dims, *ref_int_arrows(rep))
+            want = QuiverRep(rep.algebra, PrimeField(p), rep.dims, *ref_primitive_arrows(rep))
             got = quiver._reduce_rep_mod_p(rep, p)
             assert got == want and hash(got) == hash(want)
-            assert _as_lists(quiver._int_arrows(got)) == _as_lists(ref_int_arrows(want))
+            assert quiver._int_sides(got) == ref_int_sides(want)
+
+
+def test_a_side_over_several_denominators_takes_one_scale():
+    # the gammas 1/2, 2/3 and 0 share the scale 1/6; a side of no entries
+    # is zero, scale 0
+    rep = QuiverRep("B", QQ, (1, 1, 0), [[[Fraction(1, 2)]], [[Fraction(2, 3)]], [[0]]],
+                    [[]] * 3)
+    assert quiver._int_sides(rep) == (((((3,),), ((4,),), ((0,),)), (1, 6)),
+                                      (((), (), ()), (0, 1)))
+    assert_scales_arrows(rep)
+    # mod 2 the side's 4 vanishes; each arrow made primitive on its own keeps
+    # the second gamma
+    assert quiver._reduce_rep_mod_p(rep, 2).gamma == (((1,),), ((1,),), ((0,),))
+    # a side over 5/4 and -15/8: the gcd 5 of its integers moves into t
+    rep = QuiverRep("B", QQ, (1, 2, 0), [[[Fraction(5, 4)], [0]], [[0], [Fraction(-15, 8)]],
+                                         [[0], [0]]], [[]] * 3)
+    assert quiver._int_sides(rep)[0] == ((((2,), (0,)), ((0,), (-3,)), ((0,), (0,))), (5, 8))
+    assert_scales_arrows(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +447,7 @@ def test_constructions_match_the_per_vector_code(field):
                 assert (got is InputError) == (not invariant)
             if invariant:
                 for part in quiver._split(rep, triple):
-                    assert_kept_int_arrows(part)
+                    assert_kept_int_form(part)
         seeds = [random_rows(field, rng, n, rng.randint(0, 2)) for n in dims]
         assert outcome(closure, rep, *seeds) == outcome(ref_closure, rep, *seeds)
         # a row of the wrong length is invalid input, for both
@@ -1546,7 +1600,7 @@ def test_tilts_match_the_per_column_solves(field):
             kinds[algebra, got[0] if isinstance(got[0], type) else got[1]] += 1
             if not isinstance(got[0], type):
                 out = new(rep)
-                assert_kept_int_arrows(out[0] if isinstance(out, tuple) else out)
+                assert_kept_int_form(out[0] if isinstance(out, tuple) else out)
     assert kinds["Bprime", None] and kinds["Bprime", VerificationError]
     assert kinds["B", None] and kinds["B", InputError]
 

@@ -398,10 +398,10 @@ def test_dual_verdicts_match_the_dualized_module(config, eps):
 ])
 def test_a_report_searches_each_module_once(monkeypatch, config, searches):
     # the dual verdicts share M's search, so no second lattice is settled;
-    # the ideal modules are built once, M with one tilt; the tilt and the
-    # splits keep the integer arrows they build from, so only the direct sum
-    # of the point modules (A0's) has its rational arrows made integers, once
-    # (counts: the same on every machine)
+    # the ideal modules are built once, M with one tilt; no module has its
+    # arrows made integers twice (`quiver._int_sides`), and none that a tilt
+    # or a split built has them made integers at all: it keeps the form it
+    # was built from (counts: the same on every machine)
     n = len(config)
     calls = collections.Counter()
     for name in ("module_ideal_A1", "module_ideal_A0", "tilt_Bprime_to_B"):
@@ -414,25 +414,34 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
         for module in (geometry, walls):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
-    converted = collections.Counter()  # module -> arrows made integers
-    real_clear = quiver.clear_denominators
+    # every module converted or built, kept alive so that no two share an id
+    converted, built = [], []
+    real_sides, real_from_ints = quiver._int_sides, quiver._from_ints
 
-    def clear(A):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name == "<genexpr>":
-            frame = frame.f_back
-        if frame.f_code is quiver._int_arrows.__code__:
-            converted[frame.f_locals["rep"]] += 1
-        return real_clear(A)
+    def int_sides(rep):
+        if rep._int_form is None:
+            converted.append(rep)
+        return real_sides(rep)
 
-    monkeypatch.setattr(quiver, "clear_denominators", clear)
+    def from_ints(*args):
+        built.append(real_from_ints(*args))
+        return built[-1]
+
+    monkeypatch.setattr(quiver, "_int_sides", int_sides)
+    monkeypatch.setattr(quiver, "_from_ints", from_ints)
     quiver._submodule_dimvecs_impl.cache_clear()
     hilbert_report(n, [config])
     assert quiver._submodule_dimvecs_impl.cache_info().misses == searches
     assert [calls[k] for k in ("module_ideal_A1", "tilt_Bprime_to_B", "module_ideal_A0")] == [
         1, 1, int(n > 1)]
-    summed = [((n, 2 * n, n), 6)] if n > 1 else []  # three gammas, three deltas
-    assert [(rep.dims, k) for rep, k in converted.items()] == summed
+    ids = collections.Counter(map(id, converted))
+    assert built and not ids.keys() & set(map(id, built))
+    assert set(ids.values()) == {1}
+    # the rational ones: the B'-module of the points and, where A0 is built,
+    # each point module at their relation checks, and their direct sum
+    rational = sorted(rep.dims for rep in converted if rep.field.p is None)
+    a0_parts = [(1, 2, 1)] * n + [(n, 2 * n, n)] if n > 1 else []
+    assert rational == sorted([(n, n, n - 1)] + a0_parts)
 
 
 def test_hilbert_report_input_checks():
