@@ -33,7 +33,6 @@ from .quiver import (
     quotient_by,
     require_relations,
     simple,
-    sub_from,
     tilt_Bprime_to_B,
     triple_dims,
 )

@@ -464,9 +464,11 @@ def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
 # that these kernels compute.
 
 
-def int_mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
-    """A @ B over the integers, unreduced (the kernels below reduce mod p)."""
-    cols = list(zip(*B))
+def int_mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+    """A @ B over the integers, unreduced (the kernels below reduce mod p),
+    for B with ``ncols`` columns: a B with no rows has no row to show its
+    width, and then the product is zero."""
+    cols = list(zip(*B)) or [()] * ncols
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
@@ -514,7 +516,7 @@ def int_intersect(F, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], nco
     # a^T A = -b^T B  <=>  (a, b) in ker [A^T | B^T]; the a^T A span the meet
     stacked = [ra + rb for ra, rb in zip(transpose(A, ncols), transpose(B, ncols))]
     combos = int_right_kernel(F, stacked, len(stacked[0]) if stacked else 0)
-    return int_rref(F, int_mat_mul([c[: len(A)] for c in combos], A))[0]
+    return int_rref(F, int_mat_mul([c[: len(A)] for c in combos], A, ncols))[0]
 
 
 def int_rows_to_field(F, R: Sequence[Sequence[int]]) -> Matrix:

@@ -46,12 +46,18 @@ from .linalg import (
 
 ALGEBRAS = ("B", "Bprime")
 
-#: relation index pairs per algebra; for "B" a diagonal pair (i, i) encodes
-#: delta_i gamma_i = 0 itself, not the i = j case of the symmetric relations,
-#: which is twice it and vanishes mod 2 whatever the arrows are
-_REL_PAIRS = {
-    "B": [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
-    "Bprime": [(0, 1), (0, 2), (1, 2)],
+#: the relations of each algebra, named by their arrow pair (i, j) and in
+#: that order, as signed terms (c, j, i), each c delta_j gamma_i: delta_j
+#: gamma_i + sign delta_i gamma_j for i < j, sign 1 over B and -1 over B'.
+#: For "B" a diagonal pair (i, i) is delta_i gamma_i = 0 itself, not the
+#: i = j case of the symmetric relations, which is twice it and vanishes
+#: mod 2 whatever the arrows are
+_RELATIONS = {
+    algebra: {(i, j): ((1, j, i),) if i == j else ((1, j, i), (sign, i, j)) for i, j in pairs}
+    for algebra, sign, pairs in (
+        ("B", 1, itertools.combinations_with_replacement(range(3), 2)),
+        ("Bprime", -1, itertools.combinations(range(3), 2)),
+    )
 }
 
 DimVec = Tuple[int, int, int]
@@ -223,22 +229,19 @@ def _int_arrows(rep: QuiverRep) -> Tuple[tuple, tuple]:
 def check_relations(rep: QuiverRep) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """(True, None) if all relations hold, else (False, first bad (i, j)).
 
-    A relation delta_j gamma_i +- delta_i gamma_j is bilinear in the gammas
-    and the deltas, so it vanishes iff it does on the integer form, where
-    all gammas are scaled by one positive rational and all deltas by
-    another (`_int_arrows`): then it is an integer product, checked for
-    zero (mod p over GF(p))."""
+    A relation (`_RELATIONS`) is bilinear in the gammas and the deltas, so
+    it vanishes iff it does on the integer form, where all gammas are scaled
+    by one positive rational and all deltas by another (`_int_arrows`):
+    then it is a signed sum of integer products, checked for zero (mod p
+    over GF(p))."""
     gammas, deltas = _int_arrows(rep)
-    sign = 1 if rep.algebra == "B" else -1
-    p = rep.field.p
-    for (i, j) in _REL_PAIRS[rep.algebra]:
-        a = linalg.int_mat_mul(deltas[j], gammas[i])
-        if i != j:  # a diagonal pair is delta_i gamma_i = 0, not twice it
-            b = linalg.int_mat_mul(deltas[i], gammas[j])
-            a = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        values = (x for row in a for x in row)
+    n0, p = rep.dims[0], rep.field.p
+    for pair, terms in _RELATIONS[rep.algebra].items():
+        products = [[c * x for row in linalg.int_mat_mul(deltas[j], gammas[i], n0) for x in row]
+                    for c, j, i in terms]
+        values = map(sum, zip(*products))
         if any(values if p is None else (x % p for x in values)):
-            return (False, (i, j))
+            return (False, pair)
     return (True, None)
 
 
@@ -441,39 +444,51 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
 # hom spaces and isomorphy
 
 
+def _linear_system(shapes, equations) -> Tuple[List[list], Callable[[Sequence], List[list]]]:
+    """The rows of a homogeneous linear system sum c L X_k R = 0 in unknown
+    matrices X_k of the given ``shapes`` (rows, columns), laid out row-major
+    one after another, and ``unpack``, which cuts a solution vector back
+    into the matrices.  Each equation is ((m, n), terms), the m x n matrix
+    sum of its terms (c, L, k, R), exactly one of L and R the identity
+    (None); it gives one row per entry (p, q), in which c L X_k has
+    coefficient c L[p][x] at X_k[x][q] and c X_k R has c R[x][q] at
+    X_k[p][x]."""
+    starts = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+    rows: List[list] = []
+    for (m, n), terms in equations:
+        for p, q in itertools.product(range(m), range(n)):
+            row = [0] * starts[-1]
+            for c, L, k, R in terms:
+                width = shapes[k][1]
+                if R is None:
+                    for x, y in enumerate(L[p]):
+                        row[starts[k] + x * width + q] += c * y
+                else:
+                    for x in range(width):
+                        row[starts[k] + p * width + x] += c * R[x][q]
+            rows.append(row)
+
+    def unpack(vec):
+        return [[vec[start + r * c : start + (r + 1) * c] for r in range(nrows)]
+                for start, (nrows, c) in zip(starts, shapes)]
+
+    return rows, unpack
+
+
 def hom_space(a: QuiverRep, b: QuiverRep) -> List[Tuple]:
     """Basis of Hom(a, b): triples (f0, f1, f2) with f1 gamma^a = gamma^b f0
-    and f2 delta^a = delta^b f1."""
+    and f2 delta^a = delta^b f1, the kernel of the Euler complex's first
+    map d0: f_t M^a - M^b f_s for each arrow M from vertex s to t = s + 1."""
     if a.algebra != b.algebra or a.field != b.field:
         raise InputError("modules live over different algebras or fields")
-    a0, a1, a2 = a.dims
-    b0, b1, b2 = b.dims
-    off = (0, b0 * a0, b0 * a0 + b1 * a1)  # where f0, f1, f2 start, row-major
-    nvars = off[2] + b2 * a2
-    rows: List[List] = []
-    # f_t M^a = M^b f_s for each arrow M from vertex s to t = s + 1: entry
-    # (p, q) is sum_m f_t[p][m] M^a[m][q] - sum_m M^b[p][m] f_s[m][q], and
-    # f_t and f_s are disjoint blocks of the variables
-    for s, arrows_a, arrows_b in ((0, a.gamma, b.gamma), (1, a.delta, b.delta)):
-        sa, ta = a.dims[s], a.dims[s + 1]
-        for M_a, M_b in zip(arrows_a, arrows_b):
-            for p, M_bp in enumerate(M_b):
-                for q in range(sa):
-                    row = [0] * nvars
-                    for m in range(ta):
-                        row[off[s + 1] + p * ta + m] = M_a[m][q]
-                    for m, x in enumerate(M_bp):
-                        row[off[s] + m * sa + q] = -x
-                    rows.append(row)
-    basis = right_kernel(a.field, rows, ncols=nvars)
-
-    def unflatten(vec):
-        f0 = [vec[p * a0 : (p + 1) * a0] for p in range(b0)]
-        f1 = [vec[off[1] + p * a1 : off[1] + (p + 1) * a1] for p in range(b1)]
-        f2 = [vec[off[2] + p * a2 : off[2] + (p + 1) * a2] for p in range(b2)]
-        return (f0, f1, f2)
-
-    return [unflatten(v) for v in basis]
+    equations = [
+        ((b.dims[s + 1], a.dims[s]), [(1, None, s + 1, M_a), (-1, M_b, s, None)])
+        for s, side_a, side_b in ((0, a.gamma, b.gamma), (1, a.delta, b.delta))
+        for M_a, M_b in zip(side_a, side_b)
+    ]
+    rows, unpack = _linear_system(list(zip(b.dims, a.dims)), equations)
+    nvars = sum(map(operator.mul, a.dims, b.dims))
+    return [tuple(unpack(v)) for v in right_kernel(a.field, rows, ncols=nvars)]
 
 
 @dataclass(frozen=True)
@@ -584,7 +599,7 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
     comp = [c for c in range(3 * n2) if c not in img_piv]
     L = math.lcm(*[w[c] for w, c in zip(img, img_piv)])
     # gamma_i is delta_{i+1} gamma_{i+2}
-    gamma_M = [linalg.int_mat_mul(deltas[(i + 1) % 3], gammas[(i + 2) % 3]) for i in range(3)]
+    gamma_M = [linalg.int_mat_mul(deltas[(i + 1) % 3], gammas[(i + 2) % 3], n0) for i in range(3)]
     # delta_j sends the c-th basis vector of M1 = N2 to the class of the
     # unit vector e_{j n2 + c} in the cokernel
     delta_M = []
@@ -731,7 +746,7 @@ def _preimage(F, arrows, rows, n_src: int, n_tgt: int) -> List[List[int]]:
     it, so the preimage is the kernel of the rows w . A."""
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     ann = linalg.int_rref_kernel(F, rows, pivots, n_tgt)
-    constraints = [row for A in arrows for row in linalg.int_mat_mul(ann, A)]
+    constraints = [row for A in arrows for row in linalg.int_mat_mul(ann, A, n_src)]
     return linalg.int_right_kernel(F, constraints, n_src)
 
 
@@ -1288,27 +1303,12 @@ def random_rep(algebra: str, field, dims: Sequence[int], rng: random.Random) -> 
         return rng.randrange(field.p) if field.p else rng.randint(-3, 3)
 
     gamma = [[[rand_entry() for _ in range(n0)] for _ in range(n1)] for _ in range(3)]
-
-    # delta_j[p][q] is variable j * n2 * n1 + p * n1 + q; the relation at
-    # (i, j) and entry (p, q0) is sum_q delta_j[p][q] gamma_i[q][q0] +-
-    # delta_i[p][q] gamma_j[q][q0], or its first sum alone when i = j
+    # delta_j is the unknown X_j; each relation's terms c delta_j gamma_i vanish
+    equations = [((n2, n0), [(c, None, j, gamma[i]) for c, j, i in terms])
+                 for terms in _RELATIONS[algebra].values()]
+    rows, unpack = _linear_system([(n2, n1)] * 3, equations)
     nvars = 3 * n2 * n1
-    sign = 1 if algebra == "B" else -1
-    rows = []
-    for (i, j) in _REL_PAIRS[algebra]:
-        for p in range(n2):
-            for q0 in range(n0):
-                row = [0] * nvars
-                for q in range(n1):
-                    row[j * n2 * n1 + p * n1 + q] = gamma[i][q][q0]
-                    if i != j:
-                        row[i * n2 * n1 + p * n1 + q] = sign * gamma[j][q][q0]
-                rows.append(row)
     basis = right_kernel(field, rows, ncols=nvars)
     coeffs = [rand_entry() for _ in basis]
-    flat = [sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(nvars)]
-    delta = [
-        [[flat[j * n2 * n1 + p * n1 + q] for q in range(n1)] for p in range(n2)]
-        for j in range(3)
-    ]
+    delta = unpack([sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(nvars)])
     return require_relations(QuiverRep(algebra, field, (n0, n1, n2), gamma, delta))

@@ -152,6 +152,15 @@ def test_module_dual_and_tilt(capsys, tmp_path):
     assert (code, out) == (0, "isomorphic (exact)\n")
 
 
+def test_module_tilt_with_a_zero_middle_vertex(capsys, tmp_path):
+    rep_file = tmp_path / "101.json"
+    rep_file.write_text(json.dumps({"algebra": "B", "field": {"kind": "rational"},
+                                    "dims": [1, 0, 1], "gamma": [[], [], []], "delta": [[], [], []]}))
+    out_file = tmp_path / "tilted.json"
+    code, _, _ = run(capsys, "module", "tilt", "--in", str(rep_file), "--out", str(out_file))
+    assert code == 0 and load_json(str(out_file))["dims"] == [1, 1, 3]
+
+
 def test_module_check_reports_violations(capsys, tmp_path):
     rep = module_point([1, 0, 0])
     bad_delta = [[list(r) for r in rep.delta_m(j)] for j in range(3)]

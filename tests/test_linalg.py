@@ -483,7 +483,9 @@ def test_integer_meet_and_product_match_the_field_kernels(data, F, ncols, k):
     assert meet == linalg.int_rref(F, meet)[0]
     same(linalg.int_rows_to_field(F, meet), ref_intersect_row_spaces(F, A, B, ncols))
     # the rows of A scaled one by one, the arrow C as a whole
-    C = data.draw(field_matrices(F, nrows=ncols))
+    width = data.draw(st.integers(0, 5))
+    C = data.draw(field_matrices(F, nrows=ncols, ncols=width))
     Ci = clear_denominators(C) if F.p is None else C
-    prod = linalg.int_mat_mul(Ai, Ci)
+    prod = linalg.int_mat_mul(Ai, Ci, width)
+    assert len(prod) == len(A) and all(len(row) == width for row in prod)  # inner size 0 too
     assert rref(F, [[F.convert(x) for x in row] for row in prod])[0] == rref(F, mat_mul(F, A, C))[0]

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import operator
 import random
 
 import pytest
@@ -1294,6 +1295,15 @@ def ref_iso_test(a, b, seed=0):
     return quiver.IsoResult(False, "probabilistic", min(1.0, per ** quiver._ISO_SAMPLES) if per > 0 else 0.0)
 
 
+#: the relation pairs of each algebra, stated apart from `quiver._RELATIONS`
+#: so that the references check it: for "B" a diagonal pair (i, i) is
+#: delta_i gamma_i = 0 on its own
+REF_REL_PAIRS = {
+    "B": [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
+    "Bprime": [(0, 1), (0, 2), (1, 2)],
+}
+
+
 def ref_random_rep(algebra, field, dims, rng):
     n0, n1, n2 = (int(x) for x in dims)
 
@@ -1305,7 +1315,7 @@ def ref_random_rep(algebra, field, dims, rng):
     gamma = [[[rand_entry() for _ in range(n0)] for _ in range(n1)] for _ in range(3)]
     nvars = 3 * n2 * n1
     rows = []
-    for (i, j) in quiver._REL_PAIRS[algebra]:
+    for (i, j) in REF_REL_PAIRS[algebra]:
         sign = field.one() if algebra == "B" else field.neg(field.one())
         for p in range(n2):
             for q0 in range(n0):
@@ -1411,6 +1421,64 @@ def test_iso_test_matches_the_field_loops(field):
     assert all(paths[path, iso] for path in ("exact", "sampled") for iso in (True, False))
 
 
+def euler_complex(M, N):
+    """The maps d0 and d1 of the Euler complex of (M, N), as field matrices
+    from `quiver._linear_system` and `quiver._RELATIONS`: d0 sends (f_v) to
+    f_t M_a - N_a f_s for each arrow a from s to t, and d1 sends (g_a) to
+    sum c (N_delta_j g_gamma_i + g_delta_j M_gamma_i) over each relation's
+    terms (c, j, i).  The unknowns g_a of d1 are laid out as the equations
+    of d0 are, so d1 d0 is a matrix product."""
+    F = M.field
+    arrows = [(0, a, b) for a, b in zip(M.gamma, N.gamma)]
+    arrows += [(1, a, b) for a, b in zip(M.delta, N.delta)]
+    d0 = quiver._linear_system(
+        list(zip(N.dims, M.dims)),
+        [((N.dims[s + 1], M.dims[s]), [(1, None, s + 1, Ma), (-1, Na, s, None)])
+         for s, Ma, Na in arrows],
+    )[0]
+    d1 = quiver._linear_system(
+        [(N.dims[s + 1], M.dims[s]) for s, _, _ in arrows],
+        [((N.dims[2], M.dims[0]),
+          [t for c, j, i in terms for t in ((c, N.delta[j], i, None), (c, None, 3 + j, M.gamma[i]))])
+         for terms in quiver._RELATIONS[M.algebra].values()],
+    )[0]
+    return [[[F.convert(x) for x in row] for row in d] for d in (d0, d1)]
+
+
+def ext_dims(M, N):
+    """(dim Hom, dim Ext^1, dim Ext^2) of (M, N), read off the Euler complex."""
+    F = M.field
+    d0, d1 = euler_complex(M, N)
+    r0, r1 = linalg.rank(F, d0), linalg.rank(F, d1)
+    return sum(map(operator.mul, M.dims, N.dims)) - r0, len(d0) - r1 - r0, len(d1) - r1
+
+
+@pytest.mark.parametrize("field", [F2, PrimeField(3), QQ], ids=repr)
+def test_the_linear_system_builder_expresses_the_euler_complex(field):
+    rng = random.Random(field.p or 0)
+    for k in range(24):
+        algebra = "B" if k % 2 else "Bprime"
+        M, N = (random_rep(algebra, field, [rng.randint(0, 3) for _ in range(3)], rng)
+                for _ in range(2))
+        for a, b in ((M, N), (N, M), (M, M)):
+            d0, d1 = euler_complex(a, b)
+            assert all(field.is_zero(sum(map(operator.mul, row, col)))
+                       for row in d1 for col in zip(*d0))
+            nvars = sum(map(operator.mul, a.dims, b.dims))
+            assert nvars - linalg.rank(field, d0) == len(hom_space(a, b))
+
+
+def test_euler_complex_of_ideal_and_point_modules():
+    # Hom, Ext^1 and Ext^2 of an ideal of n points with itself are 1, the
+    # 2n of the tangent space to the Hilbert scheme, and 0; of a point 1, 2, 1
+    points = [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)]
+    for n in range(1, 5):
+        ideal = module_ideal_A1(points[:n])
+        assert ext_dims(ideal, ideal) == (1, 2 * n, 0)
+    point = module_point((1, 2, 3))
+    assert ext_dims(point, point) == (1, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -1460,6 +1528,23 @@ def test_skyscraper_tilt_round_trip():
         tilt_Bprime_to_B(O_X)
 
 
+def test_a_zero_middle_vertex_tilts_and_tilts_back():
+    # the B-module (1, 0, 1) has no arrows; its tilt has gamma zero and the
+    # deltas onto the whole of F^3
+    rep = QuiverRep("B", QQ, (1, 0, 1), [[]] * 3, [[[]]] * 3)
+    assert tilt_B_to_Bprime(rep).dims == (1, 1, 3)
+    rng = random.Random(5)
+    for field in (QQ, PrimeField(3)):
+        for dims in [(1, 0, 1), (2, 0, 1), (1, 0, 2), (2, 0, 2)]:
+            rep = random_rep("B", field, dims, rng)
+            mid = tilt_B_to_Bprime(rep)
+            assert mid.dims == (dims[0], dims[2], 3 * dims[2])
+            back, flag = tilt_Bprime_to_B(mid)
+            assert flag is None
+            got = iso_test(back, rep)
+            assert got.isomorphic and got.certainty == "exact"
+
+
 # The relation check and the two tilts as they were computed on field
 # matrices (products, one `solve_right` per column, a rank), the references
 # for the integer versions.
@@ -1467,7 +1552,7 @@ def test_skyscraper_tilt_round_trip():
 
 def ref_check_relations(rep):
     F = rep.field
-    for (i, j) in quiver._REL_PAIRS[rep.algebra]:
+    for (i, j) in REF_REL_PAIRS[rep.algebra]:
         a = mat_mul(F, rep.delta_m(j), rep.gamma_m(i))
         if i == j:  # the diagonal pair: delta_i gamma_i = 0 on its own
             values = [x for ra in a for x in ra]
@@ -1498,7 +1583,9 @@ def ref_tilt_B_to_Bprime(rep):
         raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
     comp = [c for c in range(3 * n2) if c not in img_piv]
     units = linalg.identity(F, 3 * n2)
-    gamma_M = [mat_mul(F, rep.delta_m((i + 1) % 3), rep.gamma_m((i + 2) % 3)) for i in range(3)]
+    # over a zero middle vertex the product is zero, with no factor to show its width
+    gamma_M = [mat_mul(F, rep.delta_m((i + 1) % 3), rep.gamma_m((i + 2) % 3)) if n1
+               else linalg.zeros(F, n2, n0) for i in range(3)]
     delta_M = [
         linalg.transpose(ref_project(F, img_rows, img_piv, comp, units[j * n2:(j + 1) * n2]),
                          ncols=len(comp))
