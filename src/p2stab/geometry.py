@@ -104,7 +104,7 @@ class PointConfig:
 def _as_config(points) -> PointConfig:
     if isinstance(points, PointConfig):
         return points
-    return PointConfig(tuple(tuple(Fraction(c) for c in p) for p in points))
+    return PointConfig(tuple(map(tuple, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def collinear_test(points, _a0: Optional[QuiverRep] = None) -> bool:
 def theta_family_r(n: int, r: int, b) -> Theta:
     """The weight family on the class (n+1-r, 2n+1, n), linear in the
     parameter: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r)."""
-    b = Fraction(b)
+    b = QQ.convert(b)
     return (
         -b * n,
         -(1 - b) * n,
@@ -279,7 +279,7 @@ def theta_b1(n: int, b) -> Theta:
 def theta_b0(n: int, b) -> Theta:
     """Weight family on the (n, 2n, n-1) class:
     (1-b)*(1-n, 0, n) + b*(-2n, n, 0); b = 0 is the line-contraction wall."""
-    b = Fraction(b)
+    b = QQ.convert(b)
     return (
         (1 - b) * (1 - n) - 2 * n * b,
         n * b,

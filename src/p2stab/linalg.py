@@ -3,20 +3,22 @@
 Every matrix computation in the package funnels through this module.
 Matrices are plain lists of row lists; entries are ``fractions.Fraction``
 over the rationals or python ints in [0, p) over a prime field.  The field
-object is passed explicitly, and each field has its own kernels for
-elimination, products and reduction:
+object is passed explicitly.
 
-* over Q a row is carried as python ints over one common denominator.
-  Elimination is fraction-free (``row_i = a*row_i - b*row_r``, divided by
-  the row's content) and every entry of a result costs one ``Fraction``;
-* over GF(p) the same loops run on plain ints with ``% p`` inline and the
-  pivot inverse from Fermat's little theorem;
-* subspaces can also be carried on integer rows throughout (``int_rref``,
-  ``int_right_kernel``, ``int_intersect``, ``int_mat_mul``), as the
-  submodule search does.  Over Q a subspace is then its rref scaled row by
-  row to primitive integers with a positive pivot (``_rref_z``, the integer
-  core of ``rref``), which is one to one with the rref; over GF(p) it is the
-  rref.  ``int_rows_to_field`` turns such a basis back into field entries.
+Each subspace kernel is written once, on integer rows: elimination
+(``int_rref``), span (``int_span``), reduction against a basis
+(``int_residues``), kernels, meets and products (``int_right_kernel``,
+``int_intersect``, ``int_mat_mul``).  Over Q a subspace is its rref scaled
+row by row to primitive integers with a positive pivot (``_rref_z``,
+fraction-free Gauss-Jordan), which is one to one with the rref; over GF(p)
+the same loops run on plain ints with ``% p`` inline and it is the rref.
+The submodule search calls these kernels directly.
+
+The field-row functions (``rref``, ``row_space``, ``reduce_vector``,
+``in_row_space``, ``right_kernel``) are adapters: they turn field rows
+into integer rows, call a kernel and turn the result back
+(``int_rows_to_field``).  Only the products ``mat_mul`` and ``mat_vec``
+have a field-row loop of their own.
 
 The results are the exact values the textbook loops give, entry for entry:
 a reduced row echelon form is unique.  The matrices are tiny (a few dozen
@@ -246,17 +248,18 @@ def _q_row(ints: Sequence[int], d: int) -> Row:
 # products
 
 
-def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
-    """A @ B; zero-sized factors are handled (the result is a zero matrix)."""
+def mat_mul(F, A: Matrix, B: Matrix, ncols: Optional[int] = None) -> Matrix:
+    """A @ B for B with ``ncols`` columns, read off B when B has rows: a B
+    with no rows cannot show its width, and then the product is zero.  A
+    0-row A gives the empty matrix."""
     if not A:
-        # a 0-row matrix cannot carry its width, so trust the caller
         return []
     if len(A[0]) != len(B):
         cb = len(B[0]) if B else 0
         raise InputError(
             f"dimension mismatch in product: {len(A)}x{len(A[0])} by {len(B)}x{cb}"
         )
-    cols = list(zip(*B))
+    cols = list(zip(*B)) or [()] * (ncols or 0)
     p = F.p
     if p is None:
         qcols = [_q_ints(col) for col in cols]
@@ -271,11 +274,8 @@ def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_vec(F, A: Matrix, v: Sequence) -> Row:
-    """A @ v; a matrix with rows but no columns maps the empty vector to
-    the zero vector with one entry per row."""
-    if not v and A and not A[0]:
-        return [F.zero()] * len(A)
-    return [row[0] for row in mat_mul(F, A, [[x] for x in v])]
+    """A @ v, one entry per row of A."""
+    return [row[0] for row in mat_mul(F, A, [[x] for x in v], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +288,7 @@ def rref(F, A: Matrix) -> Tuple[Matrix, List[int]]:
     Zero rows are dropped from R, so R doubles as a canonical basis of the
     row space.
     """
-    if F.p is None:
-        return _rref_q(A)
-    return _rref_p(A, F.p)
-
-
-def _rref_q(A: Matrix) -> Tuple[Matrix, List[int]]:
-    """`_rref_z` on the rows as integers; each pivot row is divided by its
-    pivot at the end."""
-    R, pivots = _rref_z([_q_ints(row)[0] for row in A])
-    return [_q_row(row, row[c]) for row, c in zip(R, pivots)], pivots
+    return row_space(F, A, len(A[0]) if A else 0)
 
 
 def _rref_z(A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -373,26 +364,15 @@ def rank(F, A: Matrix) -> int:
 
 def reduce_vector(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> Row:
     """Residual of v after eliminating the pivot coordinates against the
-    rref rows R; the residual is zero iff v lies in the row space."""
-    p = F.p
-    if p is not None:
-        w = [x % p for x in v]
-        for row, c in zip(R, pivots):
-            f = w[c]
-            if f:
-                w = [(x - f * y) % p for x, y in zip(w, row)]
-        return w
-    w, d = _q_ints(v)
-    changed = False
-    for row, c in zip(R, pivots):
-        f = w[c]
-        if f:
-            # w/d - (f/d) * (ints/dr) = (dr*w - f*ints) / (d*dr)
-            ints, dr = _q_ints(row)
-            w = [dr * x - f * y for x, y in zip(w, ints)]
-            d *= dr
-            changed = True
-    return _q_row(w, d) if changed else list(v)
+    rref rows R; the residual is zero iff v lies in the row space.  Over Q
+    it is `int_residues` of the rows over their common denominators divided
+    by L d, L the lcm of the scaled pivots and d the denominator of v."""
+    if F.p is not None:
+        return int_residues(F, R, pivots, [v])[0]
+    W = [_q_ints(row)[0] for row in R]
+    ints, d = _q_ints(v)
+    L = math.lcm(*[w[c] for w, c in zip(W, pivots)])
+    return _q_row(int_residues(F, W, pivots, [ints])[0], L * d)
 
 
 def in_row_space(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> bool:
@@ -401,13 +381,8 @@ def in_row_space(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> bool:
 
 def row_space(F, vectors: Iterable[Sequence], ncols: int) -> Tuple[Matrix, List[int]]:
     """Canonical (rref) basis of the span of the given vectors."""
-    vs = [list(v) for v in vectors]
-    if not vs:
-        return [], []
-    for v in vs:
-        if len(v) != ncols:
-            raise InputError("dimension mismatch in row_space")
-    return rref(F, vs)
+    R, pivots = int_span(F, vectors, ncols)
+    return int_rows_to_field(F, R), pivots
 
 
 def right_kernel(F, A: Matrix, ncols: Optional[int] = None) -> Matrix:
@@ -455,7 +430,7 @@ def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# subspaces on integer rows (the submodule search)
+# subspaces on integer rows (the submodule search and the field-row adapters)
 #
 # Over Q a subspace is carried as `_rref_z` gives it: its rref scaled row by
 # row to primitive integers with a positive pivot.  Over GF(p) rows are ints
@@ -477,6 +452,34 @@ def int_rref(F, A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]
     if F.p is None:
         return _rref_z(A)
     return _rref_p(A, F.p)
+
+
+def int_span(F, rows: Iterable[Sequence], n: int) -> Tuple[List[List[int]], List[int]]:
+    """Canonical integer basis (`int_rref`) of the span of field rows in
+    F^n, with its pivots; a row of another length is invalid input."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != n for r in rows):
+        raise InputError("dimension mismatch")
+    return int_rref(F, clear_denominators(rows) if F.p is None else rows)
+
+
+def int_residues(F, W: Sequence[Sequence[int]], piv: Sequence[int], rows) -> List[List[int]]:
+    """Each integer row v reduced against the canonical basis W with pivots
+    ``piv``: L v - sum_k v[c_k] (L / W_k[c_k]) W_k, L the lcm of W's pivot
+    entries (1 over GF(p), where the result is reduced mod p).  W is
+    reduced, so this vanishes at the pivots; it is L times the field's
+    residue of v, and zero iff v lies in span W."""
+    L = math.lcm(*[w[c] for w, c in zip(W, piv)])
+    terms = [(c, L // w[c], w) for w, c in zip(W, piv)]
+    out = []
+    for v in rows:
+        r = [L * x for x in v] if L > 1 else list(v)
+        for c, m, w in terms:
+            f = v[c] * m
+            if f:
+                r = [x - f * y for x, y in zip(r, w)]
+        out.append(r if F.p is None else [x % F.p for x in r])
+    return out
 
 
 def int_right_kernel(F, A: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:

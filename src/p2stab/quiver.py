@@ -286,15 +286,6 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 # subspace triples
 
 
-def _span(F, rows, n: int) -> Tuple[List[List[int]], List[int]]:
-    """Canonical integer basis (`linalg.int_rref`) of the span of field rows
-    in F^n, with its pivots; a row of another length is invalid input."""
-    rows = [list(r) for r in rows]
-    if any(len(r) != n for r in rows):
-        raise InputError("dimension mismatch")
-    return linalg.int_rref(F, clear_denominators(rows) if F.p is None else rows)
-
-
 def _field_rows(F, R) -> tuple:
     """A canonical integer basis as the field's rref rows."""
     return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
@@ -306,33 +297,14 @@ def closure(rep: QuiverRep, seeds0=(), seeds1=(), seeds2=()) -> SubTriple:
     F = rep.field
     n0, n1, n2 = rep.dims
     gammas, deltas = _int_arrows(rep)
-    U0 = _span(F, seeds0, n0)[0]
-    U1 = linalg.int_rref(F, _span(F, seeds1, n1)[0] + _image(U0, gammas))[0]
-    U2 = linalg.int_rref(F, _span(F, seeds2, n2)[0] + _image(U1, deltas))[0]
+    U0 = linalg.int_span(F, seeds0, n0)[0]
+    U1 = linalg.int_rref(F, linalg.int_span(F, seeds1, n1)[0] + _image(U0, gammas))[0]
+    U2 = linalg.int_rref(F, linalg.int_span(F, seeds2, n2)[0] + _image(U1, deltas))[0]
     return (_field_rows(F, U0), _field_rows(F, U1), _field_rows(F, U2))
 
 
 def triple_dims(triple: SubTriple) -> DimVec:
     return tuple(len(u) for u in triple)  # type: ignore[return-value]
-
-
-def _residues(F, W, piv, rows) -> List[List[int]]:
-    """Each integer row v reduced against the canonical basis W with pivots
-    ``piv``: L v - sum_k v[c_k] (L / W_k[c_k]) W_k, L the lcm of W's pivot
-    entries (1 over GF(p), where the result is reduced mod p).  W is
-    reduced, so this vanishes at the pivots; it is L times the field's
-    residue of v, and zero iff v lies in span W."""
-    L = math.lcm(*[w[c] for w, c in zip(W, piv)])
-    terms = [(c, L // w[c], w) for w, c in zip(W, piv)]
-    out = []
-    for v in rows:
-        r = [L * x for x in v] if L > 1 else list(v)
-        for c, m, w in terms:
-            f = v[c] * m
-            if f:
-                r = [x - f * y for x, y in zip(r, w)]
-        out.append(r if F.p is None else [x % F.p for x in r])
-    return out
 
 
 def _arrow_images(rep: QuiverRep, spans) -> Tuple[List[List[int]], List[List[int]]]:
@@ -347,14 +319,15 @@ def _invariant(F, spans, images) -> bool:
     spans and their `_arrow_images`: every image reduces to zero against
     its target."""
     return not any(
-        any(r) for (W, piv), rows in zip(spans[1:], images) for r in _residues(F, W, piv, rows)
+        any(r) for (W, piv), rows in zip(spans[1:], images)
+        for r in linalg.int_residues(F, W, piv, rows)
     )
 
 
 def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
     """Whether the arrows map U0 into U1 and U1 into U2."""
     F = rep.field
-    spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
+    spans = [linalg.int_span(F, U, n) for U, n in zip(triple, rep.dims)]
     return _invariant(F, spans, _arrow_images(rep, spans))
 
 
@@ -413,10 +386,10 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
     target span, so its coordinates are its entries at the target's pivots,
     t (G U_b)[c] / q_b.  The quotient keeps the non-pivot coordinates at
     each vertex; its arrow sends a kept source coordinate c to t G e_c
-    reduced against the target span (`_residues`, which scales by L), at the
-    target's kept coordinates."""
+    reduced against the target span (`linalg.int_residues`, which scales by
+    L), at the target's kept coordinates."""
     F = rep.field
-    spans = [_span(F, U, n) for U, n in zip(triple, rep.dims)]
+    spans = [linalg.int_span(F, U, n) for U, n in zip(triple, rep.dims)]
     images = _arrow_images(rep, spans)
     if not _invariant(F, spans, images):
         raise InputError("not a submodule")
@@ -432,7 +405,7 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
         for k, G in enumerate(Ns):
             rows = images[s][k * len(U) : (k + 1) * len(U)]
             sub[s][0].append([[u[c] * (Lq // qb) for u, qb in zip(rows, q)] for c in piv])
-            res = _residues(F, W, piv, [[g[c] for g in G] for c in comps[s]])
+            res = linalg.int_residues(F, W, piv, [[g[c] for g in G] for c in comps[s]])
             quo[s][0].append([[r[c] for r in res] for c in comps[s + 1]])
     return (
         _from_ints(rep.algebra, F, tuple(len(R) for R, _ in spans), *sub),
@@ -604,7 +577,7 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
     # unit vector e_{j n2 + c} in the cokernel
     delta_M = []
     for j in range(3):
-        res = _residues(F, img, img_piv, [_unit(3 * n2, j * n2 + c) for c in range(n2)])
+        res = linalg.int_residues(F, img, img_piv, [_unit(3 * n2, j * n2 + c) for c in range(n2)])
         delta_M.append([[r[k] for r in res] for k in comp])
     t = (tg[0] * td[0], tg[1] * td[1])  # the scale of every product
     return require_relations(
@@ -1197,7 +1170,7 @@ def king_test(
     — never silent.  An unstable verdict names the least witnessed
     destabilizing class, or else the least destabilizing class.
     """
-    theta = tuple(Fraction(x) for x in theta)
+    theta = tuple(map(QQ.convert, theta))
     weight = _int_weight(theta)
     if _int_pair(weight, rep.dims) != 0:
         return KingVerdict("theta-nonvanishing", "exact", None, None, theta, None)
@@ -1233,7 +1206,7 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
     up to dims(rep).  Raises DestabilizedError with the witness if the
     module is not semistable.
     """
-    theta = tuple(Fraction(x) for x in theta)
+    theta = tuple(map(QQ.convert, theta))
     weight = _int_weight(theta)
     first = king_test(rep, theta, seed=seed)
     if first.verdict == "theta-nonvanishing":

@@ -210,12 +210,7 @@ class ChamberResult:
     blocking: Optional[WallLine] = None
 
 
-def chamber_membership(
-    theta: Sequence,
-    n: int,
-    heart: str = "A1",
-    walls: Optional[List[WallLine]] = None,
-) -> ChamberResult:
+def chamber_membership(theta: Sequence, n: int, heart: str = "A1") -> ChamberResult:
     """Locate a weight relative to the three-chamber picture of a heart.
 
     The weight is written as sigma * theta(0) + tau * theta(1) in the
@@ -235,8 +230,6 @@ def chamber_membership(
         raise VerificationError("family endpoints are not independent")  # pragma: no cover
     sigma = (st[0] * c1[1] - st[1] * c1[0]) / det
     tau = (c0[0] * st[1] - c0[1] * st[0]) / det
-    if walls is None:
-        walls = numerical_walls(d)
     boundary_name = "theta1" if heart == "A1" else "theta0"
 
     if sigma > 0 and tau > 0:
@@ -251,7 +244,7 @@ def chamber_membership(
     def first_blocking(c_ray):
         # a wall line lies strictly between the ray and the weight iff they
         # sit strictly on opposite sides of it
-        for w in walls:
+        for w in numerical_walls(d):
             p, q = w.normal_in_plane
             if (p * c_ray[0] + q * c_ray[1]) * (p * st[0] + q * st[1]) < 0:
                 return w
@@ -336,7 +329,7 @@ def hilbert_report(
         raise InputError("need at least one point")
     if eps is None:
         eps = Fraction(1, 100 * (n + 1))
-    eps = Fraction(eps)
+    eps = QQ.convert(eps)
     if not 0 < eps < Fraction(1, 2):
         raise InputError("eps must be a small positive rational")
 

@@ -167,6 +167,14 @@ def test_mat_vec_of_zero_column_matrix_is_zero():
         mat_vec(QQ, [[Fraction(1)]], [])
 
 
+def test_mat_mul_takes_the_width_of_a_zero_row_factor_from_the_caller():
+    # an n x 0 by 0 x m product is the n x m zero matrix, in the field's type
+    for F in (QQ, F2, F5):
+        same(mat_mul(F, [[], []], [], 3), [[F.zero()] * 3 for _ in range(2)])
+    assert mat_mul(F5, [[], []], []) == [[], []]  # no width given: width 0
+    assert mat_mul(F5, [[1, 2]], [[1], [1]], 7) == [[3]]  # read off B's rows
+
+
 def test_mat_mul_rejects_genuine_mismatch():
     with pytest.raises(InputError):
         mat_mul(QQ, [[Fraction(1)]], [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
@@ -489,3 +497,53 @@ def test_integer_meet_and_product_match_the_field_kernels(data, F, ncols, k):
     prod = linalg.int_mat_mul(Ai, Ci, width)
     assert len(prod) == len(A) and all(len(row) == width for row in prod)  # inner size 0 too
     assert rref(F, [[F.convert(x) for x in row] for row in prod])[0] == rref(F, mat_mul(F, A, C))[0]
+
+
+def ratio(u, v):
+    """The rational r with u = r v, read at the first nonzero entry of v (1
+    for a zero v)."""
+    f = next((c for c, x in enumerate(v) if x), None)
+    return Fraction(1) if f is None else Fraction(u[f]) / v[f]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 5))
+def test_int_span_matches_the_generic_elimination(data, F, k):
+    A = data.draw(field_matrices(F))
+    ncols = len(A[0]) if A else data.draw(st.integers(0, 3))
+    R, piv = linalg.int_span(F, scaled_ints(F, A, k), ncols)
+    Rr, pr = ref_rref(F, A)
+    assert piv == pr
+    same(linalg.int_rows_to_field(F, R), Rr)
+    # the rows as given and scaled row by row span one canonical basis
+    assert (R, piv) == linalg.int_span(F, A, ncols)
+    for row, c in zip(R, piv):
+        assert all(type(x) is int for x in row)
+        assert (row[c] == 1) if F.p is not None else (row[c] > 0 and math.gcd(*row) == 1)
+    with pytest.raises(InputError):
+        linalg.int_span(F, A + [[F.zero()] * (ncols + 1)], ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 5), st.integers(0, 5))
+def test_int_residues_match_the_generic_reduction(data, F, ncols, k):
+    A = data.draw(field_matrices(F, ncols=ncols))
+    W, piv = linalg.int_rref(F, scaled_ints(F, A, k))
+    R = ref_rref(F, A)[0]
+    vs = data.draw(st.lists(st.one_of(
+        st.lists(field_entries(F), min_size=ncols, max_size=ncols),
+        st.sampled_from(A or [[F.zero()] * ncols]),
+    ), max_size=3))
+    ints = scaled_ints(F, vs, k + 1)
+    L = math.lcm(*[w[c] for w, c in zip(W, piv)])
+    got = linalg.int_residues(F, W, piv, ints)
+    assert len(got) == len(vs)
+    for r, v, vi in zip(got, vs, ints):
+        want = ref_reduce_vector(F, R, piv, v)
+        if F.p is not None:
+            same([r], [want])
+            continue
+        # L times the residue of the integer row, which is a multiple of v
+        assert all(type(x) is int for x in r)
+        assert [Fraction(x) for x in r] == [L * ratio(vi, v) * y for y in want]
+        assert any(r) == any(want)
