@@ -11,13 +11,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
-from .errors import VerificationError
 from .linalg import QQ, PrimeField, saturated_kernel_basis_3
-from . import ktheory
 from .ktheory import A0, A1, A1P, ChernCharacter, dimvec, mukai_pair
-from . import charge
 from .charge import (
     geom_conditions_abc,
     verify_T_identity,
@@ -29,13 +26,11 @@ from . import quiver
 from .quiver import (
     check_relations,
     dualize,
-    direct_sum,
     iso_test,
     king_test,
     random_rep,
     reverse_theta,
     s_equiv,
-    simple,
     submodule_dimvecs,
     theta_pair,
     theta_transform,

@@ -16,19 +16,17 @@ family stays in rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .ktheory import (
     A1,
-    ChernCharacter,
     ClassLike,
     HeartBasis,
     as_triple,
     dimvec,
-    mukai_pair,
     slopes,
 )
 from .linalg import QQ, mat_inverse

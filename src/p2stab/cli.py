@@ -29,7 +29,7 @@ from .io_utils import (
     parse_triple,
 )
 from . import ktheory
-from .ktheory import ChernCharacter, HeartBasis, as_triple
+from .ktheory import ChernCharacter, HeartBasis
 from . import charge as charge_mod
 from . import quiver
 from . import geometry

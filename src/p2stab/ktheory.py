@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .errors import InputError
 from .linalg import QQ, solve_right

@@ -61,6 +61,9 @@ _RELATIONS = {
 }
 
 DimVec = Tuple[int, int, int]
+#: a subspace triple (U0, U1, U2): integer rows spanning each space, reduced
+#: mod p over GF(p); `linalg.int_rows_to_field` of a canonical basis gives
+#: the field's rref
 SubTriple = Tuple[tuple, tuple, tuple]
 
 
@@ -286,21 +289,17 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 # subspace triples
 
 
-def _field_rows(F, R) -> tuple:
-    """A canonical integer basis as the field's rref rows."""
-    return tuple(tuple(r) for r in linalg.int_rows_to_field(F, R))
-
-
 def closure(rep: QuiverRep, seeds0=(), seeds1=(), seeds2=()) -> SubTriple:
-    """Smallest submodule containing the given vectors (one pass suffices
-    because the quiver is a two-step path)."""
+    """Smallest submodule containing the given field vectors, as the
+    canonical integer basis (`linalg.int_rref`) of each space (one pass
+    suffices because the quiver is a two-step path)."""
     F = rep.field
     n0, n1, n2 = rep.dims
     gammas, deltas = _int_arrows(rep)
     U0 = linalg.int_span(F, seeds0, n0)[0]
     U1 = linalg.int_rref(F, linalg.int_span(F, seeds1, n1)[0] + _image(U0, gammas))[0]
     U2 = linalg.int_rref(F, linalg.int_span(F, seeds2, n2)[0] + _image(U1, deltas))[0]
-    return (_field_rows(F, U0), _field_rows(F, U1), _field_rows(F, U2))
+    return (U0, U1, U2)
 
 
 def triple_dims(triple: SubTriple) -> DimVec:
@@ -333,7 +332,7 @@ def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
 
 def sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     """The submodule carried by an invariant subspace triple, in the basis
-    given by the canonical rref rows of the triple."""
+    given by the field's rref rows of each span, whatever rows span it."""
     return _split(rep, triple)[0]
 
 
@@ -355,15 +354,6 @@ def _field_matrix(F, N, t: Tuple[int, int]) -> List[list]:
     return [[Fraction(x * t[0], t[1]) if x else _ZERO for x in row] for row in N]
 
 
-def _primitive(M) -> tuple:
-    """An integer matrix divided by the gcd of its entries, as row tuples:
-    the primitive matrix on its positive ray (the zero matrix stays)."""
-    g = math.gcd(*[x for row in M for x in row])
-    if g > 1:
-        return tuple(tuple(x // g for x in row) for row in M)
-    return tuple(map(tuple, M))
-
-
 def _from_ints(algebra: str, F, dims: DimVec, gammas, deltas) -> QuiverRep:
     """The module whose gammas, and whose deltas, are given as one pair
     (Ns, t): the integer matrices N times the positive rational t.  It keeps
@@ -381,10 +371,10 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
     that is not invariant is invalid input.
 
     Every arrow A of a side is t G, G its integer matrix and t the side's
-    scale (`_int_sides`).  The submodule's basis is the triple's rref rows
-    u_b = U_b / q_b (U_b canonical, q_b its pivot entry); A u_b lies in the
-    target span, so its coordinates are its entries at the target's pivots,
-    t (G U_b)[c] / q_b.  The quotient keeps the non-pivot coordinates at
+    scale (`_int_sides`).  The submodule's basis is the rref rows of the
+    spans, u_b = U_b / q_b (U_b canonical, q_b its pivot entry); A u_b lies
+    in the target span, so its coordinates are its entries at the target's
+    pivots, t (G U_b)[c] / q_b.  The quotient keeps the non-pivot coordinates at
     each vertex; its arrow sends a kept source coordinate c to t G e_c
     reduced against the target span (`linalg.int_residues`, which scales by
     L), at the target's kept coordinates."""
@@ -544,7 +534,7 @@ def dualize(rep: QuiverRep) -> QuiverRep:
 
 def reverse_theta(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
     """The weight matching duality: (t0, t1, t2) -> (-t2, -t1, -t0)."""
-    t0, t1, t2 = (Fraction(x) for x in theta)
+    t0, t1, t2 = map(QQ.convert, theta)
     return (-t2, -t1, -t0)
 
 
@@ -640,7 +630,7 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
 
 
 def theta_pair(theta: Sequence, dims: Sequence) -> Fraction:
-    return sum((Fraction(t) * int(d) for t, d in zip(theta, dims)), Fraction(0))
+    return sum((QQ.convert(t) * int(d) for t, d in zip(theta, dims)), Fraction(0))
 
 
 def theta_transform(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
@@ -651,7 +641,7 @@ def theta_transform(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
     simples in the A_1 basis, so evaluation against dimension vectors is
     unchanged objectwise.
     """
-    t0, t1, t2 = (Fraction(x) for x in theta)
+    t0, t1, t2 = map(QQ.convert, theta)
     return (t0, 3 * t1 + t2, -t1)
 
 
@@ -666,7 +656,8 @@ class SubmoduleSearch:
     The true set T of submodule classes is bounded by two proved sets,
     ``lower <= T <= upper``.  Layer 1 closes a pool of generated submodules
     (kernels, images, cyclic and random closures) under sums and
-    intersections; its classes carry explicit witnesses over the base field
+    intersections; its classes carry explicit witnesses over the base field,
+    each the search's own integer bases of a submodule triple (`SubTriple`),
     and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
     field.  Since (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <=
     delta^-1(U2), it settles the pairs (U0, U2) of outer subspaces in one
@@ -871,8 +862,10 @@ def _layer1(
     Each candidate U1 certifies a full rectangle of dimension vectors
     (`_rectangle`), with explicit witnesses.  Sound for any candidate pool;
     complete whenever the pool covers the middle subspaces that matter.  The
-    search runs on integer rows (`_u1_candidates`); a witness is turned into
-    the field's rref rows when it is stored.
+    search runs on integer rows (`_u1_candidates`), and a witness is the
+    rectangle's own integer bases, as row tuples: the first a rows of the
+    U0max basis, the canonical basis of U1, and the basis of delta(U1) with
+    its first c - dim delta(U1) completing unit vectors.
 
     ``bounds`` lets the search stop early without changing its result.  It
     is a sequence of pairs (cost, bound): ``bound()`` returns a proved set
@@ -890,12 +883,7 @@ def _layer1(
     already, so the witnesses, their values and their order are those of
     the whole pool, whichever bounds are taken.
     """
-    F = rep.field
     n2 = rep.dims[2]
-
-    def witness_rows(rows) -> tuple:
-        return _field_rows(F, linalg.int_rref(F, rows)[0])
-
     witnesses: Dict[DimVec, SubTriple] = {}
     bounds = iter(bounds)
     first = next(bounds, None)
@@ -905,20 +893,13 @@ def _layer1(
     nxt, taken = next(bounds, None), 0  # the next bound, rectangles since the last
     for u1c in _u1_candidates(rep, seed, cap, pair_budget):
         if open_middle[len(u1c)]:
-            u0max, D, growth = _rectangle(rep, u1c)
-            u1rows = None
+            u0max, D, growth = (tuple(map(tuple, R)) for R in _rectangle(rep, u1c))
             for a in range(len(u0max) + 1):
                 for c in range(len(D), n2 + 1):
                     dv = (a, len(u1c), c)
                     if dv in witnesses:
                         continue
-                    if u1rows is None:
-                        u1rows = _field_rows(F, u1c)
-                    witnesses[dv] = (
-                        witness_rows(u0max[:a]),
-                        u1rows,
-                        witness_rows(D + growth[: c - len(D)]),
-                    )
+                    witnesses[dv] = (u0max[:a], u1c, D + growth[: c - len(D)])
                     if dv in unwitnessed:
                         unwitnessed.remove(dv)
                         open_middle[dv[1]] -= 1
@@ -1025,10 +1006,10 @@ _OVER_BOUND = "layer1-only (Layer 2 over its cost bound)"
 
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
     """Reduce a rational module mod p after rescaling each arrow to a
-    primitive integer matrix (`_primitive`; submodule lattices ignore arrow
-    scaling).  Each arrow on its own, not its side: an arrow that the side's
-    scale leaves divisible by p would vanish mod p."""
-    sides = ([_primitive(N) for N in Ns] for Ns in _int_arrows(rep))
+    primitive integer matrix (`linalg.clear_denominators`; submodule
+    lattices ignore arrow scaling).  Each arrow on its own, not its side: an
+    arrow that the side's scale leaves divisible by p would vanish mod p."""
+    sides = ([clear_denominators(N) for N in Ns] for Ns in _int_arrows(rep))
     return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *sides)
 
 
@@ -1168,7 +1149,8 @@ def king_test(
     is the one of the search's proved lower set; it is "exact" when the
     proved upper set gives the same verdict, and "probabilistic" otherwise
     — never silent.  An unstable verdict names the least witnessed
-    destabilizing class, or else the least destabilizing class.
+    destabilizing class, or else the least destabilizing class; a witnessed
+    one comes with the search's witness, integer rows (`SubTriple`).
     """
     theta = tuple(map(QQ.convert, theta))
     weight = _int_weight(theta)

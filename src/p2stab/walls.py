@@ -86,7 +86,7 @@ def family_consistency(n: int, b) -> dict:
     dimension vectors in the two hearts are (1,0,0)/(0,-1,0), (0,-1,0)/
     (0,0,1) and (1,2,1)/(1,2,1); the common values are -nb, n(1-b), 1-b.
     """
-    b = Fraction(b)
+    b = QQ.convert(b)
     t1 = theta_b1(n, b)
     t0 = theta_b0(n, b)
 
@@ -118,12 +118,12 @@ class PerpPlane:
     basis: Tuple[Tuple[int, int, int], Tuple[int, int, int]]
 
     def theta_of(self, s, t) -> Theta:
-        s, t = Fraction(s), Fraction(t)
+        s, t = QQ.convert(s), QQ.convert(t)
         b1, b2 = self.basis
         return tuple(s * p + t * q for p, q in zip(b1, b2))  # type: ignore[return-value]
 
     def coords_of(self, theta: Sequence) -> Tuple[Fraction, Fraction]:
-        theta = tuple(Fraction(x) for x in theta)
+        theta = tuple(map(QQ.convert, theta))
         if sum(x * y for x, y in zip(theta, self.d)) != 0:
             raise InputError("not in the perpendicular plane")
         cols = [[Fraction(self.basis[0][i]), Fraction(self.basis[1][i])] for i in range(3)]

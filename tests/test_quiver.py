@@ -4,6 +4,7 @@ import collections
 import itertools
 import operator
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -396,6 +397,19 @@ def outcome(fn, *args, **kwargs):
     return typed_rep(out) if isinstance(out, QuiverRep) else typed(out)
 
 
+def field_rrefs(F, triple, dims):
+    """The field's rref (`linalg.row_space`) of each span of a triple, as
+    the reference code gives its triples."""
+    return tuple(ref_canon(F, [list(r) for r in U], n) for U, n in zip(triple, dims))
+
+
+def assert_integer_rows(F, triple):
+    """Every entry of the triple is an int, reduced mod p over GF(p)."""
+    entries = [x for U in triple for row in U for x in row]
+    assert all(type(x) is int for x in entries)
+    assert F.p is None or all(0 <= x < F.p for x in entries)
+
+
 def random_rows(field, rng, n, k):
     if field.p is None:
         return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(k)]
@@ -450,7 +464,10 @@ def test_constructions_match_the_per_vector_code(field):
                 for part in quiver._split(rep, triple):
                     assert_kept_int_form(part)
         seeds = [random_rows(field, rng, n, rng.randint(0, 2)) for n in dims]
-        assert outcome(closure, rep, *seeds) == outcome(ref_closure, rep, *seeds)
+        got = closure(rep, *seeds)
+        assert field_rrefs(field, got, dims) == ref_closure(rep, *seeds)
+        assert_integer_rows(field, got)
+        assert all(linalg.int_rref(field, U)[0] == U for U in got)  # canonical
         # a row of the wrong length is invalid input, for both
         v = rng.randrange(3)
         bad = [list(U) for U in triples[-1]]
@@ -688,10 +705,6 @@ def rational_rep(algebra, dims, rng):
     )
 
 
-def entry_types(witnesses):
-    return [[[type(x) for x in row] for U in wit for row in U] for wit in witnesses.values()]
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     field=st.sampled_from([QQ, PrimeField(3), F5]),
@@ -715,8 +728,10 @@ def test_layer1_matches_the_fraction_row_search(field, dims, algebra, seed, budg
 
 
 def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
-    """The pool, and the witnesses drawn from it, equal the Fraction-row
-    search's: the same candidates and witnesses in the same order."""
+    """The pool, and the witnesses drawn from it, match the Fraction-row
+    search's: the same candidates in the same order, and witnesses of the
+    same classes in the same order, each an integer triple spanning the
+    spaces of the reference's witness."""
     field = rep.field
     pool = quiver._u1_candidates(rep, seed, cap, pair_budget)
     assert [
@@ -724,8 +739,10 @@ def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
     ] == ref_u1_candidates(rep, seed, cap, pair_budget)
     got = quiver._layer1(rep, seed, cap=cap, pair_budget=pair_budget)
     want = ref_layer1(rep, seed, cap=cap, pair_budget=pair_budget)
-    assert list(got.items()) == list(want.items())
-    assert entry_types(got) == entry_types(want)
+    assert list(got) == list(want)
+    for dv, triple in got.items():
+        assert field_rrefs(field, triple, rep.dims) == want[dv]
+        assert_integer_rows(field, triple)
 
 
 def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
@@ -871,6 +888,54 @@ def test_a_full_pool_pulls_no_further_source(monkeypatch):
     assert len(list(itertools.islice(pool, 6))) == 6
     formed = len(calls)
     assert list(pool) == [] and len(calls) == formed
+
+
+#: the rational report modules of the triple (1,2,3),(2,-1,1),(3,1,-2) and
+#: of its first two points
+_WITNESSED_MODULES = [
+    _REPORT_MODULES[0],
+    module_ideal_A1([(1, 2, 3), (2, -1, 1), (3, 1, -2)]),
+    CROSS_PRIME_A0,
+]
+
+
+@pytest.mark.parametrize("rep", _WITNESSED_MODULES, ids=lambda r: str(r.dims))
+def test_witnesses_are_independent_integer_rows_of_a_submodule(rep):
+    # a witness is the search's own integer bases, kept without an
+    # elimination: each row set must still be a basis of its space
+    F = rep.field
+    search = submodule_dimvecs(rep)
+    assert search.witnesses
+    for dv, triple in search.witnesses.items():
+        assert is_invariant(rep, triple)
+        assert all(len(linalg.int_rref(F, U)[0]) == len(U) for U in triple)
+        assert triple_dims(triple) == dv
+
+
+def test_layer1_eliminates_nothing_for_a_witnessed_class(monkeypatch):
+    # counts, not timings: every elimination of one Layer-1 run is made
+    # building the pool or a candidate's rectangle; storing a witness
+    # eliminates nothing and forms no field row
+    rep = _WITNESSED_MODULES[1]
+    assert rep.dims == (3, 7, 3) and rep.field == QQ
+    own = {quiver._u1_candidates.__code__, quiver._rectangle.__code__}
+    calls = collections.Counter()
+    real = linalg.int_rref
+
+    def counting(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in own:
+            frame = frame.f_back
+        calls["inside" if frame is not None else "outside"] += 1
+        return real(*args)
+
+    to_field = linalg.int_rows_to_field
+    monkeypatch.setattr(linalg, "int_rref", counting)
+    monkeypatch.setattr(linalg, "int_rows_to_field",
+                        lambda *args: calls.update(["to field"]) or to_field(*args))
+    witnesses = quiver._layer1(rep, 0)
+    assert len(witnesses) > 1 and calls["inside"]
+    assert calls["outside"] == calls["to field"] == 0
 
 
 @pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))

@@ -116,6 +116,14 @@ _EXACT_ENTRIES = {
     "king_test": (_point_verdict, 3),
     "jh_factors": (lambda x: [f.dims for f in quiver.jh_factors(_POINT, (-1, x, 3))], -1),
     "hilbert_report eps": (lambda x: hilbert_report(1, [[(1, 2, 3)]], eps=x)["epsilon"], Fraction(1, 10)),
+    "family_consistency": (lambda x: family_consistency(3, x), Fraction(3, 10)),
+    "PerpPlane.theta_of": (lambda x: perp_plane((2, 5, 2)).theta_of(x, 1), Fraction(1, 2)),
+    "PerpPlane.coords_of": (lambda x: perp_plane((2, 5, 2)).coords_of((x, 0, Fraction(-1, 2))), Fraction(1, 2)),
+    "chamber_membership": (lambda x: chamber_membership((x, 0, Fraction(-1, 2)), 2, "A1"),
+                           Fraction(1, 2)),
+    "theta_pair": (lambda x: theta_pair((x, 0, 1), (1, 1, 1)), Fraction(1, 2)),
+    "reverse_theta": (lambda x: quiver.reverse_theta((x, 0, 1)), Fraction(1, 2)),
+    "theta_transform": (lambda x: quiver.theta_transform((x, 0, 1)), Fraction(1, 2)),
 }
 
 
