@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
+from .io_utils import parse_fraction
 from . import linalg
 from .linalg import QQ, clear_denominators, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
@@ -96,8 +97,8 @@ class PointConfig:
         except (KeyError, TypeError) as exc:
             raise InputError("points JSON must have a 'points' array") from exc
         try:
-            return cls(tuple(tuple(Fraction(str(c)) for c in p) for p in raw))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            return cls(tuple(tuple(parse_fraction(str(c)) for c in p) for p in raw))
+        except TypeError as exc:
             raise InputError(f"bad point coordinates: {exc}") from exc
 
 

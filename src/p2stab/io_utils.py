@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -18,9 +20,28 @@ VERSION = "0.1.0"
 TOOL = "p2stab"
 
 
+#: a decimal with an exponent as ``Fraction`` reads it: the digits before
+#: and after the point, and the exponent
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)\.?([\d_]*)[eE]([-+]?[\d_]+)\s*")
+
+
 def parse_fraction(s: str) -> Fraction:
+    """The rational a string writes, as ``Fraction`` reads it ("3", "-2/7",
+    "0.1", "1e3").  Every rational that comes from outside the program is
+    read here.  ``Fraction`` builds 10^e in full, so an exponent, a
+    numerator or a denominator with more digits than the interpreter turns
+    into or out of a string (`sys.get_int_max_str_digits`, 4,300 digits by
+    default; 0 or an interpreter without it is no limit) is refused first,
+    as invalid input."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        return Fraction(s.strip())
+        m = _EXPONENT_FORM.fullmatch(s)
+        if m and limit:
+            whole, frac, exp = (t.replace("_", "") for t in m.groups())
+            shift = int(exp) - len(frac)  # int() refuses an exponent past the limit
+            if max(len((whole + frac).lstrip("0")) + shift, 1 - shift) > limit:
+                raise InputError(f"{s.strip()!r} has more than {limit} digits")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {s!r}") from exc
 
@@ -96,6 +117,6 @@ def write_text_atomic(path: str, text: str) -> None:
 
 def load_json(path: str) -> dict:
     """Parse a JSON file, reading each number exactly as written: ``0.1``
-    is the rational 1/10, not the nearest binary float."""
+    is the rational 1/10, not the nearest binary float (`parse_fraction`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=Fraction)
+        return json.load(fh, parse_float=parse_fraction)

@@ -3,7 +3,9 @@
 Every matrix computation in the package funnels through this module.
 Matrices are plain lists of row lists; entries are ``fractions.Fraction``
 over the rationals or python ints in [0, p) over a prime field.  The field
-object is passed explicitly.
+object is passed explicitly; it does no arithmetic, it only converts a
+number into the field (``convert``) and names the prime (``p``, None over
+Q).
 
 Each subspace kernel is written once, on integer rows: elimination
 (``int_rref``), span (``int_span``), reduction against a basis
@@ -14,11 +16,10 @@ fraction-free Gauss-Jordan), which is one to one with the rref; over GF(p)
 the same loops run on plain ints with ``% p`` inline and it is the rref.
 The submodule search calls these kernels directly.
 
-The field-row functions (``rref``, ``row_space``, ``reduce_vector``,
-``in_row_space``, ``right_kernel``) are adapters: they turn field rows
-into integer rows, call a kernel and turn the result back
-(``int_rows_to_field``).  Only the products ``mat_mul`` and ``mat_vec``
-have a field-row loop of their own.
+Every field-row function (``rref``, ``row_space``, ``reduce_vector``,
+``in_row_space``, ``right_kernel``, ``mat_mul``, ``mat_vec``) is an
+adapter: it turns field rows into integer rows, calls a kernel and turns
+the result back (``int_rows_to_field``).
 
 The results are the exact values the textbook loops give, entry for entry:
 a reduced row echelon form is unique.  The matrices are tiny (a few dozen
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .io_utils import parse_json_int
+from .io_utils import parse_fraction, parse_json_int
 
 Row = List
 Matrix = List[Row]
@@ -42,7 +43,6 @@ Matrix = List[Row]
 class RationalField:
     """The rational field; elements are ``Fraction``."""
 
-    kind = "rational"
     p: Optional[int] = None
 
     def __repr__(self) -> str:
@@ -58,39 +58,10 @@ class RationalField:
         if isinstance(x, Fraction):
             return x
         if isinstance(x, str):
-            return Fraction(x)
+            return parse_fraction(x)
         if isinstance(x, float):
             raise InputError("refusing to coerce a float into exact arithmetic")
         return Fraction(x)
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def elements(self):  # pragma: no cover - guarded by callers
-        raise InputError("the rationals cannot be enumerated")
 
     def to_json(self) -> dict:
         return {"kind": "rational"}
@@ -126,8 +97,6 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The field F_p for a prime p < 2^64; elements are ints in [0, p)."""
 
-    kind = "prime"
-
     def __init__(self, p: int):
         if p >= 2**64:
             raise InputError(f"p must be below 2^64, got {p}")
@@ -150,36 +119,10 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         if isinstance(x, str):
-            return self.convert(Fraction(x))
+            return self.convert(parse_fraction(x))
         if isinstance(x, float):
             raise InputError("refusing to coerce a float into exact arithmetic")
         return int(x) % self.p
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def elements(self) -> range:
         return range(self.p)
@@ -205,14 +148,14 @@ def field_from_json(obj: dict):
 
 
 def zeros(F, nrows: int, ncols: int) -> Matrix:
-    z = F.zero()
+    z = F.convert(0)
     return [[z] * ncols for _ in range(nrows)]
 
 
 def identity(F, n: int) -> Matrix:
     M = zeros(F, n, n)
     for i in range(n):
-        M[i][i] = F.one()
+        M[i][i] = F.convert(1)
     return M
 
 
@@ -236,8 +179,10 @@ def _q_ints(row: Sequence) -> Tuple[List[int], int]:
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def _q_entry(num: int, den: int) -> Fraction:
-    return Fraction(num, den) if num else _ZERO
+def _q_matrix(A: Matrix) -> Tuple[List[List[int]], int]:
+    """(ints, d) with A == ints / d, d the lcm of all the denominators."""
+    d = math.lcm(*[x.denominator for row in A for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
 
 
 def _q_row(ints: Sequence[int], d: int) -> Row:
@@ -251,26 +196,18 @@ def _q_row(ints: Sequence[int], d: int) -> Row:
 def mat_mul(F, A: Matrix, B: Matrix, ncols: Optional[int] = None) -> Matrix:
     """A @ B for B with ``ncols`` columns, read off B when B has rows: a B
     with no rows cannot show its width, and then the product is zero.  A
-    0-row A gives the empty matrix."""
-    if not A:
-        return []
-    if len(A[0]) != len(B):
+    0-row A gives the empty matrix.  One `int_mat_mul`: over GF(p) reduced
+    mod p, over Q of A and B over their common denominators, each entry
+    divided by the product of the two."""
+    if A and len(A[0]) != len(B):
         cb = len(B[0]) if B else 0
         raise InputError(
             f"dimension mismatch in product: {len(A)}x{len(A[0])} by {len(B)}x{cb}"
         )
-    cols = list(zip(*B)) or [()] * (ncols or 0)
-    p = F.p
-    if p is None:
-        qcols = [_q_ints(col) for col in cols]
-        out = []
-        for row in A:
-            ints, da = _q_ints(row)
-            out.append([
-                _q_entry(sum(map(operator.mul, ints, cb)), da * db) for cb, db in qcols
-            ])
-        return out
-    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A]
+    if F.p is not None:
+        return [[x % F.p for x in row] for row in int_mat_mul(A, B, ncols or 0)]
+    (IA, da), (IB, db) = _q_matrix(A), _q_matrix(B)
+    return [_q_row(row, da * db) for row in int_mat_mul(IA, IB, ncols or 0)]
 
 
 def mat_vec(F, A: Matrix, v: Sequence) -> Row:
@@ -405,10 +342,10 @@ def solve_right(F, A: Matrix, b: Sequence) -> Optional[Row]:
     if len(b) != nrows:
         raise InputError("dimension mismatch in solve_right")
     if ncols == 0:
-        return [] if all(F.is_zero(x) for x in b) else None
+        return None if any(map(F.convert, b)) else []
     aug = [list(row) + [bv] for row, bv in zip(A, b)]
     R, pivots = rref(F, aug)
-    x = [F.zero()] * ncols
+    x = [F.convert(0)] * ncols
     for row, c in zip(R, pivots):
         if c == ncols:
             return None

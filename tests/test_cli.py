@@ -9,14 +9,16 @@ import random
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2stab import cli, quiver
-from p2stab.geometry import module_point
-from p2stab.io_utils import load_json
+from p2stab.errors import InputError
+from p2stab.geometry import PointConfig, module_point
+from p2stab.io_utils import load_json, parse_fraction
 from p2stab.linalg import QQ, PrimeField
 from p2stab.quiver import random_rep
 
@@ -444,6 +446,70 @@ def test_overlong_json_number_exits_2(capsys, tmp_path, argv, blob):
     path.write_text(blob % ("1" * 5000))
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and err.startswith("error: cannot read JSON") and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+_EXPONENT_MODULE = ('{"algebra": "B", "field": {"kind": "rational"}, "dims": [1, 1, 0],'
+                    ' "gamma": [["%s"], [0], [0]], "delta": [[], [], []]}')
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < 5000, reason="no integer-string limit below 5000 digits")
+@pytest.mark.parametrize("argv,blob", [
+    (["hilbert", "report", "--n", "2", "--out", "{out}", "--points"],
+     '{"points": [[1e100000000, 1, 1], [1, 2, 3]]}'),
+    (["walls", "theta-family", "--n", "2", "--b", "1e100000000"], None),
+    (["module", "check", "--in"], _EXPONENT_MODULE % "1e100000000"),
+    # 10^5000 has more digits than an integer may be written with
+    (["module", "check", "--in"], _EXPONENT_MODULE % "1e5000"),
+    (["module", "dual", "--in"], _EXPONENT_MODULE % "1e5000"),
+])
+def test_a_rational_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, argv, blob):
+    # Fraction("1e100000000") alone builds 10^100000000, for seconds
+    if blob is not None:
+        path = tmp_path / "exp.json"
+        path.write_text(blob)
+        argv = argv + [str(path)]
+    argv = [str(tmp_path / "out.json") if a == "{out}" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == "" and err.startswith("error:") and "digits" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_rationals_are_read_as_before():
+    cases = {"3": Fraction(3), "-2/7": Fraction(-2, 7), "0.1": Fraction(1, 10),
+             "1e3": Fraction(1000), "1E-2": Fraction(1, 100), " 5 ": Fraction(5)}
+    F11 = PrimeField(11)
+    for s, want in cases.items():
+        assert parse_fraction(s) == want
+        assert QQ.convert(s) == want and F11.convert(s) == F11.convert(want)
+        assert PointConfig.from_json({"points": [[s, 1, 1]]}).points[0][0] == want
+    if 0 < _INT_DIGITS:  # the largest exponents within the limit, either way
+        assert parse_fraction(f"1e{_INT_DIGITS - 1}") == 10 ** (_INT_DIGITS - 1)
+        assert parse_fraction(f"1e-{_INT_DIGITS - 1}") == Fraction(1, 10 ** (_INT_DIGITS - 1))
+        for s in (f"1e{_INT_DIGITS}", f"1e-{_INT_DIGITS}", f"0.5e-{_INT_DIGITS}"):
+            with pytest.raises(InputError):
+                parse_fraction(s)
+
+
+def zero_module_file(path, dims):
+    n0, n1, n2 = dims
+    path.write_text(json.dumps({"algebra": "B", "field": {"kind": "rational"}, "dims": dims,
+                                "gamma": [["0"] * (n0 * n1)] * 3,
+                                "delta": [["0"] * (n1 * n2)] * 3}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["hom", "iso"])
+def test_module_hom_and_iso_refuse_a_system_above_the_bound(capsys, tmp_path, command):
+    # 12,288 unknowns in 24,576 equations: more than two minutes unbounded
+    path = zero_module_file(tmp_path / "z64.json", [64, 64, 64])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "module", command, "--a", path, "--b", path)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "") and err.startswith("error: Hom of modules")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -7,6 +7,7 @@ actually informative.
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -52,10 +53,6 @@ def qq_matrix(nrows, ncols):
 
 
 def test_prime_field_arithmetic():
-    assert F5.add(3, 4) == 2
-    assert F5.mul(3, 4) == 2
-    assert F5.inv(3) == 2  # 3*2 = 6 = 1 mod 5
-    assert F5.neg(1) == 4
     assert F5.convert(Fraction(1, 3)) == 2
     with pytest.raises(ZeroDivisionError):
         F5.convert(Fraction(1, 5))  # denominator divisible by p
@@ -170,7 +167,7 @@ def test_mat_vec_of_zero_column_matrix_is_zero():
 def test_mat_mul_takes_the_width_of_a_zero_row_factor_from_the_caller():
     # an n x 0 by 0 x m product is the n x m zero matrix, in the field's type
     for F in (QQ, F2, F5):
-        same(mat_mul(F, [[], []], [], 3), [[F.zero()] * 3 for _ in range(2)])
+        same(mat_mul(F, [[], []], [], 3), [[F.convert(0)] * 3 for _ in range(2)])
     assert mat_mul(F5, [[], []], []) == [[], []]  # no width given: width 0
     assert mat_mul(F5, [[1, 2]], [[1], [1]], 7) == [[3]]  # read off B's rows
 
@@ -279,7 +276,7 @@ def test_iter_subspaces_f5_line_count():
 
 # ---------------------------------------------------------------------------
 # the per-field kernels against the generic elimination they replaced, which
-# calls the field's add/mul/is_zero on every entry
+# does the field's arithmetic on every entry (each result through F.convert)
 
 
 def ref_rref(F, A):
@@ -287,16 +284,16 @@ def ref_rref(F, A):
     nrows, ncols = len(M), len(M[0]) if M else 0
     pivots, r = [], 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not F.is_zero(M[i][c])), None)
+        piv = next((i for i in range(r, nrows) if F.convert(M[i][c]) != 0), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        M[r] = [F.mul(inv, x) for x in M[r]]
+        inv = F.convert(Fraction(1) / M[r][c])
+        M[r] = [F.convert(inv * x) for x in M[r]]
         for i in range(nrows):
-            if i != r and not F.is_zero(M[i][c]):
+            if i != r and F.convert(M[i][c]) != 0:
                 f = M[i][c]
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+                M[i] = [F.convert(x - f * y) for x, y in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -307,18 +304,18 @@ def ref_rref(F, A):
 def ref_mat_mul(F, A, B):
     if not A:
         return []
-    out = [[F.zero()] * (len(B[0]) if B else 0) for _ in A]
+    out = [[F.convert(0)] * (len(B[0]) if B else 0) for _ in A]
     for Ai, oi in zip(A, out):
         for a, Bk in zip(Ai, B):
-            if not F.is_zero(a):
+            if F.convert(a) != 0:
                 for j, b in enumerate(Bk):
-                    oi[j] = F.add(oi[j], F.mul(a, b))
+                    oi[j] = F.convert(oi[j] + a * b)
     return out
 
 
 def ref_mat_vec(F, A, v):
     if not v and A and not A[0]:
-        return [F.zero()] * len(A)
+        return [F.convert(0)] * len(A)
     return [row[0] for row in ref_mat_mul(F, A, [[x] for x in v])]
 
 
@@ -328,10 +325,10 @@ def ref_right_kernel(F, A, ncols):
     R, pivots = ref_rref(F, A)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [F.zero()] * ncols
-        v[f] = F.one()
+        v = [F.convert(0)] * ncols
+        v[f] = F.convert(1)
         for row, c in zip(R, pivots):
-            v[c] = F.neg(row[f])
+            v[c] = F.convert(-row[f])
         basis.append(v)
     return basis
 
@@ -340,7 +337,7 @@ def ref_intersect_row_spaces(F, A, B, ncols):
     if not A or not B:
         return []
     At, Bt = transpose(A, ncols), transpose(B, ncols)
-    stacked = [ra + [F.neg(x) for x in rb] for ra, rb in zip(At, Bt)]
+    stacked = [ra + [F.convert(-x) for x in rb] for ra, rb in zip(At, Bt)]
     vecs = []
     for c in ref_right_kernel(F, stacked, len(stacked[0]) if stacked else 0):
         vecs.append([ref_dot(F, c[: len(A)], [row[j] for row in A]) for j in range(ncols)])
@@ -348,9 +345,9 @@ def ref_intersect_row_spaces(F, A, B, ncols):
 
 
 def ref_dot(F, u, v):
-    acc = F.zero()
+    acc = F.convert(0)
     for a, b in zip(u, v):
-        acc = F.add(acc, F.mul(a, b))
+        acc = F.convert(acc + a * b)
     return acc
 
 
@@ -374,7 +371,7 @@ def field_matrices(draw, F, nrows=None, ncols=None):
         k = draw(st.integers(0, 2))
         C = draw(st.lists(st.lists(x, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
         B = draw(st.lists(st.lists(x, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
-        return ref_mat_mul(F, C, B) if k else [[F.zero()] * ncols for _ in range(nrows)]
+        return ref_mat_mul(F, C, B) if k else [[F.convert(0)] * ncols for _ in range(nrows)]
     return draw(st.lists(st.lists(x, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
 
 
@@ -407,6 +404,26 @@ def test_mat_mul_and_mat_vec_match_the_generic_products(data, F, inner, ncols):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4))
+def test_mat_mul_is_one_integer_product(data, F, inner, ncols):
+    # zero-row and zero-width factors included; over Q the entries carry
+    # denominators on both sides, so each product is divided by both
+    A = data.draw(field_matrices(F, ncols=inner))
+    B = data.draw(field_matrices(F, nrows=inner, ncols=ncols))
+    with mock.patch.object(linalg, "int_mat_mul", wraps=linalg.int_mat_mul) as spy:
+        got = mat_mul(F, A, B)
+    assert spy.call_count == 1
+    same(got, ref_mat_mul(F, A, B))
+
+
+def test_field_objects_only_convert():
+    arithmetic = ("zero", "one", "add", "sub", "mul", "neg", "inv", "is_zero", "kind")
+    for F in (QQ, F5):
+        assert not [name for name in arithmetic if hasattr(F, name)]
+    assert not hasattr(QQ, "elements") and list(F5.elements()) == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from(KERNEL_FIELDS), st.integers(0, 4))
 def test_intersect_row_spaces_matches_the_generic_construction(data, F, ncols):
     A = data.draw(field_matrices(F, ncols=ncols))
@@ -418,8 +435,8 @@ def ref_reduce_vector(F, R, pivots, v):
     w = list(v)
     for row, c in zip(R, pivots):
         f = w[c]
-        if not F.is_zero(f):
-            w = [F.sub(x, F.mul(f, y)) for x, y in zip(w, row)]
+        if F.convert(f) != 0:
+            w = [F.convert(x - f * y) for x, y in zip(w, row)]
     return w
 
 
@@ -429,12 +446,12 @@ def test_reduce_vector_matches_the_generic_reduction(data, F, ncols):
     R, piv = rref(F, data.draw(field_matrices(F, ncols=ncols)))
     v = data.draw(st.one_of(
         st.lists(field_entries(F), min_size=ncols, max_size=ncols),
-        st.lists(st.just(F.zero()), min_size=ncols, max_size=ncols),
-        st.sampled_from(R or [[F.zero()] * ncols]),
+        st.lists(st.just(F.convert(0)), min_size=ncols, max_size=ncols),
+        st.sampled_from(R or [[F.convert(0)] * ncols]),
     ))
     w = linalg.reduce_vector(F, R, piv, v)
     same([w], [ref_reduce_vector(F, R, piv, v)])
-    assert linalg.in_row_space(F, R, piv, v) == all(F.is_zero(x) for x in w)
+    assert linalg.in_row_space(F, R, piv, v) == all(F.convert(x) == 0 for x in w)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +538,7 @@ def test_int_span_matches_the_generic_elimination(data, F, k):
         assert all(type(x) is int for x in row)
         assert (row[c] == 1) if F.p is not None else (row[c] > 0 and math.gcd(*row) == 1)
     with pytest.raises(InputError):
-        linalg.int_span(F, A + [[F.zero()] * (ncols + 1)], ncols)
+        linalg.int_span(F, A + [[F.convert(0)] * (ncols + 1)], ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -532,7 +549,7 @@ def test_int_residues_match_the_generic_reduction(data, F, ncols, k):
     R = ref_rref(F, A)[0]
     vs = data.draw(st.lists(st.one_of(
         st.lists(field_entries(F), min_size=ncols, max_size=ncols),
-        st.sampled_from(A or [[F.zero()] * ncols]),
+        st.sampled_from(A or [[F.convert(0)] * ncols]),
     ), max_size=3))
     ints = scaled_ints(F, vs, k + 1)
     L = math.lcm(*[w[c] for w, c in zip(W, piv)])

@@ -282,7 +282,7 @@ def ref_pivots_of_rref(F, R):
     piv = []
     for row in R:
         for c, x in enumerate(row):
-            if not F.is_zero(x):
+            if F.convert(x) != 0:
                 piv.append(c)
                 break
     return piv
@@ -364,8 +364,8 @@ def ref_quotient_by(rep, triple):
         _, _, comp_src = data[src_vertex]
         cols = []
         for c in comp_src:
-            e = [F.zero()] * rep.dims[src_vertex]
-            e[c] = F.one()
+            e = [F.convert(0)] * rep.dims[src_vertex]
+            e[c] = F.convert(1)
             cols.append(project(tgt_vertex, linalg.mat_vec(F, M, e)))
         tgt_dim = len(data[tgt_vertex][2])
         return linalg.transpose(cols, ncols=len(comp_src)) if cols else [
@@ -471,12 +471,12 @@ def test_constructions_match_the_per_vector_code(field):
         # a row of the wrong length is invalid input, for both
         v = rng.randrange(3)
         bad = [list(U) for U in triples[-1]]
-        bad[v] = bad[v] + [[field.one()] * (dims[v] + 1)]
+        bad[v] = bad[v] + [[field.convert(1)] * (dims[v] + 1)]
         for fn in (sub_from, quotient_by, ref_sub_from, ref_quotient_by):
             assert outcome(fn, rep, tuple(bad)) is InputError
         # the per-vector test could answer False before it met the bad row
         assert outcome(is_invariant, rep, tuple(bad)) is InputError
-        seeds[v] = seeds[v] + [[field.one()] * (dims[v] + 1)]
+        seeds[v] = seeds[v] + [[field.convert(1)] * (dims[v] + 1)]
         assert outcome(closure, rep, *seeds) is InputError
         assert outcome(ref_closure, rep, *seeds) is InputError
     assert kinds[True] and kinds[False]
@@ -535,8 +535,8 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
 
     def basis_vectors(n):
         for c in range(n):
-            e = [F.zero()] * n
-            e[c] = F.one()
+            e = [F.convert(0)] * n
+            e[c] = F.convert(1)
             yield e
 
     def gamma_span(x):
@@ -647,10 +647,10 @@ def ref_layer1(rep, seed, cap=250, pair_budget=4000):
         growth = []
         grow_rows, grow_piv = [list(r) for r in D], list(dpiv)
         for k in range(n2):
-            e = [F.zero()] * n2
-            e[k] = F.one()
+            e = [F.convert(0)] * n2
+            e[k] = F.convert(1)
             red = linalg.reduce_vector(F, grow_rows, grow_piv, list(e))
-            if any(not F.is_zero(x) for x in red):
+            if any(F.convert(x) != 0 for x in red):
                 growth.append(e)
                 grow_rows, grow_piv = linalg.row_space(F, grow_rows + [e], n2)
         ann = linalg.right_kernel(F, u1, ncols=n1)
@@ -1161,6 +1161,27 @@ def test_hom_dimensions():
     assert len(hom_space(O_X, O_Y)) == 0
 
 
+def test_hom_bound_is_checked_before_any_row(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(shapes, equations):
+        raise Built
+
+    monkeypatch.setattr(quiver, "_linear_system", build)
+    # unknowns x max(unknowns, equations): 1728 x 3456; the dims of ideal-A1
+    # of 16 points, 1601 x 3168; 1875 x 3750; 12288 x 24576; and a system
+    # with no equations whose kernel basis alone is 4096 x 4096
+    for dims, refused in (((24, 24, 24), False), ((16, 33, 16), False), ((25, 25, 25), True),
+                          ((64, 64, 64), True), ((0, 64, 0), True)):
+        n0, n1, n2 = dims
+        rep = QuiverRep("B", QQ, dims, [linalg.zeros(QQ, n1, n0)] * 3,
+                        [linalg.zeros(QQ, n2, n1)] * 3)
+        for fn in (hom_space, iso_test):
+            with pytest.raises(InputError if refused else Built):
+                fn(rep, rep)
+
+
 def test_iso_invariant_under_base_change():
     rep = module_point([2, -1, 3])
     P = [
@@ -1233,7 +1254,8 @@ def test_iso_rule_matches_full_enumeration(p):
 
 
 # `hom_space`, `iso_test`, `direct_sum` and `random_rep` as first written,
-# with per-entry field arithmetic (`F.add`, `F.mul`, ...), kept as references
+# with per-entry field arithmetic (each sum or product through `F.convert`),
+# kept as references
 # for the versions on the field's own numbers: results, witnesses and random
 # streams must agree.
 
@@ -1282,14 +1304,14 @@ def ref_hom_space(a, b):
             tb = len(M_b)
             for p in range(tb):
                 for q in range(sa):
-                    row = [F.zero()] * nvars
+                    row = [F.convert(0)] * nvars
                     for m in range(ta):
-                        row[var_off_tgt + p * ta + m] = F.add(
-                            row[var_off_tgt + p * ta + m], M_a[m][q]
+                        row[var_off_tgt + p * ta + m] = F.convert(
+                            row[var_off_tgt + p * ta + m] + M_a[m][q]
                         )
                     for m in range(len(M_b[p])):
                         idx = var_off_src + m * sa + q
-                        row[idx] = F.sub(row[idx], M_b[p][m])
+                        row[idx] = F.convert(row[idx] - M_b[p][m])
                     rows.append(row)
 
     add_equations([a.gamma_m(i) for i in range(3)], [b.gamma_m(i) for i in range(3)],
@@ -1323,11 +1345,11 @@ def ref_iso_test(a, b, seed=0):
             n = a.dims[v]
             M = linalg.zeros(F, n, n)
             for c, h in zip(coeffs, homs):
-                if F.is_zero(c):
+                if F.convert(c) == 0:
                     continue
                 for p in range(n):
                     for q in range(n):
-                        M[p][q] = F.add(M[p][q], F.mul(c, h[v][p][q]))
+                        M[p][q] = F.convert(M[p][q] + c * h[v][p][q])
             fs.append(M)
         return fs
 
@@ -1338,7 +1360,7 @@ def ref_iso_test(a, b, seed=0):
     S = [F.convert(c) for c in range(deg + 1 if F.p is None else min(deg + 1, F.p))]
     if len(S) ** len(homs) <= quiver._ISO_EXACT_BOUND:
         for coeffs in itertools.product(S, repeat=len(homs)):
-            if all(F.is_zero(c) for c in coeffs):
+            if all(F.convert(c) == 0 for c in coeffs):
                 continue
             fs = combo(coeffs)
             if invertible(fs):
@@ -1381,24 +1403,24 @@ def ref_random_rep(algebra, field, dims, rng):
     nvars = 3 * n2 * n1
     rows = []
     for (i, j) in REF_REL_PAIRS[algebra]:
-        sign = field.one() if algebra == "B" else field.neg(field.one())
+        sign = field.convert(1) if algebra == "B" else field.convert(-1)
         for p in range(n2):
             for q0 in range(n0):
-                row = [field.zero()] * nvars
+                row = [field.convert(0)] * nvars
                 for q in range(n1):
                     idx = j * n2 * n1 + p * n1 + q
-                    row[idx] = field.add(row[idx], field.convert(gamma[i][q][q0]))
+                    row[idx] = field.convert(row[idx] + field.convert(gamma[i][q][q0]))
                     if i != j:
                         idx = i * n2 * n1 + p * n1 + q
-                        row[idx] = field.add(
-                            row[idx], field.mul(sign, field.convert(gamma[j][q][q0]))
+                        row[idx] = field.convert(
+                            row[idx] + sign * field.convert(gamma[j][q][q0])
                         )
                 rows.append(row)
     basis = linalg.right_kernel(field, rows, ncols=nvars) if nvars else []
-    flat = [field.zero()] * nvars
+    flat = [field.convert(0)] * nvars
     for vec in basis:
         c = rand_entry()
-        flat = [field.add(x, field.mul(c, y)) for x, y in zip(flat, vec)]
+        flat = [field.convert(x + c * y) for x, y in zip(flat, vec)]
     delta = [
         [[flat[j * n2 * n1 + p * n1 + q] for q in range(n1)] for p in range(n2)]
         for j in range(3)
@@ -1527,7 +1549,7 @@ def test_the_linear_system_builder_expresses_the_euler_complex(field):
                 for _ in range(2))
         for a, b in ((M, N), (N, M), (M, M)):
             d0, d1 = euler_complex(a, b)
-            assert all(field.is_zero(sum(map(operator.mul, row, col)))
+            assert all(field.convert(sum(map(operator.mul, row, col))) == 0
                        for row in d1 for col in zip(*d0))
             nvars = sum(map(operator.mul, a.dims, b.dims))
             assert nvars - linalg.rank(field, d0) == len(hom_space(a, b))
@@ -1623,16 +1645,16 @@ def ref_check_relations(rep):
             values = [x for ra in a for x in ra]
         else:
             b = mat_mul(F, rep.delta_m(i), rep.gamma_m(j))
-            op = F.add if rep.algebra == "B" else F.sub
-            values = [op(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
-        if not all(F.is_zero(x) for x in values):
+            op = operator.add if rep.algebra == "B" else operator.sub
+            values = [F.convert(op(x, y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+        if not all(F.convert(x) == 0 for x in values):
             return (False, (i, j))
     return (True, None)
 
 
 def ref_project(F, R, piv, comp, W):
     if piv:
-        W = [[F.sub(x, y) for x, y in zip(w, r)]
+        W = [[F.convert(x - y) for x, y in zip(w, r)]
              for w, r in zip(W, mat_mul(F, [[w[c] for c in piv] for w in W], R))]
     return [[w[c] for c in comp] for w in W]
 
@@ -1674,10 +1696,10 @@ def ref_tilt_Bprime_to_B(rep):
         cols = []
         gi1, gi2 = rep.gamma_m((i + 1) % 3), rep.gamma_m((i + 2) % 3)
         for a in range(m0):
-            w = [F.zero()] * (3 * m1)
+            w = [F.convert(0)] * (3 * m1)
             for r in range(m1):
                 w[((i + 2) % 3) * m1 + r] = gi1[r][a]
-                w[((i + 1) % 3) * m1 + r] = F.neg(gi2[r][a])
+                w[((i + 1) % 3) * m1 + r] = F.convert(-gi2[r][a])
             c = linalg.solve_right(F, Kt, w)
             if c is None:
                 raise VerificationError("tilt image escaped the kernel; relations must be broken")
@@ -1699,7 +1721,7 @@ def moved(rep, rng):
             k, r, c = rng.choice(cells)
             shift = (Fraction(rng.choice((-1, 1)), rng.randint(1, 3)) if F.p is None
                      else rng.randrange(1, F.p))
-            arrows[s][k][r][c] = F.add(arrows[s][k][r][c], F.convert(shift))
+            arrows[s][k][r][c] = F.convert(arrows[s][k][r][c] + F.convert(shift))
     return QuiverRep(rep.algebra, F, rep.dims, *arrows)
 
 
