@@ -98,7 +98,7 @@ class PointConfig:
             raise InputError("points JSON must have a 'points' array") from exc
         try:
             return cls(tuple(tuple(parse_fraction(str(c)) for c in p) for p in raw))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad point coordinates: {exc}") from exc
 
 

@@ -20,9 +20,10 @@ VERSION = "0.1.0"
 TOOL = "p2stab"
 
 
-#: a decimal with an exponent as ``Fraction`` reads it: the digits before
-#: and after the point, and the exponent
-_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)\.?([\d_]*)[eE]([-+]?[\d_]+)\s*")
+#: a decimal as ``Fraction`` reads it: the digits before and after the
+#: point, and the exponent.  Only the point opens the second group, so no
+#: digit can go to either group and a failed match is linear in the input.
+_DECIMAL_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -34,16 +35,17 @@ def parse_fraction(s: str) -> Fraction:
     default; 0 or an interpreter without it is no limit) is refused first,
     as invalid input."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    shown = repr(s) if len(s) <= 40 else f"{s[:20]!r}... ({len(s)} characters)"
     try:
-        m = _EXPONENT_FORM.fullmatch(s)
+        m = _DECIMAL_FORM.fullmatch(s)
         if m and limit:
-            whole, frac, exp = (t.replace("_", "") for t in m.groups())
-            shift = int(exp) - len(frac)  # int() refuses an exponent past the limit
+            whole, frac, exp = (t.replace("_", "") for t in m.groups(""))
+            shift = int(exp or "0") - len(frac)  # int() refuses an exponent past the limit
             if max(len((whole + frac).lstrip("0")) + shift, 1 - shift) > limit:
-                raise InputError(f"{s.strip()!r} has more than {limit} digits")
+                raise InputError(f"{shown} has more than {limit} digits")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {s!r}") from exc
+        raise InputError(f"not a rational number: {shown}") from exc
 
 
 def parse_json_int(x) -> int:

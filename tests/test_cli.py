@@ -462,6 +462,11 @@ _EXPONENT_MODULE = ('{"algebra": "B", "field": {"kind": "rational"}, "dims": [1,
     # 10^5000 has more digits than an integer may be written with
     (["module", "check", "--in"], _EXPONENT_MODULE % "1e5000"),
     (["module", "dual", "--in"], _EXPONENT_MODULE % "1e5000"),
+    # a long decimal without an exponent is refused in time linear in its length
+    (["hilbert", "report", "--n", "2", "--out", "{out}", "--points"],
+     '{"points": [[%s.5, 1, 1], [1, 2, 3]]}' % ("1" * 200000)),
+    (["walls", "theta-family", "--n", "2", "--b", "1" * 200000 + ".5"], None),
+    (["module", "check", "--in"], _EXPONENT_MODULE % ("1" * 200000 + ".5")),
 ])
 def test_a_rational_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, argv, blob):
     # Fraction("1e100000000") alone builds 10^100000000, for seconds

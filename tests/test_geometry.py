@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -110,6 +111,10 @@ def test_point_config_json():
         PointConfig.from_json({"pts": []})
     with pytest.raises(InputError):
         PointConfig.from_json({"points": [["1", "1/0", "0"]]})
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        # str() itself refuses an integer coordinate past the digit limit
+        with pytest.raises(InputError):
+            PointConfig.from_json({"points": [[10 ** 5000, 1, 1]]})
 
 
 def test_collinearity():
