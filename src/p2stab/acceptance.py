@@ -121,23 +121,107 @@ def criterion_2() -> Tuple[bool, str]:
 # criterion 3: the three positivity conditions, symbolically
 
 
-def criterion_3() -> Tuple[bool, str]:
-    import sympy
+class _Poly:
+    """A polynomial with rational coefficients in the variables ``names``,
+    held as a dict from exponent tuples to nonzero ``Fraction`` coefficients.
 
-    b = sympy.Symbol("b")
-    values = ((-b, sympy.Integer(0)), (-1 + b, sympy.Integer(0)), (3 - 3 * b, sympy.Integer(1)))
+    It is the exact ring arithmetic the two symbolic criteria need: ``+``,
+    ``-`` and ``*`` with numbers on either side, ``==`` as equality after
+    cancellation, the degree in one variable and the substitution of a
+    number for one variable.
+    """
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names: Tuple[str, ...], terms: dict):
+        self.names = names
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def symbols(cls, *names: str) -> Tuple["_Poly", ...]:
+        """The variables themselves, one polynomial per name."""
+        units = [tuple(int(i == j) for j in range(len(names))) for i in range(len(names))]
+        return tuple(cls(names, {e: Frac(1)}) for e in units)
+
+    def _lift(self, other) -> "_Poly":
+        """``other`` as a polynomial in the same variables; a number is a
+        constant."""
+        if isinstance(other, _Poly):
+            if other.names != self.names:
+                raise ValueError(f"variables {other.names} are not {self.names}")
+            return other
+        return _Poly(self.names, {(0,) * len(self.names): Frac(other)})
+
+    def __add__(self, other) -> "_Poly":
+        terms = dict(self.terms)
+        for e, c in self._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return _Poly(self.names, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Poly":
+        return _Poly(self.names, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "_Poly":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    def __mul__(self, other) -> "_Poly":
+        other, terms = self._lift(other), {}
+        for e, c in self.terms.items():
+            for f, d in other.terms.items():
+                g = tuple(x + y for x, y in zip(e, f))
+                terms[g] = terms.get(g, 0) + c * d
+        return _Poly(self.names, terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return not (self - other).terms
+
+    def degree(self, name: str) -> int:
+        """The highest power of ``name`` that occurs; -1 for zero."""
+        i = self.names.index(name)
+        return max((e[i] for e in self.terms), default=-1)
+
+    def subs(self, name: str, value) -> "_Poly":
+        """The polynomial with the number ``value`` put for ``name``."""
+        i = self.names.index(name)
+        terms: dict = {}
+        for e, c in self.terms.items():
+            f = e[:i] + (0,) + e[i + 1 :]
+            terms[f] = terms.get(f, 0) + c * Frac(value) ** e[i]
+        return _Poly(self.names, terms)
+
+    def __repr__(self) -> str:
+        def term(e, c) -> str:
+            mono = "*".join(v if k == 1 else f"{v}**{k}" for v, k in zip(self.names, e) if k)
+            if not mono:
+                return str(c)
+            return mono if c == 1 else "-" + mono if c == -1 else f"{c}*{mono}"
+
+        text = " + ".join(term(e, c) for e, c in sorted(self.terms.items(), reverse=True))
+        return text.replace("+ -", "- ") or "0"
+
+
+def criterion_3() -> Tuple[bool, str]:
+    (b,) = _Poly.symbols("b")
+    values = ((-b, 0), (-1 + b, 0), (3 - 3 * b, 1))
     a_e, b_e, c_e = geom_conditions_abc(values)
-    want = (2 - b, sympy.Integer(1), b)
+    want = (2 - b, 1, b)
     for got, expect, name in zip((a_e, b_e, c_e), want, "abc"):
-        if sympy.expand(got - expect) != 0:
-            return (False, f"condition {name} is {sympy.expand(got)}, expected {expect}")
-    if sympy.expand(a_e + c_e - 2 * b_e) != 0:
+        if got != expect:
+            return (False, f"condition {name} is {got}, expected {expect}")
+    if a_e + c_e != 2 * b_e:
         return (False, "linearity identity a + c = 2b fails")
     # positivity on 0 < b < 1 via endpoint values and degree <= 1
     for expr, name, at0, at1 in ((a_e, "a", 2, 1), (b_e, "b", 1, 1), (c_e, "c", 0, 1)):
-        if sympy.degree(sympy.Poly(expr, b)) > 1:
+        if expr.degree("b") > 1:
             return (False, f"condition {name} is not linear in b")
-        if expr.subs(b, 0) != at0 or expr.subs(b, 1) != at1:
+        if expr.subs("b", 0) != at0 or expr.subs("b", 1) != at1:
             return (False, f"condition {name} endpoints are not ({at0}, {at1})")
     return (True, "conditions are (2-b, 1, b) symbolically; linear and positive on 0 < b < 1")
 
@@ -188,6 +272,16 @@ def criterion_5() -> Tuple[bool, str]:
 # criterion 6: coherence of the two families, and the weight transport
 
 
+def _weight_family(b, n, r):
+    """The displayed weight family on the class (n + 1 - r, 2n + 1, n), in
+    whatever ring b, n and r live in: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r)."""
+    return (
+        b * (-n),
+        (1 - b) * (-n),
+        (1 - b) * (2 * n + 1) + b * (n + 1 - r),
+    )
+
+
 def criterion_6() -> Tuple[bool, str]:
     for n in range(1, 7):
         for k in range(1, 51):
@@ -195,16 +289,9 @@ def criterion_6() -> Tuple[bool, str]:
             if not out["ok"]:
                 return (False, f"family consistency fails at n={n}, b={k}/51: {out}")
 
-    import sympy
-
-    bs, ns, rs = sympy.symbols("b n r")
-    fam = (
-        bs * (-ns),
-        (1 - bs) * (-ns),
-        (1 - bs) * (2 * ns + 1) + bs * (ns + 1 - rs),
-    )
+    bs, ns, rs = _Poly.symbols("b", "n", "r")
     mclass = (ns + 1 - rs, 2 * ns + 1, ns)
-    if sympy.expand(sum(f * m for f, m in zip(fam, mclass))) != 0:
+    if sum(f * m for f, m in zip(_weight_family(bs, ns, rs), mclass)) != 0:
         return (False, "symbolic annihilation identity fails")
 
     for n in range(1, 7):

@@ -222,14 +222,6 @@ def phase(z: Pair, backend: str = "exact") -> Tuple[Union[Fraction, float], Unio
     return (math.atan2(float(im), float(re)) / math.pi, mu)
 
 
-def slope_mu(z: Pair, backend: str = "exact") -> Union[Fraction, float]:
-    _require_hbar(z, backend)
-    re, im = z
-    if _is_zero(im, backend):
-        return math.inf
-    return -re / im
-
-
 GL2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
 

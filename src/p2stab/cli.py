@@ -195,14 +195,14 @@ def cmd_charge_scan(args) -> int:
         hyp = charge_mod.theorem1_hypotheses(a, b, t2)
         rows.append(
             {
-                "b": str(b),
-                "t2": str(t2),
-                "epsilon": str(hyp["epsilon"]),
-                "reZ": str(re),
-                "imZ_coeff": str(im),
-                "abc_a": str(ca),
-                "abc_b": str(cb),
-                "abc_c": str(cc),
+                "b": format_fraction(b),
+                "t2": format_fraction(t2),
+                "epsilon": format_fraction(hyp["epsilon"]),
+                "reZ": format_fraction(re),
+                "imZ_coeff": format_fraction(im),
+                "abc_a": format_fraction(ca),
+                "abc_b": format_fraction(cb),
+                "abc_c": format_fraction(cc),
                 "hypotheses_ok": "true" if hyp["ok"] else "false",
             }
         )
@@ -255,7 +255,7 @@ def cmd_module_jh(args) -> int:
                 )
     payload = {
         "meta": json_meta(args.seed),
-        "theta": [str(x) for x in theta],
+        "theta": [format_fraction(x) for x in theta],
         "factor_dims": [list(f.dims) for f in factors],
         "factors": [quiver.rep_to_json(f) for f in factors],
     }

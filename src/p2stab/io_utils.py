@@ -70,7 +70,17 @@ def parse_triple(s: str) -> List[Fraction]:
 
 
 def format_fraction(x) -> str:
-    return str(Fraction(x))
+    """A result's number as the program writes it: "p/q", or "p" for an
+    integer.  Every number the program computes is written here.  A result
+    whose numerator or denominator has more digits than the interpreter
+    turns into a string (`sys.get_int_max_str_digits`) cannot be written,
+    so the input that gave it is refused, as invalid input."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"a result has more than {limit} digits, the most that can be written") from exc
 
 
 def format_vector(v: Sequence) -> str:
@@ -82,7 +92,7 @@ def _json_default(obj):
     """What the encoder writes for a value JSON has no form for: a Fraction
     as its "p/q" string; anything else is an error."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        return format_fraction(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, VerificationError
-from .io_utils import parse_json_int
+from .io_utils import format_fraction, parse_json_int
 from . import linalg
 from .linalg import (
     QQ,
@@ -140,7 +140,7 @@ class QuiverRep:
 
 def rep_to_json(rep: QuiverRep) -> dict:
     def flat(M):
-        return [str(x) for row in M for x in row]
+        return [format_fraction(x) for row in M for x in row]
 
     return {
         "algebra": rep.algebra,
@@ -319,19 +319,6 @@ def _invariant(F, spans, images) -> bool:
         any(r) for (W, piv), rows in zip(spans[1:], images)
         for r in linalg.int_residues(F, W, piv, rows)
     )
-
-
-def is_invariant(rep: QuiverRep, triple: SubTriple) -> bool:
-    """Whether the arrows map U0 into U1 and U1 into U2."""
-    F = rep.field
-    spans = [linalg.int_span(F, U, n) for U, n in zip(triple, rep.dims)]
-    return _invariant(F, spans, _arrow_images(rep, spans))
-
-
-def sub_from(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
-    """The submodule carried by an invariant subspace triple, in the basis
-    given by the field's rref rows of each span, whatever rows span it."""
-    return _split(rep, triple)[0]
 
 
 def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:

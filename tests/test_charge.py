@@ -16,7 +16,6 @@ from p2stab.charge import (
     phase,
     pi_sigma_b,
     slope_identity_check,
-    slope_mu,
     t_matrix,
     t_matrix_inv,
     theorem1_hypotheses,
@@ -100,7 +99,7 @@ def test_phase_compass_points():
         phase((Fraction(0), Fraction(0)))
     with pytest.raises(InputError, match="not a stability-function value"):
         phase((Fraction(1), Fraction(0)))
-    assert slope_mu((Fraction(-3), Fraction(2))) == Fraction(3, 2)
+    assert phase((Fraction(-3), Fraction(2)))[1] == Fraction(3, 2)
 
 
 def test_gl_act_composition_and_orientation():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from p2stab import cli, quiver
 from p2stab.errors import InputError
 from p2stab.geometry import PointConfig, module_point
-from p2stab.io_utils import load_json, parse_fraction
+from p2stab.io_utils import dumps_json, format_fraction, load_json, parse_fraction
 from p2stab.linalg import QQ, PrimeField
 from p2stab.quiver import random_rep
 
@@ -481,6 +481,54 @@ def test_a_rational_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, argv,
     assert code == 2 and out == "" and err.startswith("error:") and "digits" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out.json").exists()
+
+
+# the point module of (1:2:3) with every arrow scaled by 10^4000: its
+# tilt's gammas are products of two arrows, 10^8000 and more
+_SCALED_POINT_MODULE = json.dumps({
+    "algebra": "B", "field": {"kind": "rational"}, "dims": [1, 2, 1],
+    "gamma": [["-2e4000", "-3e4000"], ["1e4000", "0"], ["0", "1e4000"]],
+    "delta": [["3e4000", "-2e4000"], ["0", "1e4000"], ["-1e4000", "0"]],
+})
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < 5000, reason="no integer-string limit below 5000 digits")
+@pytest.mark.parametrize("argv,blob", [
+    (["chern", "euler", "--a=1e4000,0,0", "--b=1e4000,0,0"], None),
+    (["chern", "bogomolov", "--ch=0,1e3000,0"], None),
+    (["charge", "eval", "--ch=1e4000,0,0", "--b=1e1000", "--t2=1"], None),
+    (["charge", "scan", "--ch=1e4000,0,0", "--b-start=1e1000", "--b-end=2e1000", "--t2=1",
+      "--steps", "2", "--out", "{out}"], None),
+    (["walls", "theta-family", "--n", "30", "--b", f"9e{_INT_DIGITS - 1}"], None),
+    (["module", "tilt", "--out", "{out}", "--in"], _SCALED_POINT_MODULE),
+], ids=["chern-euler", "chern-bogomolov", "charge-eval", "charge-scan", "walls-theta-family",
+        "module-tilt"])
+def test_a_result_past_the_digit_limit_exits_2(capsys, tmp_path, argv, blob):
+    # every input is within the limit; the result computed from it is not,
+    # and cannot be written
+    if blob is not None:
+        path = tmp_path / "in.json"
+        path.write_text(blob)
+        argv = argv + [str(path)]
+    argv = [str(tmp_path / "out.json") if a == "{out}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: a result has more than {_INT_DIGITS} digits")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS, reason="no integer-string limit")
+def test_format_fraction_writes_every_number_within_the_limit():
+    assert format_fraction(10 ** (_INT_DIGITS - 1)) == "1" + "0" * (_INT_DIGITS - 1)
+    assert format_fraction(Fraction(-1, 10 ** (_INT_DIGITS - 1))) == "-1/1" + "0" * (_INT_DIGITS - 1)
+    for x in (10 ** _INT_DIGITS, Fraction(1, 10 ** _INT_DIGITS)):
+        with pytest.raises(InputError):
+            format_fraction(x)
+    # a module's JSON and a payload's rationals are written the same way
+    with pytest.raises(InputError):
+        quiver.rep_to_json(quiver.QuiverRep("B", QQ, (1, 1, 0), [[[10 ** _INT_DIGITS]]] * 3, [[]] * 3))
+    with pytest.raises(InputError):
+        dumps_json({"x": Fraction(1, 10 ** _INT_DIGITS)})
 
 
 def test_rationals_are_read_as_before():

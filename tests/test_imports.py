@@ -51,3 +51,28 @@ def test_the_check_sees_an_unused_import():
         "    return os.path.join(str(x))\n"
     )
     assert unused_imports(source) == [(2, "math"), (5, "Optional"), (9, "j")]
+
+
+def imported_modules(source: str):
+    """The top-level name of every module an import statement names,
+    imports inside functions included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_sympy(path):
+    # the two symbolic criteria check their identities with the package's
+    # own polynomial type: the package has no runtime dependency
+    assert "sympy" not in imported_modules(path.read_text())
+
+
+def test_the_check_sees_a_sympy_import():
+    source = "import os\ndef f():\n    import sympy.core as c\n    from . import x\n"
+    assert imported_modules(source) == {"os", "sympy"}
+    assert imported_modules("from sympy import Symbol\n") == {"sympy"}
