@@ -1,9 +1,9 @@
 """Central charges on the tilted heart of P^2 and the geometric family.
 
 A central charge is stored by its three values on the simple generators of
-the heart A_1, as (re, im) pairs.  Everything is exact rational unless a
-square root of t^2 forces the float backend (tolerance 1e-12), and the
-choice is recorded on the object.
+the heart A_1, as (re, im) pairs of rationals.  Every value and every
+decision here is exact; the one float is the angle ``phase`` returns off
+the eight axis and diagonal directions.
 
 The geometric family is
 
@@ -11,7 +11,7 @@ The geometric family is
 
 for the divisor pair (bH, tH) with t^2 > 0.  Functions below keep t^2
 exact and carry the imaginary part as its coefficient of t, so the whole
-family stays in rational arithmetic.
+family stays in rational arithmetic, at an irrational t too.
 """
 from __future__ import annotations
 
@@ -31,15 +31,12 @@ from .ktheory import (
 )
 from .linalg import QQ, mat_inverse
 
-#: absolute tolerance used by the float backend
-FLOAT_TOL = 1e-12
-
 Pair = Tuple
 
 
 def sqrt_rational(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None."""
-    x = Fraction(x)
+    x = QQ.convert(x)
     if x < 0:
         return None
     pn = math.isqrt(x.numerator)
@@ -51,36 +48,23 @@ def sqrt_rational(x: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class CentralCharge:
-    """Values of an additive charge on the simple basis of a fixed heart.
-
-    ``values`` are three (re, im) pairs — Fractions on the exact backend,
-    floats on the float backend.  ``provenance`` records how the charge was
-    built ("sigma_b", "geometric" or "custom") together with its defining
-    parameters.
-    """
+    """Values of an additive charge on the simple basis of a fixed heart:
+    three (re, im) pairs of Fractions."""
 
     values: Tuple[Pair, Pair, Pair]
-    backend: str = "exact"
-    provenance: str = "custom"
-    params: Tuple = ()
     heart: HeartBasis = A1
 
     def __post_init__(self):
-        if self.backend not in ("exact", "float"):
-            raise InputError(f"unknown backend {self.backend!r}")
-        vals = tuple(
-            (x if self.backend == "float" else QQ.convert(x),
-             y if self.backend == "float" else QQ.convert(y))
-            for x, y in self.values
-        )
+        vals = tuple((QQ.convert(x), QQ.convert(y)) for x, y in self.values)
         if len(vals) != 3:
             raise InputError("a central charge carries exactly three values")
         object.__setattr__(self, "values", vals)
 
     def eval(self, v: Sequence) -> Pair:
         """Z on a dimension vector: sum of v_i * Z([F_i])."""
-        re = im = 0 if self.backend == "float" else Fraction(0)
+        re = im = Fraction(0)
         for c, (x, y) in zip(v, self.values):
+            c = QQ.convert(c)
             re = re + c * x
             im = im + c * y
         return (re, im)
@@ -93,27 +77,17 @@ class CentralCharge:
         """All three basis values in the closed upper half plane H-bar."""
         try:
             for z in self.values:
-                _require_hbar(z, self.backend)
+                _require_hbar(z)
         except InputError:
             return False
         return True
 
 
-def _is_zero(x, backend: str) -> bool:
-    if backend == "float":
-        return abs(x) <= FLOAT_TOL
-    return x == 0
-
-
-def _require_hbar(z: Pair, backend: str = "exact") -> None:
+def _require_hbar(z: Pair) -> None:
     re, im = z
-    if _is_zero(re, backend) and _is_zero(im, backend):
+    if re == 0 and im == 0:
         raise InputError("zero charge")
-    if _is_zero(im, backend):
-        if re < 0:
-            return
-        raise InputError("not a stability-function value")
-    if im < 0:
+    if im < 0 or (im == 0 and re > 0):
         raise InputError("not a stability-function value")
 
 
@@ -155,21 +129,16 @@ def z_cha_form(a: ClassLike, b: Fraction, t2: Fraction) -> Tuple[Fraction, Fract
 
 
 def from_geometric(b: Fraction, t2: Fraction) -> CentralCharge:
-    """Z_(bH,tH) packaged on the A_1 simple basis.
-
-    Exact backend when t^2 is a rational square, float backend otherwise.
-    """
-    b = QQ.convert(b)
+    """Z_(bH,tH) packaged on the A_1 simple basis; t^2 must be the square of
+    a rational.  At an irrational t, ``z_geometric`` gives the same values
+    exactly, with Im as its coefficient of t."""
     t2 = QQ.convert(t2)
-    t = sqrt_rational(t2)
     basis = [c.triple() for c in A1.signed_basis()]
     coeffs = [z_geometric(c, b, t2) for c in basis]
-    if t is not None:
-        values = tuple((re, ic * t) for re, ic in coeffs)
-        return CentralCharge(values, "exact", "geometric", (b, t2))
-    tf = math.sqrt(float(t2))
-    values = tuple((float(re), float(ic) * tf) for re, ic in coeffs)
-    return CentralCharge(values, "float", "geometric", (b, t2))
+    t = sqrt_rational(t2)
+    if t is None:
+        raise InputError("t^2 is not the square of a rational; z_geometric keeps t symbolic")
+    return CentralCharge(tuple((re, ic * t) for re, ic in coeffs))
 
 
 def z_sigma_b(b: Fraction) -> CentralCharge:
@@ -180,8 +149,7 @@ def z_sigma_b(b: Fraction) -> CentralCharge:
     b = QQ.convert(b)
     if not (0 < b < 1):
         raise InputError("sigma_b defined for 0<b<1")
-    values = ((-b, Fraction(0)), (-1 + b, Fraction(0)), (3 - 3 * b, Fraction(1)))
-    return CentralCharge(values, "exact", "sigma_b", (b,))
+    return CentralCharge(((-b, 0), (-1 + b, 0), (3 - 3 * b, 1)))
 
 
 def pi_sigma_b(b: Fraction) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
@@ -201,23 +169,23 @@ def pi_sigma_b(b: Fraction) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
 # phases and the GL+ action
 
 
-def phase(z: Pair, backend: str = "exact") -> Tuple[Union[Fraction, float], Union[Fraction, float]]:
+def phase(z: Pair) -> Tuple[Union[Fraction, float], Union[Fraction, float]]:
     """(phi, mu) for a value in H-bar: phi in (0, 1] with z = |z| e^{i pi phi},
     mu = -re/im the slope (+inf on the real axis).
 
     phi comes back as an exact Fraction on the eight axis/diagonal
-    directions and as a float otherwise.
+    directions and as a float, the angle, otherwise.
     """
-    _require_hbar(z, backend)
-    re, im = z
-    if _is_zero(im, backend):
+    re, im = (QQ.convert(x) for x in z)
+    _require_hbar((re, im))
+    if im == 0:
         return (Fraction(1), math.inf)
     mu = -re / im
-    if _is_zero(re, backend):
+    if re == 0:
         return (Fraction(1, 2), mu)
-    if _is_zero(re - im, backend) and re > 0:
+    if re == im:
         return (Fraction(1, 4), mu)
-    if _is_zero(re + im, backend) and re < 0:
+    if re == -im:
         return (Fraction(3, 4), mu)
     return (math.atan2(float(im), float(re)) / math.pi, mu)
 
@@ -231,28 +199,13 @@ def gl_act(T: Sequence[Sequence], Z: CentralCharge) -> CentralCharge:
     T must lie in GL+(2, R): det T > 0.  Composition contravariant on the
     matrix side: gl_act(T2, gl_act(T1, Z)) == gl_act(T1 @ T2, Z).
     """
-    (a, b), (c, d) = ((row[0], row[1]) for row in T)
-    floaty = Z.backend == "float" or any(
-        isinstance(x, float) for x in (a, b, c, d)
-    )
-    if not floaty:
-        a, b, c, d = QQ.convert(a), QQ.convert(b), QQ.convert(c), QQ.convert(d)
+    (a, b), (c, d) = ((QQ.convert(row[0]), QQ.convert(row[1])) for row in T)
     det = a * d - b * c
     if det <= 0:
         raise InputError("not in GL+")
     # T^{-1} = (1/det) [[d, -b], [-c, a]]
-    values = []
-    for re, im in Z.values:
-        if floaty:
-            re, im = float(re), float(im)
-        values.append(((d * re - b * im) / det, (-c * re + a * im) / det))
-    return CentralCharge(
-        tuple(values),
-        "float" if floaty else "exact",
-        "custom",
-        (("gl",) + tuple(Z.params)),
-        Z.heart,
-    )
+    values = tuple(((d * re - b * im) / det, (-c * re + a * im) / det) for re, im in Z.values)
+    return CentralCharge(values, Z.heart)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +220,7 @@ def t_matrix_inv(b: Fraction) -> GL2:
         raise InputError("sigma_b defined for 0<b<1")
     t = sqrt_rational(b - b * b)
     if t is None:
-        raise InputError("needs float backend")
+        raise InputError("t = sqrt(b - b^2) is not rational at this b")
     return ((b - Fraction(1, 2), 2 * b * b - 2 * b - Fraction(1, 2)), (t, (2 * b - 1) * t))
 
 

@@ -16,6 +16,7 @@ assumed).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -156,11 +157,18 @@ def _point_of(rep: QuiverRep) -> Optional[Point]:
 
 
 def _normalized_point(p) -> str:
+    """A point's primitive integer representative, first nonzero coordinate
+    positive, as "[a:b:c]".  One with more digits than the interpreter turns
+    into a string (`sys.get_int_max_str_digits`) is invalid input."""
     v = clear_denominators([[Fraction(c) for c in p]])[0]
     lead = next((x for x in v if x != 0), 0)
     if lead < 0:
         v = [-x for x in v]
-    return "[" + ":".join(str(x) for x in v) + "]"
+    try:
+        return "[" + ":".join(str(x) for x in v) + "]"
+    except ValueError as exc:  # the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"a point's primitive integer coordinates have more than {limit} digits") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,12 @@ class ChernCharacter:
     s: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "s", QQ.convert(self.s))
-        if int(self.r) != self.r or int(self.d) != self.d:
+        r, d, s = (QQ.convert(x) for x in (self.r, self.d, self.s))
+        if r.denominator != 1 or d.denominator != 1:
             raise InputError("rank and degree must be integers")
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "r", int(r))
+        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "s", s)
         if self.s.denominator not in (1, 2):
             raise InputError(
                 f"ch2 must be a half-integer, got {self.s}"
@@ -113,14 +114,14 @@ def euler_chi(a: ClassLike, b: ClassLike) -> Fraction:
 
 def twist(a: ClassLike, k: int) -> ChernCharacter:
     """Class of a(k), i.e. tensoring by O(k): (r, d + rk, s + dk + rk^2/2)."""
-    t = twist_triple(a, k)
-    return ChernCharacter(int(t[0]), int(t[1]), t[2])
+    return ChernCharacter(*twist_triple(a, k))
 
 
 def twist_triple(a: ClassLike, k: int) -> Triple:
     """Twist formula on a generic rational triple (no lattice check)."""
     r, d, s = as_triple(a)
-    return (r, d + r * k, s + d * k + r * Fraction(k * k, 2))
+    k = QQ.convert(k)
+    return (r, d + r * k, s + d * k + r * k * k / 2)
 
 
 def slopes(a: ClassLike, gamma: Fraction = Fraction(0)) -> Tuple:

@@ -64,8 +64,10 @@ def king_theta(values: Sequence[Tuple], dims: Sequence[int]) -> Theta:
         values = values.values
     if len(values) != 3 or len(dims) != 3:
         raise InputError("need three charge values and a three-entry class")
-    re_m = sum((Fraction(d) * v[0] for d, v in zip(dims, values)), Fraction(0))
-    im_m = sum((Fraction(d) * v[1] for d, v in zip(dims, values)), Fraction(0))
+    values = [(QQ.convert(x), QQ.convert(y)) for x, y in values]
+    dims = [QQ.convert(d) for d in dims]
+    re_m = sum((d * v[0] for d, v in zip(dims, values)), Fraction(0))
+    im_m = sum((d * v[1] for d, v in zip(dims, values)), Fraction(0))
     if re_m == 0 and im_m == 0:
         raise InputError("zero charge on the module class")
     return tuple(v[0] * im_m - re_m * v[1] for v in values)  # type: ignore[return-value]

@@ -64,7 +64,6 @@ def test_sigma_b_values_and_range():
         (Fraction(-2, 3), 0),
         (Fraction(2), 1),
     )
-    assert z.backend == "exact" and z.provenance == "sigma_b"
     assert z.is_stability_function()
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 4)):
         with pytest.raises(InputError, match="sigma_b"):
@@ -143,7 +142,7 @@ def test_t_matrix_rational_points(b, t):
 
 
 def test_t_matrix_irrational_point_rejected():
-    with pytest.raises(InputError, match="float backend"):
+    with pytest.raises(InputError, match="not rational"):
         t_matrix_inv(Fraction(1, 3))  # t^2 = 2/9 is not a rational square
 
 
@@ -164,7 +163,6 @@ def test_T_carries_sigma_b_to_the_geometric_charge():
     for b in (Fraction(1, 2), Fraction(4, 5), Fraction(9, 10)):
         moved = gl_act(t_matrix(b), z_sigma_b(b))
         target = from_geometric(b, b - b * b)
-        assert target.backend == "exact"
         assert moved.values == target.values
 
 
@@ -209,13 +207,20 @@ def test_slope_identity():
         slope_identity_check((2, 1, 0), Fraction(1, 2), Fraction(1, 4))
 
 
-def test_from_geometric_float_backend_when_t_irrational():
+def test_from_geometric_refuses_irrational_t():
+    # t^2 = 2/9 is not a rational square: z_geometric gives the values
+    # exactly, with Im as its coefficient of t
     b, t2 = Fraction(1, 3), Fraction(2, 9)
-    z = from_geometric(b, t2)
-    assert z.backend == "float"
-    # real parts stay exactly as in the closed form, up to float rounding
-    for c, (re, _) in zip(A1.signed_basis(), z.values):
-        assert abs(re - float(z_geometric(c.triple(), b, t2)[0])) < 1e-12
+    with pytest.raises(InputError, match="square of a rational"):
+        from_geometric(b, t2)
+    got = [z_geometric(c.triple(), b, t2) for c in A1.signed_basis()]
+    assert got == [
+        (Fraction(1, 18), Fraction(-1, 3)),
+        (Fraction(1, 9), Fraction(-2, 3)),
+        (Fraction(-23, 18), Fraction(5, 3)),
+    ]
+    with pytest.raises(InputError, match="ample range"):
+        from_geometric(b, Fraction(-1, 4))
 
 
 def test_central_charge_eval_class():

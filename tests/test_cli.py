@@ -467,6 +467,11 @@ _EXPONENT_MODULE = ('{"algebra": "B", "field": {"kind": "rational"}, "dims": [1,
      '{"points": [[%s.5, 1, 1], [1, 2, 3]]}' % ("1" * 200000)),
     (["walls", "theta-family", "--n", "2", "--b", "1" * 200000 + ".5"], None),
     (["module", "check", "--in"], _EXPONENT_MODULE % ("1" * 200000 + ".5")),
+    # each coordinate is within the limit, the point's primitive integer
+    # representative (10^8598 : 1 : 10^4299) is not
+    (["hilbert", "report", "--n", "2", "--out", "{out}", "--points"],
+     '{"points": [["1e%d", "1e-%d", "1"], [1, 2, 3]]}' % ((_INT_DIGITS - 1,) * 2)),
+    (["module", "from-points", "--points"], '{"points": [["1e%d", "1e-%d", "1"]]}' % ((_INT_DIGITS - 1,) * 2)),
 ])
 def test_a_rational_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, argv, blob):
     # Fraction("1e100000000") alone builds 10^100000000, for seconds
@@ -479,7 +484,7 @@ def test_a_rational_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, argv,
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5.0
     assert code == 2 and out == "" and err.startswith("error:") and "digits" in err
-    assert len(err.strip().splitlines()) == 1
+    assert len(err.strip().splitlines()) == 1 and "set_int_max_str_digits" not in err
     assert not (tmp_path / "out.json").exists()
 
 

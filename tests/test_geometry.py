@@ -115,6 +115,11 @@ def test_point_config_json():
         # str() itself refuses an integer coordinate past the digit limit
         with pytest.raises(InputError):
             PointConfig.from_json({"points": [[10 ** 5000, 1, 1]]})
+        # each coordinate is within the limit, the primitive integer
+        # representative (10^8598 : 1 : 10^4299) is not
+        big = 10 ** (sys.get_int_max_str_digits() - 1)
+        with pytest.raises(InputError, match="primitive integer coordinates"):
+            PointConfig(((big, Fraction(1, big), 1),))
 
 
 def test_collinearity():
