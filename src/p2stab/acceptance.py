@@ -39,6 +39,7 @@ from .quiver import (
 from . import geometry
 from .geometry import (
     PointConfig,
+    _theta_family,
     bprime_module_points,
     collinear_test,
     composite_lines,
@@ -272,16 +273,6 @@ def criterion_5() -> Tuple[bool, str]:
 # criterion 6: coherence of the two families, and the weight transport
 
 
-def _weight_family(b, n, r):
-    """The displayed weight family on the class (n + 1 - r, 2n + 1, n), in
-    whatever ring b, n and r live in: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r)."""
-    return (
-        b * (-n),
-        (1 - b) * (-n),
-        (1 - b) * (2 * n + 1) + b * (n + 1 - r),
-    )
-
-
 def criterion_6() -> Tuple[bool, str]:
     for n in range(1, 7):
         for k in range(1, 51):
@@ -291,7 +282,7 @@ def criterion_6() -> Tuple[bool, str]:
 
     bs, ns, rs = _Poly.symbols("b", "n", "r")
     mclass = (ns + 1 - rs, 2 * ns + 1, ns)
-    if sum(f * m for f, m in zip(_weight_family(bs, ns, rs), mclass)) != 0:
+    if sum(f * m for f, m in zip(_theta_family(ns, rs, bs), mclass)) != 0:
         return (False, "symbolic annihilation identity fails")
 
     for n in range(1, 7):

@@ -55,9 +55,11 @@ class CentralCharge:
     heart: HeartBasis = A1
 
     def __post_init__(self):
-        vals = tuple((QQ.convert(x), QQ.convert(y)) for x, y in self.values)
-        if len(vals) != 3:
+        if not isinstance(self.values, (tuple, list)) or len(self.values) != 3:
             raise InputError("a central charge carries exactly three values")
+        if not all(isinstance(z, (tuple, list)) and len(z) == 2 for z in self.values):
+            raise InputError("each central charge value is a (re, im) pair")
+        vals = tuple((QQ.convert(x), QQ.convert(y)) for x, y in self.values)
         object.__setattr__(self, "values", vals)
 
     def eval(self, v: Sequence) -> Pair:

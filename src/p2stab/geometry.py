@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, VerificationError
 from .io_utils import parse_fraction
 from . import linalg
-from .linalg import QQ, clear_denominators, right_kernel
+from .linalg import QQ, int_form, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .quiver import (
     QuiverRep,
@@ -160,7 +160,7 @@ def _normalized_point(p) -> str:
     """A point's primitive integer representative, first nonzero coordinate
     positive, as "[a:b:c]".  One with more digits than the interpreter turns
     into a string (`sys.get_int_max_str_digits`) is invalid input."""
-    v = clear_denominators([[Fraction(c) for c in p]])[0]
+    v = int_form(QQ, [p])[0][0]
     lead = next((x for x in v if x != 0), 0)
     if lead < 0:
         v = [-x for x in v]
@@ -267,15 +267,20 @@ def collinear_test(points, _a0: Optional[QuiverRep] = None) -> bool:
 # the weight families, whose endpoints are the boundary walls
 
 
-def theta_family_r(n: int, r: int, b) -> Theta:
+def _theta_family(n, r, b) -> tuple:
     """The weight family on the class (n+1-r, 2n+1, n), linear in the
-    parameter: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r)."""
-    b = QQ.convert(b)
+    parameter: (1-b)*(0, -n, 2n+1) + b*(-n, 0, n+1-r), in whatever ring n,
+    r and b live in."""
     return (
-        -b * n,
-        -(1 - b) * n,
+        b * (-n),
+        (1 - b) * (-n),
         (1 - b) * (2 * n + 1) + b * (n + 1 - r),
     )
+
+
+def theta_family_r(n: int, r: int, b) -> Theta:
+    """`_theta_family` at a rational parameter b."""
+    return _theta_family(n, r, QQ.convert(b))
 
 
 def theta_b1(n: int, b) -> Theta:

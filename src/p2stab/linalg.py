@@ -16,10 +16,15 @@ fraction-free Gauss-Jordan), which is one to one with the rref; over GF(p)
 the same loops run on plain ints with ``% p`` inline and it is the rref.
 The submodule search calls these kernels directly.
 
-Every field-row function (``rref``, ``row_space``, ``reduce_vector``,
-``in_row_space``, ``right_kernel``, ``mat_mul``, ``mat_vec``) is an
-adapter: it turns field rows into integer rows, calls a kernel and turns
-the result back (``int_rows_to_field``).
+Field rows and integer rows meet in one pair of functions, the only
+conversion between the two in the package: ``int_form`` writes a matrix as
+a scale t times integer rows (over Q with no common factor, over GF(p) the
+rows mod p with t = 1), and ``field_form`` takes t and the integer rows
+back.  Every field-row function (``rref``, ``row_space``,
+``reduce_vector``, ``in_row_space``, ``right_kernel``, ``mat_mul``,
+``mat_vec``) is an adapter: it takes its input's integer form, calls a
+kernel and gives the result back in ``field_form``; the arrows of a quiver
+module and the integer weights of King's test are integer forms too.
 
 The results are the exact values the textbook loops give, entry for entry:
 a reduced row echelon form is unique.  The matrices are tiny (a few dozen
@@ -166,27 +171,33 @@ def transpose(A: Matrix, ncols: Optional[int] = None) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# rational rows as integers over a common denominator
+# the integer form of field rows: the one conversion between the two
 
 _ZERO = Fraction(0)
 
 
-def _q_ints(row: Sequence) -> Tuple[List[int], int]:
-    """(ints, d) with row == ints / d, d the lcm of the denominators."""
-    d = math.lcm(*[x.denominator for x in row])
-    if d == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (d // x.denominator) for x in row], d
+def int_form(F, rows: Sequence[Sequence]) -> Tuple[List[List[int]], Fraction]:
+    """(ints, t) with rows == t ints.  Over Q the rows times the lcm d of
+    their denominators, divided by the gcd g of those integers, so ints has
+    no common factor and t = g / d is positive (0 for the zero matrix).
+    Over GF(p) the rows mod p, and t = 1."""
+    if F.p is not None:
+        return [[x % F.p for x in row] for row in rows], Fraction(1)
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    g = math.gcd(*[x for row in ints for x in row])
+    if g > 1:
+        ints = [[x // g for x in row] for row in ints]
+    return ints, Fraction(g, d)
 
 
-def _q_matrix(A: Matrix) -> Tuple[List[List[int]], int]:
-    """(ints, d) with A == ints / d, d the lcm of all the denominators."""
-    d = math.lcm(*[x.denominator for row in A for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
-
-
-def _q_row(ints: Sequence[int], d: int) -> Row:
-    return [Fraction(x, d) if x else _ZERO for x in ints]
+def field_form(F, ints: Sequence[Sequence[int]], t: Fraction) -> Matrix:
+    """The field rows t ints, back from `int_form`: over GF(p), where t is
+    1, the ints mod p."""
+    if F.p is not None:
+        return [[x % F.p for x in row] for row in ints]
+    a, b = t.numerator, t.denominator
+    return [[Fraction(x * a, b) if x else _ZERO for x in row] for row in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +207,15 @@ def _q_row(ints: Sequence[int], d: int) -> Row:
 def mat_mul(F, A: Matrix, B: Matrix, ncols: Optional[int] = None) -> Matrix:
     """A @ B for B with ``ncols`` columns, read off B when B has rows: a B
     with no rows cannot show its width, and then the product is zero.  A
-    0-row A gives the empty matrix.  One `int_mat_mul`: over GF(p) reduced
-    mod p, over Q of A and B over their common denominators, each entry
-    divided by the product of the two."""
+    0-row A gives the empty matrix.  One `int_mat_mul` of the integer forms
+    (`int_form`) of A and B, times the product of their scales."""
     if A and len(A[0]) != len(B):
         cb = len(B[0]) if B else 0
         raise InputError(
             f"dimension mismatch in product: {len(A)}x{len(A[0])} by {len(B)}x{cb}"
         )
-    if F.p is not None:
-        return [[x % F.p for x in row] for row in int_mat_mul(A, B, ncols or 0)]
-    (IA, da), (IB, db) = _q_matrix(A), _q_matrix(B)
-    return [_q_row(row, da * db) for row in int_mat_mul(IA, IB, ncols or 0)]
+    (IA, ta), (IB, tb) = int_form(F, A), int_form(F, B)
+    return field_form(F, int_mat_mul(IA, IB, ncols or 0), ta * tb)
 
 
 def mat_vec(F, A: Matrix, v: Sequence) -> Row:
@@ -301,15 +309,13 @@ def rank(F, A: Matrix) -> int:
 
 def reduce_vector(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> Row:
     """Residual of v after eliminating the pivot coordinates against the
-    rref rows R; the residual is zero iff v lies in the row space.  Over Q
-    it is `int_residues` of the rows over their common denominators divided
-    by L d, L the lcm of the scaled pivots and d the denominator of v."""
-    if F.p is not None:
-        return int_residues(F, R, pivots, [v])[0]
-    W = [_q_ints(row)[0] for row in R]
-    ints, d = _q_ints(v)
+    rref rows R; the residual is zero iff v lies in the row space.  It is
+    `int_residues` of the integer forms (`int_form`) of R and v, times the
+    scale t of v over L, the lcm of the integer pivots."""
+    W = int_form(F, R)[0]
+    ints, t = int_form(F, [v])
     L = math.lcm(*[w[c] for w, c in zip(W, pivots)])
-    return _q_row(int_residues(F, W, pivots, [ints])[0], L * d)
+    return field_form(F, int_residues(F, W, pivots, ints), t / L)[0]
 
 
 def in_row_space(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> bool:
@@ -324,15 +330,13 @@ def row_space(F, vectors: Iterable[Sequence], ncols: int) -> Tuple[Matrix, List[
 
 def right_kernel(F, A: Matrix, ncols: Optional[int] = None) -> Matrix:
     """Basis of {x : A x = 0}, one vector per row, in the standard
-    free-column parametrization of the rref (deterministic): over Q the
-    `int_right_kernel` vectors divided by their free entry, their last
-    nonzero one."""
+    free-column parametrization of the rref (deterministic): the
+    `int_right_kernel` vectors of the integer form (`int_form`) of A, each
+    divided by its free entry, its last nonzero one (1 over GF(p))."""
     if ncols is None:
         ncols = len(A[0]) if A else 0
-    if F.p is not None:
-        return int_right_kernel(F, A, ncols)
-    K = int_right_kernel(F, [_q_ints(row)[0] for row in A], ncols)
-    return [_q_row(v, next(x for x in reversed(v) if x)) for v in K]
+    K = int_right_kernel(F, int_form(F, A)[0], ncols)
+    return [field_form(F, [v], Fraction(1, next(x for x in reversed(v) if x)))[0] for v in K]
 
 
 def solve_right(F, A: Matrix, b: Sequence) -> Optional[Row]:
@@ -372,8 +376,8 @@ def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
 # Over Q a subspace is carried as `_rref_z` gives it: its rref scaled row by
 # row to primitive integers with a positive pivot.  Over GF(p) rows are ints
 # already and a subspace is its rref.  Scaling the rows of a basis one by
-# one, or an arrow matrix as a whole (`clear_denominators`), changes no span
-# that these kernels compute.
+# one, or a matrix as a whole (`int_form`), changes no span that these
+# kernels compute.
 
 
 def int_mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
@@ -397,7 +401,7 @@ def int_span(F, rows: Iterable[Sequence], n: int) -> Tuple[List[List[int]], List
     rows = [list(r) for r in rows]
     if any(len(r) != n for r in rows):
         raise InputError("dimension mismatch")
-    return int_rref(F, clear_denominators(rows) if F.p is None else rows)
+    return int_rref(F, int_form(F, rows)[0] if F.p is None else rows)  # `_rref_p` reduces mod p
 
 
 def int_residues(F, W: Sequence[Sequence[int]], piv: Sequence[int], rows) -> List[List[int]]:
@@ -460,31 +464,13 @@ def int_intersect(F, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], nco
 
 
 def int_rows_to_field(F, R: Sequence[Sequence[int]]) -> Matrix:
-    """The field's rref of a canonical integer basis: over Q each row is
-    divided by its pivot, over GF(p) the rows are the rref already."""
-    if F.p is not None:
-        return [list(row) for row in R]
-    return [_q_row(row, next(x for x in row if x)) for row in R]
+    """The field's rref of a canonical integer basis: each row divided by
+    its pivot (`field_form`), which is 1 over GF(p)."""
+    return [field_form(F, [row], Fraction(1, next(x for x in row if x)))[0] for row in R]
 
 
 # ---------------------------------------------------------------------------
-# integer utilities (wall planes, reductions mod p)
-
-
-def clear_denominators(A: Matrix) -> List[List[int]]:
-    """Scale a rational matrix by a positive rational to a primitive integer
-    matrix (gcd 1); signs are untouched.
-
-    The zero matrix maps to itself.  Callers use only what such a scaling
-    keeps: the kernels, images and submodules of an arrow, or the ray of a
-    single row (the primitive vector on it).
-    """
-    denlcm = math.lcm(*[x.denominator for row in A for x in row])
-    ints = [[x.numerator * (denlcm // x.denominator) for x in row] for row in A]
-    g = math.gcd(*[x for row in ints for x in row])
-    if g > 1:
-        ints = [[x // g for x in row] for row in ints]
-    return ints
+# integer utilities (wall planes)
 
 
 def _exgcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -35,7 +35,6 @@ from . import linalg
 from .linalg import (
     QQ,
     PrimeField,
-    clear_denominators,
     field_from_json,
     galois_number,
     iter_subspaces,
@@ -189,32 +188,25 @@ def rep_from_json(obj: dict) -> QuiverRep:
 # relations
 
 
-def _side_form(F, Ns, t: Tuple[int, int]) -> Tuple[tuple, Tuple[int, int]]:
-    """The integer form of a side whose arrows are t N_k, for rational (or
-    integer) matrices N_k and a positive rational t = (numerator,
-    denominator): over GF(p) the N_k mod p and t = (1, 1); over Q the N_k
-    times the lcm d of their denominators, divided by the gcd g of all
-    those entries, and t times g / d, reduced (0 on a zero side)."""
-    if F.p is not None:
-        return tuple(tuple(tuple(x % F.p for x in row) for row in N) for N in Ns), (1, 1)
-    d = math.lcm(*[x.denominator for N in Ns for row in N for x in row])
-    Ns = [[[x.numerator * (d // x.denominator) for x in row] for row in N] for N in Ns]
-    g = math.gcd(*[x for N in Ns for row in N for x in row])
-    t = Fraction(t[0] * g, t[1] * d)
-    Ns = tuple(tuple(tuple(x // (g or 1) for x in row) for row in N) for N in Ns)
-    return Ns, (t.numerator, t.denominator)
+def _side_form(F, Ns, t=1) -> Tuple[tuple, Fraction]:
+    """The integer form of a side whose arrows are t N_k, for matrices N_k
+    over the field and a positive rational t: the `linalg.int_form` of the
+    N_k stacked, cut back into three matrices of tuples, and t times its
+    scale (0 on a zero side; 1 over GF(p), where every scale is 1)."""
+    ints, s = linalg.int_form(F, [row for N in Ns for row in N])
+    n = len(Ns[0])
+    return tuple(tuple(map(tuple, ints[k * n : (k + 1) * n])) for k in range(len(Ns))), t * s
 
 
 def _int_sides(rep: QuiverRep) -> Tuple[tuple, tuple]:
     """The module's integer form: for the gammas and for the deltas a pair
-    (Ns, t), three integer matrices of tuples and one rational t =
-    (numerator, denominator) with each arrow t N (`_side_form`).  Over Q
-    the side scaled to integers with no common factor; over GF(p) the
-    arrows as stored, t = (1, 1).  Formed once per module and kept on it;
-    a module the module algebra builds keeps the one it was built from
-    (`_from_ints`)."""
+    (Ns, t), three integer matrices of tuples and one rational scale t with
+    each arrow t N (`_side_form`).  Over Q the side scaled to integers with
+    no common factor; over GF(p) the arrows as stored, t = 1.  Formed once
+    per module and kept on it; a module the module algebra builds keeps the
+    one it was built from (`_from_ints`)."""
     if rep._int_form is None:
-        form = tuple(_side_form(rep.field, side, (1, 1)) for side in (rep.gamma, rep.delta))
+        form = tuple(_side_form(rep.field, side) for side in (rep.gamma, rep.delta))
         object.__setattr__(rep, "_int_form", form)
     return rep._int_form
 
@@ -328,24 +320,13 @@ def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
     return _split(rep, triple)[1]
 
 
-_ZERO = Fraction(0)
-
-
-def _field_matrix(F, N, t: Tuple[int, int]) -> List[list]:
-    """The integer matrix N times a rational t (numerator, denominator) as
-    field rows; over GF(p), where t is 1, N itself."""
-    if F.p is not None:
-        return N
-    return [[Fraction(x * t[0], t[1]) if x else _ZERO for x in row] for row in N]
-
-
 def _from_ints(algebra: str, F, dims: DimVec, gammas, deltas) -> QuiverRep:
     """The module whose gammas, and whose deltas, are given as one pair
     (Ns, t): the integer matrices N times the positive rational t.  It keeps
     each pair, in its integer form (`_side_form`), as its `_int_sides`, so
     no relation check or search converts its arrows again."""
     form = (_side_form(F, *gammas), _side_form(F, *deltas))
-    rep = QuiverRep(algebra, F, dims, *([_field_matrix(F, N, t) for N in Ns] for Ns, t in form))
+    rep = QuiverRep(algebra, F, dims, *([linalg.field_form(F, N, t) for N in Ns] for Ns, t in form))
     object.__setattr__(rep, "_int_form", form)
     return rep
 
@@ -370,13 +351,13 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
         raise InputError("not a submodule")
     comps = [[c for c in range(n) if c not in piv] for (_, piv), n in zip(spans, rep.dims)]
     sub, quo = [], []
-    for s, (Ns, (a, b)) in enumerate(_int_sides(rep)):
+    for s, (Ns, t) in enumerate(_int_sides(rep)):
         U, W, piv = spans[s][0], spans[s + 1][0], spans[s + 1][1]
         q = [next(x for x in u if x) for u in U]
         Lq = math.lcm(*q)
         L = math.lcm(*[w[c] for w, c in zip(W, piv)])
-        sub.append(([], (a, b * Lq)))
-        quo.append(([], (a, b * L)))
+        sub.append(([], t / Lq))
+        quo.append(([], t / L))
         for k, G in enumerate(Ns):
             rows = images[s][k * len(U) : (k + 1) * len(U)]
             sub[s][0].append([[u[c] * (Lq // qb) for u, qb in zip(rows, q)] for c in piv])
@@ -573,9 +554,8 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
     for j in range(3):
         res = linalg.int_residues(F, img, img_piv, [_unit(3 * n2, j * n2 + c) for c in range(n2)])
         delta_M.append([[r[k] for r in res] for k in comp])
-    t = (tg[0] * td[0], tg[1] * td[1])  # the scale of every product
-    return require_relations(
-        _from_ints("Bprime", F, (n0, n2, len(comp)), (gamma_M, t), (delta_M, (1, L))))
+    return require_relations(  # tg td is the scale of every product
+        _from_ints("Bprime", F, (n0, n2, len(comp)), (gamma_M, tg * td), (delta_M, Fraction(1, L))))
 
 
 def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
@@ -625,7 +605,7 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
     L = math.lcm(*[k[f] for k, f in zip(K, free)])
     delta_N = [[[k[j * m1 + r] * (L // k[f]) for k, f in zip(K, free)] for r in range(m1)]
                for j in range(3)]
-    rep = _from_ints("B", F, (m0, n1, m1), (gamma_N, t), (delta_N, (1, L)))
+    rep = _from_ints("B", F, (m0, n1, m1), (gamma_N, t), (delta_N, Fraction(1, L)))
     return require_relations(rep), flag
 
 
@@ -688,7 +668,6 @@ class SubmoduleSearch:
     witnesses: Dict[DimVec, SubTriple]
     evidence: str
     layers: Tuple[str, ...]
-    seed: int
 
     @property
     def complete(self) -> bool:
@@ -1010,10 +989,10 @@ _OVER_BOUND = "layer1-only (Layer 2 over its cost bound)"
 
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
     """Reduce a rational module mod p after rescaling each arrow to a
-    primitive integer matrix (`linalg.clear_denominators`; submodule
-    lattices ignore arrow scaling).  Each arrow on its own, not its side: an
-    arrow that the side's scale leaves divisible by p would vanish mod p."""
-    sides = ([clear_denominators(N) for N in Ns] for Ns in _int_arrows(rep))
+    primitive integer matrix (its `linalg.int_form`; submodule lattices
+    ignore arrow scaling).  Each arrow on its own, not its side: an arrow
+    that the side's scale leaves divisible by p would vanish mod p."""
+    sides = ([linalg.int_form(QQ, N)[0] for N in Ns] for Ns in _int_arrows(rep))
     return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *sides)
 
 
@@ -1094,7 +1073,7 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
                 "layer 1 produced a non-submodule dimvec" if own
                 else f"saturated reduction mod {p} lost a certified submodule"
             )
-    return SubmoduleSearch(rep.dims, lower, upper, witnesses, evidence, tuple(layers), seed)
+    return SubmoduleSearch(rep.dims, lower, upper, witnesses, evidence, tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -1118,7 +1097,7 @@ class KingVerdict:
 def _int_weight(theta: Sequence) -> Tuple[int, ...]:
     """theta scaled by a positive rational to a primitive integer vector;
     every pairing keeps its sign, so King verdicts do not change."""
-    return tuple(clear_denominators([list(theta)])[0])
+    return tuple(linalg.int_form(QQ, [theta])[0][0])
 
 
 def _int_pair(weight: Sequence[int], dv: Sequence[int]) -> int:

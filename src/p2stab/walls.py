@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .charge import CentralCharge
 from .errors import InputError, VerificationError
 from .linalg import QQ, row_hnf_2xn, saturated_kernel_basis_3, solve_right
 from .io_utils import json_meta
@@ -57,20 +58,17 @@ def king_theta(values: Sequence[Tuple], dims: Sequence[int]) -> Theta:
 
         theta_i = Re Z(F_i) * Im Z(m) - Re Z(m) * Im Z(F_i),
 
-    where values lists Z on the three vertex simples and m is the class.
-    Vanishes on m by construction; requires Z(m) != 0.
+    where values lists Z on the three vertex simples (a `CentralCharge`, or
+    the three pairs it is built from) and m is the class.  Vanishes on m by
+    construction; requires Z(m) != 0.
     """
-    if hasattr(values, "values"):  # a CentralCharge
-        values = values.values
-    if len(values) != 3 or len(dims) != 3:
-        raise InputError("need three charge values and a three-entry class")
-    values = [(QQ.convert(x), QQ.convert(y)) for x, y in values]
-    dims = [QQ.convert(d) for d in dims]
-    re_m = sum((d * v[0] for d, v in zip(dims, values)), Fraction(0))
-    im_m = sum((d * v[1] for d, v in zip(dims, values)), Fraction(0))
+    z = values if isinstance(values, CentralCharge) else CentralCharge(values)
+    if len(dims) != 3:
+        raise InputError("need a three-entry class")
+    re_m, im_m = z.eval(dims)
     if re_m == 0 and im_m == 0:
         raise InputError("zero charge on the module class")
-    return tuple(v[0] * im_m - re_m * v[1] for v in values)  # type: ignore[return-value]
+    return tuple(x * im_m - re_m * y for x, y in z.values)  # type: ignore[return-value]
 
 
 def family_theta(n: int, heart: str, b) -> Theta:

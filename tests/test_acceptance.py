@@ -80,11 +80,11 @@ def test_criteria_3_and_6_fail_on_a_wrong_identity(monkeypatch):
     passed, detail = acceptance.criterion_3()
     assert not passed and detail == "condition a is b, expected -b + 2"
 
-    family = acceptance._weight_family
+    family = acceptance._theta_family
 
-    def wrong(b, n, r):
-        t0, t1, t2 = family(b, n, r)
+    def wrong(n, r, b):
+        t0, t1, t2 = family(n, r, b)
         return (t0, t1, t2 + b * r - r)  # (1 - b) r: zero only at b = 1
 
-    monkeypatch.setattr(acceptance, "_weight_family", wrong)
+    monkeypatch.setattr(acceptance, "_theta_family", wrong)
     assert acceptance.criterion_6() == (False, "symbolic annihilation identity fails")

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,31 @@ def test_module_dual_and_tilt(capsys, tmp_path):
 
     code, out, _ = run(capsys, "module", "iso", "--a", str(rep_file), "--b", str(back_file), "--exact")
     assert (code, out) == (0, "isomorphic (exact)\n")
+
+
+#: SHA-256 of the files `module jh --out` and `module tilt --out` write for
+#: the points (1,2,3), (2,-1,1), (3,1,-2): the factors of their ideal-A1
+#: module at theta = (-3, 0, 3), the tilt of their B' module (the ideal-A1
+#: module again) and the tilt of the ideal-A1 module.  A refactor of the
+#: module algebra must leave these bytes as they are
+_MODULE_OUT_DIGESTS = {
+    ("jh", "ideal-A1", "--theta=-3,0,3"): "0a20e2ed10ccbd97fc511851a1513ab21b2ed931c57262428f63516b69eccbb4",
+    ("tilt", "bprime"): "07d9843fcf5c6afc9cd9eeda38a9dd9e929cec641ba2e05bdcfde12d9c391bd8",
+    ("tilt", "ideal-A1"): "508adf1ae693aac3ce134c9db9a5bf90937357b431b0276f4734303863216fff",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_MODULE_OUT_DIGESTS), ids=" ".join)
+def test_module_jh_and_tilt_bytes_are_pinned(capsys, tmp_path, argv):
+    command, construction, *rest = argv
+    pts = write_points(tmp_path / "pts.json", [(1, 2, 3), (2, -1, 1), (3, 1, -2)])
+    rep_file, out_file = tmp_path / "rep.json", tmp_path / "out.json"
+    run(capsys, "module", "from-points", "--points", pts,
+        "--construction", construction, "--out", str(rep_file))
+    code, out, _ = run(capsys, "module", command, "--in", str(rep_file), *rest, "--out", str(out_file))
+    assert (code, out) == (0, f"wrote {out_file}\n")
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == _MODULE_OUT_DIGESTS[argv]
 
 
 def test_module_tilt_with_a_zero_middle_vertex(capsys, tmp_path):

@@ -18,11 +18,12 @@ from p2stab.errors import InputError
 from p2stab.linalg import (
     QQ,
     PrimeField,
-    clear_denominators,
+    field_form,
     field_from_json,
     galois_number,
     gaussian_binomial,
     identity,
+    int_form,
     is_prime,
     iter_subspaces,
     mat_inverse,
@@ -183,8 +184,8 @@ def test_transpose_empty_needs_hint():
 
 
 def int_rows(F, A):
-    """A as integer rows: over Q each row over its common denominator."""
-    return [linalg._q_ints(row)[0] for row in A] if F.p is None else A
+    """A as integer rows: over Q each row in its own integer form."""
+    return [int_form(F, [row])[0][0] for row in A] if F.p is None else A
 
 
 def field_meet(F, A, B, ncols):
@@ -206,13 +207,26 @@ def test_intersection_inside_both_summands(A, B):
     assert len(RA) + len(RB) == len(total) + len(inter)
 
 
-def test_clear_denominators_primitive():
+def test_int_form_is_primitive_and_field_form_inverts_it():
     A = [[Fraction(1, 2), Fraction(3, 4)], [Fraction(0), Fraction(5, 2)]]
-    ints = clear_denominators(A)
-    assert ints == [[2, 3], [0, 10]]
+    assert int_form(QQ, A) == ([[2, 3], [0, 10]], Fraction(1, 4))
     # one row: the primitive vector on its ray, sign untouched
-    assert clear_denominators([[Fraction(4, 6), Fraction(-2, 3)]])[0] == [1, -1]
-    assert clear_denominators([[Fraction(-4, 6), Fraction(0)]])[0] == [-1, 0]
+    assert int_form(QQ, [[Fraction(4, 6), Fraction(-2, 3)]]) == ([[1, -1]], Fraction(2, 3))
+    assert int_form(QQ, [[Fraction(-4, 6), Fraction(0)]]) == ([[-1, 0]], Fraction(2, 3))
+    # integer entries, a common factor, the zero matrix and no rows at all
+    assert int_form(QQ, [[6, -4], [0, 2]]) == ([[3, -2], [0, 1]], Fraction(2))
+    assert int_form(QQ, [[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], Fraction(0))
+    assert int_form(QQ, []) == ([], Fraction(0))
+    # over GF(p) the rows mod p, scale 1
+    F7 = PrimeField(7)
+    assert int_form(F7, [[8, -1], [14, 3]]) == ([[1, 6], [0, 3]], Fraction(1))
+    for F, M in ((QQ, A), (QQ, [[Fraction(-9, 14), 0, Fraction(3, 4)]]), (QQ, [[0]]),
+                 (F7, [[1, 6], [0, 3]])):
+        ints, t = int_form(F, M)
+        assert type(t) is Fraction and all(type(x) is int for row in ints for x in row)
+        assert field_form(F, ints, t) == M
+    # field_form reduces mod p, so an unreduced product comes back in the field
+    assert field_form(F7, [[15, -1]], Fraction(1)) == [[1, 6]]
 
 
 def test_saturated_kernel_basis_golden():
@@ -463,7 +477,7 @@ def scaled_ints(F, A, k):
     spans matter to the integer kernels); over GF(p) the rows as they are."""
     if F.p is not None:
         return [list(row) for row in A]
-    return [[x * (-1) ** (i + k) * (1 + (i + k) % 3) for x in linalg._q_ints(row)[0]]
+    return [[x * (-1) ** (i + k) * (1 + (i + k) % 3) for x in int_form(F, [row])[0][0]]
             for i, row in enumerate(A)]
 
 
@@ -510,7 +524,7 @@ def test_integer_meet_and_product_match_the_field_kernels(data, F, ncols, k):
     # the rows of A scaled one by one, the arrow C as a whole
     width = data.draw(st.integers(0, 5))
     C = data.draw(field_matrices(F, nrows=ncols, ncols=width))
-    Ci = clear_denominators(C) if F.p is None else C
+    Ci = int_form(F, C)[0]
     prod = linalg.int_mat_mul(Ai, Ci, width)
     assert len(prod) == len(A) and all(len(row) == width for row in prod)  # inner size 0 too
     assert rref(F, [[F.convert(x) for x in row] for row in prod])[0] == rref(F, mat_mul(F, A, C))[0]

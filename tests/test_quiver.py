@@ -149,40 +149,37 @@ def test_equal_modules_built_apart_are_one_memo_key():
 
 def ref_int_sides(rep):
     """The integer form of `quiver._int_sides`, formed afresh from the
-    arrows: over Q each side's stacked rows cleared of denominators
-    (`linalg.clear_denominators`) and its scale read off one nonzero entry
-    (0 on a zero side); over GF(p) the arrows as stored, scale (1, 1)."""
+    arrows: over Q each side's stacked rows in their `linalg.int_form` and
+    its scale read off one nonzero entry (0 on a zero side); over GF(p) the
+    arrows as stored, scale 1."""
     form = []
     for side in (rep.gamma, rep.delta):
         if rep.field.p is not None:
-            form.append((side, (1, 1)))
+            form.append((side, Fraction(1)))
             continue
         n = len(side[0])
-        rows = linalg.clear_denominators([list(r) for A in side for r in A])
+        rows = linalg.int_form(QQ, [list(r) for A in side for r in A])[0]
         Ns = tuple(tuple(map(tuple, rows[k * n : (k + 1) * n])) for k in range(3))
         entries = [(a, x) for A, N in zip(side, Ns) for ra, rn in zip(A, N)
                    for a, x in zip(ra, rn) if x]
-        t = Fraction(entries[0][0]) / entries[0][1] if entries else Fraction(0)
-        form.append((Ns, (t.numerator, t.denominator)))
+        form.append((Ns, Fraction(entries[0][0]) / entries[0][1] if entries else Fraction(0)))
     return tuple(form)
 
 
 def ref_primitive_arrows(rep):
     """Each arrow of a rational module scaled on its own to a primitive
     integer matrix."""
-    return [[linalg.clear_denominators([list(r) for r in A]) for A in side]
-            for side in (rep.gamma, rep.delta)]
+    return [[linalg.int_form(QQ, A)[0] for A in side] for side in (rep.gamma, rep.delta)]
 
 
 def assert_scales_arrows(rep):
     """t N equals the arrow, entry by entry, for every arrow of each side of
-    the integer form."""
+    the integer form, and t is a Fraction."""
     F = rep.field
-    for (Ns, (a, b)), side in zip(quiver._int_sides(rep), (rep.gamma, rep.delta)):
-        assert len(Ns) == len(side) == 3
+    for (Ns, t), side in zip(quiver._int_sides(rep), (rep.gamma, rep.delta)):
+        assert len(Ns) == len(side) == 3 and type(t) is Fraction
         for N, A in zip(Ns, side):
-            assert [[F.convert(Fraction(a * x, b)) for x in row] for row in N] == [
-                list(r) for r in A]
+            assert [[F.convert(t * x) for x in row] for row in N] == [list(r) for r in A]
 
 
 def assert_kept_int_form(rep):
@@ -233,8 +230,8 @@ def test_a_side_over_several_denominators_takes_one_scale():
     # is zero, scale 0
     rep = QuiverRep("B", QQ, (1, 1, 0), [[[Fraction(1, 2)]], [[Fraction(2, 3)]], [[0]]],
                     [[]] * 3)
-    assert quiver._int_sides(rep) == (((((3,),), ((4,),), ((0,),)), (1, 6)),
-                                      (((), (), ()), (0, 1)))
+    assert quiver._int_sides(rep) == (((((3,),), ((4,),), ((0,),)), Fraction(1, 6)),
+                                      (((), (), ()), Fraction(0)))
     assert_scales_arrows(rep)
     # mod 2 the side's 4 vanishes; each arrow made primitive on its own keeps
     # the second gamma
@@ -242,7 +239,8 @@ def test_a_side_over_several_denominators_takes_one_scale():
     # a side over 5/4 and -15/8: the gcd 5 of its integers moves into t
     rep = QuiverRep("B", QQ, (1, 2, 0), [[[Fraction(5, 4)], [0]], [[0], [Fraction(-15, 8)]],
                                          [[0], [0]]], [[]] * 3)
-    assert quiver._int_sides(rep)[0] == ((((2,), (0,)), ((0,), (-3,)), ((0,), (0,))), (5, 8))
+    assert quiver._int_sides(rep)[0] == ((((2,), (0,)), ((0,), (-3,)), ((0,), (0,))),
+                                         Fraction(5, 8))
     assert_scales_arrows(rep)
 
 
@@ -746,12 +744,13 @@ def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
 
 def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
     # the closure and the per-candidate loop work on integer rows, so a
-    # larger pair budget adds eliminations but no Fraction-to-int conversions
-    # (counts, not timings: the same on every machine)
+    # larger pair budget adds eliminations but no Fraction-to-int conversions:
+    # the module's integer form was formed when it was built, so Layer 1
+    # converts nothing (counts, not timings: the same on every machine)
     rep = module_ideal_A1([(1, 2, 3), (2, -1, 1), (3, 1, -2)])
     assert rep.dims == (3, 7, 3) and rep.field == QQ
     calls = {}
-    for name in ("_q_ints", "_rref_z"):
+    for name in ("int_form", "_rref_z"):
         real = getattr(linalg, name)
 
         def counting(*args, _real=real, _name=name):
@@ -761,10 +760,10 @@ def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
         monkeypatch.setattr(linalg, name, counting)
     seen = {}
     for pair_budget in (400, 4000):
-        calls.update(_q_ints=0, _rref_z=0)
+        calls.update(int_form=0, _rref_z=0)
         quiver._layer1(rep, 0, pair_budget=pair_budget)
         seen[pair_budget] = dict(calls)
-    assert seen[400]["_q_ints"] == seen[4000]["_q_ints"]
+    assert seen[400]["int_form"] == seen[4000]["int_form"] == 0
     assert seen[400]["_rref_z"] < seen[4000]["_rref_z"]
 
 
@@ -1835,7 +1834,7 @@ def test_king_test_on_the_integer_weight_matches_fraction_scoring():
         search = submodule_dimvecs(rep)
         # the classes of ``upper`` beyond ``lower`` make some verdicts inexact
         wide = SubmoduleSearch(rep.dims, search.lower, search.upper | {(0, 1, 0), (1, 1, 1)},
-                               search.witnesses, "hand-built", ("layer1",), 0)
+                               search.witnesses, "hand-built", ("layer1",))
         for _ in range(40):
             t0, t1 = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
             t2 = -(t0 * rep.dims[0] + t1 * rep.dims[1]) / rep.dims[2]
@@ -1867,7 +1866,7 @@ O_X_CLASSES = frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1)})
 )
 def test_king_certainty_from_lower_and_upper(theta, lower, upper, want):
     witnesses = {dv: w for dv, w in submodule_dimvecs(O_X).witnesses.items() if dv in lower}
-    search = SubmoduleSearch(O_X.dims, lower, upper, witnesses, "hand-built", ("layer1",), 0)
+    search = SubmoduleSearch(O_X.dims, lower, upper, witnesses, "hand-built", ("layer1",))
     v = king_test(O_X, theta, search=search)
     assert (v.verdict, v.certainty, v.witness_dimvec) == want
     assert v.witness == (witnesses[want[2]] if want[2] else None)

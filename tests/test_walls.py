@@ -160,6 +160,24 @@ def test_exact_entry_points_refuse_floats(name):
         f(float(q))
 
 
+#: charge values that are not three (re, im) pairs; `king_theta` reads its
+#: values through `CentralCharge`, so both refuse them the same way
+_MALFORMED_VALUES = {
+    "a triple among the pairs": ((1, 0, 0), (0, 1), (0, 1)),
+    "numbers, not pairs": (1, 2, 3),
+    "a string pair": ("10", (0, 1), (0, 1)),
+    "a number": 7,
+}
+
+
+@pytest.mark.parametrize("entry", [CentralCharge, lambda v: king_theta(v, (1, 2, 1))],
+                         ids=["CentralCharge", "king_theta"])
+@pytest.mark.parametrize("name", sorted(_MALFORMED_VALUES))
+def test_malformed_charge_values_are_invalid_input(entry, name):
+    with pytest.raises(InputError):
+        entry(_MALFORMED_VALUES[name])
+
+
 # ---------------------------------------------------------------------------
 # the perpendicular plane and its walls
 
