@@ -7,6 +7,8 @@ pictures attached to ideal-type classes.
 All arithmetic is exact (rationals or prime fields); anything probabilistic
 or potentially incomplete says so in its result object.
 """
+from types import ModuleType as _ModuleType
+
 from .io_utils import VERSION as __version__
 from .errors import (
     P2StabError,
@@ -23,32 +25,22 @@ from .ktheory import (
     euler_chi,
     mukai_pair,
     twist,
-    slopes,
-    gieseker_compare,
     bogomolov,
     expected_dim,
     dimvec,
     chern_of_dimvec,
     ch_o,
     ch_cotangent,
-    ch_line_on_curve,
-    ch_point,
 )
 from .charge import (
     CentralCharge,
     z_geometric,
     z_cha_form,
-    from_geometric,
     z_sigma_b,
-    phase,
-    gl_act,
-    t_matrix,
     t_matrix_inv,
     verify_T_identity,
     geom_conditions_abc,
-    geom_conditions_hold,
     theorem1_hypotheses,
-    slope_identity_check,
 )
 from .quiver import (
     QuiverRep,
@@ -83,12 +75,12 @@ from .geometry import (
     collinear_test,
     wall_filtration_data,
     composite_lines,
-)
-from .walls import (
-    king_theta,
     theta_b1,
     theta_b0,
     theta_family_r,
+)
+from .walls import (
+    king_theta,
     family_theta,
     family_consistency,
     numerical_walls,
@@ -98,83 +90,7 @@ from .walls import (
     wall_svg,
 )
 
-__all__ = [
-    "__version__",
-    "P2StabError",
-    "InputError",
-    "VerificationError",
-    "IncompleteOracleError",
-    "ChernCharacter",
-    "HeartBasis",
-    "A1",
-    "A0",
-    "A1P",
-    "euler_chi",
-    "mukai_pair",
-    "twist",
-    "slopes",
-    "gieseker_compare",
-    "bogomolov",
-    "expected_dim",
-    "dimvec",
-    "chern_of_dimvec",
-    "ch_o",
-    "ch_cotangent",
-    "ch_line_on_curve",
-    "ch_point",
-    "CentralCharge",
-    "z_geometric",
-    "z_cha_form",
-    "from_geometric",
-    "z_sigma_b",
-    "phase",
-    "gl_act",
-    "t_matrix",
-    "t_matrix_inv",
-    "verify_T_identity",
-    "geom_conditions_abc",
-    "geom_conditions_hold",
-    "theorem1_hypotheses",
-    "slope_identity_check",
-    "QuiverRep",
-    "rep_to_json",
-    "rep_from_json",
-    "check_relations",
-    "simple",
-    "direct_sum",
-    "hom_space",
-    "iso_test",
-    "dualize",
-    "reverse_theta",
-    "tilt_B_to_Bprime",
-    "tilt_Bprime_to_B",
-    "theta_pair",
-    "theta_transform",
-    "submodule_dimvecs",
-    "king_test",
-    "jh_factors",
-    "s_equiv",
-    "random_rep",
-    "KingVerdict",
-    "SubmoduleSearch",
-    "DestabilizedError",
-    "PointConfig",
-    "module_point",
-    "bprime_module_points",
-    "module_ideal_A1",
-    "module_ideal_A0",
-    "collinear_test",
-    "wall_filtration_data",
-    "composite_lines",
-    "king_theta",
-    "theta_b1",
-    "theta_b0",
-    "theta_family_r",
-    "family_theta",
-    "family_consistency",
-    "numerical_walls",
-    "chamber_membership",
-    "walls_json",
-    "hilbert_report",
-    "wall_svg",
-]
+
+#: every name imported above, the package's submodules excepted
+__all__ = ["__version__"] + [name for name, value in list(globals().items())
+                             if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -46,14 +46,11 @@ from .geometry import (
     module_ideal_A0,
     module_ideal_A1,
     module_point,
-)
-from .walls import (
-    family_consistency,
-    king_theta,
     theta_b0,
     theta_b1,
     theta_family_r,
 )
+from .walls import family_consistency, king_theta
 
 Frac = Fraction
 

@@ -2,8 +2,7 @@
 
 A central charge is stored by its three values on the simple generators of
 the heart A_1, as (re, im) pairs of rationals.  Every value and every
-decision here is exact; the one float is the angle ``phase`` returns off
-the eight axis and diagonal directions.
+decision here is exact.
 
 The geometric family is
 
@@ -18,18 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .errors import InputError
-from .ktheory import (
-    A1,
-    ClassLike,
-    HeartBasis,
-    as_triple,
-    dimvec,
-    slopes,
-)
-from .linalg import QQ, mat_inverse
+from .ktheory import ClassLike, as_triple
+from .linalg import QQ
 
 Pair = Tuple
 
@@ -52,7 +44,6 @@ class CentralCharge:
     three (re, im) pairs of Fractions."""
 
     values: Tuple[Pair, Pair, Pair]
-    heart: HeartBasis = A1
 
     def __post_init__(self):
         if not isinstance(self.values, (tuple, list)) or len(self.values) != 3:
@@ -70,27 +61,6 @@ class CentralCharge:
             re = re + c * x
             im = im + c * y
         return (re, im)
-
-    def eval_class(self, a: ClassLike) -> Pair:
-        """Z on a lattice class, routed through the heart's basis."""
-        return self.eval(dimvec(a, self.heart))
-
-    def is_stability_function(self) -> bool:
-        """All three basis values in the closed upper half plane H-bar."""
-        try:
-            for z in self.values:
-                _require_hbar(z)
-        except InputError:
-            return False
-        return True
-
-
-def _require_hbar(z: Pair) -> None:
-    re, im = z
-    if re == 0 and im == 0:
-        raise InputError("zero charge")
-    if im < 0 or (im == 0 and re > 0):
-        raise InputError("not a stability-function value")
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +100,6 @@ def z_cha_form(a: ClassLike, b: Fraction, t2: Fraction) -> Tuple[Fraction, Fract
     return (re, eps)
 
 
-def from_geometric(b: Fraction, t2: Fraction) -> CentralCharge:
-    """Z_(bH,tH) packaged on the A_1 simple basis; t^2 must be the square of
-    a rational.  At an irrational t, ``z_geometric`` gives the same values
-    exactly, with Im as its coefficient of t."""
-    t2 = QQ.convert(t2)
-    basis = [c.triple() for c in A1.signed_basis()]
-    coeffs = [z_geometric(c, b, t2) for c in basis]
-    t = sqrt_rational(t2)
-    if t is None:
-        raise InputError("t^2 is not the square of a rational; z_geometric keeps t symbolic")
-    return CentralCharge(tuple((re, ic * t) for re, ic in coeffs))
-
-
 def z_sigma_b(b: Fraction) -> CentralCharge:
     """The boundary charge Z^b on A_1, defined for 0 < b < 1.
 
@@ -168,50 +125,9 @@ def pi_sigma_b(b: Fraction) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
 
 
 # ---------------------------------------------------------------------------
-# phases and the GL+ action
-
-
-def phase(z: Pair) -> Tuple[Union[Fraction, float], Union[Fraction, float]]:
-    """(phi, mu) for a value in H-bar: phi in (0, 1] with z = |z| e^{i pi phi},
-    mu = -re/im the slope (+inf on the real axis).
-
-    phi comes back as an exact Fraction on the eight axis/diagonal
-    directions and as a float, the angle, otherwise.
-    """
-    re, im = (QQ.convert(x) for x in z)
-    _require_hbar((re, im))
-    if im == 0:
-        return (Fraction(1), math.inf)
-    mu = -re / im
-    if re == 0:
-        return (Fraction(1, 2), mu)
-    if re == im:
-        return (Fraction(1, 4), mu)
-    if re == -im:
-        return (Fraction(3, 4), mu)
-    return (math.atan2(float(im), float(re)) / math.pi, mu)
-
+# the explicit matrix carrying sigma^b to the geometric point (b, sqrt(b-b^2))
 
 GL2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
-
-
-def gl_act(T: Sequence[Sequence], Z: CentralCharge) -> CentralCharge:
-    """Act by g = (T, f) on the charge: values become T^{-1} (re, im)^T.
-
-    T must lie in GL+(2, R): det T > 0.  Composition contravariant on the
-    matrix side: gl_act(T2, gl_act(T1, Z)) == gl_act(T1 @ T2, Z).
-    """
-    (a, b), (c, d) = ((QQ.convert(row[0]), QQ.convert(row[1])) for row in T)
-    det = a * d - b * c
-    if det <= 0:
-        raise InputError("not in GL+")
-    # T^{-1} = (1/det) [[d, -b], [-c, a]]
-    values = tuple(((d * re - b * im) / det, (-c * re + a * im) / det) for re, im in Z.values)
-    return CentralCharge(values, Z.heart)
-
-
-# ---------------------------------------------------------------------------
-# the explicit matrix carrying sigma^b to the geometric point (b, sqrt(b-b^2))
 
 
 def t_matrix_inv(b: Fraction) -> GL2:
@@ -224,13 +140,6 @@ def t_matrix_inv(b: Fraction) -> GL2:
     if t is None:
         raise InputError("t = sqrt(b - b^2) is not rational at this b")
     return ((b - Fraction(1, 2), 2 * b * b - 2 * b - Fraction(1, 2)), (t, (2 * b - 1) * t))
-
-
-def t_matrix(b: Fraction) -> GL2:
-    """The matrix T itself (inverse of t_matrix_inv), exact."""
-    inv = mat_inverse(QQ, [list(r) for r in t_matrix_inv(b)])
-    assert inv is not None
-    return ((inv[0][0], inv[0][1]), (inv[1][0], inv[1][1]))
 
 
 def verify_T_identity(b: Fraction) -> dict:
@@ -296,13 +205,8 @@ def geom_conditions_abc(Z) -> Tuple:
     return (det_a, det_b, det_c)
 
 
-def geom_conditions_hold(Z) -> bool:
-    """True iff all three determinants are strictly positive."""
-    return all(d > 0 for d in geom_conditions_abc(Z))
-
-
 # ---------------------------------------------------------------------------
-# hypothesis bundle of the main construction and the slope dictionary
+# hypothesis bundle of the main construction
 
 
 def theorem1_hypotheses(a: ClassLike, b: Fraction, t2: Fraction) -> dict:
@@ -329,26 +233,3 @@ def theorem1_hypotheses(a: ClassLike, b: Fraction, t2: Fraction) -> dict:
         "ok_re": ok_re,
         "ok": ok_range and ok_t and ok_re,
     }
-
-
-def slope_identity_check(a: ClassLike, b: Fraction, t2: Fraction) -> bool:
-    """Dictionary between the charge slope and the Gieseker-type slopes:
-
-        -Re Z / Im Z  =  ( nu_gamma(a) - (t^2 - b^2)/2 ) / ( t (mu(a) - b) )
-
-    with gamma = b + 3/2.  Both sides carry a single factor 1/t, so the
-    comparison is done exactly after cancelling it.  Rank zero is rejected,
-    and d = r b sits on a wall of infinite slope.
-    """
-    r, d, s = as_triple(a)
-    if r == 0:
-        raise InputError("rank-zero class")
-    b = QQ.convert(b)
-    t2 = QQ.convert(t2)
-    re, im_coeff = z_geometric(a, b, t2)
-    if im_coeff == 0:
-        raise InputError("wall of infinite slope")
-    mu, nu = slopes(a, gamma=b + Fraction(3, 2))
-    lhs_t = -re / im_coeff            # t * (-Re/Im)
-    rhs_t = (nu - (t2 - b * b) / 2) / (mu - b)
-    return lhs_t == rhs_t

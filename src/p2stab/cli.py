@@ -614,6 +614,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser(_command_path(argv)).parse_args(argv)
     try:
+        # `--opt=--`: before Python 3.13 argparse stores an empty list and
+        # never calls the option's type; 3.13 stores the string "--"
+        if any(isinstance(v, list) or v == "--" for v in vars(args).values()):
+            raise InputError("'--' is not an option value")
         if not 0 <= getattr(args, "n", 0) <= MAX_N:
             raise InputError(f"--n must be between 0 and {MAX_N}")
         return args.func(args)

@@ -88,9 +88,6 @@ class PointConfig:
     def matrix(self) -> List[List[Fraction]]:
         return [list(p) for p in self.points]
 
-    def to_json(self) -> dict:
-        return {"points": [[str(c) for c in p] for p in self.points]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
         try:

@@ -16,7 +16,6 @@ the signed class basis of a heart (a shift by [2] fixes a class, a shift by
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +25,6 @@ from .errors import InputError
 from .linalg import QQ, solve_right
 
 Triple = Tuple[Fraction, Fraction, Fraction]
-
-#: comparison outcomes of gieseker_compare
-LT, EQ, GT = -1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -114,47 +110,9 @@ def euler_chi(a: ClassLike, b: ClassLike) -> Fraction:
 
 def twist(a: ClassLike, k: int) -> ChernCharacter:
     """Class of a(k), i.e. tensoring by O(k): (r, d + rk, s + dk + rk^2/2)."""
-    return ChernCharacter(*twist_triple(a, k))
-
-
-def twist_triple(a: ClassLike, k: int) -> Triple:
-    """Twist formula on a generic rational triple (no lattice check)."""
     r, d, s = as_triple(a)
     k = QQ.convert(k)
-    return (r, d + r * k, s + d * k + r * k * k / 2)
-
-
-def slopes(a: ClassLike, gamma: Fraction = Fraction(0)) -> Tuple:
-    """(mu, nu_gamma) with mu = d/r, nu = s/r + 3d/(2r) - d*gamma/r.
-
-    The canonical class -3H is hard-coded in nu.  For r = 0 slope is
-    infinite: returns (math.inf, None).
-    """
-    r, d, s = as_triple(a)
-    gamma = QQ.convert(gamma)
-    if r == 0:
-        return (math.inf, None)
-    mu = d / r
-    nu = s / r + Fraction(3, 2) * d / r - d * gamma / r
-    return (mu, nu)
-
-
-def gieseker_compare(f: ClassLike, e: ClassLike, gamma: Fraction = Fraction(0)) -> int:
-    """Lexicographic (mu, nu_gamma) comparison; returns LT/EQ/GT.
-
-    Both classes must have positive rank.
-    """
-    rf = as_triple(f)[0]
-    re_ = as_triple(e)[0]
-    if rf <= 0 or re_ <= 0:
-        raise InputError("rank required positive")
-    mf, nf = slopes(f, gamma)
-    me, ne = slopes(e, gamma)
-    if (mf, nf) < (me, ne):
-        return LT
-    if (mf, nf) > (me, ne):
-        return GT
-    return EQ
+    return ChernCharacter(r, d + r * k, s + d * k + r * k * k / 2)
 
 
 def bogomolov(a: ClassLike) -> Fraction:
@@ -182,16 +140,6 @@ def ch_o(k: int = 0) -> ChernCharacter:
 def ch_cotangent(k: int = 0) -> ChernCharacter:
     """ch Omega^1(k); Omega^1 itself is (2, -3, 3/2)."""
     return twist(ChernCharacter(2, -3, Fraction(3, 2)), k)
-
-
-def ch_line_on_curve(m: int) -> ChernCharacter:
-    """ch O_l(m) for a line l in P^2: (0, 1, m - 1/2)."""
-    return ChernCharacter(0, 1, m - Fraction(1, 2))
-
-
-def ch_point() -> ChernCharacter:
-    """ch of a skyscraper: (0, 0, 1)."""
-    return ChernCharacter(0, 0, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +180,6 @@ class HeartBasis:
         if self.kind == "A":
             return (ch_o(self.k - 1), -ch_o(self.k), ch_o(self.k + 1))
         return (ch_o(self.k - 1), -ch_cotangent(self.k + 1), ch_o(self.k))
-
-    def simple_objects(self) -> Tuple[str, str, str]:
-        if self.kind == "A":
-            return (
-                f"O({self.k - 1})[2]",
-                f"O({self.k})[1]",
-                f"O({self.k + 1})",
-            )
-        return (
-            f"O({self.k - 1})[2]",
-            f"Omega^1({self.k + 1})[1]",
-            f"O({self.k})",
-        )
 
 
 A1 = HeartBasis("A", 1)

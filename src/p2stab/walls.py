@@ -31,7 +31,6 @@ from .geometry import (
     module_ideal_A1,
     theta_b0,
     theta_b1,
-    theta_family_r,  # noqa: F401 - re-exported from here
     wall_filtration_data,
 )
 

@@ -449,6 +449,29 @@ def test_hostile_files_exit_2(capsys, tmp_path, argv, blob, message):
     assert len(err.strip().splitlines()) == 1 and "wrote" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["charge", "abc", "--b=--"],
+    ["chern", "euler", "--a=--", "--b=1,0,0"],
+    ["walls", "enumerate", "--n=--"],
+    ["module", "check", "--in=--"],
+    ["charge", "scan", "--steps=--"],
+    ["walls", "svg", "--n", "2", "--out=--"],
+    ["hilbert", "report", "--n", "2", "--points=--"],
+], ids=" ".join)
+def test_a_double_dash_value_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # argparse reads `--opt=--` as an empty list before Python 3.13 and as
+    # "--" from 3.13 on; either way it is refused, and no file "--" is written
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # 3.13 converts "--" with an int option's type
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["chern", "frobnicate"])

@@ -1,5 +1,5 @@
 """Source hygiene of the package: every decision is exact, so nothing calls
-``float`` or ``math.sqrt`` outside two outputs that are not rational by
+``float`` or ``math.sqrt`` outside the one output that is not rational by
 nature, and a rational matrix becomes integers in one place only
 (`linalg.int_form`)."""
 
@@ -10,9 +10,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "p2stab"
 
-#: (module, function) that may make such a call: the angle `charge.phase`
-#: returns, and the unit directions of the SVG drawing
-ALLOWED = {("charge.py", "phase"), ("walls.py", "_unit")}
+#: (module, function) that may make such a call: the unit directions of the
+#: SVG drawing
+ALLOWED = {("walls.py", "_unit")}
 
 
 def calls_to(source: str, math_name: str, builtins=()):

@@ -1,5 +1,4 @@
-"""Character lattice: pairings, twists, slopes and heart coordinates."""
-import math
+"""Character lattice: pairings, twists and heart coordinates."""
 from fractions import Fraction
 
 import pytest
@@ -11,23 +10,16 @@ from p2stab.ktheory import (
     A0,
     A1,
     A1P,
-    EQ,
-    GT,
-    LT,
     ChernCharacter,
     HeartBasis,
     bogomolov,
     ch_cotangent,
-    ch_line_on_curve,
     ch_o,
-    ch_point,
     chern_of_dimvec,
     dimvec,
     euler_chi,
     expected_dim,
-    gieseker_compare,
     mukai_pair,
-    slopes,
     twist,
 )
 
@@ -51,13 +43,12 @@ def test_frozen_pairings():
     assert euler_chi(o, o) == 1
     assert euler_chi((1, 0, 0), (1, 1, Fraction(1, 2))) == 3
     assert euler_chi((1, 1, Fraction(1, 2)), (1, 0, 0)) == 0
-    assert mukai_pair(ch_point(), o) == -1
+    assert mukai_pair(ChernCharacter(0, 0, 1), o) == -1
 
 
 def test_known_characters():
     assert ch_cotangent(0).triple() == (2, -3, Fraction(3, 2))
     assert ch_cotangent(2).triple() == (2, 1, Fraction(-1, 2))
-    assert ch_line_on_curve(1).triple() == (0, 1, Fraction(1, 2))
     assert ch_o(2).triple() == (1, 2, Fraction(2))
 
 
@@ -82,25 +73,9 @@ def test_twist_preserves_pairings(a, k):
     assert euler_chi(twist(a, k), twist(b, k)) == euler_chi(a, b)
 
 
-def test_slopes_and_infinite_rank_zero():
-    mu, nu = slopes((2, 1, Fraction(-1, 2)), gamma=Fraction(1, 2))
-    assert mu == Fraction(1, 2)
-    assert nu == Fraction(-1, 4) + Fraction(3, 4) - Fraction(1, 4)
-    mu0, nu0 = slopes(ch_point())
-    assert mu0 == math.inf and nu0 is None
-
-
-def test_gieseker_compare_lexicographic():
-    assert gieseker_compare((1, 1, Fraction(1, 2)), (1, 0, 0)) == GT
-    assert gieseker_compare((1, 0, 0), (1, 0, Fraction(1, 2))) == LT
-    assert gieseker_compare((2, 0, 0), (1, 0, 0)) == EQ
-    with pytest.raises(InputError, match="rank required positive"):
-        gieseker_compare((0, 1, 0), (1, 0, 0))
-
-
 def test_bogomolov_and_expected_dim():
     assert bogomolov((1, 0, 0)) == 0
-    assert bogomolov(ch_line_on_curve(0)) == 1
+    assert bogomolov(ChernCharacter(0, 1, Fraction(-1, 2))) == 1
     # ideal sheaf of n points: ch = (1, 0, -n), expected dim 2n
     for n in range(1, 6):
         assert expected_dim((1, 0, Fraction(-n))) == 2 * n
@@ -121,19 +96,13 @@ def test_heart_parsing_and_labels():
         HeartBasis.parse("B2")
 
 
-def test_simple_object_names_mention_the_twists():
-    names = A1.simple_objects()
-    assert names[0] == "O(0)[2]"
-    assert "O(2)" in names[2]
-
-
 def test_golden_dimvec():
     assert dimvec(ChernCharacter(1, 1, Fraction(-3, 2)), A1) == (-2, -5, -2)
 
 
 def test_skyscraper_dimvec_in_every_heart():
     for k in range(-3, 4):
-        assert dimvec(ch_point(), HeartBasis("A", k)) == (1, 2, 1)
+        assert dimvec(ChernCharacter(0, 0, 1), HeartBasis("A", k)) == (1, 2, 1)
 
 
 def test_ideal_type_dimvec_tables():

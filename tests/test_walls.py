@@ -11,15 +11,12 @@ from fractions import Fraction
 from p2stab import geometry, ktheory, quiver, walls
 from p2stab.charge import (
     CentralCharge,
-    from_geometric,
-    gl_act,
-    phase,
     sqrt_rational,
     z_geometric,
     z_sigma_b,
 )
 from p2stab.errors import InputError
-from p2stab.geometry import module_ideal_A1
+from p2stab.geometry import module_ideal_A1, theta_family_r
 from p2stab.io_utils import dumps_json
 from p2stab.ktheory import ChernCharacter
 from p2stab.quiver import dualize, king_test, theta_pair
@@ -36,7 +33,6 @@ from p2stab.walls import (
     perp_plane,
     theta_b0,
     theta_b1,
-    theta_family_r,
     wall_svg,
     walls_json,
 )
@@ -136,12 +132,8 @@ _EXACT_ENTRIES = {
     "king_theta": (lambda x: king_theta([(x, 0), (-1, 0), (3, 1)], (1, 2, 1)), Fraction(-1, 3)),
     "king_theta dims": (lambda x: king_theta(z_sigma_b(Fraction(1, 3)), (x, 2, 1)), 1),
     "CentralCharge": (lambda x: CentralCharge(((x, 0), (-1, 0), (3, 1))), Fraction(-1, 2)),
-    "gl_act": (lambda x: gl_act(((x, 1), (0, 1)), z_sigma_b(Fraction(1, 2))), 2),
-    "phase": (lambda x: phase((x, 1)), -1),
-    "phase angle": (lambda x: phase((x, 2)), Fraction(-1, 3)),
     "z_sigma_b": (z_sigma_b, Fraction(1, 3)),
     "z_geometric": (lambda x: z_geometric((2, 1, 0), x, Fraction(99, 400)), Fraction(9, 20)),
-    "from_geometric": (lambda x: from_geometric(Fraction(1, 2), x), Fraction(1, 4)),
     "sqrt_rational": (sqrt_rational, Fraction(9, 4)),
     "ChernCharacter": (lambda x: ChernCharacter(x, 1, 0), 2),
     "twist": (lambda x: ktheory.twist((1, 0, 0), x), 1),
