@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -59,11 +60,11 @@ def _read_json(path: str):
 @contextlib.contextmanager
 def _writing(path: str):
     """Around an output write: a path that cannot be written (a missing
-    directory, a directory, no permission) is invalid input (exit 2), not a
-    crash."""
+    directory, a directory, no permission, a NUL byte) is invalid input
+    (exit 2), not a crash."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: an embedded null byte
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -184,41 +185,25 @@ def cmd_charge_scan(args) -> int:
         raise InputError("need b-start < b-end and at least 2 steps")
     if steps > MAX_STEPS:
         raise InputError(f"--steps must be at most {MAX_STEPS}")
-    rows = []
+    fixed_t2 = parse_fraction(args.t2) if args.t2 else None
+    basis = [c.triple() for c in ktheory.A1.signed_basis()]
+    text = io.StringIO()
+    w = csv.writer(text, lineterminator="\n")
+    w.writerow(["b", "t2", "epsilon", "reZ", "imZ_coeff", "abc_a", "abc_b", "abc_c", "hypotheses_ok"])
     for i in range(steps):
         b = b0 + (b1 - b0) * Fraction(i, steps - 1)
-        t2 = parse_fraction(args.t2) if args.t2 else b * (1 - b)
+        t2 = b * (1 - b) if fixed_t2 is None else fixed_t2
         re, im = charge_mod.z_geometric(a, b, t2)
-        basis = [c.triple() for c in ktheory.A1.signed_basis()]
-        values = tuple(charge_mod.z_geometric(c, b, t2) for c in basis)
-        ca, cb, cc = charge_mod.geom_conditions_abc(values)
+        abc = charge_mod.geom_conditions_abc(tuple(charge_mod.z_geometric(c, b, t2) for c in basis))
         hyp = charge_mod.theorem1_hypotheses(a, b, t2)
-        rows.append(
-            {
-                "b": format_fraction(b),
-                "t2": format_fraction(t2),
-                "epsilon": format_fraction(hyp["epsilon"]),
-                "reZ": format_fraction(re),
-                "imZ_coeff": format_fraction(im),
-                "abc_a": format_fraction(ca),
-                "abc_b": format_fraction(cb),
-                "abc_c": format_fraction(cc),
-                "hypotheses_ok": "true" if hyp["ok"] else "false",
-            }
-        )
-    fieldnames = [
-        "b", "t2", "epsilon", "reZ", "imZ_coeff", "abc_a", "abc_b", "abc_c", "hypotheses_ok",
-    ]
+        w.writerow([format_fraction(x) for x in (b, t2, hyp["epsilon"], re, im, *abc)]
+                   + ["true" if hyp["ok"] else "false"])
     if args.out:
-        with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-            w.writeheader()
-            w.writerows(rows)
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        with _writing(args.out):
+            io_utils.write_text_atomic(args.out, text.getvalue())
+        print(f"wrote {args.out} ({steps} rows)")
     else:
-        w = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
+        sys.stdout.write(text.getvalue())
     return 0
 
 

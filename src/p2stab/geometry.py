@@ -7,7 +7,11 @@ A length-n configuration of distinct points yields three modules:
   tilted heart, dims (n, 2n+1, n), built by tilting an explicit B'-module
   of dims (n, n, n-1);
 * ``module_ideal_A0(Z)`` — its analogue in the second heart presentation,
-  dims (n, 2n, n-1), built from the point modules by a one-line quotient.
+  dims (n, 2n, n-1): the direct sum of the point modules, its last vertex
+  taken through the projection P that kills the unit section.
+
+The unit section 1 = (1, ..., 1) takes the value 1 at every point; both
+ideal-type modules are quotients by it, through the one P of `_kill_unit`.
 
 Point representatives are never rescaled; all constructions are
 independent of the chosen representatives up to isomorphism (tested, not
@@ -28,7 +32,6 @@ from .linalg import QQ, int_form, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .quiver import (
     QuiverRep,
-    closure,
     direct_sum,
     hom_space,
     jh_factors,
@@ -36,7 +39,6 @@ from .quiver import (
     require_relations,
     simple,
     tilt_Bprime_to_B,
-    triple_dims,
 )
 
 Theta = Tuple[Fraction, Fraction, Fraction]
@@ -172,30 +174,27 @@ def _normalized_point(p) -> str:
 # n points, second heart presentation (B'-side input)
 
 
+def _kill_unit(M) -> list:
+    """P M, for the projection P : Q^n -> Q^{n-1}, c |-> (c_a - c_{n-1})_{a < n-1},
+    whose kernel is the unit section: the rows of M but the last, each minus
+    the last."""
+    *rows, last = M
+    return [[x - y for x, y in zip(row, last)] for row in rows]
+
+
 def bprime_module_points(points) -> QuiverRep:
     """The B'-module of a configuration, dims (n, n, n-1): coordinatewise
-    multiplication diag(x_i) at the first step and multiplication followed
-    by the quotient killing the all-ones section at the second."""
+    multiplication gamma_i = diag(x_i) at the first step, and multiplication
+    followed by the quotient killing the unit section at the second,
+    delta_j = P gamma_j (`_kill_unit`)."""
     cfg = _as_config(points)
     n = len(cfg)
     if n == 0:
         raise InputError("empty configuration")
-    pts = list(cfg)
-    gamma = [
-        [[pts[a][i] if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-        for i in range(3)
-    ]
-    # P : Q^n -> Q^{n-1}, c |-> (c_a - c_{n-1})_{a < n-1}
-    delta = []
-    for j in range(3):
-        M = []
-        for a in range(n - 1):
-            row = [Fraction(0)] * n
-            row[a] = pts[a][j]
-            row[n - 1] = -pts[n - 1][j]
-            M.append(row)
-        delta.append(M)
-    return require_relations(QuiverRep("Bprime", QQ, (n, n, n - 1), gamma, delta))
+    gamma = [[[x[i] if a == b else Fraction(0) for b in range(n)] for a, x in enumerate(cfg)]
+             for i in range(3)]
+    return require_relations(
+        QuiverRep("Bprime", QQ, (n, n, n - 1), gamma, [_kill_unit(g) for g in gamma]))
 
 
 def module_ideal_A1(points) -> QuiverRep:
@@ -214,24 +213,15 @@ def module_ideal_A1(points) -> QuiverRep:
 def module_ideal_A0(points) -> QuiverRep:
     """The B-module of the ideal-type object in the second heart
     presentation, dims (n, 2n, n-1): the direct sum of the point modules,
-    quotiented by the all-ones line at the last vertex (the section that
-    evaluates to 1 at every point)."""
+    its last vertex taken through the projection P that kills the unit
+    section, as in `bprime_module_points` (every delta composed with P)."""
     cfg = _as_config(points)
     n = len(cfg)
     if n == 0:
         raise InputError("empty configuration")
     total = functools.reduce(direct_sum, (module_point(x) for x in cfg))
-    if total.dims != (n, 2 * n, n):
-        raise VerificationError("point modules summed to unexpected dims")  # pragma: no cover
-    ones = [Fraction(1)] * n
-    triple = closure(total, seeds2=[ones])
-    if triple_dims(triple) != (0, 0, 1):
-        raise VerificationError("all-ones line closed up unexpectedly")  # pragma: no cover
-    quo = quotient_by(total, triple)
-    # class bookkeeping: (0,0,1) + quotient dims must recover the sum dims
-    if tuple(a + b for a, b in zip((0, 0, 1), quo.dims)) != total.dims:
-        raise VerificationError("quotient dims do not account for the killed line")
-    return quo
+    return require_relations(
+        QuiverRep("B", QQ, (n, 2 * n, n - 1), total.gamma, [_kill_unit(d) for d in total.delta]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +340,10 @@ def wall_filtration_data(
         homs = hom_space(simple("B", 1), rep)
         if not homs:
             raise VerificationError("collinear configuration with no C v_1 map")
-        u = [row[0] for row in homs[0][1]]  # image of the middle-vertex generator
-        triple = closure(rep, seeds1=[u])
-        if triple_dims(triple) != (0, 1, 0):
-            raise VerificationError("C v_1 image not a vertex-simple submodule")
-        quo = quotient_by(rep, triple)
+        # the image of the middle-vertex generator; every delta kills it, as
+        # C v_1 is zero at the last vertex
+        u = [row[0] for row in homs[0][1]]
+        quo = quotient_by(rep, ((), (u,), ()))
         quo_ch = chern_of_dimvec(quo.dims, A0)
         expected = ChernCharacter(0, -1, Fraction(2 * n - 1, 2))
         if quo_ch != expected:

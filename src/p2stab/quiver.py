@@ -279,23 +279,6 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 # subspace triples
 
 
-def closure(rep: QuiverRep, seeds0=(), seeds1=(), seeds2=()) -> SubTriple:
-    """Smallest submodule containing the given field vectors, as the
-    canonical integer basis (`linalg.int_rref`) of each space (one pass
-    suffices because the quiver is a two-step path)."""
-    F = rep.field
-    n0, n1, n2 = rep.dims
-    gammas, deltas = _int_arrows(rep)
-    U0 = linalg.int_span(F, seeds0, n0)[0]
-    U1 = linalg.int_rref(F, linalg.int_span(F, seeds1, n1)[0] + _image(U0, gammas))[0]
-    U2 = linalg.int_rref(F, linalg.int_span(F, seeds2, n2)[0] + _image(U1, deltas))[0]
-    return (U0, U1, U2)
-
-
-def triple_dims(triple: SubTriple) -> DimVec:
-    return tuple(len(u) for u in triple)  # type: ignore[return-value]
-
-
 def _arrow_images(rep: QuiverRep, spans) -> Tuple[List[List[int]], List[List[int]]]:
     """The images of U0's canonical basis under the gammas and of U1's under
     the deltas (`_image`: arrow by arrow, then row by row)."""

@@ -80,6 +80,42 @@ def test_charge_scan_csv(capsys):
     assert lines[2].startswith("1/2,1/4,")
 
 
+#: SHA-256 of `charge scan`'s CSV for some options, the same on stdout and
+#: in the --out file
+_SCAN_DIGESTS = {
+    (): ("811fe7f35f7edcddf27883e3448199dad2af04a05b80fc97294d79a0781ee111", 17),
+    ("--ch=1,0,-1", "--b-start=0", "--b-end=1", "--steps=5", "--t2=1/3"):
+        ("1b116c9333e0a5cb805db8559d591f088933515479e957d46797ddb1c8782e31", 5),
+}
+
+
+@pytest.mark.parametrize("options", sorted(_SCAN_DIGESTS), ids=lambda o: " ".join(o) or "defaults")
+def test_charge_scan_bytes_are_pinned(capsys, tmp_path, options):
+    digest, rows = _SCAN_DIGESTS[options]
+    code, out, _ = run(capsys, "charge", "scan", *options)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    target = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, "charge", "scan", *options, "--out", str(target))
+    assert (code, out) == (0, f"wrote {target} ({rows} rows)\n")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_charge_scan_replaces_its_file_atomically(capsys, tmp_path, monkeypatch):
+    # the new CSV goes to a temporary file first: if it cannot take the old
+    # one's place, the old file is left whole and no temporary file stays
+    target = tmp_path / "scan.csv"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "charge", "scan", "--out", str(target))
+    assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+    assert "wrote" not in out
+    assert target.read_text() == "old\n" and list(tmp_path.iterdir()) == [target]
+
+
 def test_walls_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "walls", "theta-family", "--n", "3", "--b", "1")
     assert (code, out) == (0, "[-3,0,3]\n")
@@ -434,6 +470,10 @@ _NOT_A_CONFIGS_LIST = [{"configs": 5}, {"configs": None}, {"configs": "[]"}, 5, 
     [(argv, None, "cannot write") for argv in _MISSING_DIR_OUTPUTS]
     + [(["hilbert", "report", "--n", "1", "--points", "{blob}"], blob, "configs")
        for blob in _NOT_A_CONFIGS_LIST]
+    # only an in-process main(argv) can pass a NUL byte; a shell cannot
+    + [([{"{missing}": "{nul}"}.get(a, a) for a in argv], None, "null byte")
+       for argv in _MISSING_DIR_OUTPUTS
+       + [["module", "from-points", "--points", "{points}", "--out", "{missing}"]]]
 ))
 def test_hostile_files_exit_2(capsys, tmp_path, argv, blob, message):
     blob_file = tmp_path / "blob.json"
@@ -442,6 +482,7 @@ def test_hostile_files_exit_2(capsys, tmp_path, argv, blob, message):
         "{points}": write_points(tmp_path / "pts.json", [(1, 2, 3)]),
         "{rep}": write_rep(tmp_path / "rep.json", module_point([1, 2, 3])),
         "{missing}": str(tmp_path / "no-such-dir" / "out"),
+        "{nul}": str(tmp_path / "out\0.json"),
         "{blob}": str(blob_file),
     }
     code, out, err = run(capsys, *(files.get(a, a) for a in argv))

@@ -1,6 +1,7 @@
 """Point configurations and the modules they generate."""
 
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -31,8 +32,10 @@ from p2stab.linalg import QQ, mat_mul
 from p2stab.quiver import (
     QuiverRep,
     check_relations,
+    direct_sum,
     iso_test,
     jh_factors,
+    quotient_by,
     random_rep,
     rep_to_json,
     theta_pair,
@@ -269,19 +272,24 @@ _MODULE_DIGESTS = {
     (2, "module_point"): "7129f8eee26a0ddccc43bd621bfe875f977eede53902807c65132ad2ae84f2a9",
     (2, "bprime_module_points"): "5aa4e7ba8b25841deb35018275232b7494736b54dbab3935501d0c119936b75b",
     (2, "module_ideal_A1"): "1299c20ae948843e38144a6582ae2d564fcc545ac55e6df38205a9c9bfc86e5e",
-    (2, "module_ideal_A0"): "0fef0b24297182e1e03e22225e3d2139397b0b5d1c87b0755f834e47f12539fc",
+    (2, "module_ideal_A0"): "5794e409a1292b0f5b68d5b54718d8b1ce8033de41826ea8f5193c7d50c88ebb",
     (2, "jh_factors"): "0bc87cd9c4939e05701b3009a3c83b3c20b847abb78d5bf38f463bf6fb3970a3",
     (3, "module_point"): "5d841ad524356fc049eb674547edd1ade340ebf779c688694bf69e256986c2b5",
     (3, "bprime_module_points"): "9c28cd01195387aa7670027b51c33d12362d6846e3de96efc95d172979effc2f",
     (3, "module_ideal_A1"): "9f451e737f2a46b3caba4284f53f20cb584163eead18c619cca4367ffdbf2a2d",
-    (3, "module_ideal_A0"): "19fac781b5f8a9e1667915cc0d8f4d3914814b0130b08990aded0d8041a3f453",
+    (3, "module_ideal_A0"): "85fea2c854b0d6a62dbf5be497bbb520770f80a2a9732646a899e945fa5214be",
     (3, "jh_factors"): "6d89a700a711378a1152593483ec6484b373d817d1fd64fb91ff6b5dec3f8721",
     (4, "module_point"): "b1a05c99d85ca23ff1d53e737f19b630ecceb713d2e9e56c995919f09055d06d",
     (4, "bprime_module_points"): "65b65fb9195ec8541abda0f8640ae2e0f6a7569a30698c7a2e6f4f54cbbdd476",
     (4, "module_ideal_A1"): "cb31c322edccad60012a24e1d5656583a863e5b896c996663523395a35c0b214",
-    (4, "module_ideal_A0"): "fd7e3dcccc7d6d7b150d7a9ef27baeff9f04d52a732675c0e979703c32c1020e",
+    (4, "module_ideal_A0"): "0589631f71939c05a5682421a93268ae06052cd607eff3e3b5230b46e97cb539",
     (4, "jh_factors"): "7c8e79c1b751f4811935d014b01f8aefd0315e959c74381488a08dfc049ad9c9",
 }
+
+
+def _digest(reps) -> str:
+    text = json.dumps([rep_to_json(rep) for rep in reps], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n", sorted(_PINNED_CONFIGS))
@@ -298,14 +306,64 @@ def test_module_constructions_are_pinned(n):
         "jh_factors": factors,
     }
     for kind, reps in built.items():
-        text = json.dumps([rep_to_json(rep) for rep in reps], sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == _MODULE_DIGESTS[n, kind], kind
+        assert _digest(reps) == _MODULE_DIGESTS[n, kind], kind
     # every construction keeps an integer form (the tilt and the splits the
     # one they build from, the others the one their relation check formed),
     # and it is the one formed afresh from the rational arrows
     for reps in built.values():
         for rep in reps:
             assert_kept_int_form(rep)
+
+
+def ref_module_ideal_A0(points):
+    """`module_ideal_A0` as first built: the direct sum of the point
+    modules, quotiented by the all-ones line at the last vertex."""
+    cfg = geometry._as_config(points)
+    total = functools.reduce(direct_sum, (module_point(x) for x in cfg))
+    return quotient_by(total, ((), (), ([Fraction(1)] * len(cfg),)))
+
+
+#: the digests of the n = 2, 3, 4 ideal-A0 modules of `_PINNED_CONFIGS` as
+#: the quotient built them, its vertex-2 coordinates (c_a - c_0)
+_QUOTIENT_A0_DIGESTS = {
+    2: "0fef0b24297182e1e03e22225e3d2139397b0b5d1c87b0755f834e47f12539fc",
+    3: "19fac781b5f8a9e1667915cc0d8f4d3914814b0130b08990aded0d8041a3f453",
+    4: "fd7e3dcccc7d6d7b150d7a9ef27baeff9f04d52a732675c0e979703c32c1020e",
+}
+
+
+def _random_config(rng, n, collinear):
+    """n distinct points with small integer coordinates, on a line through
+    two random points if ``collinear``."""
+    while True:
+        if collinear:
+            p, q = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+            pts = [tuple(a * x + b * y for x, y in zip(p, q))
+                   for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n))]
+        else:
+            pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(n)]
+        try:
+            return PointConfig(pts)
+        except InputError:  # a zero vector or two points that coincide
+            continue
+
+
+def test_the_A0_module_is_the_quotient_of_the_point_modules_sum():
+    # the reference is the construction the old pins were taken from
+    for n, want in _QUOTIENT_A0_DIGESTS.items():
+        assert _digest([ref_module_ideal_A0(_PINNED_CONFIGS[n])]) == want
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for collinear in (False, True) if n >= 3 else (False,):
+            for _ in range(3):
+                cfg = _random_config(rng, n, collinear)
+                a0, ref = module_ideal_A0(cfg), ref_module_ideal_A0(cfg)
+                res = iso_test(a0, ref)
+                assert (res.isomorphic, res.certainty) == (True, "exact"), cfg
+                assert collinear_test(cfg) == collinear_test(cfg, ref)
+                if collinear_test(cfg):
+                    assert wall_filtration_data(cfg, "theta0_0") == wall_filtration_data(
+                        cfg, "theta0_0", _module=ref)
 
 
 def test_composite_lines_identity():

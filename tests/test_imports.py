@@ -1,7 +1,9 @@
-"""Source hygiene of the package: every imported name is read, and every
-public name is used by the program or by README's library example."""
+"""Source hygiene of the package: every imported name is read, every
+public name is used by the program or by README's library example, and so
+is every function and method."""
 
 import ast
+import collections
 import re
 from pathlib import Path
 
@@ -190,3 +192,104 @@ def test_the_check_sees_an_unused_export(tmp_path):
     readme = "# pkg\n\n## Library use\n\n```python\nfrom pkg import shown\nshown()\n```\n"
     names = ["__version__", "used", "unused", "recursive", "shown", "Kept", "Lone"]
     assert unread_exports(tmp_path, names, library_example(readme)) == ["Lone", "recursive", "unused"]
+
+
+#: functions and methods no program code reads, kept on purpose, with why
+KEPT_UNREAD = {
+    "cli.build_parser": "test_cli compares the parser built for one command with the whole tree's",
+    "linalg.in_row_space": "the tests' per-vector reference code, kept with the tracer's adapters",
+    "linalg.mat_inverse": "tests build isomorphic modules with it",
+    "walls.PerpPlane.theta_of": "the round-trip reference for coords_of",
+}
+
+TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
+
+
+def reads(tree):
+    """Each bare name and attribute ``tree`` reads, once per read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level function and of each method
+    of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def rebound_names(tracer_source: str):
+    """The function names of the tracer's ``TARGETS`` table, read from its
+    source, not imported."""
+    for node in ast.parse(tracer_source).body:
+        target = node.target if isinstance(node, ast.AnnAssign) else (
+            node.targets[0] if isinstance(node, ast.Assign) else None)
+        if getattr(target, "id", None) == "TARGETS":
+            return [entry[1] for entry in ast.literal_eval(node.value)]
+    return []
+
+
+def unread_functions(package: Path, example: str, rebound=()):
+    """``module.function`` or ``module.Class.method`` of each top-level
+    function and method of ``package`` whose name nothing reads outside its
+    own definition: no module of the package, not the source ``example``,
+    and not ``rebound``.  Dunder methods are exempt."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    count = collections.Counter(rebound)
+    for tree in [*trees.values(), ast.parse(example)]:
+        count.update(reads(tree))
+    unread = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if count[node.name] == sum(name == node.name for name in reads(node)):
+                unread.append(f"{module}.{qualname}")
+    return sorted(unread)
+
+
+def test_every_function_has_a_program_caller():
+    example = library_example(README.read_text(encoding="utf-8"))
+    rebound = rebound_names(TRACER.read_text(encoding="utf-8"))
+    assert "reduce_vector" in rebound
+    assert unread_functions(PACKAGE, example, rebound) == sorted(KEPT_UNREAD)
+
+
+def test_the_check_sees_a_function_without_a_caller(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def unused():\n"
+        "    return used()\n"
+        "def recursive(n):\n"
+        "    return n and recursive(n - 1)\n"
+        "def shown():\n"
+        "    return 0\n"
+        "def traced():\n"
+        "    return 0\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.x = self.read()\n"
+        "    def read(self):\n"
+        "        def inner():\n"
+        "            return 0\n"
+        "        return inner()\n"
+        "    def lone(self):\n"
+        "        return K()\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        return 2\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import K\nk = K().prop\n")
+    tracer = "TARGETS: tuple = (('a', 'traced', 'a.traced', True),)\n"
+    assert rebound_names(tracer) == ["traced"]
+    unread = unread_functions(tmp_path, "shown()\n", rebound_names(tracer))
+    assert unread == ["a.K.lone", "a.recursive", "a.unused"]

@@ -26,7 +26,6 @@ from p2stab.quiver import (
     QuiverRep,
     SubmoduleSearch,
     check_relations,
-    closure,
     direct_sum,
     dualize,
     hom_space,
@@ -46,7 +45,6 @@ from p2stab.quiver import (
     theta_transform,
     tilt_B_to_Bprime,
     tilt_Bprime_to_B,
-    triple_dims,
 )
 from test_linalg import ref_intersect_row_spaces
 
@@ -248,17 +246,11 @@ def test_a_side_over_several_denominators_takes_one_scale():
 # submodule mechanics
 
 
-def test_closure_gives_invariant_triple():
-    triple = closure(O_X, seeds2=[[Fraction(1)]])
-    assert triple_dims(triple) == (0, 0, 1)
-    assert ref_is_invariant(O_X, triple)
-    # a vertex-0 seed drags its arrow images along
-    full = closure(O_X, seeds0=[[Fraction(1)]])
-    assert triple_dims(full) == (1, 2, 1)
-
-
 def test_sub_from_and_quotient_complement():
-    triple = closure(O_X, seeds1=[[Fraction(1), Fraction(0)]])
+    # the first basis vector at vertex 1, and at vertex 2 the span of its
+    # delta images (delta_2 sends it to -1)
+    triple = ((), [[Fraction(1), Fraction(0)]], [[Fraction(1)]])
+    assert ref_is_invariant(O_X, triple)
     sub, quo = quiver._split(O_X, triple)
     assert check_relations(sub) == (True, None)
     assert check_relations(quo) == (True, None)
@@ -283,21 +275,9 @@ def ref_pivots_of_rref(F, R):
     return piv
 
 
-def ref_closure(rep, seeds0=(), seeds1=(), seeds2=()):
-    F = rep.field
-    n0, n1, n2 = rep.dims
-    U0 = ref_canon(F, [list(v) for v in seeds0], n0)
-    at1 = [list(v) for v in seeds1]
-    for u in U0:
-        for i in range(3):
-            at1.append(linalg.mat_vec(F, rep.gamma_m(i), list(u)))
-    U1 = ref_canon(F, at1, n1)
-    at2 = [list(v) for v in seeds2]
-    for u in U1:
-        for j in range(3):
-            at2.append(linalg.mat_vec(F, rep.delta_m(j), list(u)))
-    U2 = ref_canon(F, at2, n2)
-    return (U0, U1, U2)
+def triple_dims(triple):
+    """The dimension vector of a subspace triple given by bases."""
+    return tuple(len(u) for u in triple)
 
 
 def ref_is_invariant(rep, triple):
@@ -462,20 +442,12 @@ def test_constructions_match_the_per_vector_code(field):
             if invariant:
                 for part in quiver._split(rep, triple):
                     assert_kept_int_form(part)
-        seeds = [random_rows(field, rng, n, rng.randint(0, 2)) for n in dims]
-        got = closure(rep, *seeds)
-        assert field_rrefs(field, got, dims) == ref_closure(rep, *seeds)
-        assert_integer_rows(field, got)
-        assert all(linalg.int_rref(field, U)[0] == U for U in got)  # canonical
         # a row of the wrong length is invalid input, for both
         v = rng.randrange(3)
         bad = [list(U) for U in triples[-1]]
         bad[v] = bad[v] + [[field.convert(1)] * (dims[v] + 1)]
         for fn in (split_sub, quotient_by, ref_sub_from, ref_quotient_by):
             assert outcome(fn, rep, tuple(bad)) is InputError
-        seeds[v] = seeds[v] + [[field.convert(1)] * (dims[v] + 1)]
-        assert outcome(closure, rep, *seeds) is InputError
-        assert outcome(ref_closure, rep, *seeds) is InputError
     assert kinds[True] and kinds[False]
 
 

@@ -509,10 +509,10 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
     ids = collections.Counter(map(id, converted))
     assert built and not ids.keys() & set(map(id, built))
     assert set(ids.values()) == {1}
-    # the rational ones: the B'-module of the points and, where A0 is built,
-    # each point module at their relation checks, and their direct sum
+    # the rational ones, each at its relation check: the B'-module of the
+    # points and, where A0 is built, each point module and the A0 module
     rational = sorted(rep.dims for rep in converted if rep.field.p is None)
-    a0_parts = [(1, 2, 1)] * n + [(n, 2 * n, n)] if n > 1 else []
+    a0_parts = [(1, 2, 1)] * n + [(n, 2 * n, n - 1)] if n > 1 else []
     assert rational == sorted([(n, n, n - 1)] + a0_parts)
 
 
