@@ -622,7 +622,8 @@ class SubmoduleSearch:
 
     The true set T of submodule classes is bounded by two proved sets,
     ``lower <= T <= upper``.  Layer 1 closes a pool of generated submodules
-    (kernels, images, cyclic and random closures) under sums and
+    (kernels, images, cyclic and random closures, and the spans of
+    coordinate subspaces of the first vertex) under sums and
     intersections; its classes carry explicit witnesses over the base field,
     each the search's own integer bases of a submodule triple (`SubTriple`),
     and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
@@ -638,11 +639,12 @@ class SubmoduleSearch:
     reduction only gains submodules, so ``upper`` is the box of all
     d <= dims cut down by the mod-p sets of the primes in ``layers``, tried
     in turn up to the first that squeezes.  Layer 1 takes the enumerated
-    sets as bounds on the schedule `_layer1` describes, so each is
-    enumerated once and reused after Layer 1, and ``witnesses`` is still the
-    one of the whole Layer-1 pool.  ``evidence`` names what was enumerated;
-    a verdict's certainty is read off ``lower`` and ``upper`` alone
-    (`king_test`).
+    sets as bounds on the schedule `_layer1` describes (the next prime is
+    taken once the rectangles that witnessed nothing new have cost as much
+    as its enumeration), so each is enumerated once and reused after
+    Layer 1, and ``witnesses`` is still the one of the whole Layer-1 pool.
+    ``evidence`` names what was enumerated; a verdict's certainty is read
+    off ``lower`` and ``upper`` alone (`king_test`).
     """
 
     dims: DimVec
@@ -691,13 +693,15 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     positive pivots, one to one with the rref itself), each yielded once, in
     pool order, as it enters the pool.
 
-    Sources: arrow images and kernels, cyclic spans of coordinate (and, over
-    a small prime field, all) vectors, delta-preimages of a pool of
-    end-vertex targets, seeded random spans, then sums and intersections of
-    earlier candidates under a work budget.  The pool is built lazily: a
-    consumer that stops pulling leaves the rest of it unbuilt, and the
-    candidates it did pull are the first ones of the whole pool.  A full
-    pool pulls no further source.
+    Sources: arrow images and kernels, cyclic spans of coordinate vectors,
+    the gamma-spans of the coordinate subspaces of the first vertex when
+    n0 <= 4 (on the A0 module, the sub-sums of the point modules), cyclic
+    spans of every vector over a small prime field, delta-preimages of a
+    pool of end-vertex targets, seeded random spans, then sums and
+    intersections of earlier candidates under a work budget.  The pool is
+    built lazily: a consumer that stops pulling leaves the rest of it
+    unbuilt, and the candidates it did pull are the first ones of the whole
+    pool.  A full pool pulls no further source.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
@@ -735,9 +739,15 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
         yield _preimage(F, deltas, [], n1, n2)
         for d in deltas:
             yield _preimage(F, [d], [], n1, n2)
-        # cyclic spans of coordinate vectors; over a small prime field every
-        # vector is affordable, and then every cyclic subspace is seeded here
+        # cyclic spans of coordinate vectors, then the spans gamma(U0) of the
+        # coordinate subspaces U0 of two or more of them (on the A0 module
+        # the sub-sums of the point modules), within the bound n0 <= 4 of
+        # the end-vertex masks below; over a small prime field every vector
+        # is affordable, and then every cyclic subspace is seeded here
         yield from (_image([u], gammas) for u in units0)
+        if n0 <= 4:
+            for k in range(2, n0 + 1):
+                yield from (_image(us, gammas) for us in itertools.combinations(units0, k))
         yield from ([u] for u in units1)
         for n, span in ((n0, lambda v: _image([v], gammas)), (n1, lambda v: [v])):
             if isinstance(F, PrimeField) and n and F.p ** n <= 512:
@@ -816,6 +826,17 @@ def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list]:
     return _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
 
 
+#: the rent `_layer1` pays for a rectangle that witnesses no new class, in
+#: subspaces of the next enumeration (`_layer2_cost`).  Measured on 3-point
+#: reports (2-core Xeon VM, Python 3.11): a rectangle with the candidates
+#: pulled for it costs about 0.25-0.29 ms, one subspace of a mod-3, 5 or 7
+#: enumeration 0.07-0.10 ms.  On the benchmark's first rounds, a price of 2
+#: left 25% more eliminations in the 3-point reports (3,982 against 3,181
+#: `_rref_z` calls), and 6 or 8 made the 2-point reports enumerate primes
+#: that no squeeze reads (44 or 48 enumerations against 39)
+_IDLE_RECTANGLE_PRICE = 4
+
+
 def _layer1(
     rep: QuiverRep,
     seed: int,
@@ -840,14 +861,17 @@ def _layer1(
     before it pulls a candidate (with none, its bound is the box of all
     d <= dims).  It forms no rectangle for a candidate U1 when every class
     of its bound with middle dimension dim U1 is witnessed, and pulls no
-    further candidate once every class of its bound is.  It takes the next
-    bound, cutting its own down to the intersection, once it has formed as
-    many rectangles since the last bound as that next pair's cost and its
-    bound is still not filled: an early bound then costs at most the work
-    already spent, and a bound it never needs is never formed.  Any class a
-    skipped candidate could add lies in every bound and is witnessed
-    already, so the witnesses, their values and their order are those of
-    the whole pool, whichever bounds are taken.
+    further candidate once every class of its bound is.  A rectangle that
+    witnesses a new class is progress; one that witnesses none is rent, paid
+    at `_IDLE_RECTANGLE_PRICE` subspaces of enumeration.  The search takes
+    the next bound, cutting its own down to the intersection, once the rent
+    paid since the last bound reaches that next pair's cost and its bound is
+    still not filled (a ski rental, Karlin-Manasse-Rudolph-Sleator 1988): an
+    early bound then costs about the work already wasted, and a bound it
+    never needs is never formed.  Any class a skipped candidate could add
+    lies in every bound and is witnessed already, so the witnesses, their
+    values and their order are those of the whole pool, whichever bounds
+    are taken.
     """
     n2 = rep.dims[2]
     witnesses: Dict[DimVec, SubTriple] = {}
@@ -856,10 +880,11 @@ def _layer1(
     # the classes of the bound not yet witnessed, and their middle dimensions
     unwitnessed = set(first[1]() if first else _box(rep.dims))
     open_middle = collections.Counter(dv[1] for dv in unwitnessed)
-    nxt, taken = next(bounds, None), 0  # the next bound, rectangles since the last
+    nxt, rent = next(bounds, None), 0  # the next bound, rent paid since the last
     for u1c in _u1_candidates(rep, seed, cap, pair_budget):
         if open_middle[len(u1c)]:
             u0max, D, growth = (tuple(map(tuple, R)) for R in _rectangle(rep, u1c))
+            known = len(witnesses)
             for a in range(len(u0max) + 1):
                 for c in range(len(D), n2 + 1):
                     dv = (a, len(u1c), c)
@@ -869,11 +894,12 @@ def _layer1(
                     if dv in unwitnessed:
                         unwitnessed.remove(dv)
                         open_middle[dv[1]] -= 1
-            taken += 1
-            if nxt is not None and taken >= nxt[0] and unwitnessed:
+            if len(witnesses) == known:  # a rectangle that witnessed no new class
+                rent += _IDLE_RECTANGLE_PRICE
+            if nxt is not None and rent >= nxt[0] and unwitnessed:
                 unwitnessed &= nxt[1]()
                 open_middle = collections.Counter(dv[1] for dv in unwitnessed)
-                nxt, taken = next(bounds, None), 0
+                nxt, rent = next(bounds, None), 0
         if not unwitnessed:
             break
     return witnesses

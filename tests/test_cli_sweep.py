@@ -1,6 +1,7 @@
 """The exit-code contract under hostile option values, swept
 deterministically: every option value of every ``$ p2stab …`` line of the
-README tour is replaced by each token of a fixed list, and each case runs
+README tour, and of one valid call of each command the tour does not run,
+is replaced by each token of a fixed list, and each case runs
 through ``cli.main`` in process.  A case may exit 0, 2, 3 or 4 and nothing
 else; no exception but ``SystemExit`` leaves ``main``, no traceback is
 written, and a nonzero exit writes exactly one ``error:``,
@@ -122,6 +123,24 @@ def run_case(argv):
 
 TOUR, TOUR_FILES = _tour()
 
+#: one valid call of each command the tour does not run, after the tour, on
+#: the module file it writes
+EXTRA = [
+    ["chern", "mukai", "--a=1,0,0", "--b=1,1,1/2"],
+    ["chern", "twist", "--ch=1,0,0", "--k", "2"],
+    ["chern", "bogomolov", "--ch=2,1,0"],
+    ["charge", "sigma-b", "--b=1/2"],
+    ["charge", "hypotheses", "--ch=1,0,-2", "--b=1/2"],
+    ["module", "dual", "--in", "rep.json", "--out", "dual.json"],
+    ["module", "tilt", "--in", "rep.json", "--out", "tilted.json"],
+    ["module", "hom", "--a", "rep.json", "--b", "rep.json"],
+    ["module", "iso", "--a", "rep.json", "--b", "rep.json"],
+    ["selftest", "--level", "quick"],
+]
+
+#: every argv the sweep mutates
+CORPUS = TOUR + EXTRA
+
 
 @pytest.fixture(scope="module")
 def tour_dir(tmp_path_factory):
@@ -131,7 +150,7 @@ def tour_dir(tmp_path_factory):
         mp.chdir(where)
         for name, text in TOUR_FILES.items():
             Path(name).write_text(text)
-        for argv in TOUR:
+        for argv in CORPUS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
     return where
@@ -146,6 +165,14 @@ def test_the_sweep_mutates_every_option_value():
     assert ["chern", "euler", "--a=1,0,0", "--b=1,--,1/2", "--exact", "--out", "x"] in cases
     assert cases[-1] == argv[:-2] + [f"--out={TOKENS[-1]}"]
     assert len(TOUR) >= 12 and all(argv[0] != "selftest" for argv in TOUR)
+
+
+def test_the_corpus_calls_every_command():
+    called = {tuple(argv[:2]) for argv in CORPUS} | {(argv[0],) for argv in CORPUS}
+    for group, entry in cli.COMMANDS.items():
+        names = [(group,)] if isinstance(entry, cli._Command) else [
+            (group, name) for name in entry[1]]
+        assert set(names) <= called, group
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
@@ -176,7 +203,7 @@ def test_the_case_runner_sees_a_broken_contract(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
-@pytest.mark.parametrize("argv", TOUR, ids=" ".join)
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_hostile_option_values_keep_the_exit_code_contract(monkeypatch, tour_dir, argv):
     monkeypatch.chdir(tour_dir)
     kept = {p: p.read_bytes() for p in tour_dir.iterdir()}

@@ -523,6 +523,11 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
         add(linalg.right_kernel(F, rep.delta_m(j), ncols=n1))
     for e in basis_vectors(n0):
         add(gamma_span(e))
+    if n0 <= 4:  # the gamma-spans of the coordinate subspaces, smallest first
+        ebasis = list(basis_vectors(n0))
+        for k in range(2, n0 + 1):
+            for S in itertools.combinations(range(n0), k):
+                add([v for c in S for v in gamma_span(ebasis[c])])
     for e in basis_vectors(n1):
         add([e])
     if isinstance(F, PrimeField):
@@ -961,7 +966,7 @@ def test_layer1_takes_the_next_prime_once_it_has_spent_its_cost(monkeypatch, col
 
 @pytest.mark.parametrize("points,pulls,evidence", [
     ([(1, 2, 3), (2, -1, 1)], 20, "squeeze(p=2)"),
-    ([(1, 2, 3), (2, -1, 1), (3, 1, -2)], 86, "squeeze(p=3)"),
+    ([(1, 2, 3), (2, -1, 1), (3, 1, -2)], 45, "squeeze(p=3)"),
 ], ids=["2 points", "3 points"])
 def test_layer1_pulls_no_candidate_once_its_bound_is_filled(monkeypatch, cold_search,
                                                            points, pulls, evidence):
@@ -970,6 +975,28 @@ def test_layer1_pulls_no_candidate_once_its_bound_is_filled(monkeypatch, cold_se
     pulled = count_candidates(monkeypatch)
     search = submodule_dimvecs(module_ideal_A1(points))
     assert (len(pulled), search.evidence) == (pulls, evidence)
+
+
+@pytest.mark.parametrize("points", [
+    [(1, 2, 3), (2, -1, 1), (3, 1, -2)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+], ids=["general", "coordinate", "collinear"])
+def test_the_sources_witness_the_two_point_sub_sums_of_the_A0_module(points):
+    # the gamma-span of two coordinate vectors of the first vertex is a sum
+    # of two point modules, class (2, 4, 2); the sources alone (no pair of
+    # the closure) witness it
+    rep = module_ideal_A0(points)
+    assert rep.dims == (3, 6, 2)
+    assert (2, 4, 2) in quiver._layer1(rep, 0, pair_budget=0)
+
+
+def test_the_four_point_A0_search_squeezes():
+    # with the point sub-sums witnessed, every class of the mod-7 set is:
+    # the search squeezes instead of ending in a cross-prime disagreement
+    rep = module_ideal_A0([(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)])
+    assert rep.dims == (4, 8, 3)
+    assert submodule_dimvecs(rep).evidence == "squeeze(p=7)"
 
 
 @pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
@@ -982,8 +1009,9 @@ def test_search_enumerates_each_prime_at_most_once(monkeypatch, cold_search, rep
     # the loop after Layer 1 reads every prime it names
     assert {int(layer[len("layer2(mod "):-1]) for layer in search.layers[1:]} <= set(reached)
     if rep is _REPORT_MODULES[0]:
-        # its first bound fills before mod 3 is worth enumerating
-        assert reached == [2] and search.evidence == "squeeze(p=2)"
+        # Layer 1's idle rectangles pay for mod 3 before its mod-2 bound
+        # fills; the loop after Layer 1 reads mod 2 first, and stops there
+        assert reached == [2, 3] and search.evidence == "squeeze(p=2)"
 
 
 def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_search):
@@ -1003,7 +1031,7 @@ def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_se
 
     # neither of the first two bounds can be filled, their intersection can;
     # it fills after the same candidates as mod 2 alone, before a bound due
-    # after 100 more rectangles
+    # once idle rectangles have paid 100 more subspaces of rent
     got = quiver._layer1(rep, 0, bounds=[(0, lambda: mod2 | {junk[0]}),
                                          (5, lambda: mod2 | {junk[1]}),
                                          (100, refuse)])

@@ -413,7 +413,7 @@ _PINNED_REPORTS = [
     (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
      "b88c0c5074ee332dd3360d931208971cdd97c8e78cbf74263adae6f0fecbe2f4"),
     (4, [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)],
-     "21b6ac4825a9d0eaa7088e541930aac5caaf0470757ea2cee4fe8b37a4b0d66d"),
+     "1eef914217ea0fb6f300ab5c99181d92c8f525a9e5166d9f57ab002da8d85594"),
     (1, [(1, 2, 3)],
      "22ba2cd115d180b87a333283eefb51133cd4b6e8379f23f98da357ac2ba11f47"),
 ]
