@@ -318,7 +318,7 @@ def cmd_module_from_points(args) -> int:
 
 
 def cmd_walls_enumerate(args) -> int:
-    _emit(args, walls_mod.walls_json(args.n, args.heart, seed=args.seed))
+    _emit(args, walls_mod.walls_json(args.n, args.heart))
     return 0
 
 
@@ -505,7 +505,6 @@ COMMANDS: Dict[str, Union[_Command, Tuple[str, Dict[str, _Command]]]] = {
         "enumerate": _Command("numerical walls for the ideal-type class", cmd_walls_enumerate, (
             _arg("--n", type=int, required=True),
             _arg("--heart", default="A1", choices=("A1", "A0")),
-            _arg("--seed", type=int, default=0),
             _arg("--out", default=None),
         )),
         "theta-family": _Command("the weight family at a parameter", cmd_walls_theta_family, (

@@ -622,11 +622,12 @@ class SubmoduleSearch:
 
     The true set T of submodule classes is bounded by two proved sets,
     ``lower <= T <= upper``.  Layer 1 closes a pool of generated submodules
-    (kernels, images, cyclic and random closures, and the spans of
-    coordinate subspaces of the first vertex) under sums and
-    intersections; its classes carry explicit witnesses over the base field,
-    each the search's own integer bases of a submodule triple (`SubTriple`),
-    and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
+    (the kernel and image of the arrows of a side, cyclic and random
+    closures, the spans of coordinate subspaces of the first vertex and
+    delta-preimages, each built from all three arrows of a side) under sums
+    and intersections; its classes carry explicit witnesses over the base
+    field, each the search's own integer bases of a submodule triple
+    (`SubTriple`), and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
     field.  Since (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <=
     delta^-1(U2), it settles the pairs (U0, U2) of outer subspaces in one
     pass over the lattice of F^{n2}, each subspace visiting at most
@@ -693,15 +694,21 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     positive pivots, one to one with the rref itself), each yielded once, in
     pool order, as it enters the pool.
 
-    Sources: arrow images and kernels, cyclic spans of coordinate vectors,
-    the gamma-spans of the coordinate subspaces of the first vertex when
-    n0 <= 4 (on the A0 module, the sub-sums of the point modules), cyclic
-    spans of every vector over a small prime field, delta-preimages of a
-    pool of end-vertex targets, seeded random spans, then sums and
-    intersections of earlier candidates under a work budget.  The pool is
-    built lazily: a consumer that stops pulling leaves the rest of it
-    unbuilt, and the candidates it did pull are the first ones of the whole
-    pool.  A full pool pulls no further source.
+    Every source uses the three arrows of a side together, as a submodule
+    does: the image gamma(F^{n0}) and the kernel ker delta, cyclic spans of
+    coordinate vectors, the gamma-spans of the coordinate subspaces of the
+    first vertex when n0 <= 4 (on the A0 module, the sub-sums of the point
+    modules), cyclic spans of every vector over a small prime field,
+    delta-preimages of the proper coordinate subspaces of the end vertex and
+    of delta(U1) for the first candidates U1, seeded random spans, then the
+    sums and intersections of pairs of these and one round of sums with the
+    pool, under a work budget.  A single arrow's image, kernel or preimage
+    is no source: on the A1 module of a collinear quadruple such candidates
+    filled the capped pool before the sum of two sources that witnesses
+    four of its classes.  The pool is built lazily: a consumer that stops
+    pulling leaves the rest of it unbuilt, and the candidates it did pull
+    are the first ones of the whole pool.  A full pool pulls no further
+    source.
     """
     F = rep.field
     n0, n1, n2 = rep.dims
@@ -732,13 +739,9 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
         units2 = [_unit(n2, c) for c in range(n2)]
         yield []
         yield units1
-        # arrow images and kernels
-        for g in gammas:
-            yield _image(units0, [g])
+        # the image gamma(F^{n0}) and the kernel ker delta
         yield _image(units0, gammas)
         yield _preimage(F, deltas, [], n1, n2)
-        for d in deltas:
-            yield _preimage(F, [d], [], n1, n2)
         # cyclic spans of coordinate vectors, then the spans gamma(U0) of the
         # coordinate subspaces U0 of two or more of them (on the A0 module
         # the sub-sums of the point modules), within the bound n0 <= 4 of
@@ -753,12 +756,13 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
             if isinstance(F, PrimeField) and n and F.p ** n <= 512:
                 vectors = itertools.product(F.elements(), repeat=n)
                 yield from map(span, itertools.islice(vectors, 1, None))  # past the zero vector
-        # delta-preimages of the distinct targets at the end vertex: at most
-        # 2 + 3 + 14 + 40 of them
-        targets = [[], units2, *(_image(units1, [d]) for d in deltas)]
+        # delta-preimages of the distinct targets at the end vertex, the
+        # proper coordinate subspaces and delta(U1) of the first 40
+        # candidates past the zero and whole spaces (the pool holds their
+        # preimages ker delta and F^{n1} already): at most 14 + 38 of them
         masks = range(1, 2**n2 - 1) if n2 <= 4 else ()
-        targets += ([u for k, u in enumerate(units2) if mask >> k & 1] for mask in masks)
-        targets += (_image(u1c, deltas) for u1c in list(pool)[:40])
+        targets = [[u for k, u in enumerate(units2) if mask >> k & 1] for mask in masks]
+        targets += (_image(u1c, deltas) for u1c in list(pool)[2:40])
         for w in dict.fromkeys(map(canon, targets)):
             yield _preimage(F, deltas, w, n1, n2)
         # seeded random cyclic spans
@@ -792,17 +796,14 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
             meet = tuple(map(tuple, linalg.int_intersect(F, a, b, n1)))
         yield from fresh((total, meet))
         ops += 2
-    # two rounds of sums: each candidate the last phase added with the pool
-    # as the round starts
-    frontier = list(pool)[len(atoms):]
-    for _ in range(2):
-        snapshot = list(pool)
-        for a, b in itertools.product(frontier, snapshot):
-            if ops >= pair_budget or len(pool) >= cap:
-                break
-            yield from fresh([canon(a + b)])
-            ops += 1
-        frontier = list(pool)[len(snapshot):]
+    # one round of sums: each candidate the pairs added with the pool as the
+    # round starts
+    snapshot = list(pool)
+    for a, b in itertools.product(snapshot[len(atoms):], snapshot):
+        if ops >= pair_budget or len(pool) >= cap:
+            break
+        yield from fresh([canon(a + b)])
+        ops += 1
 
 
 def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list]:
@@ -849,10 +850,12 @@ def _layer1(
     Each candidate U1 certifies a full rectangle of dimension vectors
     (`_rectangle`), with explicit witnesses.  Sound for any candidate pool;
     complete whenever the pool covers the middle subspaces that matter.  The
-    search runs on integer rows (`_u1_candidates`), and a witness is the
-    rectangle's own integer bases, as row tuples: the first a rows of the
-    U0max basis, the canonical basis of U1, and the basis of delta(U1) with
-    its first c - dim delta(U1) completing unit vectors.
+    pool (`_u1_candidates`) holds at most ``cap`` candidates, each built from
+    all three arrows of a side, and its closure stops once it has formed
+    ``pair_budget`` sums and meets.  The search runs on integer rows, and a
+    witness is the rectangle's own integer bases, as row tuples: the first a
+    rows of the U0max basis, the canonical basis of U1, and the basis of
+    delta(U1) with its first c - dim delta(U1) completing unit vectors.
 
     ``bounds`` lets the search stop early without changing its result.  It
     is a sequence of pairs (cost, bound): ``bound()`` returns a proved set

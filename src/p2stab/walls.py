@@ -283,10 +283,10 @@ def _walls_entries(d: Sequence[int]) -> List[dict]:
     ]
 
 
-def walls_json(n: int, heart: str = "A1", seed: int = 0) -> dict:
+def walls_json(n: int, heart: str = "A1") -> dict:
     d = module_dims(n, heart)
     return {
-        "meta": json_meta(seed),
+        "meta": json_meta(),
         "heart": heart,
         "n": n,
         "class": list(d),
