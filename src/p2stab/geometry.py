@@ -13,13 +13,17 @@ A length-n configuration of distinct points yields three modules:
 The unit section 1 = (1, ..., 1) takes the value 1 at every point; both
 ideal-type modules are quotients by it, through the one P of `_kill_unit`.
 
-Point representatives are never rescaled; all constructions are
+The builders never rescale point representatives; all constructions are
 independent of the chosen representatives up to isomorphism (tested, not
-assumed).
+assumed).  `_frame` moves a configuration into the projective frame in
+which a report searches it.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +35,10 @@ from . import linalg
 from .linalg import QQ, int_form, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .quiver import (
+    _LAYER2_COST_BOUND,
+    _LAYER2_PRIMES,
     QuiverRep,
+    _layer2_cost,
     direct_sum,
     hom_space,
     jh_factors,
@@ -155,19 +162,109 @@ def _point_of(rep: QuiverRep) -> Optional[Point]:
     return x if any(x) and any(c for d in rep.delta for c in d[0]) else None
 
 
-def _normalized_point(p) -> str:
+def _primitive_point(p) -> Tuple[int, ...]:
     """A point's primitive integer representative, first nonzero coordinate
-    positive, as "[a:b:c]".  One with more digits than the interpreter turns
-    into a string (`sys.get_int_max_str_digits`) is invalid input."""
+    positive."""
     v = int_form(QQ, [p])[0][0]
-    lead = next((x for x in v if x != 0), 0)
-    if lead < 0:
-        v = [-x for x in v]
+    return tuple(-x for x in v) if next(x for x in v if x) < 0 else tuple(v)
+
+
+def _normalized_point(p) -> str:
+    """`_primitive_point` as "[a:b:c]".  One with more digits than the
+    interpreter turns into a string (`sys.get_int_max_str_digits`) is
+    invalid input."""
+    v = _primitive_point(p)
     try:
         return "[" + ":".join(str(x) for x in v) + "]"
     except ValueError as exc:  # the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise InputError(f"a point's primitive integer coordinates have more than {limit} digits") from exc
+
+
+# ---------------------------------------------------------------------------
+# the projective frame a report searches in
+
+
+def _independent(vectors) -> bool:
+    """Whether at most three vectors of Z^3 are linearly independent."""
+    if len(vectors) == 3:
+        return sum(map(operator.mul, vectors[0], _cross(*vectors[1:]))) != 0
+    return any(_cross(*vectors) if len(vectors) == 2 else vectors[0])
+
+
+def _frame(points) -> PointConfig:
+    """The configuration moved by a g in GL3(Q) into a projective frame,
+    each point its primitive integer representative with first nonzero
+    coordinate positive, in input order.
+
+    The first independent triple in input order goes to e0, e1, e2; with no
+    such triple the first pair (the points are collinear) goes to e0, e1,
+    and a single point to e0.  The map is the integer adjugate of the matrix
+    whose columns are those points, completed by unit vectors.  Then the
+    axes they span are scaled so that a unit point, one of the other points
+    with every coordinate on those axes nonzero, goes to (1, 1, 1), or
+    (1, 1, 0) on a line.  Up to four points the unit point is the first
+    such point.  From five on it is the one whose frame keeps the points
+    pairwise distinct mod the most primes of `quiver._LAYER2_PRIMES` whose
+    enumeration on the (n, 2n+1, n) class is within
+    `quiver._LAYER2_COST_BOUND` (p = 2 and 3 at n = 5), then whose frame
+    has the least largest coordinate, then the first.  So a general triple
+    becomes [e0, e1, e2] and a general quadruple [e0, e1, e2, (1, 1, 1)].
+
+    The frame changes no submodule class.  Write x'_a = lambda_a g x_a and
+    Lambda = diag(lambda_a).  The B'-module of the framed points
+    (`bprime_module_points`) has gamma'_i = Lambda sum_j g_ij gamma_j and
+    delta' = P gamma'.  Recombining a side's arrows by g keeps the span of
+    their images and the meet of their preimages, so a triple of subspaces
+    is a submodule of the module with arrows gamma iff it is one of the
+    module with arrows sum_j g_ij gamma_j; and (Lambda^-2, Lambda^-1, 1) is
+    an isomorphism from the module with Lambda = 1 to the one with Lambda,
+    as diagonal matrices commute.  The tilt (`quiver.tilt_Bprime_to_B`) is
+    GL(V)-equivariant, and so is the point module (`module_point`), whose
+    rescalings are absorbed the same way in the A0 module.  So the ideal
+    modules of the framed points have the submodule classes of those of the
+    points as given: classes, verdicts and witness classes need no mapping
+    back, and the JH factors' support indices none either, as the order is
+    kept.  The framed points are never written out, so their coordinates
+    are held to no digit limit.
+    """
+    pts = [_primitive_point(x) for x in _as_config(points)]
+    n = len(pts)
+    basis: List[Tuple[int, ...]] = []
+    for x in pts:
+        if len(basis) < 3 and _independent(basis + [x]):
+            basis.append(x)
+    r = len(basis)
+    cols = list(basis)
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        if len(cols) < 3 and _independent(cols + [e]):
+            cols.append(e)
+    # the adjugate's rows, cross products of the columns: adj A = det(A) A^-1
+    adj = [_cross(cols[1], cols[2]), _cross(cols[2], cols[0]), _cross(cols[0], cols[1])]
+    moved = [tuple(sum(map(operator.mul, row, x)) for row in adj) for x in pts]
+    units = [y for x, y in zip(pts, moved) if x not in basis and all(y[:r])] or [(1, 1, 1)]
+
+    def framed(u) -> List[Tuple[int, ...]]:
+        # axis c < r scaled by the other axes' coordinates of u, so u goes
+        # to their product on each
+        scale = [math.prod(u[k] for k in range(r) if k != c) for c in range(r)] + [1] * (3 - r)
+        return [_primitive_point(tuple(map(operator.mul, scale, y))) for y in moved]
+
+    frames = [framed(u) for u in (units if n >= 5 else units[:1])]
+    a1 = (n, 2 * n + 1, n)  # the ideal-A1 class
+    primes = [p for p in _LAYER2_PRIMES if _layer2_cost(a1, p) <= _LAYER2_COST_BOUND]
+
+    def score(k):
+        z = frames[k]
+        distinct = sum(all(any(c % p for c in _cross(a, b)) for a, b in itertools.combinations(z, 2))
+                       for p in primes)
+        return (-distinct, max(abs(c) for v in z for c in v), k)
+
+    best = frames[min(range(len(frames)), key=score)]
+    # distinct and nonzero, as g is invertible: built without the checks
+    out = object.__new__(PointConfig)
+    object.__setattr__(out, "points", tuple(tuple(map(Fraction, z)) for z in best))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +413,14 @@ def wall_filtration_data(
         rep = module_ideal_A1(cfg) if _module is None else _module
         theta = theta_b1(n, 1)
         factors = jh_factors(rep, theta, seed=seed)
-        where = {_normalized_point(x): k for k, x in enumerate(cfg)}
+        where = {_primitive_point(x): k for k, x in enumerate(cfg)}
         support: List[Optional[int]] = []
         for f in factors:
             if f.dims not in ((0, 1, 0), (1, 2, 1)):
                 raise VerificationError(f"unexpected JH factor dims {f.dims}")
             if f.dims == (1, 2, 1):
                 x = _point_of(f)
-                support.append(None if x is None else where.get(_normalized_point(x)))
+                support.append(None if x is None else where.get(_primitive_point(x)))
         return {
             "wall": "theta1_1",
             "label": "Hilbert-Chow",

@@ -831,10 +831,17 @@ def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list]:
 #: subspaces of the next enumeration (`_layer2_cost`).  Measured on 3-point
 #: reports (2-core Xeon VM, Python 3.11): a rectangle with the candidates
 #: pulled for it costs about 0.25-0.29 ms, one subspace of a mod-3, 5 or 7
-#: enumeration 0.07-0.10 ms.  On the benchmark's first rounds, a price of 2
-#: left 25% more eliminations in the 3-point reports (3,982 against 3,181
-#: `_rref_z` calls), and 6 or 8 made the 2-point reports enumerate primes
-#: that no squeeze reads (44 or 48 enumerations against 39)
+#: enumeration 0.07-0.10 ms.  On the benchmark's first rounds at seed 101,
+#: whose reports search each configuration in a projective frame
+#: (`geometry._frame`), no price from 2 to 8 moves the 2- and 3-point
+#: reports (696 and 1,688 `_rref_z` calls, 24 and 20 enumerations), and the
+#: 4-point batch makes 3,123 `_rref_z` calls at a price of 2, 2,419 at 4,
+#: 2,254 at 6 and 2,138 at 8, with the same 15 enumerations.  Modules not
+#: so framed, as criterion 12's random ones, keep the price of 4 measured on
+#: reports of the points as written: there a price of 2 left 25% more
+#: eliminations in the 3-point reports (3,982 against 3,181 `_rref_z`
+#: calls), and 6 or 8 made the 2-point reports enumerate primes that no
+#: squeeze reads (44 or 48 enumerations against 39)
 _IDLE_RECTANGLE_PRICE = 4
 
 

@@ -25,6 +25,7 @@ from .geometry import (
     Theta,
     _as_config,
     _cross,
+    _frame,
     _normalized_point,
     collinear_test,
     module_ideal_A0,
@@ -317,6 +318,13 @@ def hilbert_report(
     tested across the Hilbert-Chow wall.  Wall tests are rerun at eps/10
     and must not change verdict.
 
+    The modules are built from the points moved into a projective frame
+    (`geometry._frame`), which has the same submodule classes and reduces
+    well mod small primes; ``points`` and ``support`` are the points as
+    given, and the frame keeps their order, so the JH factors' support
+    indices refer to them.  ``evidence`` names the prime at which the framed
+    module squeezed.
+
     The dual M* is tested on M's own search.  The submodules of M* are the
     annihilators of the quotients of M, so e is a submodule class of M*
     exactly when dim M - rev(e) is one of M (rev reverses a triple), with
@@ -347,16 +355,17 @@ def hilbert_report(
         cfg = _as_config(raw)
         if len(cfg) != n:
             raise InputError(f"configuration has {len(cfg)} points, expected {n}")
-        m1 = module_ideal_A1(cfg)
-        m0 = module_ideal_A0(cfg) if n > 1 else None
-        col = collinear_test(cfg, m0)
+        framed = _frame(cfg)
+        m1 = module_ideal_A1(framed)
+        m0 = module_ideal_A0(framed) if n > 1 else None
+        col = collinear_test(framed, m0)
 
         interior = []
         for b in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             v = king_test(m1, theta_b1(n, b), seed=seed)
             interior.append({"b": b, **verdict_dict(v)})
         hc = king_test(m1, theta_b1(n, 1), seed=seed)
-        filt = wall_filtration_data(cfg, "theta1_1", seed=seed, _module=m1)
+        filt = wall_filtration_data(framed, "theta1_1", seed=seed, _module=m1)
 
         entry: dict = {
             "points": [[str(c) for c in p] for p in cfg],

@@ -15,6 +15,7 @@ from p2stab import geometry
 from p2stab.errors import InputError
 from p2stab.geometry import (
     PointConfig,
+    _frame,
     _normalized_point,
     _point_of,
     bprime_module_points,
@@ -135,6 +136,33 @@ def test_collinearity():
 
 # ---------------------------------------------------------------------------
 # point modules
+
+
+def test_frame_shapes():
+    # a general triple goes to e0, e1, e2 and a general quadruple adds
+    # (1, 1, 1); a collinear triple goes to e0, e1, (1, 1, 0); the first
+    # independent triple is taken in input order, and the order is kept
+    def framed(points):
+        return [tuple(map(int, x)) for x in _frame(points)]
+
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    general = [(1, 2, 3), (2, -1, Fraction(1, 2)), (3, 1, -2), (1, 1, 1)]
+    for k in range(1, 4):
+        assert framed(general[:k]) == e[:k]
+    assert framed(general) == framed(general[::-1]) == e + [(1, 1, 1)]
+    line = [(1, 2, 3), (2, -1, 1), (3, 1, 4)]
+    assert framed(line) == e[:2] + [(1, 1, 0)]
+    assert framed(line + [(0, 0, 1)]) == e[:2] + [(1, 1, 0), e[2]]
+    # from five points on, the unit point whose frame keeps the points
+    # distinct mod 2 and 3: here the fifth, not the first (1, 1, 1)
+    five = [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1), (1, -1, 2)]
+    assert framed(five) == e + [(91, 1, -14), (1, 1, 1)]
+    # the framed points are never written out: no digit limit holds them
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < 5000:
+        big = 10 ** (limit // 4)
+        points = [(big, 1, 2), (1, big + 1, 3), (2, 5, big + 7), (1, 1, 1), (3, big - 1, 2 * big)]
+        assert max(abs(c) for x in _frame(points) for c in x) > 10 ** limit
 
 
 def test_module_point_golden_coordinates():

@@ -16,7 +16,7 @@ from p2stab.charge import (
     z_sigma_b,
 )
 from p2stab.errors import InputError
-from p2stab.geometry import module_ideal_A1, theta_family_r
+from p2stab.geometry import _frame, module_ideal_A1, theta_family_r
 from p2stab.io_utils import dumps_json
 from p2stab.ktheory import ChernCharacter
 from p2stab.quiver import dualize, king_test, theta_pair
@@ -409,11 +409,11 @@ _PINNED_REPORTS = [
     (2, [(1, 2, 3), (2, -1, 1)],
      "27eee3a25641c375fe36c54fa82d8cb27d0baf551962cf504fda194d07979789"),
     (3, [(1, 2, 3), (2, -1, 1), (3, 1, -2)],
-     "9361d2055d92c4475f1da6422b743a480cb4c9d71cd180ba2d161aac0e2becb3"),
+     "54550afd7ad0b7775c85b2e34ee5a8da6e1105f726d25621050abd595bb97e23"),
     (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
      "b88c0c5074ee332dd3360d931208971cdd97c8e78cbf74263adae6f0fecbe2f4"),
     (4, [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)],
-     "16bd3f20fab1653799a6267878afe652a95dd0b9da87e1bdedc87666df9b8420"),
+     "5cd227ffbb0becf25f1990273888ef71d68b21ce4e8d41a9b8efe587d9a27068"),
     (1, [(1, 2, 3)],
      "22ba2cd115d180b87a333283eefb51133cd4b6e8379f23f98da357ac2ba11f47"),
 ]
@@ -449,12 +449,13 @@ _GENERAL = [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)]
 ])
 def test_dual_verdicts_match_the_dualized_module(config, eps):
     # the report reads the dual's verdicts off M at reverse_theta(theta);
-    # searching the dual module itself is the reference
+    # searching the dual of the module it searched, that of the framed
+    # points, is the reference
     n = len(config)
     rep = hilbert_report(n, [config], eps=eps)
     got = rep["configurations"][0]["dual_across_hc"]
     e = rep["epsilon"]
-    dual = dualize(module_ideal_A1(config))
+    dual = dualize(module_ideal_A1(_frame(config)))
     for key, b in (("at_one_plus_eps", 1 + e), ("at_one_plus_eps_over_10", 1 + e / 10)):
         v = king_test(dual, theta_b1(n, b))
         assert got[key] == {
@@ -523,3 +524,71 @@ def test_hilbert_report_input_checks():
         hilbert_report(2, [[(1, 0, 0)]])  # wrong point count
     with pytest.raises(InputError):
         hilbert_report(1, [[(1, 2, 3)]], eps=Fraction(2, 3))
+
+
+_FIVE = _GENERAL + [(1, -1, 2)]
+
+
+def test_the_five_point_report_is_pinned_and_exact():
+    # in the frame whose points stay distinct mod 2 and mod 3, every
+    # verdict of this report squeezes; as written, 1 of its 8 did
+    rep = hilbert_report(5, [_FIVE])
+    text = dumps_json(rep)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "853b0c1635eecd9848cc50d21a82cbfa0b8cfe0d27e7b24cb2c41be3715180b0")
+    verdicts = _verdicts(rep["configurations"][0])
+    assert len(verdicts) == 8 and all(v["certainty"] == "exact" for v in verdicts.values())
+
+
+def _verdicts(entry) -> dict:
+    """Every verdict of a report entry, by where it sits."""
+    out = {("interior", k): v for k, v in enumerate(entry["interior"])}
+    out["hc_boundary"] = entry["hc_boundary"]
+    for side in ("zeta", "dual_across_hc"):
+        out.update({(side, k): v for k, v in entry[side].items() if isinstance(v, dict)})
+    return out
+
+
+def _moved(rng, config):
+    """The configuration shuffled, with every point rescaled, and moved by a
+    g in GL3(Z) with entries in [-2, 2]; each with its permutation, the
+    input index of each moved point."""
+    n = len(config)
+    perm = rng.sample(range(n), n)
+    while True:
+        g = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if sum(g[0][i] * geometry._cross(g[1], g[2])[i] for i in range(3)):
+            break
+    scales = [Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])) for _ in config]
+    return [
+        ([config[k] for k in perm], perm),
+        ([tuple(s * c for c in x) for s, x in zip(scales, config)], list(range(n))),
+        ([tuple(sum(a * c for a, c in zip(row, x)) for row in g) for x in config], list(range(n))),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exact_verdicts_are_invariant_under_projective_moves(n):
+    # a verdict depends on the configuration's PGL3 orbit alone, and the
+    # report searches each configuration in a frame of its own choosing:
+    # every verdict exact on both sides of a move agrees, and the JH
+    # factors' support indices follow the points
+    rng = random.Random(f"frame-invariance/{n}")
+    config = []
+    while len(config) < n:
+        x = tuple(rng.randint(-3, 3) for _ in range(3))
+        if any(x) and all(any(geometry._cross(x, y)) for y in config):
+            config.append(x)
+    entry = hilbert_report(n, [config])["configurations"][0]
+    base = _verdicts(entry)
+    compared = 0
+    for moved, perm in _moved(rng, config):
+        other = hilbert_report(n, [moved])["configurations"][0]
+        assert other["collinear"] == entry["collinear"]
+        for key, v in _verdicts(other).items():
+            if v["certainty"] == base[key]["certainty"] == "exact":
+                assert v["verdict"] == base[key]["verdict"], key
+                compared += 1
+        assert sorted(perm[k] for k in other["hc_filtration"]["support"]) == sorted(
+            entry["hc_filtration"]["support"])
+    assert compared >= 3 * len(base) // 2
