@@ -19,7 +19,6 @@ Jordan-Hoelder filtrations live here as well.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -621,29 +620,32 @@ class SubmoduleSearch:
     """Result of the two-layer submodule dimension-vector search.
 
     The true set T of submodule classes is bounded by two proved sets,
-    ``lower <= T <= upper``.  Layer 1 closes a pool of generated submodules
-    (the kernel and image of the arrows of a side, cyclic and random
-    closures, the spans of coordinate subspaces of the first vertex and
-    delta-preimages, each built from all three arrows of a side) under sums
-    and intersections; its classes carry explicit witnesses over the base
-    field, each the search's own integer bases of a submodule triple
-    (`SubTriple`), and form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
-    field.  Since (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <=
-    delta^-1(U2), it settles the pairs (U0, U2) of outer subspaces in one
-    pass over the lattice of F^{n2}, each subspace visiting at most
+    ``lower <= T <= upper``.  Layer 1 closes a pool of generated middle
+    subspaces U1 (the kernel and image of the arrows of a side, cyclic and
+    random closures, the spans of coordinate subspaces of the first vertex
+    and delta-preimages, each built from all three arrows of a side) under
+    sums and intersections.  Since (U0, U1, U2) is a submodule iff
+    gamma(U0) <= U1 <= delta^-1(U2), each U1 witnesses, for every outer
+    pair (U0, U2) of its rectangle (`_rectangle`), every middle dimension
+    from dim gamma(U0) to dim delta^-1(U2) (`_layer1`); its classes carry
+    explicit witnesses over the base field, each built from the search's
+    own integer bases of a submodule triple (`SubTriple`), and form
+    ``lower``.  Layer 2 is an exhaustive enumeration over a finite field.
+    By the same criterion it settles the pairs (U0, U2) of outer subspaces
+    in one pass over the lattice of F^{n2}, each subspace visiting at most
     (p^{n2} - 1)/(p - 1) covers, or enumerates the middle subspaces U1 when
     F^{n1} has at most as many subspaces as F^{n0} and F^{n2} together.  It
     runs only when that count of subspaces (`_layer2_cost`) is within
-    `_LAYER2_COST_BOUND`.  On the module's own
-    prime field the enumerated set is exact and is both ``lower`` and
-    ``upper``.  A rational module is reduced mod several primes; a saturated
-    reduction only gains submodules, so ``upper`` is the box of all
-    d <= dims cut down by the mod-p sets of the primes in ``layers``, tried
-    in turn up to the first that squeezes.  Layer 1 takes the enumerated
-    sets as bounds on the schedule `_layer1` describes (the next prime is
-    taken once the rectangles that witnessed nothing new have cost as much
-    as its enumeration), so each is enumerated once and reused after
-    Layer 1, and ``witnesses`` is still the one of the whole Layer-1 pool.
+    `_LAYER2_COST_BOUND`.  On the module's own prime field the enumerated
+    set is exact and is both ``lower`` and ``upper``.  A rational module is
+    reduced mod several primes; a saturated reduction only gains
+    submodules, so ``upper`` is the box of all d <= dims cut down by the
+    mod-p sets of the primes in ``layers``, tried in turn up to the first
+    that squeezes.  Layer 1 takes the enumerated sets as bounds on the
+    schedule `_layer1` describes (the next prime is taken once the
+    rectangles that witnessed nothing new have cost as much as its
+    enumeration), so each is enumerated once and reused after Layer 1, and
+    ``witnesses`` is still the one of the whole Layer-1 pool.
     ``evidence`` names what was enumerated; a verdict's certainty is read
     off ``lower`` and ``upper`` alone (`king_test`).
     """
@@ -665,6 +667,11 @@ def _unit(n: int, c: int) -> List[int]:
     return [int(k == c) for k in range(n)]
 
 
+def _pivot(row) -> int:
+    """The first nonzero column of a row."""
+    return next(c for c, x in enumerate(row) if x)
+
+
 def _image(rows, arrows) -> List[List[int]]:
     """Integer rows spanning the sum of the images of span(rows) under the
     arrows: A u for each arrow A and each row u, one dot product per row
@@ -673,14 +680,24 @@ def _image(rows, arrows) -> List[List[int]]:
 
 
 def _preimage(F, arrows, rows, n_src: int, n_tgt: int) -> List[List[int]]:
-    """`linalg.int_right_kernel` basis of {x in F^n_src : A x in W for every
-    arrow A}, W the span of the canonical (`linalg.int_rref`) basis ``rows``
-    in F^n_tgt.  A x lies in W iff every functional w vanishing on W kills
-    it, so the preimage is the kernel of the rows w . A."""
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-    ann = linalg.int_rref_kernel(F, rows, pivots, n_tgt)
-    constraints = [row for A in arrows for row in linalg.int_mat_mul(ann, A, n_src)]
-    return linalg.int_right_kernel(F, constraints, n_src)
+    """The canonical basis of {x in F^n_src : A x in W for every arrow A},
+    W the span of the canonical (`linalg.int_rref`) basis ``rows`` in
+    F^n_tgt: A x lies in W iff every functional vanishing on W kills it."""
+    ann = linalg.int_rref_kernel(F, rows, list(map(_pivot, rows)), n_tgt)
+    return _preimage_of_annihilator(F, arrows, ann, n_src)
+
+
+def _preimage_of_annihilator(F, arrows, ann, n_src: int) -> List[List[int]]:
+    """The canonical basis (`linalg.int_rref`) of {x in F^n_src : w A x = 0
+    for every arrow A and every functional w of ``ann``}, for one
+    elimination.  The kernel of the constraints w A with their columns
+    reversed, read off their rref (`linalg.int_rref_kernel`), is reduced for
+    the reversed column order: each vector ends at its own free column, at
+    which every other vector is zero, with a positive entry.  The same
+    vectors reversed back, last first, thus start at distinct columns that
+    the others clear: they are the canonical basis."""
+    constraints = [row[::-1] for A in arrows for row in linalg.int_mat_mul(ann, A, n_src)]
+    return [v[::-1] for v in reversed(linalg.int_right_kernel(F, constraints, n_src))]
 
 
 def _box(dims: DimVec) -> frozenset:
@@ -806,42 +823,55 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
         ops += 1
 
 
-def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list]:
-    """The rectangle of classes the middle subspace U1 certifies.
+def _image_span(F, arrows, rows) -> Tuple[List[List[int]], List[int]]:
+    """The canonical basis (`linalg.int_rref`) of the image of span(rows)
+    under the arrows, with its pivots: one elimination."""
+    return linalg.int_rref(F, _image(rows, arrows))
+
+
+def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list, list]:
+    """The classes the middle subspace U1 certifies, as rows to build
+    their witnesses from.
 
     A triple (U0, U1, U2) is a submodule exactly when U0 lies inside
     U0max(U1) = gamma^-1(U1) = {x : gamma_i(x) in U1 for all i} and U2
     contains delta(U1); every intermediate dimension at the outer vertices
     is realizable.  For the canonical integer basis ``u1`` this returns
-    (U0max, D, growth): a kernel basis of U0max, the canonical basis D of
-    delta(U1), and the unit vectors that complete D, in turn, to F^{n2}.
+    (U0max, D, growth, ann): the canonical basis of U0max, a basis D of
+    delta(U1) reduced for the reversed column order, the unit vectors that
+    complete D, in turn, to F^{n2}, and one functional per growth vector,
+    vanishing on D and on the other growth vectors, so that ann[m:] spans
+    the annihilator of D + growth[:m] (`_preimage_of_annihilator` of it is
+    delta^-1 of that space).
     """
     F = rep.field
     n0, n1, n2 = rep.dims
     gammas, deltas = _int_arrows(rep)
     # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
     # delta(U1) has the same rank on the coordinates >= k as on those > k,
-    # i.e. iff k is no pivot once the columns are reversed
+    # i.e. iff k is no pivot once the columns are reversed; the kernel of
+    # the reversed rref has one vector per such free column, zero at the
+    # others, last k first
     rev, rev_piv = linalg.int_rref(F, [row[::-1] for row in _image(u1, deltas)])
     growth = [_unit(n2, k) for k in range(n2) if n2 - 1 - k not in rev_piv]
-    return _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth
+    ann = [w[::-1] for w in reversed(linalg.int_rref_kernel(F, rev, rev_piv, n2))]
+    return _preimage(F, gammas, u1, n0, n1), [row[::-1] for row in rev], growth, ann
 
 
 #: the rent `_layer1` pays for a rectangle that witnesses no new class, in
-#: subspaces of the next enumeration (`_layer2_cost`).  Measured on 3-point
-#: reports (2-core Xeon VM, Python 3.11): a rectangle with the candidates
-#: pulled for it costs about 0.25-0.29 ms, one subspace of a mod-3, 5 or 7
-#: enumeration 0.07-0.10 ms.  On the benchmark's first rounds at seed 101,
+#: subspaces of the next enumeration (`_layer2_cost`).  Set on 3-point
+#: reports of the points as written, before a rectangle filled its
+#: intervals (2-core Xeon VM, Python 3.11): a rectangle with the candidates
+#: pulled for it cost about 0.25-0.29 ms, one subspace of a mod-3, 5 or 7
+#: enumeration 0.07-0.10 ms, a price of 2 left 25% more eliminations in the
+#: 3-point reports, and 6 or 8 made the 2-point reports enumerate primes
+#: that no squeeze reads.  On the benchmark's first rounds at seed 101,
 #: whose reports search each configuration in a projective frame
 #: (`geometry._frame`), no price from 2 to 8 moves the 2- and 3-point
-#: reports (696 and 1,688 `_rref_z` calls, 24 and 20 enumerations), and the
-#: 4-point batch makes 3,123 `_rref_z` calls at a price of 2, 2,419 at 4,
-#: 2,254 at 6 and 2,138 at 8, with the same 15 enumerations.  Modules not
-#: so framed, as criterion 12's random ones, keep the price of 4 measured on
-#: reports of the points as written: there a price of 2 left 25% more
-#: eliminations in the 3-point reports (3,982 against 3,181 `_rref_z`
-#: calls), and 6 or 8 made the 2-point reports enumerate primes that no
-#: squeeze reads (44 or 48 enumerations against 39)
+#: reports (264 and 343 `_rref_z` calls, 24 and 20 enumerations), and the
+#: 4-point batch makes 2,293 `_rref_z` calls at a price of 2, 1,448 at 4,
+#: 1,053 at 6 and 925 at 8, with the same 15 enumerations: no price wins
+#: on all three, so the price stays where the unframed reports put it
 _IDLE_RECTANGLE_PRICE = 4
 
 
@@ -854,62 +884,127 @@ def _layer1(
 ):
     """Witnessed dimvec search driven by candidate middle subspaces.
 
-    Each candidate U1 certifies a full rectangle of dimension vectors
-    (`_rectangle`), with explicit witnesses.  Sound for any candidate pool;
-    complete whenever the pool covers the middle subspaces that matter.  The
-    pool (`_u1_candidates`) holds at most ``cap`` candidates, each built from
-    all three arrows of a side, and its closure stops once it has formed
-    ``pair_budget`` sums and meets.  The search runs on integer rows, and a
-    witness is the rectangle's own integer bases, as row tuples: the first a
-    rows of the U0max basis, the canonical basis of U1, and the basis of
-    delta(U1) with its first c - dim delta(U1) completing unit vectors.
+    Each candidate U1 certifies every class of its rectangle's outer pairs
+    (`_rectangle`).  A triple is a submodule iff gamma(U0) <= U1' <=
+    delta^-1(U2), so for each prefix U0_a of the U0max basis and each
+    U2_c = D + growth[: c - dim D] every class (a, k, c) with
+    dim gamma(U0_a) <= k <= dim delta^-1(U2_c) is witnessed: k = dim U1 by
+    U1 itself.  A subspace's pivots lie among those of any space that holds
+    it, so no witness needs an elimination past the spans S_a =
+    gamma(U0_a) and P_c = delta^-1(U2_c) (`_image_span`,
+    `_preimage_of_annihilator`, kept for the rest of the search by U0_a and
+    by U2_c; S_0 = 0 and P_{n2} = F^{n1} need none): below U1 the middle
+    rows are S_a's canonical basis and then the rows of U1's whose pivots
+    are not S_a's, above U1 they are U1's and then the rows of P_c's whose
+    pivots are not U1's.  Each witness is a triple of integer row tuples:
+    the first a rows of the U0max basis, those middle rows, and D with its
+    first c - dim D completing unit vectors.  The classes are filled a by a
+    for k <= dim U1, then c by c from n2 down for k > dim U1, each at its
+    first witness.
+
+    Sound for any candidate pool; complete whenever the pool covers the
+    middle subspaces that matter.  The pool (`_u1_candidates`) holds at most
+    ``cap`` candidates, each built from all three arrows of a side, and its
+    closure stops once it has formed ``pair_budget`` sums and meets.
 
     ``bounds`` lets the search stop early without changing its result.  It
     is a sequence of pairs (cost, bound): ``bound()`` returns a proved set
     containing every submodule class, and is called at most once, when the
-    search takes it.  The bound schedule: the search takes the first bound
-    before it pulls a candidate (with none, its bound is the box of all
-    d <= dims).  It forms no rectangle for a candidate U1 when every class
-    of its bound with middle dimension dim U1 is witnessed, and pulls no
-    further candidate once every class of its bound is.  A rectangle that
-    witnesses a new class is progress; one that witnesses none is rent, paid
-    at `_IDLE_RECTANGLE_PRICE` subspaces of enumeration.  The search takes
-    the next bound, cutting its own down to the intersection, once the rent
-    paid since the last bound reaches that next pair's cost and its bound is
-    still not filled (a ski rental, Karlin-Manasse-Rudolph-Sleator 1988): an
-    early bound then costs about the work already wasted, and a bound it
-    never needs is never formed.  Any class a skipped candidate could add
-    lies in every bound and is witnessed already, so the witnesses, their
-    values and their order are those of the whole pool, whichever bounds
-    are taken.
+    search takes it.  The search takes the first bound before it pulls a
+    candidate (with none, its bound is the box of all d <= dims), and pulls
+    no further candidate once every class of its bound is witnessed.  It
+    forms S_a only while a class (a, k, c) of its bound with
+    dim S_a' <= k < dim U1 is unwitnessed, S_a' <= S_a the last span formed
+    below it, and P_c only while one with dim U1 < k <= dim P_c' is,
+    P_c' >= P_c the last formed above it.  A rectangle that witnesses a new
+    class is progress; one that witnesses none is rent, paid at
+    `_IDLE_RECTANGLE_PRICE` subspaces of enumeration.  The search takes the
+    next bound, cutting its own down to the intersection, once the rent
+    paid since the last bound reaches that next pair's cost and its bound
+    is still not filled (a ski rental, Karlin-Manasse-Rudolph-Sleator 1988):
+    an early bound then costs about the work already wasted, and a bound it
+    never needs is never formed.  A span it forms fills its whole interval,
+    open classes or not, and any class a skipped span or candidate could
+    witness is a submodule class, so it lies in the bound and is witnessed
+    already: the witnesses, their values and their order are those of the
+    whole pool, whichever bounds are taken.
     """
-    n2 = rep.dims[2]
+    F = rep.field
+    n0, n1, n2 = rep.dims
+    gammas, deltas = _int_arrows(rep)
+    units = tuple(tuple(_unit(n1, j)) for j in range(n1))
     witnesses: Dict[DimVec, SubTriple] = {}
     bounds = iter(bounds)
     first = next(bounds, None)
-    # the classes of the bound not yet witnessed, and their middle dimensions
+
+    def masks(classes) -> List[List[int]]:
+        """The classes as bit masks over k, one per (a, c)."""
+        out = [[0] * (n2 + 1) for _ in range(n0 + 1)]
+        for a, k, c in classes:
+            out[a][c] |= 1 << k
+        return out
+
+    # the classes of the bound not yet witnessed, also as `masks`
     unwitnessed = set(first[1]() if first else _box(rep.dims))
-    open_middle = collections.Counter(dv[1] for dv in unwitnessed)
+    open_k = masks(unwitnessed)
+
+    def is_open(a_range, c_range, lo: int, hi: int) -> bool:
+        """Whether a class (a, k, c) of the bound with lo <= k <= hi and a, c
+        in range is unwitnessed."""
+        bits = ((1 << (hi + 1)) - 1) >> lo << lo
+        return any(open_k[a][c] & bits for a in a_range for c in c_range)
+
+    # the spans S_a and P_c formed so far, with their pivots, by U0_a and by
+    # U2_c: candidates that share U0max or delta(U1) share them
+    images: Dict[tuple, Tuple[tuple, set]] = {}
+    preimages: Dict[tuple, Tuple[tuple, list]] = {}
+
+    def witness(dv: DimVec, u0, u1, u2) -> None:
+        if dv not in witnesses:
+            witnesses[dv] = (u0, u1, u2)
+            if dv in unwitnessed:
+                unwitnessed.remove(dv)
+                open_k[dv[0]][dv[2]] &= ~(1 << dv[1])
+
     nxt, rent = next(bounds, None), 0  # the next bound, rent paid since the last
     for u1c in _u1_candidates(rep, seed, cap, pair_budget):
-        if open_middle[len(u1c)]:
-            u0max, D, growth = (tuple(map(tuple, R)) for R in _rectangle(rep, u1c))
-            known = len(witnesses)
+        u0max, D, growth, ann = (tuple(map(tuple, R)) for R in _rectangle(rep, u1c))
+        dim1, outer = len(u1c), range(len(D), n2 + 1)
+        u2 = {c: D + growth[: c - len(D)] for c in outer}
+        known = len(witnesses)
+        piv1 = list(map(_pivot, u1c))
+        S, spiv, done = (), set(), 0  # S_a at a = done
+        for a in range(len(u0max) + 1):
+            if a > done and is_open((a,), outer, len(S), dim1 - 1):
+                if u0max[:a] not in images:
+                    rows, piv = _image_span(F, gammas, u0max[:a])
+                    images[u0max[:a]] = tuple(map(tuple, rows)), set(piv)
+                (S, spiv), done = images[u0max[:a]], a
+            lo, below = dim1, u1c  # with S_a not formed, U1 alone
+            if done == a:
+                lo, below = len(S), S + tuple(r for r, q in zip(u1c, piv1) if q not in spiv)
+            for c in outer:
+                for k in range(lo, dim1 + 1):
+                    witness((a, k, c), u0max[:a], u1c if k == dim1 else below[:k], u2[c])
+        P, ppiv, in1 = units, range(n1), set(piv1)  # P_{n2} = F^{n1}
+        for c in reversed(outer):
+            if c < n2:
+                if not is_open(range(len(u0max) + 1), (c,), dim1 + 1, len(P)):
+                    continue
+                if u2[c] not in preimages:
+                    rows = _preimage_of_annihilator(F, deltas, ann[c - len(D):], n1)
+                    preimages[u2[c]] = tuple(map(tuple, rows)), list(map(_pivot, rows))
+                P, ppiv = preimages[u2[c]]
+            above = u1c + tuple(r for r, q in zip(P, ppiv) if q not in in1)
             for a in range(len(u0max) + 1):
-                for c in range(len(D), n2 + 1):
-                    dv = (a, len(u1c), c)
-                    if dv in witnesses:
-                        continue
-                    witnesses[dv] = (u0max[:a], u1c, D + growth[: c - len(D)])
-                    if dv in unwitnessed:
-                        unwitnessed.remove(dv)
-                        open_middle[dv[1]] -= 1
-            if len(witnesses) == known:  # a rectangle that witnessed no new class
-                rent += _IDLE_RECTANGLE_PRICE
-            if nxt is not None and rent >= nxt[0] and unwitnessed:
-                unwitnessed &= nxt[1]()
-                open_middle = collections.Counter(dv[1] for dv in unwitnessed)
-                nxt, rent = next(bounds, None), 0
+                for k in range(dim1 + 1, len(P) + 1):
+                    witness((a, k, c), u0max[:a], above[:k], u2[c])
+        if len(witnesses) == known:  # a rectangle that witnessed no new class
+            rent += _IDLE_RECTANGLE_PRICE
+        if nxt is not None and rent >= nxt[0] and unwitnessed:
+            unwitnessed &= nxt[1]()
+            open_k = masks(unwitnessed)
+            nxt, rent = next(bounds, None), 0
         if not unwitnessed:
             break
     return witnesses
@@ -978,8 +1073,8 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
         best[tuple(map(tuple, rows))] = b
     out = set()
     for rows, _ in iter_subspaces(F, n0):
-        S = linalg.int_rref(F, _image(rows, gammas))[0]
-        D = linalg.int_rref(F, _image(S, deltas))[0]
+        S = _image_span(F, gammas, rows)[0]
+        D = _image_span(F, deltas, S)[0]
         b = best[tuple(map(tuple, D))]
         out.update((len(rows), u1, u2) for u2 in range(len(D), n2 + 1)
                    for u1 in range(len(S), b[u2] + 1))
