@@ -518,12 +518,13 @@ def criterion_12() -> Tuple[bool, str]:
     rng = random.Random(12)
     tally = {p: [0, 0, 0] for p in (2, 3, 5, 7)}  # modules, classes, missed
     for k, (p, lo, hi, most) in enumerate(draws):
+        field = PrimeField(p)
         while True:
             dims = tuple(rng.randint(lo, hi) for _ in range(3))
-            if 0 < sum(dims) <= most and quiver._layer2_cost(dims, p) <= quiver._LAYER2_COST_BOUND:
+            if 0 < sum(dims) <= most and quiver._affordable_primes(dims, field):
                 break
         algebra = "B" if k % 2 == 0 else "Bprime"
-        rep = random_rep(algebra, PrimeField(p), dims, rng)
+        rep = random_rep(algebra, field, dims, rng)
         # the whole pool, with no enumerated set to stop it early, so that
         # every candidate's classes are checked against the enumeration
         witnessed = quiver._layer1(rep, 0).keys()

@@ -35,10 +35,8 @@ from . import linalg
 from .linalg import QQ, int_form, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .quiver import (
-    _LAYER2_COST_BOUND,
-    _LAYER2_PRIMES,
     QuiverRep,
-    _layer2_cost,
+    _affordable_primes,
     direct_sum,
     hom_space,
     jh_factors,
@@ -205,9 +203,9 @@ def _frame(points) -> PointConfig:
     with every coordinate on those axes nonzero, goes to (1, 1, 1), or
     (1, 1, 0) on a line.  Up to four points the unit point is the first
     such point.  From five on it is the one whose frame keeps the points
-    pairwise distinct mod the most primes of `quiver._LAYER2_PRIMES` whose
-    enumeration on the (n, 2n+1, n) class is within
-    `quiver._LAYER2_COST_BOUND` (p = 2 and 3 at n = 5), then whose frame
+    pairwise distinct mod the most primes a rational search of the
+    (n, 2n+1, n) class may enumerate (`quiver._affordable_primes`: p = 2
+    and 3 at n = 5), then whose frame
     has the least largest coordinate, then the first.  So a general triple
     becomes [e0, e1, e2] and a general quadruple [e0, e1, e2, (1, 1, 1)].
 
@@ -252,7 +250,7 @@ def _frame(points) -> PointConfig:
 
     frames = [framed(u) for u in (units if n >= 5 else units[:1])]
     a1 = (n, 2 * n + 1, n)  # the ideal-A1 class
-    primes = [p for p in _LAYER2_PRIMES if _layer2_cost(a1, p) <= _LAYER2_COST_BOUND]
+    primes = _affordable_primes(a1, QQ)
 
     def score(k):
         z = frames[k]

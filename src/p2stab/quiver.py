@@ -621,17 +621,17 @@ class SubmoduleSearch:
 
     The true set T of submodule classes is bounded by two proved sets,
     ``lower <= T <= upper``.  Layer 1 closes a pool of generated middle
-    subspaces U1 (the kernel and image of the arrows of a side, cyclic and
-    random closures, the spans of coordinate subspaces of the first vertex
-    and delta-preimages, each built from all three arrows of a side) under
-    sums and intersections.  Since (U0, U1, U2) is a submodule iff
-    gamma(U0) <= U1 <= delta^-1(U2), each U1 witnesses, for every outer
-    pair (U0, U2) of its rectangle (`_rectangle`), every middle dimension
-    from dim gamma(U0) to dim delta^-1(U2) (`_layer1`); its classes carry
-    explicit witnesses over the base field, each built from the search's
-    own integer bases of a submodule triple (`SubTriple`), and form
-    ``lower``.  Layer 2 is an exhaustive enumeration over a finite field.
-    By the same criterion it settles the pairs (U0, U2) of outer subspaces
+    subspaces U1 (the gamma-spans of coordinate subspaces of the first
+    vertex, cyclic and random spans and the delta-preimages of the
+    delta-images of the first candidates, each built from all three arrows
+    of a side) under sums and intersections.  Since (U0, U1, U2) is a
+    submodule iff gamma(U0) <= U1 <= delta^-1(U2), each U1 witnesses, for
+    every outer pair (U0, U2) of its rectangle (`_rectangle`), every middle
+    dimension from dim gamma(U0) to dim delta^-1(U2) (`_layer1`); its
+    classes carry explicit witnesses over the base field, each built from
+    the search's own integer bases of a submodule triple (`SubTriple`), and
+    form ``lower``.  Layer 2 is an exhaustive enumeration over a finite
+    field.  By the same criterion it settles the pairs (U0, U2) of outer subspaces
     in one pass over the lattice of F^{n2}, each subspace visiting at most
     (p^{n2} - 1)/(p - 1) covers, or enumerates the middle subspaces U1 when
     F^{n1} has at most as many subspaces as F^{n0} and F^{n2} together.  It
@@ -712,14 +712,18 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     pool order, as it enters the pool.
 
     Every source uses the three arrows of a side together, as a submodule
-    does: the image gamma(F^{n0}) and the kernel ker delta, cyclic spans of
-    coordinate vectors, the gamma-spans of the coordinate subspaces of the
-    first vertex when n0 <= 4 (on the A0 module, the sub-sums of the point
-    modules), cyclic spans of every vector over a small prime field,
-    delta-preimages of the proper coordinate subspaces of the end vertex and
-    of delta(U1) for the first candidates U1, seeded random spans, then the
-    sums and intersections of pairs of these and one round of sums with the
-    pool, under a work budget.  A single arrow's image, kernel or preimage
+    does: the gamma-spans of the coordinate subspaces of the first vertex
+    (all of them when n0 <= 4, on the A0 module the sub-sums of the point
+    modules, else the cyclic ones), cyclic spans of coordinate vectors and,
+    over a small prime field, of every vector, delta-preimages of delta(U1)
+    for the first candidates U1, seeded random spans, then the sums and
+    intersections of pairs of these and one round of sums with the pool,
+    under a work budget.  The first two candidates' rectangles form, as
+    interval spans of `_layer1`, ker delta and the delta-preimages of the
+    coordinate subspaces <e_0, ..., e_{c-1}> of the end vertex (U1 = 0) and
+    gamma(F^{n0}) (U1 = F^{n1}), so none of these is a source; nor are the
+    preimages of the other coordinate subspaces, which witnessed no class
+    on any measured workload.  A single arrow's image, kernel or preimage
     is no source: on the A1 module of a collinear quadruple such candidates
     filled the capped pool before the sum of two sources that witnesses
     four of its classes.  The pool is built lazily: a consumer that stops
@@ -753,33 +757,23 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
         it reads the pool only once every earlier source has been offered."""
         units0 = [_unit(n0, c) for c in range(n0)]
         units1 = [_unit(n1, c) for c in range(n1)]
-        units2 = [_unit(n2, c) for c in range(n2)]
         yield []
         yield units1
-        # the image gamma(F^{n0}) and the kernel ker delta
-        yield _image(units0, gammas)
-        yield _preimage(F, deltas, [], n1, n2)
-        # cyclic spans of coordinate vectors, then the spans gamma(U0) of the
-        # coordinate subspaces U0 of two or more of them (on the A0 module
-        # the sub-sums of the point modules), within the bound n0 <= 4 of
-        # the end-vertex masks below; over a small prime field every vector
-        # is affordable, and then every cyclic subspace is seeded here
-        yield from (_image([u], gammas) for u in units0)
-        if n0 <= 4:
-            for k in range(2, n0 + 1):
-                yield from (_image(us, gammas) for us in itertools.combinations(units0, k))
+        # the spans gamma(U0) of the coordinate subspaces U0, smallest first:
+        # every one when n0 <= 4 (on the A0 module the sub-sums of the point
+        # modules), else the cyclic ones; then the coordinate vectors of the
+        # middle vertex.  Over a small prime field every vector is
+        # affordable, and then every cyclic subspace is seeded here
+        for k in range(1, (n0 if n0 <= 4 else 1) + 1):
+            yield from (_image(us, gammas) for us in itertools.combinations(units0, k))
         yield from ([u] for u in units1)
         for n, span in ((n0, lambda v: _image([v], gammas)), (n1, lambda v: [v])):
             if isinstance(F, PrimeField) and n and F.p ** n <= 512:
                 vectors = itertools.product(F.elements(), repeat=n)
                 yield from map(span, itertools.islice(vectors, 1, None))  # past the zero vector
-        # delta-preimages of the distinct targets at the end vertex, the
-        # proper coordinate subspaces and delta(U1) of the first 40
-        # candidates past the zero and whole spaces (the pool holds their
-        # preimages ker delta and F^{n1} already): at most 14 + 38 of them
-        masks = range(1, 2**n2 - 1) if n2 <= 4 else ()
-        targets = [[u for k, u in enumerate(units2) if mask >> k & 1] for mask in masks]
-        targets += (_image(u1c, deltas) for u1c in list(pool)[2:40])
+        # delta-preimages of the distinct targets delta(U1) of the first 40
+        # candidates past the zero and whole spaces: at most 38 of them
+        targets = (_image(u1c, deltas) for u1c in list(pool)[2:40])
         for w in dict.fromkeys(map(canon, targets)):
             yield _preimage(F, deltas, w, n1, n2)
         # seeded random cyclic spans
@@ -860,18 +854,12 @@ def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list, list]:
 
 #: the rent `_layer1` pays for a rectangle that witnesses no new class, in
 #: subspaces of the next enumeration (`_layer2_cost`).  Set on 3-point
-#: reports of the points as written, before a rectangle filled its
-#: intervals (2-core Xeon VM, Python 3.11): a rectangle with the candidates
-#: pulled for it cost about 0.25-0.29 ms, one subspace of a mod-3, 5 or 7
-#: enumeration 0.07-0.10 ms, a price of 2 left 25% more eliminations in the
-#: 3-point reports, and 6 or 8 made the 2-point reports enumerate primes
-#: that no squeeze reads.  On the benchmark's first rounds at seed 101,
-#: whose reports search each configuration in a projective frame
-#: (`geometry._frame`), no price from 2 to 8 moves the 2- and 3-point
-#: reports (264 and 343 `_rref_z` calls, 24 and 20 enumerations), and the
-#: 4-point batch makes 2,293 `_rref_z` calls at a price of 2, 1,448 at 4,
-#: 1,053 at 6 and 925 at 8, with the same 15 enumerations: no price wins
-#: on all three, so the price stays where the unframed reports put it
+#: reports of the points as written: a lower price left more eliminations,
+#: a higher one made 2-point reports enumerate primes that no squeeze
+#: reads.  On the framed reports no price from 2 to 8 moves the 2- and
+#: 3-point workloads, and a higher one saves eliminations on the 4-point
+#: batch; the unframed modules it was set on have not been measured again,
+#: so it stays until they are (counts in BENCH_45.json)
 _IDLE_RECTANGLE_PRICE = 4
 
 
@@ -896,7 +884,8 @@ def _layer1(
     by U2_c; S_0 = 0 and P_{n2} = F^{n1} need none): below U1 the middle
     rows are S_a's canonical basis and then the rows of U1's whose pivots
     are not S_a's, above U1 they are U1's and then the rows of P_c's whose
-    pivots are not U1's.  Each witness is a triple of integer row tuples:
+    pivots are not U1's.  Every rectangle forms S_a for every a and P_c for
+    every c.  Each witness is a triple of integer row tuples:
     the first a rows of the U0max basis, those middle rows, and D with its
     first c - dim D completing unit vectors.  The classes are filled a by a
     for k <= dim U1, then c by c from n2 down for k > dim U1, each at its
@@ -912,59 +901,40 @@ def _layer1(
     containing every submodule class, and is called at most once, when the
     search takes it.  The search takes the first bound before it pulls a
     candidate (with none, its bound is the box of all d <= dims), and pulls
-    no further candidate once every class of its bound is witnessed.  It
-    forms S_a only while a class (a, k, c) of its bound with
-    dim S_a' <= k < dim U1 is unwitnessed, S_a' <= S_a the last span formed
-    below it, and P_c only while one with dim U1 < k <= dim P_c' is,
-    P_c' >= P_c the last formed above it.  A rectangle that witnesses a new
-    class is progress; one that witnesses none is rent, paid at
-    `_IDLE_RECTANGLE_PRICE` subspaces of enumeration.  The search takes the
-    next bound, cutting its own down to the intersection, once the rent
-    paid since the last bound reaches that next pair's cost and its bound
-    is still not filled (a ski rental, Karlin-Manasse-Rudolph-Sleator 1988):
-    an early bound then costs about the work already wasted, and a bound it
-    never needs is never formed.  A span it forms fills its whole interval,
-    open classes or not, and any class a skipped span or candidate could
+    no further candidate once every class of its bound is witnessed.  A
+    rectangle that witnesses a new class is progress; one that witnesses
+    none is rent, paid at `_IDLE_RECTANGLE_PRICE` subspaces of enumeration.
+    The search takes the next bound, cutting its own down to the
+    intersection, once the rent paid since the last bound reaches that next
+    pair's cost and its bound is still not filled (a ski rental,
+    Karlin-Manasse-Rudolph-Sleator 1988): an early bound then costs about
+    the work already wasted, and a bound it never needs is never formed.
+    Every span fills its whole interval,
+    witnessed classes aside, and any class a candidate left unpulled could
     witness is a submodule class, so it lies in the bound and is witnessed
     already: the witnesses, their values and their order are those of the
     whole pool, whichever bounds are taken.
     """
     F = rep.field
-    n0, n1, n2 = rep.dims
+    n1, n2 = rep.dims[1:]
     gammas, deltas = _int_arrows(rep)
     units = tuple(tuple(_unit(n1, j)) for j in range(n1))
     witnesses: Dict[DimVec, SubTriple] = {}
     bounds = iter(bounds)
     first = next(bounds, None)
 
-    def masks(classes) -> List[List[int]]:
-        """The classes as bit masks over k, one per (a, c)."""
-        out = [[0] * (n2 + 1) for _ in range(n0 + 1)]
-        for a, k, c in classes:
-            out[a][c] |= 1 << k
-        return out
-
-    # the classes of the bound not yet witnessed, also as `masks`
+    # the classes of the bound not yet witnessed
     unwitnessed = set(first[1]() if first else _box(rep.dims))
-    open_k = masks(unwitnessed)
-
-    def is_open(a_range, c_range, lo: int, hi: int) -> bool:
-        """Whether a class (a, k, c) of the bound with lo <= k <= hi and a, c
-        in range is unwitnessed."""
-        bits = ((1 << (hi + 1)) - 1) >> lo << lo
-        return any(open_k[a][c] & bits for a in a_range for c in c_range)
-
     # the spans S_a and P_c formed so far, with their pivots, by U0_a and by
-    # U2_c: candidates that share U0max or delta(U1) share them
-    images: Dict[tuple, Tuple[tuple, set]] = {}
+    # U2_c: candidates that share U0max or delta(U1) share them; S_0 = 0 is
+    # seeded and P_{n2} = F^{n1} is ``units``, so neither costs an elimination
+    images: Dict[tuple, Tuple[tuple, set]] = {(): ((), set())}
     preimages: Dict[tuple, Tuple[tuple, list]] = {}
 
     def witness(dv: DimVec, u0, u1, u2) -> None:
         if dv not in witnesses:
             witnesses[dv] = (u0, u1, u2)
-            if dv in unwitnessed:
-                unwitnessed.remove(dv)
-                open_k[dv[0]][dv[2]] &= ~(1 << dv[1])
+            unwitnessed.discard(dv)
 
     nxt, rent = next(bounds, None), 0  # the next bound, rent paid since the last
     for u1c in _u1_candidates(rep, seed, cap, pair_budget):
@@ -973,24 +943,18 @@ def _layer1(
         u2 = {c: D + growth[: c - len(D)] for c in outer}
         known = len(witnesses)
         piv1 = list(map(_pivot, u1c))
-        S, spiv, done = (), set(), 0  # S_a at a = done
         for a in range(len(u0max) + 1):
-            if a > done and is_open((a,), outer, len(S), dim1 - 1):
-                if u0max[:a] not in images:
-                    rows, piv = _image_span(F, gammas, u0max[:a])
-                    images[u0max[:a]] = tuple(map(tuple, rows)), set(piv)
-                (S, spiv), done = images[u0max[:a]], a
-            lo, below = dim1, u1c  # with S_a not formed, U1 alone
-            if done == a:
-                lo, below = len(S), S + tuple(r for r, q in zip(u1c, piv1) if q not in spiv)
+            if u0max[:a] not in images:
+                rows, piv = _image_span(F, gammas, u0max[:a])
+                images[u0max[:a]] = tuple(map(tuple, rows)), set(piv)
+            S, spiv = images[u0max[:a]]
+            below = S + tuple(r for r, q in zip(u1c, piv1) if q not in spiv)
             for c in outer:
-                for k in range(lo, dim1 + 1):
+                for k in range(len(S), dim1 + 1):
                     witness((a, k, c), u0max[:a], u1c if k == dim1 else below[:k], u2[c])
         P, ppiv, in1 = units, range(n1), set(piv1)  # P_{n2} = F^{n1}
         for c in reversed(outer):
             if c < n2:
-                if not is_open(range(len(u0max) + 1), (c,), dim1 + 1, len(P)):
-                    continue
                 if u2[c] not in preimages:
                     rows = _preimage_of_annihilator(F, deltas, ann[c - len(D):], n1)
                     preimages[u2[c]] = tuple(map(tuple, rows)), list(map(_pivot, rows))
@@ -1003,7 +967,6 @@ def _layer1(
             rent += _IDLE_RECTANGLE_PRICE
         if nxt is not None and rent >= nxt[0] and unwitnessed:
             unwitnessed &= nxt[1]()
-            open_k = masks(unwitnessed)
             nxt, rent = next(bounds, None), 0
         if not unwitnessed:
             break
@@ -1101,6 +1064,16 @@ _LAYER2_COST_BOUND = 10_000
 _OVER_BOUND = "layer1-only (Layer 2 over its cost bound)"
 
 
+def _affordable_primes(dims: DimVec, field) -> Tuple[int, ...]:
+    """The primes a search of a module of ``dims`` over ``field`` may
+    enumerate: over GF(p) the field's own prime, over Q those of
+    `_LAYER2_PRIMES`, up to the first whose enumeration (`_layer2_cost`,
+    which grows with p) is over `_LAYER2_COST_BOUND`."""
+    primes = _LAYER2_PRIMES if field.p is None else (field.p,)
+    return tuple(itertools.takewhile(
+        lambda p: _layer2_cost(dims, p) <= _LAYER2_COST_BOUND, primes))
+
+
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
     """Reduce a rational module mod p after rescaling each arrow to a
     primitive integer matrix (its `linalg.int_form`; submodule lattices
@@ -1135,11 +1108,8 @@ def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
 
 @lru_cache(maxsize=256)
 def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
-    def affordable(p: int) -> bool:
-        return _layer2_cost(rep.dims, p) <= _LAYER2_COST_BOUND
-
     own = isinstance(rep.field, PrimeField)
-    primes = list(itertools.takewhile(affordable, (rep.field.p,) if own else _LAYER2_PRIMES))
+    primes = _affordable_primes(rep.dims, rep.field)
 
     sets: Dict[int, frozenset] = {}  # each mod-p set, enumerated once
 

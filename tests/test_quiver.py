@@ -509,17 +509,12 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
 
     add([])
     add(linalg.identity(F, n1))
-    gamma_cols = [linalg.transpose(rep.gamma_m(i), ncols=n0) for i in range(3)]
-    add([row for cols in gamma_cols for row in cols])
-    stacked_delta = [row for j in range(3) for row in rep.delta_m(j)]
-    add(linalg.right_kernel(F, stacked_delta, ncols=n1))
-    for e in basis_vectors(n0):
-        add(gamma_span(e))
-    if n0 <= 4:  # the gamma-spans of the coordinate subspaces, smallest first
-        ebasis = list(basis_vectors(n0))
-        for k in range(2, n0 + 1):
-            for S in itertools.combinations(range(n0), k):
-                add([v for c in S for v in gamma_span(ebasis[c])])
+    # the gamma-spans of the coordinate subspaces, smallest first: all of
+    # them when n0 <= 4, else the cyclic ones
+    ebasis = list(basis_vectors(n0))
+    for k in range(1, (n0 if n0 <= 4 else 1) + 1):
+        for S in itertools.combinations(range(n0), k):
+            add([v for c in S for v in gamma_span(ebasis[c])])
     for e in basis_vectors(n1):
         add([e])
     if isinstance(F, PrimeField):
@@ -538,11 +533,7 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
         if len(targets) < 64:
             targets.setdefault(ref_canon(F, [list(r) for r in rows], n2), None)
 
-    if n2 <= 4:
-        ebasis = list(basis_vectors(n2))
-        for mask in range(1, 2**n2 - 1):
-            add_target([ebasis[k] for k in range(n2) if (mask >> k) & 1])
-    for u1c in list(pool)[:40]:
+    for u1c in list(pool)[2:40]:
         imgs = [linalg.mat_vec(F, rep.delta_m(j), list(u)) for u in u1c for j in range(3)]
         add_target(linalg.row_space(F, imgs, n2)[0])
     for w in list(targets):
@@ -930,6 +921,21 @@ def test_the_sources_witness_the_framed_triple_by_their_intervals(build, classes
     assert_witnesses_submodules(rep, witnesses)
 
 
+@pytest.mark.parametrize("build,eliminations", [(module_ideal_A1, 30), (module_ideal_A0, 14)],
+                         ids=["A1", "A0"])
+def test_the_framed_triple_searches_make_a_pinned_count_of_eliminations(
+        monkeypatch, cold_search, build, eliminations):
+    # a work guard, counts not timings: the same on every machine.  Both
+    # searches of the framed general triple squeeze at p = 2 after this many
+    # integer eliminations, pool, rectangles and interval spans together
+    rep = build([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    calls = []
+    real = linalg._rref_z
+    monkeypatch.setattr(linalg, "_rref_z", lambda A: calls.append(1) or real(A))
+    search = submodule_dimvecs(rep)
+    assert (search.evidence, len(calls)) == ("squeeze(p=2)", eliminations)
+
+
 def test_layer1_eliminates_nothing_for_a_witnessed_class(monkeypatch):
     # counts, not timings: every elimination of one Layer-1 run is made
     # building the pool, a candidate's rectangle or the spans gamma(U0_a)
@@ -1011,7 +1017,7 @@ def test_layer1_takes_the_next_prime_once_it_has_spent_its_cost(monkeypatch, col
 
 
 @pytest.mark.parametrize("points,pulls,evidence", [
-    ([(1, 2, 3), (2, -1, 1)], 4, "squeeze(p=2)"),
+    ([(1, 2, 3), (2, -1, 1)], 3, "squeeze(p=2)"),
     ([(1, 2, 3), (2, -1, 1), (3, 1, -2)], 18, "squeeze(p=3)"),
 ], ids=["2 points", "3 points"])
 def test_layer1_pulls_no_candidate_once_its_bound_is_filled(monkeypatch, cold_search,
@@ -1087,16 +1093,16 @@ def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_se
         raise AssertionError("a bound Layer 1 did not need was formed")
 
     # neither of the first two bounds can be filled, their intersection can.
-    # Mod 2 alone is filled by the fourth candidate, after one idle
-    # rectangle; the second bound's rent of 5 subspaces takes a second idle
-    # one, at 4 each, so the intersection is taken, and at once filled, one
-    # candidate later, before a bound due once idle rectangles have paid 100
-    # more subspaces of rent
+    # Mod 2 alone is filled by the third candidate, before any idle
+    # rectangle; the second bound's rent of 5 subspaces takes two idle ones,
+    # at 4 each, so the intersection is taken, and at once filled, two
+    # candidates later, before a bound due once idle rectangles have paid
+    # 100 more subspaces of rent
     got = quiver._layer1(rep, 0, bounds=[(0, lambda: mod2 | {junk[0]}),
                                          (5, lambda: mod2 | {junk[1]}),
                                          (100, refuse)])
     assert got == whole and set(got) == mod2
-    assert (alone, len(pulled)) == (4, 5)
+    assert (alone, len(pulled)) == (3, 5)
 
 
 # ---------------------------------------------------------------------------
