@@ -548,18 +548,14 @@ def row_hnf_2xn(rows: List[List[int]]) -> List[List[int]]:
 # subspace enumeration over a small prime field
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 def galois_number(n: int, q: int) -> int:
-    """Number of subspaces of F_q^n (all dimensions)."""
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    """Number of subspaces of F_q^n (all dimensions), by the Goldman-Rota
+    recurrence G(m) = 2 G(m-1) + (q^(m-1) - 1) G(m-2) from G(0) = 1
+    (G(-1) = 0 makes G(1) = 2)."""
+    before, count, power = 0, 1, 1  # G(m-2), G(m-1), q^(m-1) at m = 1
+    for _ in range(n):
+        before, count, power = count, 2 * count + (power - 1) * before, power * q
+    return count
 
 
 def iter_subspaces(F: PrimeField, n: int) -> Iterator[Tuple[Matrix, Tuple[int, ...]]]:

@@ -634,10 +634,14 @@ class SubmoduleSearch:
     field.  By the same criterion it settles the pairs (U0, U2) of outer subspaces
     in one pass over the lattice of F^{n2}, each subspace visiting at most
     (p^{n2} - 1)/(p - 1) covers, or enumerates the middle subspaces U1 when
-    F^{n1} has at most as many subspaces as F^{n0} and F^{n2} together.  It
-    runs only when that count of subspaces (`_layer2_cost`) is within
-    `_LAYER2_COST_BOUND`.  On the module's own prime field the enumerated
-    set is exact and is both ``lower`` and ``upper``.  A rational module is
+    F^{n1} has at most as many subspaces as F^{n0} and F^{n2} together.
+    Over GF(2) the outer pairs are settled on packed words, each vector one
+    int and each cover found by the mask of its elements (`_layer2_packed`);
+    a rational module's reduction mod 2 is packed from its arrows, with no
+    GF(2) module built.  It runs only when that count of subspaces
+    (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
+    prime field the enumerated set is exact and is both ``lower`` and
+    ``upper``.  A rational module is
     reduced mod several primes; a saturated reduction only gains
     submodules, so ``upper`` is the box of all d <= dims cut down by the
     mod-p sets of the primes in ``layers``, tried in turn up to the first
@@ -973,8 +977,9 @@ def _layer1(
     return witnesses
 
 
-def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
-    """Exact dimvec set over the rep's own finite field.
+def _layer2_dimvecs(rep: QuiverRep, p: Optional[int] = None) -> frozenset:
+    """Exact dimvec set over a prime field: the rep's own, or for a rational
+    rep GF(p), over its reduction mod p (`_reduce_rep_mod_p`).
 
     A triple (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <= delta^-1(U2),
     where gamma(U0) = sum_i gamma_i(U0) and delta^-1(U2) is the intersection
@@ -984,17 +989,22 @@ def _layer2_dimvecs(rep: QuiverRep) -> frozenset:
     dim U1 from dim S to dim P occurs.  Settling the outer pairs thus gives
     the exact set (`_layer2_by_pairs`): one pass over the subspaces of
     F^{n2}, each visiting at most (p^{n2} - 1)/(p - 1) covers without
-    elimination, and one over those of F^{n0}, each with one lookup.  So
-    when F^{n1} has no more subspaces than the two outer vertices together
-    (n1 small against n0 and n2), the middle vertex is enumerated instead
-    (`_layer2_by_middle`); both give the same set.  The count of subspaces
-    of the path taken is `_layer2_cost`, which the search holds to
-    `_LAYER2_COST_BOUND` before it calls this.
+    elimination, and one over those of F^{n0}, each with one lookup.  Over
+    GF(2) the outer pairs are settled on packed words (`_layer2_packed`),
+    for a rational rep read straight off its `_primitive_arrows`, so no
+    GF(2) module is built.  When F^{n1} has no more subspaces than the two
+    outer vertices together (n1 small against n0 and n2), the middle vertex
+    is enumerated instead (`_layer2_by_middle`); every path gives the same
+    set.  The count of subspaces of the path taken is `_layer2_cost`, which
+    the search holds to `_LAYER2_COST_BOUND` before it calls this.
     """
-    p = rep.field.p
-    if _layer2_cost(rep.dims, p) < galois_number(rep.dims[1], p):
-        return _layer2_by_pairs(rep)
-    return _layer2_by_middle(rep)
+    own = rep.field.p is not None
+    p = rep.field.p if own else p
+    pairs = _layer2_cost(rep.dims, p) < galois_number(rep.dims[1], p)
+    if pairs and p == 2:
+        return _layer2_packed(rep.dims, *(_int_arrows(rep) if own else _primitive_arrows(rep)))
+    mod_p = rep if own else _reduce_rep_mod_p(rep, p)
+    return _layer2_by_pairs(mod_p) if pairs else _layer2_by_middle(mod_p)
 
 
 def _layer2_cost(dims: DimVec, p: int) -> int:
@@ -1056,6 +1066,132 @@ def _layer2_by_middle(rep: QuiverRep) -> frozenset:
     return frozenset(out)
 
 
+def _packed_side(arrows, n_tgt: int, n_src: int) -> List[int]:
+    """The three arrows of a side mod 2 as one word per source coordinate:
+    bit j n_tgt + r of word k is entry (r, k) of arrow j.  The XOR of the
+    words of the bits of x (`_apply`) thus holds A_0 x, A_1 x and A_2 x,
+    n_tgt bits each."""
+    return [sum((A[r][k] & 1) << (j * n_tgt + r) for j, A in enumerate(arrows)
+                for r in range(n_tgt))
+            for k in range(n_src)]
+
+
+def _apply(words: List[int], x: int) -> int:
+    """The packed images of the GF(2) vector x: the XOR of its bits' words."""
+    out = 0
+    for word in words:
+        if x & 1:
+            out ^= word
+        x >>= 1
+    return out
+
+
+def _thirds(word: int, n: int) -> Tuple[int, int, int]:
+    """The three n-bit vectors of a packed word (`_packed_side`)."""
+    low = (1 << n) - 1
+    return word & low, word >> n & low, word >> 2 * n
+
+
+def _xor_insert(basis: Dict[int, int], v: int) -> None:
+    """Add v to the XOR basis ``basis`` (one vector per leading bit, keyed by
+    its bit length): clear v's leading bits against it, keep what is left."""
+    while v:
+        top = v.bit_length()
+        if top not in basis:
+            basis[top] = v
+            return
+        v ^= basis[top]
+
+
+def _gf2_lattice(n: int, root, grow) -> Iterator[tuple]:
+    """Every subspace of GF(2)^n once, depth first, as (rows, state): rows its
+    fully reduced basis (leading bits increasing, each row zero at the other
+    rows' leading bits), state ``root`` for the zero space and
+    grow(state of rows[:-1], rows[-1]) else.  A row added past the last
+    leading bit t is 1 << u | f for some u > t and f any set of bits below u
+    that lead no row; the rows before it are zero at u, so each basis comes
+    once."""
+
+    def visit(rows, state, free):
+        yield rows, state
+        low = rows[-1].bit_length() if rows else 0
+        for top in range(low, n):
+            below = free + [1 << b for b in range(low, top)]
+            tails = [0]
+            for bit in below:
+                tails += [t | bit for t in tails]
+            for tail in tails:
+                row = 1 << top | tail
+                yield from visit(rows + (row,), grow(state, row), below)
+
+    return visit((), root, [])
+
+
+def _span_with(span: Tuple[int, list], v: int) -> Tuple[int, list]:
+    """The span of a GF(2) subspace and v, a subspace given as (mask,
+    elements): bit e of the mask is set iff the vector e lies in it."""
+    mask, elements = span
+    if mask >> v & 1:
+        return span
+    new = [e ^ v for e in elements]
+    return mask | sum(1 << e for e in new), elements + new
+
+
+def _layer2_packed(dims: DimVec, gammas, deltas) -> frozenset:
+    """`_layer2_by_pairs` over GF(2) on packed words, for integer arrows read
+    mod 2.  A vector of GF(2)^n is an int, a side its words
+    (`_packed_side`), and a subspace W of F^{n2} is keyed by the mask of its
+    elements, so each cover W + <v>, v running over the nonzero vectors on
+    the bits that lead no row of W, is found by one lookup, with no
+    elimination.  dim delta^-1(W) is n1 less the rank of the n1 packed
+    triples (delta_0 e_k, delta_1 e_k, delta_2 e_k) mod W.  Each U0 grows
+    from the one without its last row: its image S = gamma(U0) as an XOR
+    basis, its image delta(S) as a mask."""
+    n0, n1, n2 = dims
+    gamma_words = _packed_side(gammas, n1, n0)
+    delta_words = _packed_side(deltas, n2, n1)
+    best: Dict[int, List[int]] = {}
+    spaces = sorted(_gf2_lattice(n2, (1, [0]), _span_with), key=lambda s: -len(s[0]))
+    for rows, (mask, elements) in spaces:  # largest first
+        leads = [r.bit_length() - 1 for r in rows]
+        offsets = [0]
+        for bit in range(n2):
+            if bit not in leads:
+                offsets += [v | 1 << bit for v in offsets]
+        b = [0] * (n2 + 1)
+        for v in offsets[1:]:
+            b = list(map(max, b, best[mask | sum(1 << (e ^ v) for e in elements)]))
+        reducers = [(1 << (lead + s), r << s)
+                    for r, lead in zip(rows, leads) for s in (0, n2, 2 * n2)]
+        basis: Dict[int, int] = {}
+        for word in delta_words:
+            for bit, r in reducers:
+                if word & bit:
+                    word ^= r
+            _xor_insert(basis, word)
+        b[len(rows)] = n1 - len(basis)
+        best[mask] = b
+
+    def grow(state, row):
+        basis, image = state
+        basis = dict(basis)
+        for s in _thirds(_apply(gamma_words, row), n1):
+            if s:
+                _xor_insert(basis, s)
+                for t in _thirds(_apply(delta_words, s), n2):
+                    image = _span_with(image, t)
+        return basis, image
+
+    keys = {(len(rows), len(basis), image[0], len(image[1]))
+            for rows, (basis, image) in _gf2_lattice(n0, ({}, (1, [0])), grow)}
+    out = set()
+    for a, s, mask, size in keys:
+        b = best[mask]
+        out.update((a, u1, u2) for u2 in range(size.bit_length() - 1, n2 + 1)
+                   for u1 in range(s, b[u2] + 1))
+    return frozenset(out)
+
+
 #: primes tried for rational modules, smallest first
 _LAYER2_PRIMES = (2, 3, 5, 7)
 #: the most subspaces one Layer-2 enumeration may visit (`_layer2_cost`);
@@ -1074,13 +1210,18 @@ def _affordable_primes(dims: DimVec, field) -> Tuple[int, ...]:
         lambda p: _layer2_cost(dims, p) <= _LAYER2_COST_BOUND, primes))
 
 
+def _primitive_arrows(rep: QuiverRep) -> Tuple[list, list]:
+    """The gammas and the deltas of a rational module's integer form, each
+    arrow rescaled on its own to a primitive integer matrix (its
+    `linalg.int_form`; submodule lattices ignore arrow scaling).  Each arrow
+    on its own, not its side: an arrow that the side's scale leaves
+    divisible by p would vanish mod p."""
+    return tuple([linalg.int_form(QQ, N)[0] for N in Ns] for Ns in _int_arrows(rep))
+
+
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
-    """Reduce a rational module mod p after rescaling each arrow to a
-    primitive integer matrix (its `linalg.int_form`; submodule lattices
-    ignore arrow scaling).  Each arrow on its own, not its side: an arrow
-    that the side's scale leaves divisible by p would vanish mod p."""
-    sides = ([linalg.int_form(QQ, N)[0] for N in Ns] for Ns in _int_arrows(rep))
-    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *sides)
+    """Reduce a rational module mod p: its `_primitive_arrows` over GF(p)."""
+    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *_primitive_arrows(rep))
 
 
 def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
@@ -1115,7 +1256,7 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
 
     def enumerate_mod(p: int) -> frozenset:
         if p not in sets:
-            sets[p] = _layer2_dimvecs(rep if own else _reduce_rep_mod_p(rep, p))
+            sets[p] = _layer2_dimvecs(rep, p)
         return sets[p]
 
     # every enumeration bounds every class; Layer 1 takes them as bounds at
@@ -1252,7 +1393,10 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
 
     Peels a minimal-dimension theta = 0 proper submodule (automatically
     stable) and recurses on the quotient; the concatenated factor dims add
-    up to dims(rep).  Raises DestabilizedError with the witness if the
+    up to dims(rep).  A quotient whose box of classes has no proper nonzero
+    class with theta = 0 (the last (0, 1, 0) factor of a Hilbert-Chow
+    filtration among them) has nothing to peel, so it is the last factor
+    without a search.  Raises DestabilizedError with the witness if the
     module is not semistable.
     """
     theta = tuple(map(QQ.convert, theta))
@@ -1268,6 +1412,10 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
     zero = (0, 0, 0)
     while True:
         if current.total_dim() == 0:
+            break
+        proper = _box(current.dims) - {zero, current.dims}
+        if not any(_int_pair(weight, dv) == 0 for dv in proper):
+            factors.append(current)
             break
         search = submodule_dimvecs(current, seed=seed)
         candidates = [

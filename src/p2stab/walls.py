@@ -24,7 +24,6 @@ from .quiver import king_test, reverse_theta, theta_pair
 from .geometry import (
     Theta,
     _as_config,
-    _cross,
     _frame,
     _normalized_point,
     collinear_test,
@@ -178,13 +177,13 @@ def numerical_walls(d: Sequence[int]) -> List[WallLine]:
     for a0 in range(d[0] + 1):
         for a1 in range(d[1] + 1):
             for a2 in range(d[2] + 1):
+                # b1 and b2 span d's orthogonal plane, so u = v = 0 exactly
+                # when dp is parallel to d (the zero vector and d among them)
+                u = b1[0] * a0 + b1[1] * a1 + b1[2] * a2
+                v = b2[0] * a0 + b2[1] * a1 + b2[2] * a2
+                if u == 0 and v == 0:
+                    continue
                 dp = (a0, a1, a2)
-                if dp == (0, 0, 0) or dp == d or not any(_cross(dp, d)):
-                    continue
-                u = sum(x * y for x, y in zip(b1, dp))
-                v = sum(x * y for x, y in zip(b2, dp))
-                if u == 0 and v == 0:  # pragma: no cover - only for dp || d
-                    continue
                 # the primitive pair (p, q) on the ray with p > 0, or p = 0 < q
                 g = math.gcd(u, v) * (-1 if u < 0 or (u == 0 and v < 0) else 1)
                 buckets.setdefault((u // g, v // g), []).append(dp)

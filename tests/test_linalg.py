@@ -21,7 +21,6 @@ from p2stab.linalg import (
     field_form,
     field_from_json,
     galois_number,
-    gaussian_binomial,
     identity,
     int_form,
     is_prime,
@@ -258,6 +257,15 @@ def test_row_hnf_is_canonical_up_to_row_ops():
     assert a == b  # same lattice, same normal form
 
 
+def gaussian_binomial(n, k, q):
+    """The k-subspaces of F_q^n: prod_{i<k} (q^(n-i) - 1) / (q^(i+1) - 1)."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def test_gaussian_binomials_and_galois_numbers():
     assert gaussian_binomial(2, 1, 2) == 3
     assert gaussian_binomial(4, 2, 3) == 130
@@ -266,6 +274,10 @@ def test_gaussian_binomials_and_galois_numbers():
     assert galois_number(3, 2) == 16
     assert galois_number(5, 2) == 374
     assert galois_number(6, 3) == 56632
+    # the recurrence against the sum of the Gaussian binomials
+    for q in (2, 3, 5, 7):
+        for n in range(11):
+            assert galois_number(n, q) == sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 2), (2, 5), (3, 16)])

@@ -1,6 +1,7 @@
 """Quiver module layer: construction, hom/iso, duality, tilting, stability."""
 
 import collections
+import functools
 import itertools
 import operator
 import random
@@ -18,6 +19,7 @@ from p2stab.geometry import (
     module_ideal_A1,
     module_point,
     theta_b0,
+    theta_b1,
 )
 from p2stab import linalg, quiver
 from p2stab.linalg import PrimeField, QQ, galois_number, mat_inverse, mat_mul
@@ -1066,7 +1068,8 @@ def test_the_four_point_A0_search_squeezes():
 def test_search_enumerates_each_prime_at_most_once(monkeypatch, cold_search, rep):
     reached = []
     real = quiver._layer2_dimvecs
-    monkeypatch.setattr(quiver, "_layer2_dimvecs", lambda r: reached.append(r.field.p) or real(r))
+    monkeypatch.setattr(quiver, "_layer2_dimvecs",
+                        lambda r, p=None: reached.append(p or r.field.p) or real(r, p))
     search = submodule_dimvecs(rep)
     assert len(reached) == len(set(reached))
     # the loop after Layer 1 reads every prime it names
@@ -1146,6 +1149,7 @@ def test_layer2_pairs_match_middle_on_calibration_corpus():
         rep = random_rep("B" if k % 2 == 0 else "Bprime", F2, dims, rng)
         expected = quiver._layer2_by_middle(rep)
         assert quiver._layer2_by_pairs(rep) == expected
+        assert quiver._layer2_packed(rep.dims, *quiver._int_arrows(rep)) == expected
         assert quiver._layer2_dimvecs(rep) == expected
 
 
@@ -1167,13 +1171,69 @@ def invariant_triple_classes(rep):
 ])
 @pytest.mark.parametrize("algebra", ["B", "Bprime"])
 def test_layer2_matches_the_invariant_triples(p, shapes, algebra):
-    # both paths share `_image` and `_preimage`, so they are checked against
-    # an enumeration that uses neither
+    # both list paths share `_image` and `_preimage`, so they are checked
+    # against an enumeration that uses neither, and so is the packed path
+    # over GF(2)
     for k, dims in enumerate(shapes):
         rep = random_rep(algebra, PrimeField(p), dims, random.Random(k))
         want = invariant_triple_classes(rep)
         assert quiver._layer2_by_pairs(rep) == want, dims
         assert quiver._layer2_by_middle(rep) == want, dims
+        if p == 2:
+            assert quiver._layer2_packed(dims, *quiver._int_arrows(rep)) == want, dims
+
+
+def test_gf2_lattice_visits_every_subspace_once():
+    for n in range(7):
+        spaces = list(quiver._gf2_lattice(n, (1, [0]), quiver._span_with))
+        assert len(spaces) == galois_number(n, 2)
+        assert len({mask for _, (mask, _) in spaces}) == len(spaces)
+        for rows, (mask, elements) in spaces:
+            # a fully reduced basis, and the mask of its span
+            leads = [r.bit_length() - 1 for r in rows]
+            assert leads == sorted(set(leads)) and all(lead < n for lead in leads)
+            assert all(r >> lead & 1 == (r.bit_length() - 1 == lead) for r in rows for lead in leads)
+            assert sorted(elements) == sorted(
+                {functools.reduce(operator.xor, c, 0) for k in range(len(rows) + 1)
+                 for c in itertools.combinations(rows, k)})
+            assert mask == sum(1 << e for e in elements)
+
+
+#: rational modules with the pairs route mod 2.  The last has the gammas 1/2
+#: and 2/3 on (1, 2, 1): its side's scale 1/6 makes the second gamma 4,
+#: even, and only its own scale makes it 1
+_RATIONAL_MOD2 = [
+    module_ideal_A1([(1, 2, 3), (2, -1, 1)]),
+    module_ideal_A1([(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    CROSS_PRIME_A0,
+    MOD3_A1,
+    MOD3_A0,
+    module_ideal_A1([(1, 2, 3), (2, -1, 1), (3, 1, -2)]),
+    module_ideal_A1([(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)]),
+    module_point([1, 0, 0]),
+    QuiverRep("B", QQ, (1, 2, 1), [[[Fraction(1, 2)], [0]], [[0], [Fraction(2, 3)]], [[0], [0]]],
+              [[[0, 0]]] * 3),
+]
+
+
+@pytest.mark.parametrize("rep", _RATIONAL_MOD2, ids=lambda r: str(r.dims))
+def test_layer2_packed_reads_the_mod2_reduction_of_a_rational_module(monkeypatch, rep):
+    # the list path on the GF(2) module `_reduce_rep_mod_p` builds is the
+    # reference; the packed path builds none
+    expected = quiver._layer2_by_pairs(quiver._reduce_rep_mod_p(rep, 2))
+
+    def refuse(*args):
+        raise AssertionError("a GF(2) module built for the packed path")
+
+    monkeypatch.setattr(quiver, "_reduce_rep_mod_p", refuse)
+    monkeypatch.setattr(quiver, "_layer2_by_pairs", refuse)
+    assert quiver._layer2_cost(rep.dims, 2) < galois_number(rep.dims[1], 2)
+    assert quiver._layer2_dimvecs(rep, 2) == expected
+    if rep is _RATIONAL_MOD2[-1]:
+        # gamma(F^1) is the whole middle space, as the gammas' own scales
+        # keep it; the side's scale would leave a line, and the class (1, 1, 1)
+        side = quiver._layer2_packed(rep.dims, *quiver._int_arrows(rep))
+        assert (1, 1, 1) in side and (1, 1, 1) not in expected
 
 
 def test_layer2_degenerate_shapes_take_the_middle_path(monkeypatch):
@@ -1994,9 +2054,9 @@ def test_fork_and_gate_read_the_layer2_cost(monkeypatch, cold_search):
     reached = []
     real = quiver._layer2_dimvecs
 
-    def counting(rep):
-        reached.append(rep.field.p)
-        return real(rep)
+    def counting(rep, p=None):
+        reached.append(p or rep.field.p)
+        return real(rep, p)
 
     monkeypatch.setattr(quiver, "_layer2_dimvecs", counting)
     bound = quiver._LAYER2_COST_BOUND
@@ -2067,6 +2127,22 @@ def test_jh_factors_checks_each_peel_once(monkeypatch):
     monkeypatch.setattr(quiver, "_invariant", counting)
     factors = jh_factors(direct_sum(O_X, O_Y), TH_STABLE)
     assert len(factors) == 2 and calls == [factors[0].dims]
+
+
+def test_jh_factors_append_a_quotient_without_a_proper_theta_zero_class_unsearched(
+        monkeypatch, cold_search):
+    # the Hilbert-Chow filtration of two points ends in (0, 1, 0), whose
+    # classes (0, 0, 0) and (0, 1, 0) leave nothing to peel: no search
+    real = quiver.submodule_dimvecs
+
+    def refusing(rep, seed=0):
+        if rep.dims == (0, 1, 0):
+            raise AssertionError("the last (0, 1, 0) factor searched")
+        return real(rep, seed=seed)
+
+    monkeypatch.setattr(quiver, "submodule_dimvecs", refusing)
+    factors = jh_factors(module_ideal_A1([(1, 2, 3), (2, -1, 1)]), theta_b1(2, 1))
+    assert [f.dims for f in factors] == [(1, 2, 1), (1, 2, 1), (0, 1, 0)]
 
 
 def test_jh_factors_raises_on_unstable_input():
