@@ -65,69 +65,62 @@ DimVec = Tuple[int, int, int]
 SubTriple = Tuple[tuple, tuple, tuple]
 
 
-def _freeze_matrix(F, M, nrows: int, ncols: int):
-    if len(M) != nrows:
-        raise InputError("dimension mismatch")
-    out = []
-    for row in M:
-        if len(row) != ncols:
-            raise InputError("dimension mismatch")
-        out.append(tuple(map(F.convert, row)))
-    return tuple(out)
+#: one side of a module's integer form: three integer matrices N, tuples of
+#: row tuples, and the rational scale t with each arrow t N
+Side = Tuple[tuple, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuiverRep:
-    """A finite-dimensional right module, given by its pullback matrices.
+    """A finite-dimensional right module, stored as its integer form.
 
-    Immutable, so its hash and its integer form (`_int_sides`) are each
-    computed at most once, when first asked for, and kept on it: the search
-    memo hashes a module on every lookup, and every relation check and
-    search step reads that form.
+    ``sides`` holds one pair (Ns, t) for the three gammas (n1 x n0) and one
+    for the three deltas (n2 x n1): integer matrices N, tuples of row
+    tuples, and one scale t with each arrow t N.  The pair is canonical
+    (`_side_form`): over Q the N have no common factor and t > 0, or they
+    are zero and t = 0; over GF(p) their entries lie in [0, p) and t = 1.
+    So two modules are equal, and hash alike, exactly when their arrows
+    are, and the field arrows ``gamma`` and ``delta`` are read back from
+    the pairs (`linalg.field_form`).  The constructor converts field
+    entries once; the module algebra builds modules straight from integer
+    forms (`_from_ints`).  Immutable, and nothing is added to it once built.
     """
 
     algebra: str
     field: object
     dims: DimVec
-    gamma: Tuple  # three (n1 x n0) matrices
-    delta: Tuple  # three (n2 x n1) matrices
+    sides: Tuple[Side, Side]
 
-    def __post_init__(self):
-        if self.algebra not in ALGEBRAS:
-            raise InputError(f"unknown algebra {self.algebra!r}")
-        n0, n1, n2 = self.dims
-        if min(n0, n1, n2) < 0:
-            raise InputError("negative dimension")
-        object.__setattr__(self, "dims", (int(n0), int(n1), int(n2)))
-        if len(self.gamma) != 3 or len(self.delta) != 3:
+    def __init__(self, algebra: str, field, dims: Sequence[int], gamma, delta):
+        if algebra not in ALGEBRAS:
+            raise InputError(f"unknown algebra {algebra!r}")
+        if not (isinstance(dims, Sequence) and len(dims) == 3
+                and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in dims)):
+            raise InputError(f"dims must be three non-negative integers, not {dims!r}")
+        n0, n1, n2 = dims
+        if len(gamma) != 3 or len(delta) != 3:
             raise InputError("three gamma and three delta arrows required")
-        object.__setattr__(
-            self,
-            "gamma",
-            tuple(_freeze_matrix(self.field, g, n1, n0) for g in self.gamma),
-        )
-        object.__setattr__(
-            self,
-            "delta",
-            tuple(_freeze_matrix(self.field, d, n2, n1) for d in self.delta),
-        )
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_int_form", None)
+        sides = tuple(_side_form(field, [_field_matrix(field, A, nt, ns) for A in side])
+                      for side, nt, ns in ((gamma, n1, n0), (delta, n2, n1)))
+        vars(self).update(algebra=algebra, field=field, dims=(n0, n1, n2), sides=sides)
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.algebra, self.field, self.dims, self.gamma, self.delta))
-            )
-        return self._hash
-
-    # -- small conveniences -------------------------------------------------
+    # -- the field arrows, read off the integer form ------------------------
 
     def gamma_m(self, i: int):
-        return [list(r) for r in self.gamma[i]]
+        (Ns, t), _ = self.sides
+        return linalg.field_form(self.field, Ns[i], t)
 
     def delta_m(self, j: int):
-        return [list(r) for r in self.delta[j]]
+        _, (Ns, t) = self.sides
+        return linalg.field_form(self.field, Ns[j], t)
+
+    @property
+    def gamma(self) -> tuple:
+        return tuple(tuple(map(tuple, self.gamma_m(i))) for i in range(3))
+
+    @property
+    def delta(self) -> tuple:
+        return tuple(tuple(map(tuple, self.delta_m(j))) for j in range(3))
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -187,34 +180,31 @@ def rep_from_json(obj: dict) -> QuiverRep:
 # relations
 
 
-def _side_form(F, Ns, t=1) -> Tuple[tuple, Fraction]:
-    """The integer form of a side whose arrows are t N_k, for matrices N_k
-    over the field and a positive rational t: the `linalg.int_form` of the
-    N_k stacked, cut back into three matrices of tuples, and t times its
-    scale (0 on a zero side; 1 over GF(p), where every scale is 1)."""
+def _field_matrix(F, M, nrows: int, ncols: int) -> list:
+    """The entries of an nrows x ncols matrix in the field; any other shape
+    is invalid input."""
+    if len(M) != nrows or any(len(row) != ncols for row in M):
+        raise InputError("dimension mismatch")
+    return [list(map(F.convert, row)) for row in M]
+
+
+def _side_form(F, Ns, t=1) -> Side:
+    """The canonical integer form (`QuiverRep`) of a side whose arrows are
+    t N_k, for matrices N_k over the field or the integers and a positive
+    rational t: the `linalg.int_form` of the N_k stacked, cut back into
+    three matrices of tuples, and t times its scale (0 on a zero side; 1
+    over GF(p), where every scale is 1 and so is every t the module
+    algebra passes, its pivot entries being 1)."""
     ints, s = linalg.int_form(F, [row for N in Ns for row in N])
     n = len(Ns[0])
-    return tuple(tuple(map(tuple, ints[k * n : (k + 1) * n])) for k in range(len(Ns))), t * s
-
-
-def _int_sides(rep: QuiverRep) -> Tuple[tuple, tuple]:
-    """The module's integer form: for the gammas and for the deltas a pair
-    (Ns, t), three integer matrices of tuples and one rational scale t with
-    each arrow t N (`_side_form`).  Over Q the side scaled to integers with
-    no common factor; over GF(p) the arrows as stored, t = 1.  Formed once
-    per module and kept on it; a module the module algebra builds keeps the
-    one it was built from (`_from_ints`)."""
-    if rep._int_form is None:
-        form = tuple(_side_form(rep.field, side) for side in (rep.gamma, rep.delta))
-        object.__setattr__(rep, "_int_form", form)
-    return rep._int_form
+    return tuple(tuple(map(tuple, ints[k * n : (k + 1) * n])) for k in range(3)), t * s
 
 
 def _int_arrows(rep: QuiverRep) -> Tuple[tuple, tuple]:
-    """The gammas and the deltas of the integer form (`_int_sides`); each
-    is its arrow times a positive rational, which keeps every image, kernel
-    and span the searches use."""
-    (gammas, _), (deltas, _) = _int_sides(rep)
+    """The gammas and the deltas of the integer form (`QuiverRep.sides`);
+    each is its arrow times a positive rational, which keeps every image,
+    kernel and span the searches use."""
+    (gammas, _), (deltas, _) = rep.sides
     return gammas, deltas
 
 
@@ -304,12 +294,13 @@ def quotient_by(rep: QuiverRep, triple: SubTriple) -> QuiverRep:
 
 def _from_ints(algebra: str, F, dims: DimVec, gammas, deltas) -> QuiverRep:
     """The module whose gammas, and whose deltas, are given as one pair
-    (Ns, t): the integer matrices N times the positive rational t.  It keeps
-    each pair, in its integer form (`_side_form`), as its `_int_sides`, so
-    no relation check or search converts its arrows again."""
-    form = (_side_form(F, *gammas), _side_form(F, *deltas))
-    rep = QuiverRep(algebra, F, dims, *([linalg.field_form(F, N, t) for N in Ns] for Ns, t in form))
-    object.__setattr__(rep, "_int_form", form)
+    (Ns, t): integer matrices N times the positive rational t.  Each pair is
+    normalized to the canonical one (`_side_form`) and stored as it is, with
+    no field matrix formed and no input check: the module algebra that
+    calls this builds well-shaped matrices."""
+    rep = object.__new__(QuiverRep)
+    vars(rep).update(algebra=algebra, field=F, dims=dims,
+                     sides=(_side_form(F, *gammas), _side_form(F, *deltas)))
     return rep
 
 
@@ -319,13 +310,14 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
     that is not invariant is invalid input.
 
     Every arrow A of a side is t G, G its integer matrix and t the side's
-    scale (`_int_sides`).  The submodule's basis is the rref rows of the
+    scale (`QuiverRep.sides`).  The submodule's basis is the rref rows of the
     spans, u_b = U_b / q_b (U_b canonical, q_b its pivot entry); A u_b lies
     in the target span, so its coordinates are its entries at the target's
     pivots, t (G U_b)[c] / q_b.  The quotient keeps the non-pivot coordinates at
     each vertex; its arrow sends a kept source coordinate c to t G e_c
     reduced against the target span (`linalg.int_residues`, which scales by
-    L), at the target's kept coordinates."""
+    L), at the target's kept coordinates.  Both modules are built from
+    these integer forms (`_from_ints`), with no field matrix in between."""
     F = rep.field
     spans = [linalg.int_span(F, U, n) for U, n in zip(triple, rep.dims)]
     images = _arrow_images(rep, spans)
@@ -333,7 +325,7 @@ def _split(rep: QuiverRep, triple: SubTriple) -> Tuple[QuiverRep, QuiverRep]:
         raise InputError("not a submodule")
     comps = [[c for c in range(n) if c not in piv] for (_, piv), n in zip(spans, rep.dims)]
     sub, quo = [], []
-    for s, (Ns, t) in enumerate(_int_sides(rep)):
+    for s, (Ns, t) in enumerate(rep.sides):
         U, W, piv = spans[s][0], spans[s + 1][0], spans[s + 1][1]
         q = [next(x for x in u if x) for u in U]
         Lq = math.lcm(*q)
@@ -490,13 +482,14 @@ def dualize(rep: QuiverRep) -> QuiverRep:
     dual of vertex 2 - i of N; arrows act by transposes, no sign twists.
 
     gamma*_i on N* is (delta*_i of N)^T and delta*_j on N* is
-    (gamma*_j of N)^T; both relation ideals are preserved.
+    (gamma*_j of N)^T; both relation ideals are preserved.  On the integer
+    form: the transposed matrices, the two scales swapped.
     """
     n0, n1, n2 = rep.dims
-    dims = (n2, n1, n0)
-    gamma = [transpose(rep.delta_m(i), ncols=n1) for i in range(3)]
-    delta = [transpose(rep.gamma_m(j), ncols=n0) for j in range(3)]
-    return QuiverRep(rep.algebra, rep.field, dims, gamma, delta)
+    (gammas, tg), (deltas, td) = rep.sides
+    return _from_ints(rep.algebra, rep.field, (n2, n1, n0),
+                      ([transpose(D, ncols=n1) for D in deltas], td),
+                      ([transpose(G, ncols=n0) for G in gammas], tg))
 
 
 def reverse_theta(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
@@ -522,7 +515,7 @@ def tilt_B_to_Bprime(rep: QuiverRep) -> QuiverRep:
     n0, n1, n2 = rep.dims
     # image of delta_V inside F^{3 n2}, as a row space: the columns of the
     # stacked deltas
-    (gammas, tg), (deltas, td) = _int_sides(rep)
+    (gammas, tg), (deltas, td) = rep.sides
     img, img_piv = linalg.int_rref(F, [[row[b] for A in deltas for row in A] for b in range(n1)])
     if len(img) < n1:
         raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
@@ -560,7 +553,7 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
         raise InputError("tilt_Bprime_to_B expects a B'-module")
     F = rep.field
     m0, m1, m2 = rep.dims
-    (gammas, t), (deltas, _) = _int_sides(rep)
+    (gammas, t), (deltas, _) = rep.sides
     D = [[x for A in deltas for x in A[r]] for r in range(m2)]
     R, piv = linalg.int_rref(F, D)
     K = linalg.int_rref_kernel(F, R, piv, 3 * m1)
@@ -709,7 +702,13 @@ def _box(dims: DimVec) -> frozenset:
     return frozenset(itertools.product(*(range(n + 1) for n in dims)))
 
 
-def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Iterator[tuple]:
+#: the most candidates `_u1_candidates` admits to its pool
+_POOL_CAP = 250
+#: the most sums and meets the pool's closure forms
+_PAIR_BUDGET = 4000
+
+
+def _u1_candidates(rep: QuiverRep, seed: int) -> Iterator[tuple]:
     """Candidate middle-vertex subspaces, as canonical integer row tuples
     (`linalg.int_rref`: over Q the rref scaled to primitive rows with
     positive pivots, one to one with the rref itself), each yielded once, in
@@ -722,7 +721,8 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     over a small prime field, of every vector, delta-preimages of delta(U1)
     for the first candidates U1, seeded random spans, then the sums and
     intersections of pairs of these and one round of sums with the pool,
-    under a work budget.  The first two candidates' rectangles form, as
+    under a work budget (`_PAIR_BUDGET`, the pool held to `_POOL_CAP`).
+    The first two candidates' rectangles form, as
     interval spans of `_layer1`, ker delta and the delta-preimages of the
     coordinate subspaces <e_0, ..., e_{c-1}> of the end vertex (U1 = 0) and
     gamma(F^{n0}) (U1 = F^{n1}), so none of these is a source; nor are the
@@ -745,9 +745,9 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
 
     def fresh(keys) -> Iterator[tuple]:
         """Admit the canonical ``keys`` in turn, yielding each one that is new
-        to the pool; pull no further key once the pool holds ``cap``."""
+        to the pool; pull no further key once the pool is full."""
         keys = iter(keys)
-        while len(pool) < cap:
+        while len(pool) < _POOL_CAP:
             key = next(keys, None)
             if key is None:
                 return
@@ -799,7 +799,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     ops = 0
     atoms = list(pool)
     for a, b in itertools.combinations(atoms, 2):
-        if ops >= pair_budget or len(pool) >= cap:
+        if ops >= _PAIR_BUDGET or len(pool) >= _POOL_CAP:
             break
         total = canon(a + b)
         # the sum settles the meet when it is direct or equals a summand
@@ -815,7 +815,7 @@ def _u1_candidates(rep: QuiverRep, seed: int, cap: int, pair_budget: int) -> Ite
     # round starts
     snapshot = list(pool)
     for a, b in itertools.product(snapshot[len(atoms):], snapshot):
-        if ops >= pair_budget or len(pool) >= cap:
+        if ops >= _PAIR_BUDGET or len(pool) >= _POOL_CAP:
             break
         yield from fresh([canon(a + b)])
         ops += 1
@@ -867,13 +867,7 @@ def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list, list]:
 _IDLE_RECTANGLE_PRICE = 4
 
 
-def _layer1(
-    rep: QuiverRep,
-    seed: int,
-    cap: int = 250,
-    pair_budget: int = 4000,
-    bounds: Iterable[Tuple[int, Callable[[], frozenset]]] = (),
-):
+def _layer1(rep: QuiverRep, seed: int, bounds: Iterable[Tuple[int, Callable[[], frozenset]]] = ()):
     """Witnessed dimvec search driven by candidate middle subspaces.
 
     Each candidate U1 certifies every class of its rectangle's outer pairs
@@ -897,8 +891,8 @@ def _layer1(
 
     Sound for any candidate pool; complete whenever the pool covers the
     middle subspaces that matter.  The pool (`_u1_candidates`) holds at most
-    ``cap`` candidates, each built from all three arrows of a side, and its
-    closure stops once it has formed ``pair_budget`` sums and meets.
+    `_POOL_CAP` candidates, each built from all three arrows of a side, and
+    its closure stops once it has formed `_PAIR_BUDGET` sums and meets.
 
     ``bounds`` lets the search stop early without changing its result.  It
     is a sequence of pairs (cost, bound): ``bound()`` returns a proved set
@@ -941,7 +935,7 @@ def _layer1(
             unwitnessed.discard(dv)
 
     nxt, rent = next(bounds, None), 0  # the next bound, rent paid since the last
-    for u1c in _u1_candidates(rep, seed, cap, pair_budget):
+    for u1c in _u1_candidates(rep, seed):
         u0max, D, growth, ann = (tuple(map(tuple, R)) for R in _rectangle(rep, u1c))
         dim1, outer = len(u1c), range(len(D), n2 + 1)
         u2 = {c: D + growth[: c - len(D)] for c in outer}
@@ -1220,8 +1214,10 @@ def _primitive_arrows(rep: QuiverRep) -> Tuple[list, list]:
 
 
 def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
-    """Reduce a rational module mod p: its `_primitive_arrows` over GF(p)."""
-    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *_primitive_arrows(rep))
+    """Reduce a rational module mod p: its `_primitive_arrows` over GF(p),
+    built as an integer form (`_from_ints`)."""
+    return _from_ints(rep.algebra, PrimeField(p), rep.dims,
+                      *((Ns, 1) for Ns in _primitive_arrows(rep)))
 
 
 def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:

@@ -41,7 +41,7 @@ from p2stab.quiver import (
     rep_to_json,
     theta_pair,
 )
-from test_quiver import assert_kept_int_form
+from test_quiver import assert_canonical_sides
 
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 LINE3 = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
@@ -335,12 +335,12 @@ def test_module_constructions_are_pinned(n):
     }
     for kind, reps in built.items():
         assert _digest(reps) == _MODULE_DIGESTS[n, kind], kind
-    # every construction keeps an integer form (the tilt and the splits the
-    # one they build from, the others the one their relation check formed),
-    # and it is the one formed afresh from the rational arrows
+    # every construction holds its canonical integer form alone (the tilt
+    # and the splits the one they build from, the others the one their
+    # constructor formed), the one formed afresh from the rational arrows
     for reps in built.values():
         for rep in reps:
-            assert_kept_int_form(rep)
+            assert_canonical_sides(rep)
 
 
 def ref_module_ideal_A0(points):

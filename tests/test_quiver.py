@@ -1,8 +1,10 @@
 """Quiver module layer: construction, hom/iso, duality, tilting, stability."""
 
 import collections
+import dataclasses
 import functools
 import itertools
+import math
 import operator
 import random
 import sys
@@ -131,24 +133,32 @@ def test_json_round_trip(field):
     assert iso_test(rep, back).isomorphic
 
 
+@pytest.mark.parametrize("dims", [("1", 1, 1), (1, 1), (True, 1, 1), (2.0, 1, 1)], ids=repr)
+def test_constructor_refuses_dims_that_are_not_three_non_negative_integers(dims):
+    # a string, two entries, a boolean and a float: each is invalid input,
+    # refused before any arrow is read, never coerced
+    with pytest.raises(InputError):
+        QuiverRep("B", QQ, dims, [[]] * 3, [[]] * 3)
+
+
 def test_rep_from_json_rejects_garbage():
     with pytest.raises(InputError):
         rep_from_json({"algebra": "B", "dims": [1, "x", 1]})
 
 
 def test_equal_modules_built_apart_are_one_memo_key():
-    # the hash is kept on the module; equal modules built separately still
-    # compare and hash equal, and the hash is that of the fields
+    # equal modules built separately compare and hash equal, and the hash is
+    # that of the fields, the integer form among them
     pts = [(1, 2, 3), (2, -1, 1)]
     a, b = module_ideal_A1(pts), module_ideal_A1(pts)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert hash(a) == hash((a.algebra, a.field, a.dims, a.gamma, a.delta))
+    assert hash(a) == hash((a.algebra, a.field, a.dims, a.sides))
     assert module_ideal_A0(pts) != a
     assert len({a, b, module_ideal_A0(pts), module_ideal_A0(pts)}) == 2
 
 
-def ref_int_sides(rep):
-    """The integer form of `quiver._int_sides`, formed afresh from the
+def ref_sides(rep):
+    """The integer form of `QuiverRep.sides`, formed afresh from the field
     arrows: over Q each side's stacked rows in their `linalg.int_form` and
     its scale read off one nonzero entry (0 on a zero side); over GF(p) the
     arrows as stored, scale 1."""
@@ -176,18 +186,26 @@ def assert_scales_arrows(rep):
     """t N equals the arrow, entry by entry, for every arrow of each side of
     the integer form, and t is a Fraction."""
     F = rep.field
-    for (Ns, t), side in zip(quiver._int_sides(rep), (rep.gamma, rep.delta)):
+    for (Ns, t), side in zip(rep.sides, (rep.gamma, rep.delta)):
         assert len(Ns) == len(side) == 3 and type(t) is Fraction
         for N, A in zip(Ns, side):
             assert [[F.convert(t * x) for x in row] for row in N] == [list(r) for r in A]
 
 
-def assert_kept_int_form(rep):
-    """A module the module algebra built (a tilt, a split, `random_rep`, a
-    construction) keeps an integer form, equal to the one formed afresh
-    from its arrows, whose scales give back every arrow."""
-    assert rep._int_form is not None
-    assert rep._int_form == ref_int_sides(rep)
+def assert_canonical_sides(rep):
+    """A module, however built (a tilt, a split, `random_rep`, a
+    construction), holds its canonical integer form and nothing else: the
+    form equals the one formed afresh from its arrows, and its scales give
+    back every arrow."""
+    assert vars(rep).keys() == {"algebra", "field", "dims", "sides"}
+    assert rep.sides == ref_sides(rep)
+    for Ns, t in rep.sides:
+        entries = [x for N in Ns for row in N for x in row]
+        assert all(type(x) is int for x in entries)
+        if rep.field.p is not None:
+            assert t == 1 and all(0 <= x < rep.field.p for x in entries)
+        else:
+            assert (t > 0 and math.gcd(*entries) == 1) if any(entries) else t == 0
     assert_scales_arrows(rep)
 
 
@@ -198,7 +216,7 @@ def test_int_sides_are_formed_once_and_immutable(field):
     reps = [random_rep("B", field, dims, rng) for dims in shapes]
     reps += [random_rep("Bprime", field, (2, 2, 1), rng)]
     for rep in reps:
-        assert_kept_int_form(rep)  # its relation check formed it
+        assert_canonical_sides(rep)
     if field.p is None:
         pts = [(1, 2, 3), (2, -1, 1)]
         reps += [module_ideal_A1(pts), module_ideal_A0(pts), bprime_module_points(pts)]
@@ -207,22 +225,28 @@ def test_int_sides_are_formed_once_and_immutable(field):
         reps += [QuiverRep("B", QQ, (1, 1, 0), [((Fraction(2, 3),),), ((Fraction(-4, 9),),),
                                                   ((0,),)], [()] * 3)]
     for rep in reps:
-        form = quiver._int_sides(rep)
-        assert quiver._int_sides(rep) is form
-        assert form == ref_int_sides(rep)
+        # the form is stored at construction: searching, hashing and reading
+        # the field arrows add nothing to the module, and nothing can be set
+        form = rep.sides
+        hash(rep), rep.gamma, rep.delta_m(0), submodule_dimvecs(rep)
+        assert rep.sides is form and vars(rep).keys() == {"algebra", "field", "dims", "sides"}
+        assert form == ref_sides(rep)
         assert_scales_arrows(rep)
         assert quiver._int_arrows(rep) == (form[0][0], form[1][0])
         assert all(isinstance(A, tuple) and all(isinstance(r, tuple) for r in A)
                    for Ns, _ in form for A in Ns)
         with pytest.raises(TypeError):
             form[0][0][0] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.sides = form
         if field.p is not None:
             continue
         for p in (2, 3, 5, 7):
             want = QuiverRep(rep.algebra, PrimeField(p), rep.dims, *ref_primitive_arrows(rep))
             got = quiver._reduce_rep_mod_p(rep, p)
             assert got == want and hash(got) == hash(want)
-            assert quiver._int_sides(got) == ref_int_sides(want)
+            assert got.sides == ref_sides(want)
+            assert_canonical_sides(got)
 
 
 def test_a_side_over_several_denominators_takes_one_scale():
@@ -230,8 +254,8 @@ def test_a_side_over_several_denominators_takes_one_scale():
     # is zero, scale 0
     rep = QuiverRep("B", QQ, (1, 1, 0), [[[Fraction(1, 2)]], [[Fraction(2, 3)]], [[0]]],
                     [[]] * 3)
-    assert quiver._int_sides(rep) == (((((3,),), ((4,),), ((0,),)), Fraction(1, 6)),
-                                      (((), (), ()), Fraction(0)))
+    assert rep.sides == (((((3,),), ((4,),), ((0,),)), Fraction(1, 6)),
+                         (((), (), ()), Fraction(0)))
     assert_scales_arrows(rep)
     # mod 2 the side's 4 vanishes; each arrow made primitive on its own keeps
     # the second gamma
@@ -239,9 +263,66 @@ def test_a_side_over_several_denominators_takes_one_scale():
     # a side over 5/4 and -15/8: the gcd 5 of its integers moves into t
     rep = QuiverRep("B", QQ, (1, 2, 0), [[[Fraction(5, 4)], [0]], [[0], [Fraction(-15, 8)]],
                                          [[0], [0]]], [[]] * 3)
-    assert quiver._int_sides(rep)[0] == ((((2,), (0,)), ((0,), (-3,)), ((0,), (0,))),
-                                         Fraction(5, 8))
+    assert rep.sides[0] == ((((2,), (0,)), ((0,), (-3,)), ((0,), (0,))), Fraction(5, 8))
     assert_scales_arrows(rep)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    field=st.sampled_from([QQ, F2, PrimeField(3), F5, F7]),
+    dims=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    algebra=st.sampled_from(["B", "Bprime"]),
+    seed=st.integers(0, 2**16),
+    k=st.integers(2, 12),
+)
+def test_a_module_rebuilt_from_its_arrows_or_a_scaled_form_is_equal(field, dims, algebra, seed, k):
+    # the stored form is canonical: the module built again from its field
+    # arrows, and over Q the one built from the non-primitive pair
+    # (k Ns, t / k) of each side, are the same module, with the same hash
+    rep = random_rep(algebra, field, dims, random.Random(seed))
+    again = QuiverRep(algebra, field, dims, rep.gamma, rep.delta)
+    assert again == rep and hash(again) == hash(rep) and again.sides == rep.sides
+    if field.p is None:
+        scaled = [([[[k * x for x in row] for row in N] for N in Ns], t / k) for Ns, t in rep.sides]
+        built = quiver._from_ints(algebra, field, dims, *scaled)
+        assert built == rep and hash(built) == hash(rep)
+        assert_canonical_sides(built)
+
+
+def test_the_module_algebra_builds_no_field_matrix(monkeypatch):
+    # the tilts, a split, the dual and the reduction mod p build their
+    # modules straight from integer forms: with `linalg.field_form` refused
+    # each still runs, and gives the module built from field rows
+    pts = [(1, 2, 3), (2, -1, 1), (3, 1, -2)]
+    bprime = bprime_module_points(pts)
+    a1 = module_ideal_A1(pts)
+    gf5 = random_rep("Bprime", F5, (2, 3, 2), random.Random(5))
+    triple = submodule_dimvecs(a1).witnesses[(1, 3, 2)]
+    want = {
+        "tilt_B_to_Bprime": tilt_B_to_Bprime(a1),
+        "tilt_Bprime_to_B": tilt_Bprime_to_B(bprime)[0],
+        "_split": quiver._split(a1, triple),
+        "dualize": (dualize(a1), dualize(gf5)),
+        "_reduce_rep_mod_p": quiver._reduce_rep_mod_p(a1, 3),
+    }
+    fresh = [QuiverRep(r.algebra, r.field, r.dims, r.gamma, r.delta)
+             for r in (want["tilt_B_to_Bprime"], *want["_split"], want["_reduce_rep_mod_p"])]
+
+    def refuse(*args):
+        raise AssertionError("a field matrix was built")
+
+    monkeypatch.setattr(linalg, "field_form", refuse)
+    got = {
+        "tilt_B_to_Bprime": tilt_B_to_Bprime(a1),
+        "tilt_Bprime_to_B": tilt_Bprime_to_B(bprime)[0],
+        "_split": quiver._split(a1, triple),
+        "dualize": (dualize(a1), dualize(gf5)),
+        "_reduce_rep_mod_p": quiver._reduce_rep_mod_p(a1, 3),
+    }
+    assert got == want
+    monkeypatch.undo()
+    assert [got["tilt_B_to_Bprime"], *got["_split"], got["_reduce_rep_mod_p"]] == fresh
+    assert dualize(dualize(a1)) == a1 and dualize(dualize(gf5)) == gf5
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +524,7 @@ def test_constructions_match_the_per_vector_code(field):
                 assert (got is InputError) == (not invariant)
             if invariant:
                 for part in quiver._split(rep, triple):
-                    assert_kept_int_form(part)
+                    assert_canonical_sides(part)
         # a row of the wrong length is invalid input, for both
         v = rng.randrange(3)
         bad = [list(U) for U in triples[-1]]
@@ -696,13 +777,17 @@ def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
     """The pool, and the witnesses drawn from it, match the Fraction-row
     search's: the same candidates in the same order, and witnesses of the
     same classes in the same order, each an integer triple spanning the
-    spaces of the reference's witness."""
+    spaces of the reference's witness.  The pool's cap and pair budget are
+    set for the call (`quiver._POOL_CAP`, `quiver._PAIR_BUDGET`)."""
     field = rep.field
-    pool = quiver._u1_candidates(rep, seed, cap, pair_budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quiver, "_POOL_CAP", cap)
+        mp.setattr(quiver, "_PAIR_BUDGET", pair_budget)
+        pool = list(quiver._u1_candidates(rep, seed))
+        got = quiver._layer1(rep, seed)
     assert [
         tuple(tuple(r) for r in linalg.int_rows_to_field(field, u1)) for u1 in pool
     ] == ref_u1_candidates(rep, seed, cap, pair_budget)
-    got = quiver._layer1(rep, seed, cap=cap, pair_budget=pair_budget)
     want = ref_layer1(rep, seed, cap=cap, pair_budget=pair_budget)
     assert list(got) == list(want)
     for dv, triple in got.items():
@@ -729,7 +814,8 @@ def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
     seen = {}
     for pair_budget in (400, 4000):
         calls.update(int_form=0, _rref_z=0)
-        quiver._layer1(rep, 0, pair_budget=pair_budget)
+        monkeypatch.setattr(quiver, "_PAIR_BUDGET", pair_budget)
+        quiver._layer1(rep, 0)
         seen[pair_budget] = dict(calls)
     assert seen[400]["int_form"] == seen[4000]["int_form"] == 0
     assert seen[400]["_rref_z"] < seen[4000]["_rref_z"]
@@ -844,13 +930,14 @@ def test_layer1_matches_the_fraction_row_search_on_report_modules(rep, p, budget
 
 
 def test_a_full_pool_pulls_no_further_source(monkeypatch):
-    # counts, not timings: once the pool holds `cap` candidates, no later
+    # counts, not timings: once the pool holds its cap of candidates, no later
     # source is formed, the delta-preimages of the end-vertex targets among them
     rep = _REPORT_MODULES[0]
     calls = []
     real = quiver._preimage
     monkeypatch.setattr(quiver, "_preimage", lambda *args: calls.append(1) or real(*args))
-    pool = quiver._u1_candidates(rep, 0, 6, 4000)
+    monkeypatch.setattr(quiver, "_POOL_CAP", 6)
+    pool = quiver._u1_candidates(rep, 0)
     assert len(list(itertools.islice(pool, 6))) == 6
     formed = len(calls)
     assert list(pool) == [] and len(calls) == formed
@@ -909,7 +996,7 @@ def test_every_interval_witness_is_a_submodule(field, dims, algebra, seed):
     (module_ideal_A1, [(0, 5, 3), (1, 5, 3), (2, 5, 3), (1, 3, 2)]),
     (module_ideal_A0, [(0, 5, 2), (1, 5, 2), (2, 5, 2)]),
 ], ids=["A1", "A0"])
-def test_the_sources_witness_the_framed_triple_by_their_intervals(build, classes):
+def test_the_sources_witness_the_framed_triple_by_their_intervals(monkeypatch, build, classes):
     # the general triple, framed (`geometry._frame`) to the coordinate
     # points: each of these classes lies between gamma(U0) and
     # delta^-1(U2) of an outer pair of a source's rectangle, so the sources
@@ -917,7 +1004,8 @@ def test_the_sources_witness_the_framed_triple_by_their_intervals(build, classes
     # class of the mod-2 set.  No source has middle dimension 5: without
     # the intervals only a sum of two sources witnessed the dim-5 classes
     rep = build([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    witnesses = quiver._layer1(rep, 0, pair_budget=0)
+    monkeypatch.setattr(quiver, "_PAIR_BUDGET", 0)
+    witnesses = quiver._layer1(rep, 0)
     assert all(dv in witnesses for dv in classes)
     assert set(witnesses) == quiver._layer2_dimvecs(quiver._reduce_rep_mod_p(rep, 2))
     assert_witnesses_submodules(rep, witnesses)
@@ -1036,13 +1124,14 @@ def test_layer1_pulls_no_candidate_once_its_bound_is_filled(monkeypatch, cold_se
     [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
     [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
 ], ids=["general", "coordinate", "collinear"])
-def test_the_sources_witness_the_two_point_sub_sums_of_the_A0_module(points):
+def test_the_sources_witness_the_two_point_sub_sums_of_the_A0_module(monkeypatch, points):
     # the gamma-span of two coordinate vectors of the first vertex is a sum
     # of two point modules, class (2, 4, 2); the sources alone (no pair of
     # the closure) witness it
     rep = module_ideal_A0(points)
     assert rep.dims == (3, 6, 2)
-    assert (2, 4, 2) in quiver._layer1(rep, 0, pair_budget=0)
+    monkeypatch.setattr(quiver, "_PAIR_BUDGET", 0)
+    assert (2, 4, 2) in quiver._layer1(rep, 0)
 
 
 def test_the_four_point_A0_search_squeezes():
@@ -1898,7 +1987,7 @@ def test_tilts_match_the_per_column_solves(field):
             kinds[algebra, got[0] if isinstance(got[0], type) else got[1]] += 1
             if not isinstance(got[0], type):
                 out = new(rep)
-                assert_kept_int_form(out[0] if isinstance(out, tuple) else out)
+                assert_canonical_sides(out[0] if isinstance(out, tuple) else out)
     assert kinds["Bprime", None] and kinds["Bprime", VerificationError]
     assert kinds["B", None] and kinds["B", InputError]
 

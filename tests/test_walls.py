@@ -472,10 +472,11 @@ def test_dual_verdicts_match_the_dualized_module(config, eps):
 def test_a_report_searches_each_module_once(monkeypatch, config, searches):
     # the dual verdicts share M's search, so no second lattice is settled,
     # and the last (0, 1, 0) Jordan-Hoelder factor is not searched at all;
-    # the ideal modules are built once, M with one tilt; no module has its
-    # arrows made integers twice (`quiver._int_sides`), and none that a tilt
-    # or a split built has them made integers at all: it keeps the form it
-    # was built from (counts: the same on every machine)
+    # the ideal modules are built once, M with one tilt; a module built from
+    # field rows has its arrows made integers once, by its constructor
+    # (`quiver._field_matrix`, one call per arrow), and none that a tilt or a
+    # split built from an integer form (`quiver._from_ints`) has field rows
+    # made integers at all (counts: the same on every machine)
     n = len(config)
     calls = collections.Counter()
     for name in ("module_ideal_A1", "module_ideal_A0", "tilt_Bprime_to_B"):
@@ -489,20 +490,25 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     # every module converted or built, kept alive so that no two share an id
-    converted, built = [], []
-    real_sides, real_from_ints = quiver._int_sides, quiver._from_ints
+    converted, built, matrices = [], [], []
+    real_init, real_from_ints = quiver.QuiverRep.__init__, quiver._from_ints
+    real_field_matrix = quiver._field_matrix
 
-    def int_sides(rep):
-        if rep._int_form is None:
-            converted.append(rep)
-        return real_sides(rep)
+    def init(rep, *args):
+        real_init(rep, *args)
+        converted.append(rep)
 
     def from_ints(*args):
         built.append(real_from_ints(*args))
         return built[-1]
 
-    monkeypatch.setattr(quiver, "_int_sides", int_sides)
+    def field_matrix(*args):
+        matrices.append(args)
+        return real_field_matrix(*args)
+
+    monkeypatch.setattr(quiver.QuiverRep, "__init__", init)
     monkeypatch.setattr(quiver, "_from_ints", from_ints)
+    monkeypatch.setattr(quiver, "_field_matrix", field_matrix)
     quiver._submodule_dimvecs_impl.cache_clear()
     hilbert_report(n, [config])
     assert quiver._submodule_dimvecs_impl.cache_info().misses == searches
@@ -510,12 +516,15 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
         1, 1, int(n > 1)]
     ids = collections.Counter(map(id, converted))
     assert built and not ids.keys() & set(map(id, built))
-    assert set(ids.values()) == {1}
-    # the rational ones, each at its relation check: the B'-module of the
-    # points and, where A0 is built, each point module and the A0 module
+    assert set(ids.values()) == {1} and len(matrices) == 6 * len(converted)
+    # the rational ones, each in its constructor: the B'-module of the
+    # points and, where A0 is built, each point module, their partial direct
+    # sums and the A0 module, and from three points the simple C v_1 of the
+    # collinearity test
     rational = sorted(rep.dims for rep in converted if rep.field.p is None)
-    a0_parts = [(1, 2, 1)] * n + [(n, 2 * n, n - 1)] if n > 1 else []
-    assert rational == sorted([(n, n, n - 1)] + a0_parts)
+    a0_parts = [(1, 2, 1)] * n + [(k, 2 * k, k) for k in range(2, n + 1)] + [
+        (n, 2 * n, n - 1)] if n > 1 else []
+    assert rational == sorted([(n, n, n - 1)] + a0_parts + [(0, 1, 0)] * (n > 2))
 
 
 def test_hilbert_report_input_checks():
