@@ -20,7 +20,6 @@ which a report searches it.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -37,6 +36,7 @@ from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .quiver import (
     QuiverRep,
     _affordable_primes,
+    _from_ints,
     direct_sum,
     hom_space,
     jh_factors,
@@ -154,10 +154,13 @@ def _point_of(rep: QuiverRep) -> Optional[Point]:
     Conversely, two such modules with one ker G have G' = h G for an h in
     GL_2, and (1, h, lambda'/lambda) is an isomorphism if lambda != 0.
     module_point(x') has ker G = [x'] and D != 0, so rep is isomorphic to
-    it iff rank G = 2, [x] = [x'] and D != 0.
+    it iff rank G = 2, [x] = [x'] and D != 0.  Read off the integer form
+    (`QuiverRep.sides`): a side's positive scale moves neither [x] nor
+    whether D is zero.
     """
-    x = _cross(*([g[k][0] for g in rep.gamma] for k in range(2)))
-    return x if any(x) and any(c for d in rep.delta for c in d[0]) else None
+    (G, _), (D, _) = rep.sides
+    x = _cross(*([g[k][0] for g in G] for k in range(2)))
+    return x if any(x) and any(c for d in D for c in d[0]) else None
 
 
 def _primitive_point(p) -> Tuple[int, ...]:
@@ -309,14 +312,16 @@ def module_ideal_A0(points) -> QuiverRep:
     """The B-module of the ideal-type object in the second heart
     presentation, dims (n, 2n, n-1): the direct sum of the point modules,
     its last vertex taken through the projection P that kills the unit
-    section, as in `bprime_module_points` (every delta composed with P)."""
+    section, as in `bprime_module_points` (every delta composed with P).
+    One `direct_sum` of the n point modules, whose integer deltas P takes
+    as they are: no field row is formed past the point modules'."""
     cfg = _as_config(points)
     n = len(cfg)
     if n == 0:
         raise InputError("empty configuration")
-    total = functools.reduce(direct_sum, (module_point(x) for x in cfg))
+    (gammas, tg), (deltas, td) = direct_sum(*(module_point(x) for x in cfg)).sides
     return require_relations(
-        QuiverRep("B", QQ, (n, 2 * n, n - 1), total.gamma, [_kill_unit(d) for d in total.delta]))
+        _from_ints("B", QQ, (n, 2 * n, n - 1), (gammas, tg), ([_kill_unit(D) for D in deltas], td)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from .errors import InputError
+from .io_utils import parse_json_int
 from .linalg import QQ, solve_right
 
 Triple = Tuple[Fraction, Fraction, Fraction]
@@ -211,6 +212,6 @@ def dimvec(a: ClassLike, heart: HeartBasis) -> DimVector:
 
 def chern_of_dimvec(v: Sequence[int], heart: HeartBasis) -> ChernCharacter:
     """Inverse of dimvec: a_0 c_0 + a_1 c_1 + a_2 c_2 in the signed basis."""
-    a0, a1, a2 = (int(x) for x in v)
+    a0, a1, a2 = map(parse_json_int, v)
     c0, c1, c2 = heart.signed_basis()
     return a0 * c0 + a1 * c1 + a2 * c2

@@ -494,7 +494,7 @@ def saturated_kernel_basis_3(d: Sequence[int]) -> List[List[int]]:
     Found by building a unimodular U with U d = (g, 0, 0)^T; the last two
     rows of U are the basis.  Deterministic.
     """
-    d = [int(x) for x in d]
+    d = [parse_json_int(x) for x in d]
     if all(x == 0 for x in d):
         raise InputError("kernel of the zero vector is everything")
     U = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -30,6 +30,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .errors import InputError, VerificationError
 from .io_utils import format_fraction, parse_json_int
+from .ktheory import as_triple
 from . import linalg
 from .linalg import (
     QQ,
@@ -39,7 +40,6 @@ from .linalg import (
     iter_subspaces,
     right_kernel,
     transpose,
-    zeros,
 )
 
 ALGEBRAS = ("B", "Bprime")
@@ -82,8 +82,10 @@ class QuiverRep:
     So two modules are equal, and hash alike, exactly when their arrows
     are, and the field arrows ``gamma`` and ``delta`` are read back from
     the pairs (`linalg.field_form`).  The constructor converts field
-    entries once; the module algebra builds modules straight from integer
-    forms (`_from_ints`).  Immutable, and nothing is added to it once built.
+    entries once, where points or JSON come in; the module algebra builds
+    modules straight from integer forms (`_from_ints`), and field rows leave
+    only through `rep_to_json` and ``gamma``/``delta``.  Immutable, and
+    nothing is added to it once built.
     """
 
     algebra: str
@@ -239,29 +241,36 @@ def require_relations(rep: QuiverRep) -> QuiverRep:
 
 
 def simple(algebra: str, vertex: int, field=QQ) -> QuiverRep:
-    """The vertex simple C v_i (all arrows zero)."""
-    if vertex not in (0, 1, 2):
-        raise InputError("vertex must be 0, 1 or 2")
-    dims = tuple(1 if v == vertex else 0 for v in range(3))
-    n0, n1, n2 = dims
-    gamma = [zeros(field, n1, n0) for _ in range(3)]
-    delta = [zeros(field, n2, n1) for _ in range(3)]
-    return QuiverRep(algebra, field, dims, gamma, delta)
+    """The vertex simple C v_i (all arrows zero), built from its zero
+    integer form (`_from_ints`)."""
+    vertex = parse_json_int(vertex)
+    if algebra not in ALGEBRAS or vertex not in (0, 1, 2):
+        raise InputError(f"no simple module at vertex {vertex} over {algebra!r}")
+    dims = tuple(int(v == vertex) for v in range(3))
+    zero = [([[[0] * dims[s]] * dims[s + 1]] * 3, 1) for s in (0, 1)]
+    return _from_ints(algebra, field, dims, *zero)
 
 
-def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
-    if a.algebra != b.algebra or a.field != b.field:
+def direct_sum(*reps: QuiverRep) -> QuiverRep:
+    """The direct sum of one or more modules, from their integer forms: each
+    side the block diagonal of the summands' matrices N_r, brought to one
+    scale g by the integers k_r with t_r = g k_r (the `linalg.int_form` of
+    the scales t_r; over GF(p) every t_r, k_r and g is 1), so that the sum's
+    arrows are g times the blocks k_r N_r (`_from_ints`)."""
+    if not reps:
+        raise InputError("a direct sum needs a summand")
+    algebra, field = reps[0].algebra, reps[0].field
+    if any(r.algebra != algebra or r.field != field for r in reps):
         raise InputError("summands live over different algebras or fields")
-
-    z = a.field.convert(0)
-
-    def block(M, N, cM, cN):
-        return [list(r) + [z] * cN for r in M] + [[z] * cM + list(r) for r in N]
-
-    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    gamma = [block(a.gamma[i], b.gamma[i], a.dims[0], b.dims[0]) for i in range(3)]
-    delta = [block(a.delta[j], b.delta[j], a.dims[1], b.dims[1]) for j in range(3)]
-    return QuiverRep(a.algebra, a.field, dims, gamma, delta)
+    dims = tuple(map(sum, zip(*(r.dims for r in reps))))
+    sides = []
+    for s in (0, 1):
+        (ks,), g = linalg.int_form(QQ, [[r.sides[s][1] for r in reps]])
+        starts = list(itertools.accumulate((r.dims[s] for r in reps), initial=0))
+        sides.append(([[[0] * a + [k * x for x in row] + [0] * (dims[s] - a - r.dims[s])
+                        for r, k, a in zip(reps, ks, starts) for row in r.sides[s][0][i]]
+                       for i in range(3)], g))
+    return _from_ints(algebra, field, dims, *sides)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +405,12 @@ def hom_space(a: QuiverRep, b: QuiverRep) -> List[Tuple]:
     is built."""
     if a.algebra != b.algebra or a.field != b.field:
         raise InputError("modules live over different algebras or fields")
-    equations = [
-        ((b.dims[s + 1], a.dims[s]), [(1, None, s + 1, M_a), (-1, M_b, s, None)])
-        for s, side_a, side_b in ((0, a.gamma, b.gamma), (1, a.delta, b.delta))
-        for M_a, M_b in zip(side_a, side_b)
-    ]
+    equations = []
+    for s, ((Ns_a, t_a), (Ns_b, t_b)) in enumerate(zip(a.sides, b.sides)):
+        # t_a, t_b = g k_a, g k_b: the equations over g have the same kernel
+        (k_a, k_b), = linalg.int_form(QQ, [[t_a, t_b]])[0]
+        equations += [((b.dims[s + 1], a.dims[s]), [(k_a, None, s + 1, N_a), (-k_b, N_b, s, None)])
+                      for N_a, N_b in zip(Ns_a, Ns_b)]
     nvars = sum(map(operator.mul, a.dims, b.dims))
     neqs = sum(m * n for (m, n), _ in equations)
     if nvars * max(nvars, neqs) > _HOM_BOUND:
@@ -494,7 +504,7 @@ def dualize(rep: QuiverRep) -> QuiverRep:
 
 def reverse_theta(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
     """The weight matching duality: (t0, t1, t2) -> (-t2, -t1, -t0)."""
-    t0, t1, t2 = map(QQ.convert, theta)
+    t0, t1, t2 = as_triple(theta)
     return (-t2, -t1, -t0)
 
 
@@ -589,7 +599,7 @@ def tilt_Bprime_to_B(rep: QuiverRep) -> Tuple[QuiverRep, Optional[str]]:
 
 
 def theta_pair(theta: Sequence, dims: Sequence) -> Fraction:
-    return sum((QQ.convert(t) * int(d) for t, d in zip(theta, dims)), Fraction(0))
+    return sum(map(operator.mul, as_triple(theta), as_triple([parse_json_int(d) for d in dims])))
 
 
 def theta_transform(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
@@ -600,7 +610,7 @@ def theta_transform(theta: Sequence) -> Tuple[Fraction, Fraction, Fraction]:
     simples in the A_1 basis, so evaluation against dimension vectors is
     unchanged objectwise.
     """
-    t0, t1, t2 = map(QQ.convert, theta)
+    t0, t1, t2 = as_triple(theta)
     return (t0, 3 * t1 + t2, -t1)
 
 
@@ -629,9 +639,10 @@ class SubmoduleSearch:
     (p^{n2} - 1)/(p - 1) covers, or enumerates the middle subspaces U1 when
     F^{n1} has at most as many subspaces as F^{n0} and F^{n2} together.
     Over GF(2) the outer pairs are settled on packed words, each vector one
-    int and each cover found by the mask of its elements (`_layer2_packed`);
-    a rational module's reduction mod 2 is packed from its arrows, with no
-    GF(2) module built.  It runs only when that count of subspaces
+    int and each cover found by the mask of its elements (`_layer2_packed`).
+    Every path reads a field and integer arrows, a rational module's
+    reduction being its `_primitive_arrows` mod p, so no module is built per
+    prime.  It runs only when that count of subspaces
     (`_layer2_cost`) is within `_LAYER2_COST_BOUND`.  On the module's own
     prime field the enumerated set is exact and is both ``lower`` and
     ``upper``.  A rational module is
@@ -827,7 +838,7 @@ def _image_span(F, arrows, rows) -> Tuple[List[List[int]], List[int]]:
     return linalg.int_rref(F, _image(rows, arrows))
 
 
-def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list, list]:
+def _rectangle(F, dims: DimVec, gammas, deltas, u1) -> Tuple[list, list, list, list]:
     """The classes the middle subspace U1 certifies, as rows to build
     their witnesses from.
 
@@ -840,11 +851,10 @@ def _rectangle(rep: QuiverRep, u1) -> Tuple[list, list, list, list]:
     complete D, in turn, to F^{n2}, and one functional per growth vector,
     vanishing on D and on the other growth vectors, so that ann[m:] spans
     the annihilator of D + growth[:m] (`_preimage_of_annihilator` of it is
-    delta^-1 of that space).
+    delta^-1 of that space).  The module is given by its field, its dims
+    and its integer arrows, as in `_layer2_dimvecs`.
     """
-    F = rep.field
-    n0, n1, n2 = rep.dims
-    gammas, deltas = _int_arrows(rep)
+    n0, n1, n2 = dims
     # the completion of delta(U1) by e_0, e_1, ... in turn takes e_k iff
     # delta(U1) has the same rank on the coordinates >= k as on those > k,
     # i.e. iff k is no pivot once the columns are reversed; the kernel of
@@ -936,7 +946,8 @@ def _layer1(rep: QuiverRep, seed: int, bounds: Iterable[Tuple[int, Callable[[], 
 
     nxt, rent = next(bounds, None), 0  # the next bound, rent paid since the last
     for u1c in _u1_candidates(rep, seed):
-        u0max, D, growth, ann = (tuple(map(tuple, R)) for R in _rectangle(rep, u1c))
+        u0max, D, growth, ann = (tuple(map(tuple, R))
+                                 for R in _rectangle(F, rep.dims, gammas, deltas, u1c))
         dim1, outer = len(u1c), range(len(D), n2 + 1)
         u2 = {c: D + growth[: c - len(D)] for c in outer}
         known = len(witnesses)
@@ -973,7 +984,10 @@ def _layer1(rep: QuiverRep, seed: int, bounds: Iterable[Tuple[int, Callable[[], 
 
 def _layer2_dimvecs(rep: QuiverRep, p: Optional[int] = None) -> frozenset:
     """Exact dimvec set over a prime field: the rep's own, or for a rational
-    rep GF(p), over its reduction mod p (`_reduce_rep_mod_p`).
+    rep GF(p), over its reduction mod p.  The field and the integer arrows
+    are picked once: a module over its own field gives its `_int_arrows`, a
+    rational one its `_primitive_arrows` reduced mod p, and every path reads
+    them with no module built per prime.
 
     A triple (U0, U1, U2) is a submodule iff gamma(U0) <= U1 <= delta^-1(U2),
     where gamma(U0) = sum_i gamma_i(U0) and delta^-1(U2) is the intersection
@@ -984,21 +998,20 @@ def _layer2_dimvecs(rep: QuiverRep, p: Optional[int] = None) -> frozenset:
     the exact set (`_layer2_by_pairs`): one pass over the subspaces of
     F^{n2}, each visiting at most (p^{n2} - 1)/(p - 1) covers without
     elimination, and one over those of F^{n0}, each with one lookup.  Over
-    GF(2) the outer pairs are settled on packed words (`_layer2_packed`),
-    for a rational rep read straight off its `_primitive_arrows`, so no
-    GF(2) module is built.  When F^{n1} has no more subspaces than the two
-    outer vertices together (n1 small against n0 and n2), the middle vertex
-    is enumerated instead (`_layer2_by_middle`); every path gives the same
-    set.  The count of subspaces of the path taken is `_layer2_cost`, which
+    GF(2) the outer pairs are settled on packed words (`_layer2_packed`).
+    When F^{n1} has no more subspaces than the two outer vertices together
+    (n1 small against n0 and n2), the middle vertex is enumerated instead
+    (`_layer2_by_middle`); every path gives the same set.  The count of subspaces of the path taken is `_layer2_cost`, which
     the search holds to `_LAYER2_COST_BOUND` before it calls this.
     """
-    own = rep.field.p is not None
-    p = rep.field.p if own else p
-    pairs = _layer2_cost(rep.dims, p) < galois_number(rep.dims[1], p)
-    if pairs and p == 2:
-        return _layer2_packed(rep.dims, *(_int_arrows(rep) if own else _primitive_arrows(rep)))
-    mod_p = rep if own else _reduce_rep_mod_p(rep, p)
-    return _layer2_by_pairs(mod_p) if pairs else _layer2_by_middle(mod_p)
+    F = rep.field if rep.field.p else PrimeField(p)
+    gammas, deltas = _int_arrows(rep) if rep.field.p else (
+        [linalg.int_form(F, N)[0] for N in Ns] for Ns in _primitive_arrows(rep))
+    if _layer2_cost(rep.dims, F.p) >= galois_number(rep.dims[1], F.p):
+        return _layer2_by_middle(F, rep.dims, gammas, deltas)
+    if F.p == 2:
+        return _layer2_packed(rep.dims, gammas, deltas)
+    return _layer2_by_pairs(F, rep.dims, gammas, deltas)
 
 
 def _layer2_cost(dims: DimVec, p: int) -> int:
@@ -1022,15 +1035,13 @@ def _covers(p: int, rows, piv, n: int) -> Iterator[tuple]:
             yield tuple(rest[:above]) + (tuple(v),) + tuple(rest[above:])
 
 
-def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
+def _layer2_by_pairs(F, dims: DimVec, gammas, deltas) -> frozenset:
     """`_layer2_dimvecs` over the pairs (U0, U2).  One pass over the subspaces
     W of F^{n2}, largest first, sets best[W][k] to the largest dim
     delta^-1(U2) over U2 >= W of dim k: dim delta^-1(W) at k = dim W, else
     the best of W's covers.  Each U0 then adds every dim U1 from
     dim gamma(U0) to best[delta(gamma(U0))][dim U2]."""
-    F = rep.field
-    n0, n1, n2 = rep.dims
-    gammas, deltas = _int_arrows(rep)
+    n0, n1, n2 = dims
     best: Dict[tuple, List[int]] = {}
     for rows, piv in reversed(list(iter_subspaces(F, n2))):
         b = [0] * (n2 + 1)
@@ -1048,15 +1059,14 @@ def _layer2_by_pairs(rep: QuiverRep) -> frozenset:
     return frozenset(out)
 
 
-def _layer2_by_middle(rep: QuiverRep) -> frozenset:
+def _layer2_by_middle(F, dims: DimVec, gammas, deltas) -> frozenset:
     """`_layer2_dimvecs` by enumerating the middle vertex: for each U1, every
     U0 <= U0max(U1) and every U2 >= delta(U1) completes it (`_rectangle`)."""
-    n2 = rep.dims[2]
     out = set()
-    for u1, _ in iter_subspaces(rep.field, rep.dims[1]):
-        u0max, D = _rectangle(rep, u1)[:2]
+    for u1, _ in iter_subspaces(F, dims[1]):
+        u0max, D = _rectangle(F, dims, gammas, deltas, u1)[:2]
         out.update((u0, len(u1), u2) for u0 in range(len(u0max) + 1)
-                   for u2 in range(len(D), n2 + 1))
+                   for u2 in range(len(D), dims[2] + 1))
     return frozenset(out)
 
 
@@ -1207,17 +1217,11 @@ def _affordable_primes(dims: DimVec, field) -> Tuple[int, ...]:
 def _primitive_arrows(rep: QuiverRep) -> Tuple[list, list]:
     """The gammas and the deltas of a rational module's integer form, each
     arrow rescaled on its own to a primitive integer matrix (its
-    `linalg.int_form`; submodule lattices ignore arrow scaling).  Each arrow
-    on its own, not its side: an arrow that the side's scale leaves
-    divisible by p would vanish mod p."""
+    `linalg.int_form`; submodule lattices ignore arrow scaling), which
+    `_layer2_dimvecs` reads mod p as the module's reduction.  Each arrow on
+    its own, not its side: an arrow that the side's scale leaves divisible
+    by p would vanish mod p."""
     return tuple([linalg.int_form(QQ, N)[0] for N in Ns] for Ns in _int_arrows(rep))
-
-
-def _reduce_rep_mod_p(rep: QuiverRep, p: int) -> QuiverRep:
-    """Reduce a rational module mod p: its `_primitive_arrows` over GF(p),
-    built as an integer form (`_from_ints`)."""
-    return _from_ints(rep.algebra, PrimeField(p), rep.dims,
-                      *((Ns, 1) for Ns in _primitive_arrows(rep)))
 
 
 def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
@@ -1356,7 +1360,7 @@ def king_test(
     destabilizing class, or else the least destabilizing class; a witnessed
     one comes with the search's witness, integer rows (`SubTriple`).
     """
-    theta = tuple(map(QQ.convert, theta))
+    theta = as_triple(theta)
     weight = _int_weight(theta)
     if _int_pair(weight, rep.dims) != 0:
         return KingVerdict("theta-nonvanishing", "exact", None, None, theta, None)
@@ -1395,7 +1399,7 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
     without a search.  Raises DestabilizedError with the witness if the
     module is not semistable.
     """
-    theta = tuple(map(QQ.convert, theta))
+    theta = as_triple(theta)
     weight = _int_weight(theta)
     first = king_test(rep, theta, seed=seed)
     if first.verdict == "theta-nonvanishing":
@@ -1463,7 +1467,7 @@ def s_equiv(
 def random_rep(algebra: str, field, dims: Sequence[int], rng: random.Random) -> QuiverRep:
     """A random module: random gammas, then deltas sampled from the kernel
     of the relation system (which is linear in delta once gamma is fixed)."""
-    n0, n1, n2 = (int(x) for x in dims)
+    n0, n1, n2 = map(parse_json_int, dims)
 
     def rand_entry():
         return rng.randrange(field.p) if field.p else rng.randint(-3, 3)

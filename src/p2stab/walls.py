@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .charge import CentralCharge
 from .errors import InputError, VerificationError
 from .linalg import QQ, row_hnf_2xn, saturated_kernel_basis_3, solve_right
-from .io_utils import json_meta
+from .io_utils import json_meta, parse_json_int
 from .quiver import king_test, reverse_theta, theta_pair
 from .geometry import (
     Theta,
@@ -133,7 +133,7 @@ class PerpPlane:
 
 
 def perp_plane(d: Sequence[int]) -> PerpPlane:
-    d = tuple(int(x) for x in d)
+    d = tuple(map(parse_json_int, d))
     raw = saturated_kernel_basis_3(list(d))
     b1, b2 = row_hnf_2xn(raw)
     return PerpPlane(d, (tuple(b1), tuple(b2)))
@@ -168,7 +168,7 @@ def numerical_walls(d: Sequence[int]) -> List[WallLine]:
     Purely lattice-theoretic ("numerical"): no claim that a submodule with
     class d' exists for any given module.
     """
-    d = tuple(int(x) for x in d)
+    d = tuple(map(parse_json_int, d))
     if any(x < 0 for x in d) or all(x == 0 for x in d):
         raise InputError("class must be a nonzero nonnegative vector")
     plane = perp_plane(d)

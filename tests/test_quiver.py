@@ -141,6 +141,20 @@ def test_constructor_refuses_dims_that_are_not_three_non_negative_integers(dims)
         QuiverRep("B", QQ, dims, [[]] * 3, [[]] * 3)
 
 
+@pytest.mark.parametrize("theta", [(1, 0), (1, 0, 0, 0), (1.0, 0, -1)], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda theta: king_test(O_X, theta),
+    lambda theta: jh_factors(O_X, theta),
+    reverse_theta,
+    theta_transform,
+], ids=["king_test", "jh_factors", "reverse_theta", "theta_transform"])
+def test_a_weight_of_the_wrong_length_or_a_float_is_invalid_input(call, theta):
+    # two entries raised IndexError or ValueError, and four were read as
+    # their first three
+    with pytest.raises(InputError):
+        call(theta)
+
+
 def test_rep_from_json_rejects_garbage():
     with pytest.raises(InputError):
         rep_from_json({"algebra": "B", "dims": [1, "x", 1]})
@@ -180,6 +194,18 @@ def ref_primitive_arrows(rep):
     """Each arrow of a rational module scaled on its own to a primitive
     integer matrix."""
     return [[linalg.int_form(QQ, A)[0] for A in side] for side in (rep.gamma, rep.delta)]
+
+
+def ref_reduce_mod_p(rep, p):
+    """A rational module reduced mod p, built from field rows: its arrows,
+    each made primitive on its own (`ref_primitive_arrows`), over GF(p)."""
+    return QuiverRep(rep.algebra, PrimeField(p), rep.dims, *ref_primitive_arrows(rep))
+
+
+def layer2_args(rep):
+    """A module over a prime field as the Layer-2 paths and `_rectangle` take
+    it: its field, its dims and its integer arrows."""
+    return (rep.field, rep.dims, *quiver._int_arrows(rep))
 
 
 def assert_scales_arrows(rep):
@@ -242,11 +268,15 @@ def test_int_sides_are_formed_once_and_immutable(field):
         if field.p is not None:
             continue
         for p in (2, 3, 5, 7):
-            want = QuiverRep(rep.algebra, PrimeField(p), rep.dims, *ref_primitive_arrows(rep))
-            got = quiver._reduce_rep_mod_p(rep, p)
-            assert got == want and hash(got) == hash(want)
-            assert got.sides == ref_sides(want)
-            assert_canonical_sides(got)
+            # Layer 2 reads the reduction mod p as `_primitive_arrows` mod p,
+            # with no module built: the arrows of the reduction built from
+            # field rows, and the same classes
+            want = ref_reduce_mod_p(rep, p)
+            assert_canonical_sides(want)
+            got = [[linalg.int_form(PrimeField(p), N)[0] for N in Ns]
+                   for Ns in quiver._primitive_arrows(rep)]
+            assert got == [[list(map(list, N)) for N in Ns] for Ns, _ in want.sides]
+            assert quiver._layer2_dimvecs(rep, p) == quiver._layer2_dimvecs(want)
 
 
 def test_a_side_over_several_denominators_takes_one_scale():
@@ -259,7 +289,8 @@ def test_a_side_over_several_denominators_takes_one_scale():
     assert_scales_arrows(rep)
     # mod 2 the side's 4 vanishes; each arrow made primitive on its own keeps
     # the second gamma
-    assert quiver._reduce_rep_mod_p(rep, 2).gamma == (((1,),), ((1,),), ((0,),))
+    assert [[[x % 2 for x in row] for row in N] for N in quiver._primitive_arrows(rep)[0]] == [
+        [[1]], [[1]], [[0]]]
     # a side over 5/4 and -15/8: the gcd 5 of its integers moves into t
     rep = QuiverRep("B", QQ, (1, 2, 0), [[[Fraction(5, 4)], [0]], [[0], [Fraction(-15, 8)]],
                                          [[0], [0]]], [[]] * 3)
@@ -290,38 +321,39 @@ def test_a_module_rebuilt_from_its_arrows_or_a_scaled_form_is_equal(field, dims,
 
 
 def test_the_module_algebra_builds_no_field_matrix(monkeypatch):
-    # the tilts, a split, the dual and the reduction mod p build their
-    # modules straight from integer forms: with `linalg.field_form` refused
-    # each still runs, and gives the module built from field rows
+    # the tilts, a split, the dual, the direct sum and the simples build
+    # their modules straight from integer forms: with `linalg.field_form`
+    # refused each still runs, and gives the module built from field rows
     pts = [(1, 2, 3), (2, -1, 1), (3, 1, -2)]
     bprime = bprime_module_points(pts)
     a1 = module_ideal_A1(pts)
+    points = [module_point(x) for x in pts]
     gf5 = random_rep("Bprime", F5, (2, 3, 2), random.Random(5))
     triple = submodule_dimvecs(a1).witnesses[(1, 3, 2)]
-    want = {
-        "tilt_B_to_Bprime": tilt_B_to_Bprime(a1),
-        "tilt_Bprime_to_B": tilt_Bprime_to_B(bprime)[0],
-        "_split": quiver._split(a1, triple),
-        "dualize": (dualize(a1), dualize(gf5)),
-        "_reduce_rep_mod_p": quiver._reduce_rep_mod_p(a1, 3),
-    }
+
+    def build():
+        return {
+            "tilt_B_to_Bprime": tilt_B_to_Bprime(a1),
+            "tilt_Bprime_to_B": tilt_Bprime_to_B(bprime)[0],
+            "_split": quiver._split(a1, triple),
+            "dualize": (dualize(a1), dualize(gf5)),
+            "direct_sum": (direct_sum(*points), direct_sum(a1, a1), direct_sum(gf5, gf5, gf5)),
+            "simple": (simple("B", 1), simple("Bprime", 0, F5), simple("B", 2, F2)),
+        }
+
+    want = build()
     fresh = [QuiverRep(r.algebra, r.field, r.dims, r.gamma, r.delta)
-             for r in (want["tilt_B_to_Bprime"], *want["_split"], want["_reduce_rep_mod_p"])]
+             for r in (want["tilt_B_to_Bprime"], *want["_split"], *want["direct_sum"],
+                       *want["simple"])]
 
     def refuse(*args):
         raise AssertionError("a field matrix was built")
 
     monkeypatch.setattr(linalg, "field_form", refuse)
-    got = {
-        "tilt_B_to_Bprime": tilt_B_to_Bprime(a1),
-        "tilt_Bprime_to_B": tilt_Bprime_to_B(bprime)[0],
-        "_split": quiver._split(a1, triple),
-        "dualize": (dualize(a1), dualize(gf5)),
-        "_reduce_rep_mod_p": quiver._reduce_rep_mod_p(a1, 3),
-    }
+    got = build()
     assert got == want
     monkeypatch.undo()
-    assert [got["tilt_B_to_Bprime"], *got["_split"], got["_reduce_rep_mod_p"]] == fresh
+    assert [got["tilt_B_to_Bprime"], *got["_split"], *got["direct_sum"], *got["simple"]] == fresh
     assert dualize(dualize(a1)) == a1 and dualize(dualize(gf5)) == gf5
 
 
@@ -846,7 +878,7 @@ def ref_search(rep, seed):
         return full, full, witnesses, f"exhaustive(F_{p})", (*layers, f"layer2(F_{p})")
     unsqueezed = []
     for p in itertools.takewhile(affordable, quiver._LAYER2_PRIMES):
-        full_p = quiver._layer2_dimvecs(quiver._reduce_rep_mod_p(rep, p))
+        full_p = quiver._layer2_dimvecs(ref_reduce_mod_p(rep, p))
         layers.append(f"layer2(mod {p})")
         assert lower <= full_p
         upper &= full_p
@@ -925,7 +957,7 @@ def test_layer1_matches_the_fraction_row_search_on_report_modules(rep, p, budget
     # vector of the first vertex, and of a middle space of dimension 4 or 5,
     # is a source
     if p is not None:
-        rep = quiver._reduce_rep_mod_p(rep, p)
+        rep = ref_reduce_mod_p(rep, p)
     assert_layer1_matches_the_fraction_row_search(rep, 0, *budgets)
 
 
@@ -1007,7 +1039,7 @@ def test_the_sources_witness_the_framed_triple_by_their_intervals(monkeypatch, b
     monkeypatch.setattr(quiver, "_PAIR_BUDGET", 0)
     witnesses = quiver._layer1(rep, 0)
     assert all(dv in witnesses for dv in classes)
-    assert set(witnesses) == quiver._layer2_dimvecs(quiver._reduce_rep_mod_p(rep, 2))
+    assert set(witnesses) == quiver._layer2_dimvecs(ref_reduce_mod_p(rep, 2))
     assert_witnesses_submodules(rep, witnesses)
 
 
@@ -1101,8 +1133,7 @@ def test_layer1_takes_the_next_prime_once_it_has_spent_its_cost(monkeypatch, col
     assert search.evidence == "squeeze(p=3)"
     assert len(pulled) <= most
     pulled.clear()
-    quiver._layer1(rep, 0, bounds=[(0, lambda: quiver._layer2_dimvecs(
-        quiver._reduce_rep_mod_p(rep, 2)))])
+    quiver._layer1(rep, 0, bounds=[(0, lambda: quiver._layer2_dimvecs(ref_reduce_mod_p(rep, 2)))])
     assert len(pulled) == 250  # bounded by mod 2 alone: the whole pool
 
 
@@ -1171,7 +1202,7 @@ def test_search_enumerates_each_prime_at_most_once(monkeypatch, cold_search, rep
 
 def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_search):
     rep = _REPORT_MODULES[0]
-    mod2 = quiver._layer2_dimvecs(quiver._reduce_rep_mod_p(rep, 2))
+    mod2 = quiver._layer2_dimvecs(ref_reduce_mod_p(rep, 2))
     box = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     junk = sorted(box - mod2)[:2]  # classes of no submodule
     pulled = count_candidates(monkeypatch)
@@ -1224,7 +1255,8 @@ _LAYER2_SHAPES = [
 def test_layer2_pairs_match_middle(shape, algebra, seed):
     p, dims = shape
     rep = random_rep(algebra, PrimeField(p), dims, random.Random(seed))
-    assert quiver._layer2_by_pairs(rep) == quiver._layer2_by_middle(rep)
+    args = layer2_args(rep)
+    assert quiver._layer2_by_pairs(*args) == quiver._layer2_by_middle(*args)
 
 
 def test_layer2_pairs_match_middle_on_calibration_corpus():
@@ -1236,8 +1268,8 @@ def test_layer2_pairs_match_middle_on_calibration_corpus():
             if 0 < sum(dims) <= 6:
                 break
         rep = random_rep("B" if k % 2 == 0 else "Bprime", F2, dims, rng)
-        expected = quiver._layer2_by_middle(rep)
-        assert quiver._layer2_by_pairs(rep) == expected
+        expected = quiver._layer2_by_middle(*layer2_args(rep))
+        assert quiver._layer2_by_pairs(*layer2_args(rep)) == expected
         assert quiver._layer2_packed(rep.dims, *quiver._int_arrows(rep)) == expected
         assert quiver._layer2_dimvecs(rep) == expected
 
@@ -1266,8 +1298,8 @@ def test_layer2_matches_the_invariant_triples(p, shapes, algebra):
     for k, dims in enumerate(shapes):
         rep = random_rep(algebra, PrimeField(p), dims, random.Random(k))
         want = invariant_triple_classes(rep)
-        assert quiver._layer2_by_pairs(rep) == want, dims
-        assert quiver._layer2_by_middle(rep) == want, dims
+        assert quiver._layer2_by_pairs(*layer2_args(rep)) == want, dims
+        assert quiver._layer2_by_middle(*layer2_args(rep)) == want, dims
         if p == 2:
             assert quiver._layer2_packed(dims, *quiver._int_arrows(rep)) == want, dims
 
@@ -1307,14 +1339,15 @@ _RATIONAL_MOD2 = [
 
 @pytest.mark.parametrize("rep", _RATIONAL_MOD2, ids=lambda r: str(r.dims))
 def test_layer2_packed_reads_the_mod2_reduction_of_a_rational_module(monkeypatch, rep):
-    # the list path on the GF(2) module `_reduce_rep_mod_p` builds is the
-    # reference; the packed path builds none
-    expected = quiver._layer2_by_pairs(quiver._reduce_rep_mod_p(rep, 2))
+    # the list path on the GF(2) module built from field rows is the
+    # reference; the packed path builds no module
+    expected = quiver._layer2_by_pairs(*layer2_args(ref_reduce_mod_p(rep, 2)))
 
     def refuse(*args):
         raise AssertionError("a GF(2) module built for the packed path")
 
-    monkeypatch.setattr(quiver, "_reduce_rep_mod_p", refuse)
+    monkeypatch.setattr(QuiverRep, "__init__", refuse)
+    monkeypatch.setattr(quiver, "_from_ints", refuse)
     monkeypatch.setattr(quiver, "_layer2_by_pairs", refuse)
     assert quiver._layer2_cost(rep.dims, 2) < galois_number(rep.dims[1], 2)
     assert quiver._layer2_dimvecs(rep, 2) == expected
@@ -1325,10 +1358,29 @@ def test_layer2_packed_reads_the_mod2_reduction_of_a_rational_module(monkeypatch
         assert (1, 1, 1) in side and (1, 1, 1) not in expected
 
 
+@pytest.mark.parametrize("rep", [
+    _RATIONAL_MOD2[5], random_rep("B", F5, (2, 4, 2), random.Random(4)),
+], ids=["(3, 7, 3) A1", "GF(5)"])
+def test_layer2_builds_no_module_per_prime(monkeypatch, rep):
+    # every path reads the field and the integer arrows it picks once: with
+    # `_from_ints` refused, each prime gives the classes of the reduction
+    # built from field rows (the module's own set over GF(5))
+    def reference(p):
+        return quiver._layer2_dimvecs(rep if rep.field.p else ref_reduce_mod_p(rep, p))
+
+    want = {p: reference(p) for p in (2, 3, 5, 7)}
+
+    def refuse(*args):
+        raise AssertionError("a module built for a Layer-2 enumeration")
+
+    monkeypatch.setattr(quiver, "_from_ints", refuse)
+    assert {p: quiver._layer2_dimvecs(rep, p) for p in want} == want
+
+
 def test_layer2_degenerate_shapes_take_the_middle_path(monkeypatch):
     # (4,0,4) and (5,1,5) over GF(5) have 1 and 2 middle subspaces against
     # about 10^6 and 10^13 outer pairs
-    def refuse(rep):
+    def refuse(*args):
         raise AssertionError("outer pairs enumerated for a degenerate shape")
 
     monkeypatch.setattr(quiver, "_layer2_by_pairs", refuse)
@@ -1354,9 +1406,9 @@ def test_layer2_degenerate_shapes_take_the_middle_path(monkeypatch):
 ])
 def test_layer2_fork_weighs_middle_against_both_outer_vertices(monkeypatch, p, dims, path, other):
     rep = random_rep("B", PrimeField(p), dims, random.Random(0))
-    expected = getattr(quiver, path)(rep)
+    expected = getattr(quiver, path)(*layer2_args(rep))
 
-    def refuse(rep):
+    def refuse(*args):
         raise AssertionError(f"{other} taken for {dims} over GF({p})")
 
     monkeypatch.setattr(quiver, other, refuse)
@@ -1685,6 +1737,40 @@ def test_random_rep_direct_sum_and_hom_match_the_field_loops(field):
                 assert typed(got) == typed(ref_hom_space(x, y))
                 homs[min(len(got), 3)] += 1
     assert all(homs[h] for h in range(4))  # zero, one, two and larger Hom spaces
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from([QQ, F2, PrimeField(3), F5]),
+    algebra=st.sampled_from(["B", "Bprime"]),
+    shapes=st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                              st.booleans()), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@example(field=QQ, algebra="B", shapes=[((1, 2, 1), False)] * 3, seed=0)
+@example(field=QQ, algebra="Bprime", shapes=[((0, 2, 0), True), ((2, 1, 3), False)], seed=1)
+@example(field=F2, algebra="B", shapes=[((3, 0, 3), False)], seed=2)
+def test_direct_sum_of_many_summands_is_the_pairwise_fold(field, algebra, shapes, seed):
+    # one block diagonal over one scale per side is the fold of the field-row
+    # sums; a summand with zero arrows gives the sum a zero block, and over Q
+    # the summands carry mixed denominators
+    rng = random.Random(seed)
+    reps = [zero_arrows(algebra, field, dims) if zero
+            else rational_rep(algebra, dims, rng) if field.p is None
+            else random_rep(algebra, field, dims, rng) for dims, zero in shapes]
+    got, want = direct_sum(*reps), functools.reduce(ref_direct_sum, reps)
+    assert rep_to_json(got) == rep_to_json(want) and typed_rep(got) == typed_rep(want)
+    assert got == want
+    assert_canonical_sides(got)
+
+
+def test_direct_sum_needs_a_summand_of_one_algebra_and_field():
+    with pytest.raises(InputError):
+        direct_sum()
+    with pytest.raises(InputError):
+        direct_sum(O_X, simple("Bprime", 0))
+    with pytest.raises(InputError):
+        direct_sum(O_X, O_Y, simple("B", 0, F5))
 
 
 def iso_cases(field, rng):
@@ -2128,9 +2214,9 @@ def test_fork_and_gate_read_the_layer2_cost(monkeypatch, cold_search):
     # the fork: a cost equal to the middle count takes the middle path even
     # where the outer pairs are fewer
     rep = random_rep("B", F5, (3, 4, 3), random.Random(0))
-    expected = quiver._layer2_by_pairs(rep)
+    expected = quiver._layer2_by_pairs(*layer2_args(rep))
 
-    def refuse(rep):
+    def refuse(*args):
         raise AssertionError("outer pairs enumerated although the cost names the middle")
 
     with monkeypatch.context() as m:
@@ -2158,7 +2244,7 @@ def test_fork_and_gate_read_the_layer2_cost(monkeypatch, cold_search):
     reached.clear()
     quiver._submodule_dimvecs_impl.cache_clear()
     costs.update({2: bound + 1, 3: bound + 1})
-    for r in (CROSS_PRIME_A0, quiver._reduce_rep_mod_p(CROSS_PRIME_A0, 5)):
+    for r in (CROSS_PRIME_A0, ref_reduce_mod_p(CROSS_PRIME_A0, 5)):
         search = submodule_dimvecs(r)
         assert (search.evidence, search.layers) == (OVER_BOUND, ("layer1",))
         assert search.upper == frozenset(itertools.product(*(range(n + 1) for n in r.dims)))
@@ -2182,7 +2268,7 @@ def test_fork_and_gate_read_the_layer2_cost(monkeypatch, cold_search):
     ],
 )
 def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, cold_search, kept, want):
-    rep = quiver._reduce_rep_mod_p(O_X, 5)
+    rep = ref_reduce_mod_p(O_X, 5)
     real = quiver._layer1
     monkeypatch.setattr(
         quiver, "_layer1",

@@ -18,6 +18,7 @@ from p2stab.charge import (
 from p2stab.errors import InputError
 from p2stab.geometry import _frame, module_ideal_A1, theta_family_r
 from p2stab.io_utils import dumps_json
+from p2stab.linalg import QQ, saturated_kernel_basis_3
 from p2stab.ktheory import ChernCharacter
 from p2stab.quiver import dualize, king_test, theta_pair
 from p2stab.walls import (
@@ -172,6 +173,31 @@ def test_malformed_charge_values_are_invalid_input(entry, name):
 
 # ---------------------------------------------------------------------------
 # the perpendicular plane and its walls
+
+
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 1.5, 1.9, True], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda x: theta_pair((1, 0, 0), (x, 0, 0)),
+    lambda x: ktheory.chern_of_dimvec((x, 0, 0), ktheory.A1),
+    lambda x: perp_plane((x, 2, 1)),
+    lambda x: numerical_walls((x, 2, 1)),
+    lambda x: quiver.random_rep("B", QQ, (x, 1, 1), random.Random(0)),
+    lambda x: quiver.simple("B", x),
+    lambda x: saturated_kernel_basis_3((x, 2, 1)),
+], ids=["theta_pair", "chern_of_dimvec", "perp_plane", "numerical_walls", "random_rep",
+        "simple", "saturated_kernel_basis_3"])
+def test_a_class_entry_that_is_no_integer_is_invalid_input(call, entry):
+    # each entry was truncated by int(): 3/2 and 1.5 read as 1, 1.9 as 1,
+    # and True as the vertex or the entry 1
+    with pytest.raises(InputError):
+        call(entry)
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (1, 2, 1, 0)], ids=repr)
+def test_theta_pair_refuses_a_class_of_the_wrong_length(dims):
+    # zip read (1, 2) as the class (1, 2, 0) and (1, 2, 1, 0) as (1, 2, 1)
+    with pytest.raises(InputError):
+        theta_pair((1, 0, 0), dims)
 
 
 def test_perp_plane_round_trip():
@@ -443,6 +469,20 @@ def test_hilbert_report_needs_no_iso_test(monkeypatch, n, config, digest):
 _GENERAL = [(1, 2, 3), (2, -1, 1), (3, 1, -2), (1, 1, 1)]
 
 
+@pytest.mark.parametrize("n,config,digest", _PINNED_REPORTS)
+def test_a_report_reads_no_field_arrow(monkeypatch, n, config, digest):
+    # a report builds, searches, splits and matches its modules on their
+    # integer forms: with the field arrows refused, its bytes are the same
+    def refuse(*args):
+        raise AssertionError("a field arrow read on the report path")
+
+    monkeypatch.setattr(quiver.QuiverRep, "gamma_m", refuse)
+    monkeypatch.setattr(quiver.QuiverRep, "delta_m", refuse)
+    quiver._submodule_dimvecs_impl.cache_clear()
+    text = dumps_json(hilbert_report(n, [config]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("eps", [None, Fraction(2, 5)])
 @pytest.mark.parametrize("config", [
     _GENERAL[:1], _GENERAL[:2], _GENERAL[:3], [(1, 0, 0), (0, 1, 0), (1, 1, 0)], _GENERAL,
@@ -467,16 +507,17 @@ def test_dual_verdicts_match_the_dualized_module(config, eps):
 
 
 @pytest.mark.parametrize("config,searches", [
-    (_GENERAL[:1], 1), (_GENERAL[:2], 3), (_GENERAL[:3], 4),
+    (_GENERAL[:1], 1), (_GENERAL[:2], 3), (_GENERAL[:3], 4), (_GENERAL, 5),
 ])
 def test_a_report_searches_each_module_once(monkeypatch, config, searches):
     # the dual verdicts share M's search, so no second lattice is settled,
     # and the last (0, 1, 0) Jordan-Hoelder factor is not searched at all;
     # the ideal modules are built once, M with one tilt; a module built from
     # field rows has its arrows made integers once, by its constructor
-    # (`quiver._field_matrix`, one call per arrow), and none that a tilt or a
-    # split built from an integer form (`quiver._from_ints`) has field rows
-    # made integers at all (counts: the same on every machine)
+    # (`quiver._field_matrix`, one call per arrow), and none that a tilt, a
+    # split, a direct sum or a simple built from an integer form
+    # (`quiver._from_ints`) has field rows made integers at all (counts: the
+    # same on every machine)
     n = len(config)
     calls = collections.Counter()
     for name in ("module_ideal_A1", "module_ideal_A0", "tilt_Bprime_to_B"):
@@ -517,14 +558,14 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
     ids = collections.Counter(map(id, converted))
     assert built and not ids.keys() & set(map(id, built))
     assert set(ids.values()) == {1} and len(matrices) == 6 * len(converted)
-    # the rational ones, each in its constructor: the B'-module of the
-    # points and, where A0 is built, each point module, their partial direct
-    # sums and the A0 module, and from three points the simple C v_1 of the
-    # collinearity test
-    rational = sorted(rep.dims for rep in converted if rep.field.p is None)
-    a0_parts = [(1, 2, 1)] * n + [(k, 2 * k, k) for k in range(2, n + 1)] + [
-        (n, 2 * n, n - 1)] if n > 1 else []
-    assert rational == sorted([(n, n, n - 1)] + a0_parts + [(0, 1, 0)] * (n > 2))
+    # field rows enter only with the points: the rational B'-module and,
+    # where A0 is built, each point module, each in its constructor; the
+    # direct sum of the point modules, the A0 module and the simple C v_1
+    # of the collinearity test are built from integer forms.  So from two
+    # points on a report makes 6 (n + 1) `_field_matrix` calls
+    assert [rep.field for rep in converted] == [QQ] * len(converted)
+    assert sorted(rep.dims for rep in converted) == [(1, 2, 1)] * n * (n > 1) + [(n, n, n - 1)]
+    assert len(matrices) == 6 * (1 + n * (n > 1))
 
 
 def test_hilbert_report_input_checks():
