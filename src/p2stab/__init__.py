@@ -42,7 +42,7 @@ from .charge import (
     geom_conditions_abc,
     theorem1_hypotheses,
 )
-from .quiver import (
+from .modules import (
     QuiverRep,
     rep_to_json,
     rep_from_json,
@@ -57,11 +57,13 @@ from .quiver import (
     tilt_Bprime_to_B,
     theta_pair,
     theta_transform,
+    random_rep,
+)
+from .quiver import (
     submodule_dimvecs,
     king_test,
     jh_factors,
     s_equiv,
-    random_rep,
     KingVerdict,
     SubmoduleSearch,
     DestabilizedError,

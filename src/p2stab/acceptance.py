@@ -23,19 +23,18 @@ from .charge import (
     z_sigma_b,
 )
 from . import quiver
-from .quiver import (
+from .modules import (
     check_relations,
     dualize,
     iso_test,
-    king_test,
     random_rep,
     reverse_theta,
-    s_equiv,
-    submodule_dimvecs,
     theta_pair,
     theta_transform,
     tilt_B_to_Bprime,
+    tilt_Bprime_to_B,
 )
+from .quiver import king_test, s_equiv, submodule_dimvecs
 from . import geometry
 from .geometry import (
     PointConfig,
@@ -495,7 +494,7 @@ def criterion_11() -> Tuple[bool, str]:
             if not ok:
                 return (False, f"composite at arrows {bad} not the expected diagonal for {cfg.points}")
             bp = bprime_module_points(cfg)
-            back, flag = quiver.tilt_Bprime_to_B(bp)
+            back, flag = tilt_Bprime_to_B(bp)
             if flag is not None:
                 return (False, f"tilt of a point module flagged: {flag}")
             there = tilt_B_to_Bprime(back)

@@ -32,6 +32,7 @@ from .io_utils import (
 from . import ktheory
 from .ktheory import ChernCharacter, HeartBasis
 from . import charge as charge_mod
+from . import modules
 from . import quiver
 from . import geometry
 from . import walls as walls_mod
@@ -211,14 +212,14 @@ def cmd_charge_scan(args) -> int:
 # module
 
 
-def _load_rep(path: str) -> quiver.QuiverRep:
+def _load_rep(path: str) -> modules.QuiverRep:
     """The module of a JSON file, its relations checked (exit 3 if broken)."""
-    return quiver.require_relations(quiver.rep_from_json(_read_json(path)))
+    return modules.require_relations(modules.rep_from_json(_read_json(path)))
 
 
 def cmd_module_check(args) -> int:
-    rep = quiver.rep_from_json(_read_json(args.infile))
-    ok, bad = quiver.check_relations(rep)
+    rep = modules.rep_from_json(_read_json(args.infile))
+    ok, bad = modules.check_relations(rep)
     if ok:
         print(f"relations OK  algebra={rep.algebra} dims={rep.dims}")
         return 0
@@ -242,7 +243,7 @@ def cmd_module_jh(args) -> int:
         "meta": json_meta(args.seed),
         "theta": [format_fraction(x) for x in theta],
         "factor_dims": [list(f.dims) for f in factors],
-        "factors": [quiver.rep_to_json(f) for f in factors],
+        "factors": [modules.rep_to_json(f) for f in factors],
     }
     _emit(args, payload)
     return 0
@@ -250,18 +251,18 @@ def cmd_module_jh(args) -> int:
 
 def cmd_module_dual(args) -> int:
     rep = _load_rep(args.infile)
-    _emit(args, quiver.rep_to_json(quiver.dualize(rep)))
+    _emit(args, modules.rep_to_json(modules.dualize(rep)))
     return 0
 
 
 def cmd_module_tilt(args) -> int:
     rep = _load_rep(args.infile)
     if rep.algebra == "B":
-        out = quiver.tilt_B_to_Bprime(rep)
+        out = modules.tilt_B_to_Bprime(rep)
         flag = None
     else:
-        out, flag = quiver.tilt_Bprime_to_B(rep)
-    payload = quiver.rep_to_json(out)
+        out, flag = modules.tilt_Bprime_to_B(rep)
+    payload = modules.rep_to_json(out)
     if flag:
         payload["flag"] = flag
     _emit(args, payload)
@@ -271,14 +272,14 @@ def cmd_module_tilt(args) -> int:
 def cmd_module_hom(args) -> int:
     a = _load_rep(args.a)
     b = _load_rep(args.b)
-    print(len(quiver.hom_space(a, b)))
+    print(len(modules.hom_space(a, b)))
     return 0
 
 
 def cmd_module_iso(args) -> int:
     a = _load_rep(args.a)
     b = _load_rep(args.b)
-    res = quiver.iso_test(a, b, seed=args.seed)
+    res = modules.iso_test(a, b, seed=args.seed)
     if args.exact and res.certainty != "exact":
         raise IncompleteOracleError(
             f"only a probabilistic verdict (failure bound {res.failure_bound})"
@@ -295,7 +296,7 @@ def cmd_module_iso(args) -> int:
 def cmd_module_from_points(args) -> int:
     cfg = geometry.PointConfig.from_json(_read_json(args.points))
     if len(cfg) > MAX_N:
-        # every module built from at most MAX_N points is within quiver.MAX_DIM, so
+        # every module built from at most MAX_N points is within modules.MAX_DIM, so
         # every module command reads it; ideal-A1 of 32 points is not
         raise InputError(f"a module is built from at most {MAX_N} points, not {len(cfg)}")
     kind = args.construction
@@ -309,7 +310,7 @@ def cmd_module_from_points(args) -> int:
         rep = geometry.module_ideal_A0(cfg)
     else:
         rep = geometry.bprime_module_points(cfg)
-    _emit(args, quiver.rep_to_json(rep))
+    _emit(args, modules.rep_to_json(rep))
     return 0
 
 

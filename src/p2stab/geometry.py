@@ -33,18 +33,17 @@ from .io_utils import parse_fraction
 from . import linalg
 from .linalg import QQ, int_form, right_kernel
 from .ktheory import A0, ChernCharacter, chern_of_dimvec
-from .quiver import (
+from .modules import (
     QuiverRep,
-    _affordable_primes,
     _from_ints,
     direct_sum,
     hom_space,
-    jh_factors,
     quotient_by,
     require_relations,
     simple,
     tilt_Bprime_to_B,
 )
+from .quiver import _affordable_primes, jh_factors
 
 Theta = Tuple[Fraction, Fraction, Fraction]
 
@@ -220,7 +219,7 @@ def _frame(points) -> PointConfig:
     is a submodule of the module with arrows gamma iff it is one of the
     module with arrows sum_j g_ij gamma_j; and (Lambda^-2, Lambda^-1, 1) is
     an isomorphism from the module with Lambda = 1 to the one with Lambda,
-    as diagonal matrices commute.  The tilt (`quiver.tilt_Bprime_to_B`) is
+    as diagonal matrices commute.  The tilt (`modules.tilt_Bprime_to_B`) is
     GL(V)-equivariant, and so is the point module (`module_point`), whose
     rescalings are absorbed the same way in the A0 module.  So the ideal
     modules of the framed points have the submodule classes of those of the
@@ -469,11 +468,13 @@ def composite_lines(points) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Check delta_j gamma_i = diag_x(l_ij(x)) on module_ideal_A1, where
     l_ij is x_{j+2}, -x_{j+1} or 0 according to i - j mod 3.
 
-    Returns (ok, first failing (i, j)).
+    Returns (ok, first failing (i, j)).  Each composite is read off the
+    integer form: the product of the two sides' integer matrices times
+    their scales t_delta t_gamma.
     """
     cfg = _as_config(points)
     n = len(cfg)
-    rep = module_ideal_A1(cfg)
+    (gammas, tg), (deltas, td) = module_ideal_A1(cfg).sides
     pts = list(cfg)
     for i in range(3):
         for j in range(3):
@@ -484,6 +485,7 @@ def composite_lines(points) -> Tuple[bool, Optional[Tuple[int, int]]]:
             else:
                 diag = [0] * n
             want = [[d if a == b else 0 for b in range(n)] for a, d in enumerate(diag)]
-            if linalg.mat_mul(QQ, rep.delta_m(j), rep.gamma_m(i)) != want:
+            product = linalg.int_mat_mul(deltas[j], gammas[i], n)
+            if [[td * tg * x for x in row] for row in product] != want:
                 return (False, (i, j))
     return (True, None)

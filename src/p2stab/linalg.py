@@ -64,8 +64,8 @@ class RationalField:
             return x
         if isinstance(x, str):
             return parse_fraction(x)
-        if isinstance(x, float):
-            raise InputError("refusing to coerce a float into exact arithmetic")
+        if isinstance(x, (bool, float)):
+            raise InputError(f"refusing to coerce {x!r} into exact arithmetic")
         return Fraction(x)
 
     def to_json(self) -> dict:
@@ -125,8 +125,8 @@ class PrimeField:
             return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         if isinstance(x, str):
             return self.convert(parse_fraction(x))
-        if isinstance(x, float):
-            raise InputError("refusing to coerce a float into exact arithmetic")
+        if isinstance(x, (bool, float)):
+            raise InputError(f"refusing to coerce {x!r} into exact arithmetic")
         return int(x) % self.p
 
     def elements(self) -> range:

@@ -20,7 +20,8 @@ from .charge import CentralCharge
 from .errors import InputError, VerificationError
 from .linalg import QQ, row_hnf_2xn, saturated_kernel_basis_3, solve_right
 from .io_utils import json_meta, parse_json_int
-from .quiver import king_test, reverse_theta, theta_pair
+from .modules import reverse_theta, theta_pair
+from .quiver import king_test
 from .geometry import (
     Theta,
     _as_config,

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2stab import cli, quiver
+from p2stab import cli, modules
 from p2stab.errors import InputError
 from p2stab.geometry import PointConfig, module_point
 from p2stab.io_utils import dumps_json, format_fraction, load_json, parse_fraction
 from p2stab.linalg import QQ, PrimeField
-from p2stab.quiver import random_rep
+from p2stab.modules import random_rep
 
 
 def run(capsys, *argv):
@@ -36,7 +36,7 @@ def write_points(path, pts):
 
 
 def write_rep(path, rep):
-    path.write_text(json.dumps(quiver.rep_to_json(rep)))
+    path.write_text(json.dumps(modules.rep_to_json(rep)))
     return str(path)
 
 
@@ -229,8 +229,8 @@ def test_module_check_reports_violations(capsys, tmp_path):
     rep = module_point([1, 0, 0])
     bad_delta = [[list(r) for r in rep.delta_m(j)] for j in range(3)]
     bad_delta[1][0][0] = 7
-    broken = quiver.QuiverRep(rep.algebra, rep.field, rep.dims, rep.gamma, bad_delta)
-    assert not quiver.check_relations(broken)[0]
+    broken = modules.QuiverRep(rep.algebra, rep.field, rep.dims, rep.gamma, bad_delta)
+    assert not modules.check_relations(broken)[0]
     bad_file = write_rep(tmp_path / "bad.json", broken)
     code, _, err = run(capsys, "module", "check", "--in", bad_file)
     assert code == 3
@@ -241,7 +241,7 @@ def delta0_gamma0(field):
     """The B-"module" of dims (1, 1, 1) with gamma_0 = delta_0 = [[1]] and
     every other arrow zero: delta_0 gamma_0 = 1 breaks delta_0 gamma_0 = 0."""
     one, zero = ((1,),), ((0,),)
-    return quiver.QuiverRep("B", field, (1, 1, 1), [one, zero, zero], [one, zero, zero])
+    return modules.QuiverRep("B", field, (1, 1, 1), [one, zero, zero], [one, zero, zero])
 
 
 def test_module_check_refuses_delta_i_gamma_i_over_gf2(capsys, tmp_path):
@@ -270,8 +270,8 @@ def test_module_iso_exact_can_refuse(capsys, tmp_path):
     # Hom is one-dimensional (h = 1) but nowhere invertible; deg = 2, so the
     # 3^1 combinations over {0, 1, 2} decide it exactly.
     zero_g = [((0,),)] * 3
-    a = quiver.QuiverRep("B", QQ, (1, 1, 0), zero_g, [()] * 3)
-    b = quiver.QuiverRep("B", QQ, (1, 1, 0), [((1,),), ((0,),), ((0,),)], [()] * 3)
+    a = modules.QuiverRep("B", QQ, (1, 1, 0), zero_g, [()] * 3)
+    b = modules.QuiverRep("B", QQ, (1, 1, 0), [((1,),), ((0,),), ((0,),)], [()] * 3)
     fa, fb = write_rep(tmp_path / "a.json", a), write_rep(tmp_path / "b.json", b)
     for flags in ([], ["--exact"]):
         code, out, _ = run(capsys, "module", "iso", "--a", fa, "--b", fb, *flags)
@@ -281,9 +281,9 @@ def test_module_iso_exact_can_refuse(capsys, tmp_path):
     # negative verdict stays probabilistic: --exact must bail out
     eye = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
     zero = ((0,) * 3,) * 3
-    a = quiver.QuiverRep("B", QQ, (3, 3, 0), [zero] * 3, [()] * 3)
-    b = quiver.QuiverRep("B", QQ, (3, 3, 0), [eye, zero, zero], [()] * 3)
-    assert len(quiver.hom_space(a, b)) == 9
+    a = modules.QuiverRep("B", QQ, (3, 3, 0), [zero] * 3, [()] * 3)
+    b = modules.QuiverRep("B", QQ, (3, 3, 0), [eye, zero, zero], [()] * 3)
+    assert len(modules.hom_space(a, b)) == 9
     fa, fb = write_rep(tmp_path / "a3.json", a), write_rep(tmp_path / "b3.json", b)
     code, out, _ = run(capsys, "module", "iso", "--a", fa, "--b", fb)
     assert code == 0 and out.startswith("not isomorphic (probabilistic")
@@ -358,7 +358,7 @@ def test_bad_input_exits_2(capsys, tmp_path):
         code, _, err = run(capsys, "module", "check", "--in", path)
         assert code == 2 and err.startswith("error:")
     # module files with a key missing or an entry that is not a rational
-    good = quiver.rep_to_json(module_point([1, 0, 0]))
+    good = modules.rep_to_json(module_point([1, 0, 0]))
     broken = [{k: v for k, v in good.items() if k != key}
               for key in ("gamma", "delta", "algebra")]
     broken.append({**good, "gamma": [["1/0"] + m[1:] for m in good["gamma"]]})
@@ -431,11 +431,11 @@ def test_module_dimension_is_bounded(capsys, tmp_path, argv):
     code, out, err = run(capsys, "module", *argv, "--in", path)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == f"error: module dimension 1000000000 is above the bound {quiver.MAX_DIM}\n"
+    assert err == f"error: module dimension 1000000000 is above the bound {modules.MAX_DIM}\n"
 
 
 def test_module_dimension_bound_admits_the_modules_the_program_builds(capsys, tmp_path):
-    path = empty_module_file(tmp_path / "at-bound.json", [0, 0, quiver.MAX_DIM])
+    path = empty_module_file(tmp_path / "at-bound.json", [0, 0, modules.MAX_DIM])
     code, _, _ = run(capsys, "module", "check", "--in", path)
     assert code == 0
     pts = [(k, k * k, 1) for k in range(cli.MAX_N)]  # on a conic, none collinear in threes
@@ -621,7 +621,7 @@ def test_format_fraction_writes_every_number_within_the_limit():
             format_fraction(x)
     # a module's JSON and a payload's rationals are written the same way
     with pytest.raises(InputError):
-        quiver.rep_to_json(quiver.QuiverRep("B", QQ, (1, 1, 0), [[[10 ** _INT_DIGITS]]] * 3, [[]] * 3))
+        modules.rep_to_json(modules.QuiverRep("B", QQ, (1, 1, 0), [[[10 ** _INT_DIGITS]]] * 3, [[]] * 3))
     with pytest.raises(InputError):
         dumps_json({"x": Fraction(1, 10 ** _INT_DIGITS)})
 
@@ -751,7 +751,7 @@ def module_blobs(draw):
     dims = draw(st.tuples(*[st.integers(0, 2)] * 3))
     algebra = draw(st.sampled_from(["B", "Bprime"]))
     rep = random_rep(algebra, field, dims, random.Random(draw(st.integers(0, 99))))
-    blob = quiver.rep_to_json(rep)
+    blob = modules.rep_to_json(rep)
     damage = draw(st.sampled_from(["none", "none", "drop", "entry", "dims", "field", "junk"]))
     if damage == "drop":
         del blob[draw(st.sampled_from(sorted(blob)))]

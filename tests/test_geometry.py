@@ -11,7 +11,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from p2stab import geometry
+from p2stab import geometry, linalg
 from p2stab.errors import InputError
 from p2stab.geometry import (
     PointConfig,
@@ -30,17 +30,17 @@ from p2stab.geometry import (
 )
 from p2stab.ktheory import A0, A1, ChernCharacter, chern_of_dimvec
 from p2stab.linalg import QQ, mat_mul
-from p2stab.quiver import (
+from p2stab.modules import (
     QuiverRep,
     check_relations,
     direct_sum,
     iso_test,
-    jh_factors,
     quotient_by,
     random_rep,
     rep_to_json,
     theta_pair,
 )
+from p2stab.quiver import jh_factors
 from test_quiver import assert_canonical_sides
 
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -450,6 +450,33 @@ def test_composite_lines_reports_the_first_failing_pair(monkeypatch):
     broken = QuiverRep("B", QQ, rep.dims, gamma, rep.delta)
     monkeypatch.setattr(geometry, "module_ideal_A1", lambda cfg: broken)
     assert composite_lines(TRIANGLE) == (False, (1, 0))
+
+
+def test_composite_lines_reads_no_field_arrow(monkeypatch):
+    # each composite is one integer product of the two sides times their
+    # scales: with the field arrows and the rational product refused, every
+    # answer is the entry-by-entry reference's, broken modules included
+    rng = random.Random(5)
+    cases = [(pts, rep) for pts in (TRIANGLE, TWO, LINE3, [(1, 2, 3), (0, 1, 4)])
+             for rep in [module_ideal_A1(pts)] + [_shifted(module_ideal_A1(pts), rng)
+                                                  for _ in range(6)]]
+    want = []
+    for pts, rep in cases:
+        monkeypatch.setattr(geometry, "module_ideal_A1", lambda cfg, r=rep: r)
+        want.append(ref_composite_lines(pts))
+    assert (True, None) in want and len(set(want)) > 4
+
+    def refuse(*args):
+        raise AssertionError("a field arrow or a rational product read")
+
+    monkeypatch.setattr(QuiverRep, "gamma_m", refuse)
+    monkeypatch.setattr(QuiverRep, "delta_m", refuse)
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    got = []
+    for pts, rep in cases:
+        monkeypatch.setattr(geometry, "module_ideal_A1", lambda cfg, r=rep: r)
+        got.append(composite_lines(pts))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

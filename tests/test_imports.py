@@ -5,6 +5,8 @@ is every function and method."""
 import ast
 import collections
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,69 @@ def test_the_check_sees_an_unused_import():
         "    return os.path.join(str(x))\n"
     )
     assert unused_imports(source) == [(2, "math"), (5, "Optional"), (9, "j")]
+
+
+def re_exports(source: str):
+    """The names the imports of lines marked ``# noqa: F401`` bind."""
+    lines = source.splitlines()
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if "# noqa: F401" in lines[alias.lineno - 1]}
+
+
+def test_the_check_sees_a_re_export():
+    source = "from .a import (\n    b,  # noqa: F401\n    c,\n)\nfrom .d import e as f  # noqa: F401\n"
+    assert re_exports(source) == {"b", "f"}
+
+
+#: the package modules `modules.py` may import: the module algebra loads
+#: without the search (`quiver`) and everything built on it
+ALGEBRA_BASE = {"errors", "io_utils", "ktheory", "linalg"}
+
+
+def package_imports(source: str):
+    """The package modules an import statement names, relatively or as
+    ``p2stab.x``, imports inside functions included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("p2stab."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("p2stab."))
+    return names
+
+
+def test_the_module_algebra_imports_no_search():
+    assert package_imports((PACKAGE / "modules.py").read_text()) <= ALGEBRA_BASE
+
+
+def test_the_check_sees_a_package_import():
+    source = ("from . import linalg, errors\nfrom .quiver import king_test\nimport os\n"
+              "def f():\n    from .walls import x\n    import p2stab.cli\n"
+              "from p2stab.geometry import y\nfrom os import path\n")
+    assert package_imports(source) == {"linalg", "errors", "quiver", "walls", "cli", "geometry"}
+
+
+def test_the_module_algebra_loads_without_the_search():
+    # the package's __init__ imports every layer for `from p2stab import *`,
+    # so a bare package stands in for it: what a fresh interpreter loads is
+    # the import closure of modules.py alone
+    code = (
+        "import sys, types\n"
+        f"package = types.ModuleType('p2stab'); package.__path__ = [{str(PACKAGE)!r}]\n"
+        "sys.modules['p2stab'] = package\n"
+        "import p2stab.modules\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('p2stab.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert not loaded & {f"p2stab.{name}" for name in ("quiver", "geometry", "walls", "acceptance",
+                                                       "cli")}
+    assert loaded == {"p2stab.modules"} | {f"p2stab.{name}" for name in ALGEBRA_BASE}
 
 
 def imported_modules(source: str):
@@ -226,15 +291,34 @@ def definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def rebound_names(tracer_source: str):
-    """The function names of the tracer's ``TARGETS`` table, read from its
-    source, not imported."""
+def tracer_targets(tracer_source: str):
+    """The entries (module, function, label, keep spans) of the tracer's
+    ``TARGETS`` table, read from its source, not imported."""
     for node in ast.parse(tracer_source).body:
         target = node.target if isinstance(node, ast.AnnAssign) else (
             node.targets[0] if isinstance(node, ast.Assign) else None)
         if getattr(target, "id", None) == "TARGETS":
-            return [entry[1] for entry in ast.literal_eval(node.value)]
+            return list(ast.literal_eval(node.value))
     return []
+
+
+def rebound_names(tracer_source: str):
+    """The function names of the tracer's ``TARGETS`` table."""
+    return [entry[1] for entry in tracer_targets(tracer_source)]
+
+
+def test_quiver_re_exports_the_traced_algebra_itself():
+    # the tracer looks each target up on its module and rebinds every name
+    # that *is* that object, so the algebra functions it looks up on
+    # `quiver` are re-exported as they are: a wrapper would hide their
+    # callers in `modules` from the trace
+    from p2stab import modules, quiver
+
+    traced = {name for home, name, _, _ in tracer_targets(TRACER.read_text(encoding="utf-8"))
+              if home == "quiver" and name in vars(modules)}
+    assert traced == {"tilt_Bprime_to_B", "tilt_B_to_Bprime", "quotient_by", "iso_test"}
+    assert re_exports((PACKAGE / "quiver.py").read_text()) == traced
+    assert all(getattr(quiver, name) is getattr(modules, name) for name in traced)
 
 
 def unread_functions(package: Path, example: str, rebound=()):

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from p2stab import linalg
 from p2stab.errors import InputError
+from p2stab.geometry import PointConfig
+from p2stab.ktheory import ChernCharacter, as_triple
+from p2stab.modules import QuiverRep
 from p2stab.linalg import (
     QQ,
     PrimeField,
@@ -60,6 +63,24 @@ def test_prime_field_arithmetic():
     for F in (F5, QQ):
         with pytest.raises(InputError):
             F.convert(2.5)
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=repr)
+@pytest.mark.parametrize("build", [
+    QQ.convert,
+    F5.convert,
+    lambda x: ChernCharacter(1, x, 0),
+    lambda x: PointConfig(((x, 0, 1), (0, 1, 0))),
+    lambda x: as_triple((1, x, 0)),
+    lambda x: QuiverRep("B", QQ, (1, 1, 0), [[[x]], [[0]], [[0]]], [[], [], []]),
+    lambda x: QuiverRep("B", F5, (1, 1, 0), [[[x]], [[0]], [[0]]], [[], [], []]),
+], ids=["QQ", "GF(5)", "ChernCharacter", "PointConfig", "as_triple", "QuiverRep QQ",
+        "QuiverRep GF(5)"])
+def test_a_boolean_is_refused_not_read_as_an_integer(build, flag):
+    # True and False are ints to Python; read as 1 and 0 they made
+    # ChernCharacter(1, False, True) the class (1, 0, 1)
+    with pytest.raises(InputError):
+        build(flag)
 
 
 def test_prime_field_requires_prime():

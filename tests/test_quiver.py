@@ -23,32 +23,34 @@ from p2stab.geometry import (
     theta_b0,
     theta_b1,
 )
-from p2stab import linalg, quiver
+from p2stab import linalg, modules, quiver
 from p2stab.linalg import PrimeField, QQ, galois_number, mat_inverse, mat_mul
-from p2stab.quiver import (
-    DestabilizedError,
+from p2stab.modules import (
     QuiverRep,
-    SubmoduleSearch,
     check_relations,
     direct_sum,
     dualize,
     hom_space,
     iso_test,
-    jh_factors,
-    king_test,
     quotient_by,
     random_rep,
     rep_from_json,
     rep_to_json,
     require_relations,
     reverse_theta,
-    s_equiv,
     simple,
-    submodule_dimvecs,
     theta_pair,
     theta_transform,
     tilt_B_to_Bprime,
     tilt_Bprime_to_B,
+)
+from p2stab.quiver import (
+    DestabilizedError,
+    SubmoduleSearch,
+    jh_factors,
+    king_test,
+    s_equiv,
+    submodule_dimvecs,
 )
 from test_linalg import ref_intersect_row_spaces
 
@@ -205,7 +207,7 @@ def ref_reduce_mod_p(rep, p):
 def layer2_args(rep):
     """A module over a prime field as the Layer-2 paths and `_rectangle` take
     it: its field, its dims and its integer arrows."""
-    return (rep.field, rep.dims, *quiver._int_arrows(rep))
+    return (rep.field, rep.dims, *modules._int_arrows(rep))
 
 
 def assert_scales_arrows(rep):
@@ -258,7 +260,7 @@ def test_int_sides_are_formed_once_and_immutable(field):
         assert rep.sides is form and vars(rep).keys() == {"algebra", "field", "dims", "sides"}
         assert form == ref_sides(rep)
         assert_scales_arrows(rep)
-        assert quiver._int_arrows(rep) == (form[0][0], form[1][0])
+        assert modules._int_arrows(rep) == (form[0][0], form[1][0])
         assert all(isinstance(A, tuple) and all(isinstance(r, tuple) for r in A)
                    for Ns, _ in form for A in Ns)
         with pytest.raises(TypeError):
@@ -315,7 +317,7 @@ def test_a_module_rebuilt_from_its_arrows_or_a_scaled_form_is_equal(field, dims,
     assert again == rep and hash(again) == hash(rep) and again.sides == rep.sides
     if field.p is None:
         scaled = [([[[k * x for x in row] for row in N] for N in Ns], t / k) for Ns, t in rep.sides]
-        built = quiver._from_ints(algebra, field, dims, *scaled)
+        built = modules._from_ints(algebra, field, dims, *scaled)
         assert built == rep and hash(built) == hash(rep)
         assert_canonical_sides(built)
 
@@ -335,7 +337,7 @@ def test_the_module_algebra_builds_no_field_matrix(monkeypatch):
         return {
             "tilt_B_to_Bprime": tilt_B_to_Bprime(a1),
             "tilt_Bprime_to_B": tilt_Bprime_to_B(bprime)[0],
-            "_split": quiver._split(a1, triple),
+            "_split": modules._split(a1, triple),
             "dualize": (dualize(a1), dualize(gf5)),
             "direct_sum": (direct_sum(*points), direct_sum(a1, a1), direct_sum(gf5, gf5, gf5)),
             "simple": (simple("B", 1), simple("Bprime", 0, F5), simple("B", 2, F2)),
@@ -366,12 +368,12 @@ def test_sub_from_and_quotient_complement():
     # delta images (delta_2 sends it to -1)
     triple = ((), [[Fraction(1), Fraction(0)]], [[Fraction(1)]])
     assert ref_is_invariant(O_X, triple)
-    sub, quo = quiver._split(O_X, triple)
+    sub, quo = modules._split(O_X, triple)
     assert check_relations(sub) == (True, None)
     assert check_relations(quo) == (True, None)
     assert tuple(s + q for s, q in zip(sub.dims, quo.dims)) == O_X.dims
     with pytest.raises(InputError):
-        quiver._split(O_X, ([[Fraction(1)]], [], []))  # not arrow-invariant
+        modules._split(O_X, ([[Fraction(1)]], [], []))  # not arrow-invariant
     with pytest.raises(InputError):
         quotient_by(O_X, ([[Fraction(1)]], [], []))
 
@@ -479,8 +481,8 @@ def typed_rep(rep):
 
 
 def split_sub(rep, triple):
-    """The submodule half of `quiver._split`."""
-    return quiver._split(rep, triple)[0]
+    """The submodule half of `modules._split`."""
+    return modules._split(rep, triple)[0]
 
 
 def outcome(fn, *args, **kwargs):
@@ -523,7 +525,7 @@ def test_image_applies_the_arrows_as_stored(field):
     for n_src, n_tgt in ((3, 4), (4, 2), (1, 1), (2, 0), (0, 3), (0, 0)):
         arrows = [[[entry() for _ in range(n_src)] for _ in range(n_tgt)] for _ in range(3)]
         rows = [[entry() for _ in range(n_src)] for _ in range(rng.randint(1, 3))]
-        got = quiver._image(rows, arrows)
+        got = modules._image(rows, arrows)
         want = [
             linalg.mat_vec(field, [[field.convert(x) for x in r] for r in A],
                            [field.convert(x) for x in u])
@@ -555,7 +557,7 @@ def test_constructions_match_the_per_vector_code(field):
                 assert got == outcome(ref, rep, triple)
                 assert (got is InputError) == (not invariant)
             if invariant:
-                for part in quiver._split(rep, triple):
+                for part in modules._split(rep, triple):
                     assert_canonical_sides(part)
         # a row of the wrong length is invalid input, for both
         v = rng.randrange(3)
@@ -1270,7 +1272,7 @@ def test_layer2_pairs_match_middle_on_calibration_corpus():
         rep = random_rep("B" if k % 2 == 0 else "Bprime", F2, dims, rng)
         expected = quiver._layer2_by_middle(*layer2_args(rep))
         assert quiver._layer2_by_pairs(*layer2_args(rep)) == expected
-        assert quiver._layer2_packed(rep.dims, *quiver._int_arrows(rep)) == expected
+        assert quiver._layer2_packed(rep.dims, *modules._int_arrows(rep)) == expected
         assert quiver._layer2_dimvecs(rep) == expected
 
 
@@ -1301,7 +1303,7 @@ def test_layer2_matches_the_invariant_triples(p, shapes, algebra):
         assert quiver._layer2_by_pairs(*layer2_args(rep)) == want, dims
         assert quiver._layer2_by_middle(*layer2_args(rep)) == want, dims
         if p == 2:
-            assert quiver._layer2_packed(dims, *quiver._int_arrows(rep)) == want, dims
+            assert quiver._layer2_packed(dims, *modules._int_arrows(rep)) == want, dims
 
 
 def test_gf2_lattice_visits_every_subspace_once():
@@ -1347,14 +1349,14 @@ def test_layer2_packed_reads_the_mod2_reduction_of_a_rational_module(monkeypatch
         raise AssertionError("a GF(2) module built for the packed path")
 
     monkeypatch.setattr(QuiverRep, "__init__", refuse)
-    monkeypatch.setattr(quiver, "_from_ints", refuse)
+    monkeypatch.setattr(modules, "_from_ints", refuse)
     monkeypatch.setattr(quiver, "_layer2_by_pairs", refuse)
     assert quiver._layer2_cost(rep.dims, 2) < galois_number(rep.dims[1], 2)
     assert quiver._layer2_dimvecs(rep, 2) == expected
     if rep is _RATIONAL_MOD2[-1]:
         # gamma(F^1) is the whole middle space, as the gammas' own scales
         # keep it; the side's scale would leave a line, and the class (1, 1, 1)
-        side = quiver._layer2_packed(rep.dims, *quiver._int_arrows(rep))
+        side = quiver._layer2_packed(rep.dims, *modules._int_arrows(rep))
         assert (1, 1, 1) in side and (1, 1, 1) not in expected
 
 
@@ -1373,7 +1375,7 @@ def test_layer2_builds_no_module_per_prime(monkeypatch, rep):
     def refuse(*args):
         raise AssertionError("a module built for a Layer-2 enumeration")
 
-    monkeypatch.setattr(quiver, "_from_ints", refuse)
+    monkeypatch.setattr(modules, "_from_ints", refuse)
     assert {p: quiver._layer2_dimvecs(rep, p) for p in want} == want
 
 
@@ -1433,7 +1435,7 @@ def test_hom_bound_is_checked_before_any_row(monkeypatch):
     def build(shapes, equations):
         raise Built
 
-    monkeypatch.setattr(quiver, "_linear_system", build)
+    monkeypatch.setattr(modules, "_linear_system", build)
     # unknowns x max(unknowns, equations): 1728 x 3456; the dims of ideal-A1
     # of 16 points, 1601 x 3168; 1875 x 3750; 12288 x 24576; and a system
     # with no equations whose kernel basis alone is 4096 x 4096
@@ -1596,13 +1598,13 @@ def ref_hom_space(a, b):
 
 def ref_iso_test(a, b, seed=0):
     if a.dims != b.dims or a.field != b.field or a.algebra != b.algebra:
-        return quiver.IsoResult(False, "exact", None)
+        return modules.IsoResult(False, "exact", None)
     if a.total_dim() == 0:
-        return quiver.IsoResult(True, "exact", None, ((), (), ()))
+        return modules.IsoResult(True, "exact", None, ((), (), ()))
     F = a.field
     homs = ref_hom_space(a, b)
     if not homs:
-        return quiver.IsoResult(False, "exact", None)
+        return modules.IsoResult(False, "exact", None)
 
     def combo(coeffs):
         fs = []
@@ -1623,14 +1625,14 @@ def ref_iso_test(a, b, seed=0):
 
     deg = a.total_dim()
     S = [F.convert(c) for c in range(deg + 1 if F.p is None else min(deg + 1, F.p))]
-    if len(S) ** len(homs) <= quiver._ISO_EXACT_BOUND:
+    if len(S) ** len(homs) <= modules._ISO_EXACT_BOUND:
         for coeffs in itertools.product(S, repeat=len(homs)):
             if all(F.convert(c) == 0 for c in coeffs):
                 continue
             fs = combo(coeffs)
             if invertible(fs):
-                return quiver.IsoResult(True, "exact", None, tuple(fs))
-        return quiver.IsoResult(False, "exact", None)
+                return modules.IsoResult(True, "exact", None, tuple(fs))
+        return modules.IsoResult(False, "exact", None)
 
     rng = random.Random(seed)
     if isinstance(F, PrimeField):
@@ -1640,14 +1642,14 @@ def ref_iso_test(a, b, seed=0):
         span = 1 << 31
         sample = lambda: Fraction(rng.randrange(span))
         per = deg / (1 << 31)
-    for _ in range(quiver._ISO_SAMPLES):
+    for _ in range(modules._ISO_SAMPLES):
         fs = combo([sample() for _ in homs])
         if invertible(fs):
-            return quiver.IsoResult(True, "exact", None, tuple(fs))
-    return quiver.IsoResult(False, "probabilistic", min(1.0, per ** quiver._ISO_SAMPLES) if per > 0 else 0.0)
+            return modules.IsoResult(True, "exact", None, tuple(fs))
+    return modules.IsoResult(False, "probabilistic", min(1.0, per ** modules._ISO_SAMPLES) if per > 0 else 0.0)
 
 
-#: the relation pairs of each algebra, stated apart from `quiver._RELATIONS`
+#: the relation pairs of each algebra, stated apart from `modules._RELATIONS`
 #: so that the references check it: for "B" a diagonal pair (i, i) is
 #: delta_i gamma_i = 0 on its own
 REF_REL_PAIRS = {
@@ -1800,7 +1802,7 @@ def test_iso_test_matches_the_field_loops(field):
         assert got == want and typed(got.witness) == typed(want.witness)
         h = len(hom_space(a, b)) if a.dims == b.dims and a.algebra == b.algebra else 0
         size = min(sum(a.dims) + 1, field.p or sum(a.dims) + 1)
-        paths["sampled" if size ** h > quiver._ISO_EXACT_BOUND else "exact",
+        paths["sampled" if size ** h > modules._ISO_EXACT_BOUND else "exact",
               got.isomorphic] += 1
     # both verdicts on both paths; a zero-arrow module against one with
     # arrows has a large Hom space with no invertible member
@@ -1809,7 +1811,7 @@ def test_iso_test_matches_the_field_loops(field):
 
 def euler_complex(M, N):
     """The maps d0 and d1 of the Euler complex of (M, N), as field matrices
-    from `quiver._linear_system` and `quiver._RELATIONS`: d0 sends (f_v) to
+    from `modules._linear_system` and `modules._RELATIONS`: d0 sends (f_v) to
     f_t M_a - N_a f_s for each arrow a from s to t, and d1 sends (g_a) to
     sum c (N_delta_j g_gamma_i + g_delta_j M_gamma_i) over each relation's
     terms (c, j, i).  The unknowns g_a of d1 are laid out as the equations
@@ -1817,16 +1819,16 @@ def euler_complex(M, N):
     F = M.field
     arrows = [(0, a, b) for a, b in zip(M.gamma, N.gamma)]
     arrows += [(1, a, b) for a, b in zip(M.delta, N.delta)]
-    d0 = quiver._linear_system(
+    d0 = modules._linear_system(
         list(zip(N.dims, M.dims)),
         [((N.dims[s + 1], M.dims[s]), [(1, None, s + 1, Ma), (-1, Na, s, None)])
          for s, Ma, Na in arrows],
     )[0]
-    d1 = quiver._linear_system(
+    d1 = modules._linear_system(
         [(N.dims[s + 1], M.dims[s]) for s, _, _ in arrows],
         [((N.dims[2], M.dims[0]),
           [t for c, j, i in terms for t in ((c, N.delta[j], i, None), (c, None, 3 + j, M.gamma[i]))])
-         for terms in quiver._RELATIONS[M.algebra].values()],
+         for terms in modules._RELATIONS[M.algebra].values()],
     )[0]
     return [[[F.convert(x) for x in row] for row in d] for d in (d0, d1)]
 
@@ -2293,13 +2295,13 @@ def test_jh_factors_of_direct_sum():
 
 def test_jh_factors_checks_each_peel_once(monkeypatch):
     calls = []
-    real = quiver._invariant
+    real = modules._invariant
 
     def counting(F, spans, images):
         calls.append(tuple(len(R) for R, _ in spans))
         return real(F, spans, images)
 
-    monkeypatch.setattr(quiver, "_invariant", counting)
+    monkeypatch.setattr(modules, "_invariant", counting)
     factors = jh_factors(direct_sum(O_X, O_Y), TH_STABLE)
     assert len(factors) == 2 and calls == [factors[0].dims]
 

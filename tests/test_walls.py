@@ -8,7 +8,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from p2stab import geometry, ktheory, quiver, walls
+from p2stab import geometry, ktheory, modules, quiver, walls
 from p2stab.charge import (
     CentralCharge,
     sqrt_rational,
@@ -20,7 +20,8 @@ from p2stab.geometry import _frame, module_ideal_A1, theta_family_r
 from p2stab.io_utils import dumps_json
 from p2stab.linalg import QQ, saturated_kernel_basis_3
 from p2stab.ktheory import ChernCharacter
-from p2stab.quiver import dualize, king_test, theta_pair
+from p2stab.modules import dualize, theta_pair
+from p2stab.quiver import king_test
 from p2stab.walls import (
     ADJACENCY,
     CHAMBER_STRUCTURE,
@@ -128,8 +129,8 @@ _EXACT_ENTRIES = {
     "chamber_membership": (lambda x: chamber_membership((x, 0, Fraction(-1, 2)), 2, "A1"),
                            Fraction(1, 2)),
     "theta_pair": (lambda x: theta_pair((x, 0, 1), (1, 1, 1)), Fraction(1, 2)),
-    "reverse_theta": (lambda x: quiver.reverse_theta((x, 0, 1)), Fraction(1, 2)),
-    "theta_transform": (lambda x: quiver.theta_transform((x, 0, 1)), Fraction(1, 2)),
+    "reverse_theta": (lambda x: modules.reverse_theta((x, 0, 1)), Fraction(1, 2)),
+    "theta_transform": (lambda x: modules.theta_transform((x, 0, 1)), Fraction(1, 2)),
     "king_theta": (lambda x: king_theta([(x, 0), (-1, 0), (3, 1)], (1, 2, 1)), Fraction(-1, 3)),
     "king_theta dims": (lambda x: king_theta(z_sigma_b(Fraction(1, 3)), (x, 2, 1)), 1),
     "CentralCharge": (lambda x: CentralCharge(((x, 0), (-1, 0), (3, 1))), Fraction(-1, 2)),
@@ -181,8 +182,8 @@ def test_malformed_charge_values_are_invalid_input(entry, name):
     lambda x: ktheory.chern_of_dimvec((x, 0, 0), ktheory.A1),
     lambda x: perp_plane((x, 2, 1)),
     lambda x: numerical_walls((x, 2, 1)),
-    lambda x: quiver.random_rep("B", QQ, (x, 1, 1), random.Random(0)),
-    lambda x: quiver.simple("B", x),
+    lambda x: modules.random_rep("B", QQ, (x, 1, 1), random.Random(0)),
+    lambda x: modules.simple("B", x),
     lambda x: saturated_kernel_basis_3((x, 2, 1)),
 ], ids=["theta_pair", "chern_of_dimvec", "perp_plane", "numerical_walls", "random_rep",
         "simple", "saturated_kernel_basis_3"])
@@ -476,8 +477,8 @@ def test_a_report_reads_no_field_arrow(monkeypatch, n, config, digest):
     def refuse(*args):
         raise AssertionError("a field arrow read on the report path")
 
-    monkeypatch.setattr(quiver.QuiverRep, "gamma_m", refuse)
-    monkeypatch.setattr(quiver.QuiverRep, "delta_m", refuse)
+    monkeypatch.setattr(modules.QuiverRep, "gamma_m", refuse)
+    monkeypatch.setattr(modules.QuiverRep, "delta_m", refuse)
     quiver._submodule_dimvecs_impl.cache_clear()
     text = dumps_json(hilbert_report(n, [config]))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -514,9 +515,9 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
     # and the last (0, 1, 0) Jordan-Hoelder factor is not searched at all;
     # the ideal modules are built once, M with one tilt; a module built from
     # field rows has its arrows made integers once, by its constructor
-    # (`quiver._field_matrix`, one call per arrow), and none that a tilt, a
+    # (`modules._field_matrix`, one call per arrow), and none that a tilt, a
     # split, a direct sum or a simple built from an integer form
-    # (`quiver._from_ints`) has field rows made integers at all (counts: the
+    # (`modules._from_ints`) has field rows made integers at all (counts: the
     # same on every machine)
     n = len(config)
     calls = collections.Counter()
@@ -532,8 +533,8 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
                 monkeypatch.setattr(module, name, counting)
     # every module converted or built, kept alive so that no two share an id
     converted, built, matrices = [], [], []
-    real_init, real_from_ints = quiver.QuiverRep.__init__, quiver._from_ints
-    real_field_matrix = quiver._field_matrix
+    real_init, real_from_ints = modules.QuiverRep.__init__, modules._from_ints
+    real_field_matrix = modules._field_matrix
 
     def init(rep, *args):
         real_init(rep, *args)
@@ -547,9 +548,9 @@ def test_a_report_searches_each_module_once(monkeypatch, config, searches):
         matrices.append(args)
         return real_field_matrix(*args)
 
-    monkeypatch.setattr(quiver.QuiverRep, "__init__", init)
-    monkeypatch.setattr(quiver, "_from_ints", from_ints)
-    monkeypatch.setattr(quiver, "_field_matrix", field_matrix)
+    monkeypatch.setattr(modules.QuiverRep, "__init__", init)
+    monkeypatch.setattr(modules, "_from_ints", from_ints)
+    monkeypatch.setattr(modules, "_field_matrix", field_matrix)
     quiver._submodule_dimvecs_impl.cache_clear()
     hilbert_report(n, [config])
     assert quiver._submodule_dimvecs_impl.cache_info().misses == searches
