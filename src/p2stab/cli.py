@@ -69,10 +69,6 @@ def _writing(path: str):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _heart(label: str) -> HeartBasis:
-    return HeartBasis.parse(label)
-
-
 def _chern_arg(s: str) -> ChernCharacter:
     t = parse_triple(s)
     return ChernCharacter(t[0], t[1], t[2])
@@ -108,7 +104,7 @@ def cmd_chern_twist(args) -> int:
 
 
 def cmd_chern_dimvec(args) -> int:
-    print(format_vector(ktheory.dimvec(_chern_arg(args.ch), _heart(args.heart))))
+    print(format_vector(ktheory.dimvec(_chern_arg(args.ch), HeartBasis.parse(args.heart))))
     return 0
 
 
@@ -505,22 +501,22 @@ COMMANDS: Dict[str, Union[_Command, Tuple[str, Dict[str, _Command]]]] = {
     "walls": ("weight-plane walls and chambers", {
         "enumerate": _Command("numerical walls for the ideal-type class", cmd_walls_enumerate, (
             _arg("--n", type=int, required=True),
-            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--heart", default="A1", choices=walls_mod.HEARTS),
             _arg("--out", default=None),
         )),
         "theta-family": _Command("the weight family at a parameter", cmd_walls_theta_family, (
             _arg("--n", type=int, required=True),
             _arg("--b", required=True),
-            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--heart", default="A1", choices=walls_mod.HEARTS),
         )),
         "chamber": _Command("locate a weight in the chamber picture", cmd_walls_chamber, (
             _arg("--n", type=int, required=True),
-            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--heart", default="A1", choices=walls_mod.HEARTS),
             _arg("--theta", required=True, metavar="t0,t1,t2"),
         )),
         "svg": _Command("render the weight plane", cmd_walls_svg, (
             _arg("--n", type=int, required=True),
-            _arg("--heart", default="A1", choices=("A1", "A0")),
+            _arg("--heart", default="A1", choices=walls_mod.HEARTS),
             _arg("--out", required=True),
         )),
     }),
@@ -577,11 +573,6 @@ def _parser(path: Tuple[str, ...] = ()) -> argparse.ArgumentParser:
             if not path or name == path[1]:
                 _add_command(cs, name, command)
     return p
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command."""
-    return _parser()
 
 
 def _command_path(argv: Sequence[str]) -> Tuple[str, ...]:

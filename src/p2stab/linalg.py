@@ -21,10 +21,10 @@ conversion between the two in the package: ``int_form`` writes a matrix as
 a scale t times integer rows (over Q with no common factor, over GF(p) the
 rows mod p with t = 1), and ``field_form`` takes t and the integer rows
 back.  Every field-row function (``rref``, ``row_space``,
-``reduce_vector``, ``in_row_space``, ``right_kernel``, ``mat_mul``,
-``mat_vec``) is an adapter: it takes its input's integer form, calls a
-kernel and gives the result back in ``field_form``; the arrows of a quiver
-module and the integer weights of King's test are integer forms too.
+``reduce_vector``, ``right_kernel``, ``mat_mul``, ``mat_vec``) is an
+adapter: it takes its input's integer form, calls a kernel and gives the
+result back in ``field_form``; the arrows of a quiver module and the
+integer weights of King's test are integer forms too.
 
 The results are the exact values the textbook loops give, entry for entry:
 a reduced row echelon form is unique.  The matrices are tiny (a few dozen
@@ -150,18 +150,6 @@ def field_from_json(obj: dict):
 
 # ---------------------------------------------------------------------------
 # basic matrix plumbing
-
-
-def zeros(F, nrows: int, ncols: int) -> Matrix:
-    z = F.convert(0)
-    return [[z] * ncols for _ in range(nrows)]
-
-
-def identity(F, n: int) -> Matrix:
-    M = zeros(F, n, n)
-    for i in range(n):
-        M[i][i] = F.convert(1)
-    return M
 
 
 def transpose(A: Matrix, ncols: Optional[int] = None) -> Matrix:
@@ -318,10 +306,6 @@ def reduce_vector(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> Row:
     return field_form(F, int_residues(F, W, pivots, ints), t / L)[0]
 
 
-def in_row_space(F, R: Matrix, pivots: Sequence[int], v: Sequence) -> bool:
-    return not any(reduce_vector(F, R, pivots, v))
-
-
 def row_space(F, vectors: Iterable[Sequence], ncols: int) -> Tuple[Matrix, List[int]]:
     """Canonical (rref) basis of the span of the given vectors."""
     R, pivots = int_span(F, vectors, ncols)
@@ -355,19 +339,6 @@ def solve_right(F, A: Matrix, b: Sequence) -> Optional[Row]:
             return None
         x[c] = row[ncols]
     return x
-
-
-def mat_inverse(F, A: Matrix) -> Optional[Matrix]:
-    n = len(A)
-    if n == 0:
-        return []
-    if len(A[0]) != n:
-        raise InputError("inverse of a non-square matrix")
-    aug = [list(row) + list(e) for row, e in zip(A, identity(F, n))]
-    R, pivots = rref(F, aug)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
-        return None
-    return [row[n:] for row in R]
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +546,7 @@ def iter_subspaces(F: PrimeField, n: int) -> Iterator[Tuple[Matrix, Tuple[int, .
                 if j not in pivots
             ]
             for assignment in itertools.product(range(p), repeat=len(free_pos)):
-                rows = zeros(F, k, n)
+                rows = [[0] * n for _ in range(k)]
                 for i in range(k):
                     rows[i][pivots[i]] = 1
                 for (i, j), val in zip(free_pos, assignment):

@@ -117,11 +117,6 @@ class PerpPlane:
     d: Tuple[int, int, int]
     basis: Tuple[Tuple[int, int, int], Tuple[int, int, int]]
 
-    def theta_of(self, s, t) -> Theta:
-        s, t = QQ.convert(s), QQ.convert(t)
-        b1, b2 = self.basis
-        return tuple(s * p + t * q for p, q in zip(b1, b2))  # type: ignore[return-value]
-
     def coords_of(self, theta: Sequence) -> Tuple[Fraction, Fraction]:
         theta = tuple(map(QQ.convert, theta))
         if sum(x * y for x, y in zip(theta, self.d)) != 0:
@@ -152,7 +147,6 @@ class WallLine:
     normal_in_plane: Tuple[int, int]
     witness: Tuple[int, int, int]
     witnesses: Tuple[Tuple[int, int, int], ...]
-    status: str = "numerical"
 
 
 def _angle_key(pq: Tuple[int, int]):
@@ -205,8 +199,6 @@ class ChamberResult:
     chamber: str
     sigma: Fraction
     tau: Fraction
-    heart: str
-    n: int
     blocking: Optional[WallLine] = None
 
 
@@ -233,13 +225,13 @@ def chamber_membership(theta: Sequence, n: int, heart: str = "A1") -> ChamberRes
     boundary_name = "theta1" if heart == "A1" else "theta0"
 
     if sigma > 0 and tau > 0:
-        return ChamberResult("C_P2", sigma, tau, heart, n)
+        return ChamberResult("C_P2", sigma, tau)
     if sigma == 0:
         name = f"{boundary_name}_1" if tau > 0 else "outside"
-        return ChamberResult(name, sigma, tau, heart, n)
+        return ChamberResult(name, sigma, tau)
     if tau == 0:
         name = f"{boundary_name}_0" if sigma > 0 else "outside"
-        return ChamberResult(name, sigma, tau, heart, n)
+        return ChamberResult(name, sigma, tau)
 
     def first_blocking(c_ray):
         # a wall line lies strictly between the ray and the weight iff they
@@ -253,14 +245,14 @@ def chamber_membership(theta: Sequence, n: int, heart: str = "A1") -> ChamberRes
     if sigma < 0 and tau > 0:  # beyond the b = 1 end
         blk = first_blocking(c1)
         if blk is None:
-            return ChamberResult("C_plus", sigma, tau, heart, n)
-        return ChamberResult("outside", sigma, tau, heart, n, blocking=blk)
+            return ChamberResult("C_plus", sigma, tau)
+        return ChamberResult("outside", sigma, tau, blocking=blk)
     if sigma > 0 and tau < 0:  # beyond the b = 0 end
         blk = first_blocking(c0)
         if blk is None:
-            return ChamberResult("C_minus", sigma, tau, heart, n)
-        return ChamberResult("outside", sigma, tau, heart, n, blocking=blk)
-    return ChamberResult("outside", sigma, tau, heart, n)
+            return ChamberResult("C_minus", sigma, tau)
+        return ChamberResult("outside", sigma, tau, blocking=blk)
+    return ChamberResult("outside", sigma, tau)
 
 
 CHAMBER_STRUCTURE = (
@@ -278,7 +270,7 @@ def _walls_entries(d: Sequence[int]) -> List[dict]:
             "normal_in_plane": list(w.normal_in_plane),
             "witness": list(w.witness),
             "witnesses": [list(x) for x in w.witnesses],
-            "status": w.status,
+            "status": "numerical",
         }
         for w in numerical_walls(d)
     ]

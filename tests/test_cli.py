@@ -663,7 +663,7 @@ def test_module_hom_and_iso_refuse_a_system_above_the_bound(capsys, tmp_path, co
 
 # ---------------------------------------------------------------------------
 # main builds only the parsers of the command it runs; what argparse prints
-# and the exit code must be those of the whole tree (`build_parser`)
+# and the exit code must be those of the whole tree (`_parser()`)
 
 
 def _subcommands(parser):
@@ -675,7 +675,7 @@ def _subcommands(parser):
 
 
 def _exiting_argvs():
-    tree = cli.build_parser()
+    tree = cli._parser()
     argvs = [[], ["--help"], ["frobnicate"], ["chern", "frobnicate"], ["-h", "hilbert", "report"],
              ["hilbert", "--help", "report"], ["selftest", "--level", "full", "extra"],
              ["chern", "bogomolov", "--ch", "1,0,0", "extra"],
@@ -704,7 +704,7 @@ def test_usage_output_is_the_whole_trees(argv):
                 parse(list(argv))
         return info.value.code, out.getvalue(), err.getvalue()
 
-    assert outcome(cli.main) == outcome(cli.build_parser().parse_args)
+    assert outcome(cli.main) == outcome(cli._parser().parse_args)
 
 
 def test_a_command_builds_only_its_own_parsers(monkeypatch, capsys):
@@ -722,7 +722,7 @@ def test_a_command_builds_only_its_own_parsers(monkeypatch, capsys):
     assert run(capsys, "selftest", "--level", "quick")[0] == 0
     assert built == ["p2stab", "p2stab selftest"]
     built.clear()
-    cli.build_parser()
+    cli._parser()
     whole = len(built)
     built.clear()
     with pytest.raises(SystemExit):

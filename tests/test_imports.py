@@ -259,14 +259,6 @@ def test_the_check_sees_an_unused_export(tmp_path):
     assert unread_exports(tmp_path, names, library_example(readme)) == ["Lone", "recursive", "unused"]
 
 
-#: functions and methods no program code reads, kept on purpose, with why
-KEPT_UNREAD = {
-    "cli.build_parser": "test_cli compares the parser built for one command with the whole tree's",
-    "linalg.in_row_space": "the tests' per-vector reference code, kept with the tracer's adapters",
-    "linalg.mat_inverse": "tests build isomorphic modules with it",
-    "walls.PerpPlane.theta_of": "the round-trip reference for coords_of",
-}
-
 TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
 
 
@@ -344,7 +336,7 @@ def test_every_function_has_a_program_caller():
     example = library_example(README.read_text(encoding="utf-8"))
     rebound = rebound_names(TRACER.read_text(encoding="utf-8"))
     assert "reduce_vector" in rebound
-    assert unread_functions(PACKAGE, example, rebound) == sorted(KEPT_UNREAD)
+    assert unread_functions(PACKAGE, example, rebound) == []
 
 
 def test_the_check_sees_a_function_without_a_caller(tmp_path):

@@ -24,7 +24,7 @@ from p2stab.geometry import (
     theta_b1,
 )
 from p2stab import linalg, modules, quiver
-from p2stab.linalg import PrimeField, QQ, galois_number, mat_inverse, mat_mul
+from p2stab.linalg import PrimeField, QQ, galois_number, mat_mul
 from p2stab.modules import (
     QuiverRep,
     check_relations,
@@ -52,7 +52,7 @@ from p2stab.quiver import (
     s_equiv,
     submodule_dimvecs,
 )
-from test_linalg import ref_intersect_row_spaces
+from test_linalg import identity, in_row_space, mat_inverse, ref_intersect_row_spaces, zeros
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -405,12 +405,12 @@ def ref_is_invariant(rep, triple):
     for u in U0:
         for i in range(3):
             v = linalg.mat_vec(F, rep.gamma_m(i), list(u))
-            if not linalg.in_row_space(F, R1, p1, v):
+            if not in_row_space(F, R1, p1, v):
                 return False
     for u in U1:
         for j in range(3):
             v = linalg.mat_vec(F, rep.delta_m(j), list(u))
-            if not linalg.in_row_space(F, R2, p2, v):
+            if not in_row_space(F, R2, p2, v):
                 return False
     return True
 
@@ -546,7 +546,7 @@ def test_constructions_match_the_per_vector_code(field):
             algebra, field, dims, rng)
         triples = list(quiver._layer1(rep, k).values())  # witnesses
         triples.append(((), (), ()))
-        triples.append(tuple(tuple(linalg.identity(field, n)) for n in dims))
+        triples.append(tuple(tuple(identity(field, n)) for n in dims))
         for _ in range(4):  # mostly not invariant
             triples.append(tuple(random_rows(field, rng, n, rng.randint(0, n)) for n in dims))
         for triple in triples:
@@ -625,7 +625,7 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
         return [linalg.mat_vec(F, rep.gamma_m(i), list(x)) for i in range(3)]
 
     add([])
-    add(linalg.identity(F, n1))
+    add(identity(F, n1))
     # the gamma-spans of the coordinate subspaces, smallest first: all of
     # them when n0 <= 4, else the cyclic ones
     ebasis = list(basis_vectors(n0))
@@ -1442,8 +1442,8 @@ def test_hom_bound_is_checked_before_any_row(monkeypatch):
     for dims, refused in (((24, 24, 24), False), ((16, 33, 16), False), ((25, 25, 25), True),
                           ((64, 64, 64), True), ((0, 64, 0), True)):
         n0, n1, n2 = dims
-        rep = QuiverRep("B", QQ, dims, [linalg.zeros(QQ, n1, n0)] * 3,
-                        [linalg.zeros(QQ, n2, n1)] * 3)
+        rep = QuiverRep("B", QQ, dims, [zeros(QQ, n1, n0)] * 3,
+                        [zeros(QQ, n2, n1)] * 3)
         for fn in (hom_space, iso_test):
             with pytest.raises(InputError if refused else Built):
                 fn(rep, rep)
@@ -1506,8 +1506,8 @@ def test_iso_rule_matches_full_enumeration(p):
         elif k % 3 == 1:
             b = random_rep(algebra, F, dims, rng)
         else:  # zero arrows: large Hom spaces
-            b = QuiverRep(algebra, F, dims, [linalg.zeros(F, dims[1], dims[0])] * 3,
-                          [linalg.zeros(F, dims[2], dims[1])] * 3)
+            b = QuiverRep(algebra, F, dims, [zeros(F, dims[1], dims[0])] * 3,
+                          [zeros(F, dims[2], dims[1])] * 3)
         h, deg = len(hom_space(a, b)), sum(dims)
         if p**h > 3000:
             continue
@@ -1533,7 +1533,7 @@ def ref_direct_sum(a, b):
     F = a.field
 
     def block(M, N, rM, cM, rN, cN):
-        out = linalg.zeros(F, rM + rN, cM + cN)
+        out = zeros(F, rM + rN, cM + cN)
         for i in range(rM):
             for j in range(cM):
                 out[i][j] = M[i][j]
@@ -1610,7 +1610,7 @@ def ref_iso_test(a, b, seed=0):
         fs = []
         for v in range(3):
             n = a.dims[v]
-            M = linalg.zeros(F, n, n)
+            M = zeros(F, n, n)
             for c, h in zip(coeffs, homs):
                 if F.convert(c) == 0:
                     continue
@@ -1700,8 +1700,8 @@ FIELD_LOOP_FIELDS = [QQ, F2, PrimeField(3), F5, PrimeField(101)]
 
 def zero_arrows(algebra, F, dims):
     n0, n1, n2 = dims
-    return QuiverRep(algebra, F, dims, [linalg.zeros(F, n1, n0)] * 3,
-                     [linalg.zeros(F, n2, n1)] * 3)
+    return QuiverRep(algebra, F, dims, [zeros(F, n1, n0)] * 3,
+                     [zeros(F, n2, n1)] * 3)
 
 
 def in_random_basis(rep, rng):
@@ -1970,10 +1970,10 @@ def ref_tilt_B_to_Bprime(rep):
     if len(img_rows) < n1:
         raise InputError("object leaves mod-B' (theta1 >= 0 regime)")
     comp = [c for c in range(3 * n2) if c not in img_piv]
-    units = linalg.identity(F, 3 * n2)
+    units = identity(F, 3 * n2)
     # over a zero middle vertex the product is zero, with no factor to show its width
     gamma_M = [mat_mul(F, rep.delta_m((i + 1) % 3), rep.gamma_m((i + 2) % 3)) if n1
-               else linalg.zeros(F, n2, n0) for i in range(3)]
+               else zeros(F, n2, n0) for i in range(3)]
     delta_M = [
         linalg.transpose(ref_project(F, img_rows, img_piv, comp, units[j * n2:(j + 1) * n2]),
                          ncols=len(comp))

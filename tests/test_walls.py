@@ -124,7 +124,6 @@ _EXACT_ENTRIES = {
     "jh_factors": (lambda x: [f.dims for f in quiver.jh_factors(_POINT, (-1, x, 3))], -1),
     "hilbert_report eps": (lambda x: hilbert_report(1, [[(1, 2, 3)]], eps=x)["epsilon"], Fraction(1, 10)),
     "family_consistency": (lambda x: family_consistency(3, x), Fraction(3, 10)),
-    "PerpPlane.theta_of": (lambda x: perp_plane((2, 5, 2)).theta_of(x, 1), Fraction(1, 2)),
     "PerpPlane.coords_of": (lambda x: perp_plane((2, 5, 2)).coords_of((x, 0, Fraction(-1, 2))), Fraction(1, 2)),
     "chamber_membership": (lambda x: chamber_membership((x, 0, Fraction(-1, 2)), 2, "A1"),
                            Fraction(1, 2)),
@@ -207,7 +206,8 @@ def test_perp_plane_round_trip():
     for b in plane.basis:
         assert theta_pair(b, (2, 5, 2)) == 0
     s, t = Fraction(3, 2), Fraction(-1, 3)
-    assert plane.coords_of(plane.theta_of(s, t)) == (s, t)
+    theta = tuple(s * p + t * q for p, q in zip(*plane.basis))
+    assert plane.coords_of(theta) == (s, t)
     with pytest.raises(InputError):
         plane.coords_of((1, 0, 0))
 
@@ -235,8 +235,8 @@ def test_numerical_walls_structure():
     walls = numerical_walls(d)
     assert len(walls) == 13
     plane = perp_plane(d)
+    assert [e["status"] for e in walls_json(2, "A1")["walls"]] == ["numerical"] * len(walls)
     for w in walls:
-        assert w.status == "numerical"
         assert w.witness == w.witnesses[0] == min(w.witnesses)
         for dp in w.witnesses:
             assert all(0 <= x <= y for x, y in zip(dp, d))
@@ -396,6 +396,20 @@ def test_chamber_structure_constants():
     assert CHAMBER_STRUCTURE[0]["boundary"] == "theta1_1"
     assert CHAMBER_STRUCTURE[2]["label"] == "zeta-contraction"
     assert ADJACENCY[1] == "theta1_1 (Hilbert-Chow)"
+
+
+_WALL_SVG_DIGESTS = {
+    (1, "A0"): "8360a0a19450a485f264e59395607550a17fcb740a257cee1402d25ab8679041",
+    (2, "A1"): "52899fcc48cf34f738f23975383da148e01d3f7361f172a2e561cd2dbd3a035e",
+    (3, "A1"): "a2e816459cd016c4644d344982ad41a115261530d7fb9438700d398b5686f061",
+}
+
+
+@pytest.mark.parametrize("n,heart", sorted(_WALL_SVG_DIGESTS))
+def test_wall_svg_bytes_are_pinned(n, heart):
+    # `walls svg` and `hilbert report --svg` write these bytes
+    text = wall_svg(n, heart)
+    assert hashlib.sha256(text.encode()).hexdigest() == _WALL_SVG_DIGESTS[n, heart]
 
 
 def test_wall_svg_deterministic():
