@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from .linalg import QQ, PrimeField, saturated_kernel_basis_3
-from .ktheory import A0, A1, A1P, ChernCharacter, dimvec, mukai_pair
+from .ktheory import A0, A1, A1P, ChernCharacter, chern_of_dimvec, dimvec, mukai_pair
 from .charge import (
     geom_conditions_abc,
     verify_T_identity,
@@ -27,6 +27,7 @@ from .modules import (
     check_relations,
     dualize,
     iso_test,
+    quotient_by,
     random_rep,
     reverse_theta,
     theta_pair,
@@ -381,7 +382,7 @@ def criterion_8() -> Tuple[bool, str]:
             bound = king_test(m1, theta_b1(n, 1))
             if not bound.semistable:
                 return (False, f"n={n} config {idx}: boundary gave {bound.verdict}")
-            wall = geometry.wall_filtration_data(cfg, "theta1_1")
+            wall = geometry.wall_filtration_data(cfg, m1)
             if wall["factor_dims"] != factor_want:
                 return (False, f"n={n} config {idx}: JH dims {wall['factor_dims']}")
             if None in wall["support"]:
@@ -415,25 +416,32 @@ def criterion_9() -> Tuple[bool, str]:
         PointConfig(((1, 1, 1), (1, 2, 4), (1, 3, 5))),
     )
     n = 3
+    line_ch = ChernCharacter(0, -1, Frac(2 * n - 1, 2))  # a shifted line bundle on the line
     for eps in (Frac(1, 400), Frac(1, 4000)):
         theta = theta_b0(n, -eps)
         for cfg in collinear:
-            if not collinear_test(cfg):
+            m0 = module_ideal_A0(cfg)
+            if not collinear_test(cfg, m0):
                 return (False, f"collinear config read as general: {cfg.points}")
-            v = king_test(module_ideal_A0(cfg), theta)
+            v = king_test(m0, theta)
             if v.verdict != "unstable" or v.certainty != "exact":
                 return (False, f"collinear config not certifiably destabilized at eps={eps}: {v.verdict}")
             if v.witness_dimvec != (0, 1, 0):
                 return (False, f"destabilizing class {v.witness_dimvec}, expected (0, 1, 0)")
+            quo_ch = chern_of_dimvec(quotient_by(m0, v.witness).dims, A0)
+            if quo_ch != line_ch:
+                return (False, f"quotient class {quo_ch} is not the shifted line-bundle class {line_ch}")
         for cfg in general:
-            if collinear_test(cfg):
+            m0 = module_ideal_A0(cfg)
+            if collinear_test(cfg, m0):
                 return (False, f"general config read as collinear: {cfg.points}")
-            v = king_test(module_ideal_A0(cfg), theta)
+            v = king_test(m0, theta)
             if not v.semistable:
                 return (False, f"general config destabilized at eps={eps}: {v.verdict}")
             if not v.search.complete:
                 return (False, f"general-config search not complete ({v.search.evidence})")
-    return (True, "collinear triples destabilized by the vertex simple, general ones certified semistable, at both eps")
+    return (True, "collinear triples destabilized by the vertex simple, with a line-bundle quotient; "
+                  "general ones certified semistable, at both eps")
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def cmd_charge_verify_t(args) -> int:
         print("OK (exact)")
         return 0
     print(
-        f"FAILED: matrix_ok={rep['matrix_ok']} ox_ok={rep['ok']} at b={rep['b']}",
+        f"FAILED: matrix_ok={rep['matrix_ok']} ox_ok={rep['ox_ok']} at b={rep['b']}",
         file=sys.stderr,
     )
     return 3
@@ -362,13 +362,7 @@ def cmd_hilbert_report(args) -> int:
     else:
         raise InputError("points file needs a 'configs' list or a 'points' array")
     eps = parse_fraction(args.eps) if args.eps else None
-    report = walls_mod.hilbert_report(args.n, configs, seed=args.seed, eps=eps)
-    if args.svg:
-        with _writing(args.svg):
-            io_utils.write_text_atomic(args.svg, walls_mod.wall_svg(args.n, "A1"))
-    _emit(args, report)
-    if args.svg:
-        print(f"wrote {args.svg}")
+    _emit(args, walls_mod.hilbert_report(args.n, configs, seed=args.seed, eps=eps))
     return 0
 
 
@@ -528,7 +522,6 @@ COMMANDS: Dict[str, Union[_Command, Tuple[str, Dict[str, _Command]]]] = {
                 _arg("--eps", default=None),
                 _arg("--seed", type=int, default=0),
                 _arg("--out", default=None),
-                _arg("--svg", default=None),
             ),
         ),
     }),

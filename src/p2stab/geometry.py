@@ -32,13 +32,11 @@ from .errors import InputError, VerificationError
 from .io_utils import parse_fraction
 from . import linalg
 from .linalg import QQ, int_form, right_kernel
-from .ktheory import A0, ChernCharacter, chern_of_dimvec
 from .modules import (
     QuiverRep,
     _from_ints,
     direct_sum,
     hom_space,
-    quotient_by,
     require_relations,
     simple,
     tilt_Bprime_to_B,
@@ -327,21 +325,21 @@ def module_ideal_A0(points) -> QuiverRep:
 # collinearity
 
 
-def collinear_test(points, _a0: Optional[QuiverRep] = None) -> bool:
+def collinear_test(points, a0: Optional[QuiverRep]) -> bool:
     """Whether the configuration lies on a line.
 
     Decided by the rank of the coordinate matrix; for n >= 3 the module
-    criterion dim Hom(C v_1, module_ideal_A0) != 0 is computed as well and
-    the two answers are required to agree.  A caller that has built
-    module_ideal_A0 of the points already passes it as ``_a0``.
+    criterion dim Hom(C v_1, a0) != 0 is computed as well, on a0 =
+    module_ideal_A0 of the points as the caller built it, and the two
+    answers are required to agree.  At n <= 2 a0 is not read and may be
+    None.
     """
     cfg = _as_config(points)
     n = len(cfg)
     if n <= 2:
         return True
     by_rank = linalg.rank(QQ, cfg.matrix()) <= 2
-    homs = hom_space(simple("B", 1), module_ideal_A0(cfg) if _a0 is None else _a0)
-    by_hom = len(homs) > 0
+    by_hom = len(hom_space(simple("B", 1), a0)) > 0
     if by_rank != by_hom:
         raise VerificationError(
             "rank test and Hom test disagree on collinearity"
@@ -391,73 +389,27 @@ def theta_b0(n: int, b) -> Theta:
 # wall filtration data
 
 
-WALLS = ("theta1_1", "theta0_0")
-
-
-def wall_filtration_data(
-    points, wall: str, seed: int = 0, _module: Optional[QuiverRep] = None
-) -> dict:
-    """What happens to the ideal-type module on a boundary wall.
-
-    * ``theta1_1`` (Hilbert-Chow side): JH factors of module_ideal_A1 at
-      the boundary weight, with each (1, 2, 1) factor matched to its
-      support point by the point read off its arrows (`_point_of`).
-    * ``theta0_0`` (line-contraction side; collinear configurations only):
-      the C v_1 submodule of module_ideal_A0 and the quotient, whose class
-      is checked to be that of a shifted line bundle on the common line.
-
-    A caller that has built the wall's module of the points already
-    (module_ideal_A1 or module_ideal_A0) passes it as ``_module``.
-    """
+def wall_filtration_data(points, rep: QuiverRep, seed: int = 0) -> dict:
+    """The Hilbert-Chow wall of the configuration: the JH factors of rep =
+    module_ideal_A1 of the points, as the caller built it, at the boundary
+    weight theta_b1(n, 1), with each (1, 2, 1) factor matched to its
+    support point (its index in ``points``, or None) by the point read off
+    its arrows (`_point_of`)."""
     cfg = _as_config(points)
-    n = len(cfg)
-    if wall == "theta1_1":
-        rep = module_ideal_A1(cfg) if _module is None else _module
-        theta = theta_b1(n, 1)
-        factors = jh_factors(rep, theta, seed=seed)
-        where = {_primitive_point(x): k for k, x in enumerate(cfg)}
-        support: List[Optional[int]] = []
-        for f in factors:
-            if f.dims not in ((0, 1, 0), (1, 2, 1)):
-                raise VerificationError(f"unexpected JH factor dims {f.dims}")
-            if f.dims == (1, 2, 1):
-                x = _point_of(f)
-                support.append(None if x is None else where.get(_primitive_point(x)))
-        return {
-            "wall": "theta1_1",
-            "label": "Hilbert-Chow",
-            "theta": theta,
-            "factor_dims": sorted(f.dims for f in factors),
-            "support": support,
-            "v1_simple_count": sum(f.dims == (0, 1, 0) for f in factors),
-        }
-    if wall == "theta0_0":
-        rep = module_ideal_A0(cfg) if _module is None else _module
-        if not collinear_test(cfg, rep):
-            raise InputError("requires collinear configuration")
-        theta = theta_b0(n, 0)
-        homs = hom_space(simple("B", 1), rep)
-        if not homs:
-            raise VerificationError("collinear configuration with no C v_1 map")
-        # the image of the middle-vertex generator; every delta kills it, as
-        # C v_1 is zero at the last vertex
-        u = [row[0] for row in homs[0][1]]
-        quo = quotient_by(rep, ((), (u,), ()))
-        quo_ch = chern_of_dimvec(quo.dims, A0)
-        expected = ChernCharacter(0, -1, Fraction(2 * n - 1, 2))
-        if quo_ch != expected:
-            raise VerificationError(
-                f"quotient class {quo_ch} is not the shifted line-bundle class {expected}"
-            )
-        return {
-            "wall": "theta0_0",
-            "label": "zeta-contraction",
-            "theta": theta,
-            "sub_dims": (0, 1, 0),
-            "quotient_dims": quo.dims,
-            "quotient_class": quo_ch.triple(),
-        }
-    raise InputError(f"unknown wall {wall!r}; expected one of {WALLS}")
+    factors = jh_factors(rep, theta_b1(len(cfg), 1), seed=seed)
+    where = {_primitive_point(x): k for k, x in enumerate(cfg)}
+    support: List[Optional[int]] = []
+    for f in factors:
+        if f.dims not in ((0, 1, 0), (1, 2, 1)):
+            raise VerificationError(f"unexpected JH factor dims {f.dims}")
+        if f.dims == (1, 2, 1):
+            x = _point_of(f)
+            support.append(None if x is None else where.get(_primitive_point(x)))
+    return {
+        "factor_dims": sorted(f.dims for f in factors),
+        "support": support,
+        "v1_simple_count": sum(f.dims == (0, 1, 0) for f in factors),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,6 @@ def ch_cotangent(k: int = 0) -> ChernCharacter:
 # hearts and dimension vectors
 
 _HEART_RE = re.compile(r"^A(-?\d+)(p?)$")
-_HEART_COLON_RE = re.compile(r"^Ak:(-?\d+)(p?)$")
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ class HeartBasis:
 
     @classmethod
     def parse(cls, label: str) -> "HeartBasis":
-        m = _HEART_RE.match(label) or _HEART_COLON_RE.match(label)
+        m = _HEART_RE.match(label)
         if not m:
             raise InputError(f"cannot parse heart label {label!r}")
         k = int(m.group(1))

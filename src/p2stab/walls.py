@@ -357,7 +357,7 @@ def hilbert_report(
             v = king_test(m1, theta_b1(n, b), seed=seed)
             interior.append({"b": b, **verdict_dict(v)})
         hc = king_test(m1, theta_b1(n, 1), seed=seed)
-        filt = wall_filtration_data(framed, "theta1_1", seed=seed, _module=m1)
+        filt = wall_filtration_data(framed, m1, seed=seed)
 
         entry: dict = {
             "points": [[str(c) for c in p] for p in cfg],

@@ -11,6 +11,7 @@ import pytest
 
 from p2stab import acceptance
 from p2stab.charge import geom_conditions_abc
+from p2stab.ktheory import ChernCharacter
 
 CRITERION_NAMES = {
     1: "dimvec-tables",
@@ -88,3 +89,11 @@ def test_criteria_3_and_6_fail_on_a_wrong_identity(monkeypatch):
 
     monkeypatch.setattr(acceptance, "_theta_family", wrong)
     assert acceptance.criterion_6() == (False, "symbolic annihilation identity fails")
+
+
+def test_criterion_9_fails_on_a_wrong_quotient_class(monkeypatch):
+    assert acceptance.criterion_9()[0]
+    monkeypatch.setattr(acceptance, "chern_of_dimvec", lambda v, heart: ChernCharacter(0, -1, Fraction(3, 2)))
+    passed, detail = acceptance.criterion_9()
+    assert not passed
+    assert detail == "quotient class (0,-1,3/2) is not the shifted line-bundle class (0,-1,5/2)"

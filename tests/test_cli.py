@@ -70,6 +70,14 @@ def test_charge_commands(capsys):
     assert code == 0 and out.strip().endswith("all=ok")
 
 
+def test_verify_t_names_the_failing_identity(capsys, monkeypatch):
+    monkeypatch.setattr(cli.charge_mod, "verify_T_identity",
+                        lambda b: {"b": b, "matrix_ok": False, "ox_ok": True, "ok": False})
+    code, out, err = run(capsys, "charge", "verify-T", "--b=1/2")
+    assert (code, out) == (3, "")
+    assert "matrix_ok=False ox_ok=True" in err
+
+
 def test_charge_scan_csv(capsys):
     code, out, _ = run(capsys, "charge", "scan", "--steps", "3")
     assert code == 0
@@ -300,17 +308,17 @@ def test_hilbert_report_command(capsys, tmp_path):
     src = tmp_path / "configs.json"
     src.write_text(json.dumps({"configs": [[["1", "0", "0"]], {"points": [["0", "1", "5"]]}]}))
     out_file = tmp_path / "report.json"
-    svg_file = tmp_path / "plane.svg"
-    code, out, _ = run(
-        capsys, "hilbert", "report", "--n", "1", "--points", str(src),
-        "--out", str(out_file), "--svg", str(svg_file),
-    )
-    assert code == 0
-    assert f"wrote {out_file}" in out and f"wrote {svg_file}" in out
+    code, out, _ = run(capsys, "hilbert", "report", "--n", "1", "--points", str(src), "--out", str(out_file))
+    assert (code, out) == (0, f"wrote {out_file}\n")
     report = load_json(str(out_file))
     assert len(report["configurations"]) == 2
     assert report["configurations"][0]["zeta"]["skipped"] is True
-    assert svg_file.read_text().startswith("<svg ")
+    # the picture is `walls svg`'s alone
+    svg_file = tmp_path / "plane.svg"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["hilbert", "report", "--n", "1", "--points", str(src), "--svg", str(svg_file)])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "") and "--svg" in err and not svg_file.exists()
 
     # single-configuration shorthand on stdout
     single = tmp_path / "single.json"
@@ -456,7 +464,7 @@ def test_module_dimension_bound_admits_the_modules_the_program_builds(capsys, tm
 
 _MISSING_DIR_OUTPUTS = [
     ["hilbert", "report", "--n", "1", "--points", "{points}", "--out", "{missing}"],
-    ["hilbert", "report", "--n", "1", "--points", "{points}", "--svg", "{missing}"],
+    ["module", "tilt", "--in", "{rep}", "--out", "{missing}"],
     ["walls", "enumerate", "--n", "2", "--out", "{missing}"],
     ["walls", "svg", "--n", "2", "--out", "{missing}"],
     ["module", "jh", "--in", "{rep}", "--theta=-1,0,1", "--out", "{missing}"],

@@ -12,7 +12,7 @@ import pytest
 from fractions import Fraction
 
 from p2stab import geometry, linalg
-from p2stab.errors import InputError
+from p2stab.errors import InputError, VerificationError
 from p2stab.geometry import (
     PointConfig,
     _frame,
@@ -40,7 +40,7 @@ from p2stab.modules import (
     rep_to_json,
     theta_pair,
 )
-from p2stab.quiver import jh_factors
+from p2stab.quiver import jh_factors, king_test
 from test_quiver import assert_canonical_sides
 
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -127,11 +127,15 @@ def test_point_config_json():
 
 
 def test_collinearity():
-    assert collinear_test(LINE3)
-    assert not collinear_test(TRIANGLE)
-    assert collinear_test(TWO)  # two points always span a line
-    assert collinear_test([(1, 2, 3)])
-    assert not collinear_test([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    quad = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    for points, collinear in ((LINE3, True), (TRIANGLE, False), (quad, False)):
+        assert collinear_test(points, module_ideal_A0(points)) is collinear
+    # up to two points the module is not read
+    assert collinear_test(TWO, None)  # two points always span a line
+    assert collinear_test([(1, 2, 3)], None)
+    # the Hom cross-check reads the module it is given
+    with pytest.raises(VerificationError, match="disagree"):
+        collinear_test(TRIANGLE, module_ideal_A0(LINE3))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +392,7 @@ def test_the_A0_module_is_the_quotient_of_the_point_modules_sum():
                 a0, ref = module_ideal_A0(cfg), ref_module_ideal_A0(cfg)
                 res = iso_test(a0, ref)
                 assert (res.isomorphic, res.certainty) == (True, "exact"), cfg
-                assert collinear_test(cfg) == collinear_test(cfg, ref)
-                if collinear_test(cfg):
-                    assert wall_filtration_data(cfg, "theta0_0") == wall_filtration_data(
-                        cfg, "theta0_0", _module=ref)
+                assert collinear_test(cfg, a0) == collinear_test(cfg, ref)
 
 
 def test_composite_lines_identity():
@@ -492,48 +493,51 @@ def test_boundary_thetas_kill_the_module_class():
 
 
 def test_hilbert_chow_wall_filtration():
-    data = wall_filtration_data(TRIANGLE, "theta1_1")
-    assert data["label"] == "Hilbert-Chow"
-    assert data["theta"] == (-3, 0, 3)
+    data = wall_filtration_data(TRIANGLE, module_ideal_A1(TRIANGLE))
+    assert set(data) == {"factor_dims", "support", "v1_simple_count"}
     assert data["factor_dims"] == [(0, 1, 0), (1, 2, 1), (1, 2, 1), (1, 2, 1)]
     assert sorted(data["support"]) == [0, 1, 2]
     assert data["v1_simple_count"] == 1
 
-    two = wall_filtration_data(TWO, "theta1_1")
+    two = wall_filtration_data(TWO, module_ideal_A1(TWO))
     assert two["factor_dims"] == [(0, 1, 0), (1, 2, 1), (1, 2, 1)]
     assert sorted(two["support"]) == [0, 1]
 
 
 def test_line_contraction_wall_filtration():
-    data = wall_filtration_data(LINE3, "theta0_0")
-    assert data["label"] == "zeta-contraction"
-    assert data["sub_dims"] == (0, 1, 0)
-    assert data["quotient_dims"] == (3, 5, 2)
-    assert data["quotient_class"] == (0, -1, Fraction(5, 2))
-
-    two = wall_filtration_data(TWO, "theta0_0")
-    assert two["quotient_dims"] == (2, 3, 1)
-    assert two["quotient_class"] == (0, -1, Fraction(3, 2))
+    # just past the line-contraction wall the vertex simple C v_1
+    # destabilizes the A0 module of collinear points, and the quotient by
+    # its exact witness has the class of a shifted line bundle on the line
+    for points, quotient_dims in ((LINE3, (3, 5, 2)), (TWO, (2, 3, 1))):
+        n = len(points)
+        m0 = module_ideal_A0(points)
+        v = king_test(m0, theta_b0(n, Fraction(-1, 100)))
+        assert (v.verdict, v.certainty, v.witness_dimvec) == ("unstable", "exact", (0, 1, 0))
+        quo = quotient_by(m0, v.witness)
+        assert quo.dims == quotient_dims
+        assert chern_of_dimvec(quo.dims, A0) == ChernCharacter(0, -1, Fraction(2 * n - 1, 2))
 
 
 @pytest.mark.parametrize("points,wall", [
     (LINE3, "theta0_0"), (TWO, "theta0_0"), (TRIANGLE, "theta1_1"), (TWO, "theta1_1"),
 ])
 def test_wall_filtration_builds_its_module_once(monkeypatch, points, wall):
-    # on the line-contraction wall the collinearity check reads the module
-    # the wall data is built from; a module passed in is not built again
-    builds = []
-    name = "module_ideal_A0" if wall == "theta0_0" else "module_ideal_A1"
-    real = getattr(geometry, name)
-    monkeypatch.setattr(geometry, name, lambda pts: builds.append(pts) or real(pts))
-    data = wall_filtration_data(points, wall)
-    assert len(builds) == 1
-    assert wall_filtration_data(points, wall, _module=real(points)) == data
-    assert len(builds) == 1
+    # each wall's helper reads the module its caller built and builds none:
+    # collinear_test the A0 module on the line-contraction side,
+    # wall_filtration_data the A1 module on the Hilbert-Chow side
+    built = {name: getattr(geometry, name)(points) for name in ("module_ideal_A0", "module_ideal_A1")}
+    for name in built:
+        monkeypatch.setattr(geometry, name, lambda pts: pytest.fail("a module was built again"))
+    if wall == "theta0_0":
+        assert collinear_test(points, built["module_ideal_A0"])
+    else:
+        data = wall_filtration_data(points, built["module_ideal_A1"])
+        assert sorted(data["support"]) == list(range(len(points)))
 
 
 def test_line_contraction_wall_needs_collinear_points():
-    with pytest.raises(InputError):
-        wall_filtration_data(TRIANGLE, "theta0_0")
-    with pytest.raises(InputError):
-        wall_filtration_data(TRIANGLE, "no-such-wall")
+    # off a line no C v_1 maps into the A0 module, so past the wall the
+    # vertex simple does not destabilize it
+    m0 = module_ideal_A0(TRIANGLE)
+    assert not collinear_test(TRIANGLE, m0)
+    assert king_test(m0, theta_b0(3, Fraction(-1, 100))).semistable

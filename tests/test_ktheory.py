@@ -89,11 +89,12 @@ def test_heart_parsing_and_labels():
     assert HeartBasis.parse("A1") == A1
     assert HeartBasis.parse("A0") == A0
     assert HeartBasis.parse("A1p") == A1P
-    assert HeartBasis.parse("Ak:-2") == HeartBasis("A", -2)
-    assert HeartBasis.parse("Ak:3p") == HeartBasis("Ap", 3)
+    assert HeartBasis.parse("A-2") == HeartBasis("A", -2)
+    assert HeartBasis.parse("A3p") == HeartBasis("Ap", 3)
     assert A1.label() == "A1" and A1P.label() == "A1p"
-    with pytest.raises(InputError):
-        HeartBasis.parse("B2")
+    for label in ("B2", "Ak:-2", "Ak:3p"):
+        with pytest.raises(InputError):
+            HeartBasis.parse(label)
 
 
 def test_golden_dimvec():

@@ -407,7 +407,7 @@ _WALL_SVG_DIGESTS = {
 
 @pytest.mark.parametrize("n,heart", sorted(_WALL_SVG_DIGESTS))
 def test_wall_svg_bytes_are_pinned(n, heart):
-    # `walls svg` and `hilbert report --svg` write these bytes
+    # `walls svg` writes these bytes
     text = wall_svg(n, heart)
     assert hashlib.sha256(text.encode()).hexdigest() == _WALL_SVG_DIGESTS[n, heart]
 
