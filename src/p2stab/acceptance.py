@@ -534,7 +534,7 @@ def criterion_12() -> Tuple[bool, str]:
         rep = random_rep(algebra, field, dims, rng)
         # the whole pool, with no enumerated set to stop it early, so that
         # every candidate's classes are checked against the enumeration
-        witnessed = quiver._layer1(rep, 0).keys()
+        witnessed = quiver._layer1(rep).keys()
         exact = quiver._layer2_dimvecs(rep)
         if not witnessed <= exact:
             return (False, f"sample {k}: layer 1 produced a non-submodule class")

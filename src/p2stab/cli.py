@@ -54,7 +54,7 @@ def _read_json(path: str):
     invalid input (exit 2), not a crash."""
     try:
         return load_json(path)
-    except (OSError, ValueError) as exc:  # ValueError: bad bytes, syntax, digit count
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, syntax, digits, nesting
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -226,17 +226,17 @@ def cmd_module_check(args) -> int:
 def cmd_module_jh(args) -> int:
     rep = _load_rep(args.infile)
     theta = parse_triple(args.theta)
-    factors = quiver.jh_factors(rep, theta, seed=args.seed)
+    factors = quiver.jh_factors(rep, theta)
     if args.exact:
         for f in factors:
-            v = quiver.king_test(f, theta, seed=args.seed)
+            v = quiver.king_test(f, theta)
             if (v.verdict, v.certainty) != ("stable", "exact"):
                 raise IncompleteOracleError(
                     f"factor of dims {f.dims}: {v.verdict} ({v.certainty}), "
                     f"search evidence '{v.search.evidence}'"
                 )
     payload = {
-        "meta": json_meta(args.seed),
+        "meta": json_meta(),
         "theta": [format_fraction(x) for x in theta],
         "factor_dims": [list(f.dims) for f in factors],
         "factors": [modules.rep_to_json(f) for f in factors],
@@ -362,7 +362,7 @@ def cmd_hilbert_report(args) -> int:
     else:
         raise InputError("points file needs a 'configs' list or a 'points' array")
     eps = parse_fraction(args.eps) if args.eps else None
-    _emit(args, walls_mod.hilbert_report(args.n, configs, seed=args.seed, eps=eps))
+    _emit(args, walls_mod.hilbert_report(args.n, configs, eps=eps))
     return 0
 
 
@@ -461,7 +461,6 @@ COMMANDS: Dict[str, Union[_Command, Tuple[str, Dict[str, _Command]]]] = {
         "jh": _Command("Jordan-Hoelder factors at a weight", cmd_module_jh, (
             _arg("--in", dest="infile", required=True),
             _arg("--theta", required=True, metavar="t0,t1,t2"),
-            _arg("--seed", type=int, default=0),
             _arg("--exact", action="store_true", help="demand certified stable factors"),
             _arg("--out", default=None),
         )),
@@ -520,7 +519,6 @@ COMMANDS: Dict[str, Union[_Command, Tuple[str, Dict[str, _Command]]]] = {
                 _arg("--n", type=int, required=True),
                 _arg("--points", required=True, help="JSON with 'configs' or 'points'"),
                 _arg("--eps", default=None),
-                _arg("--seed", type=int, default=0),
                 _arg("--out", default=None),
             ),
         ),

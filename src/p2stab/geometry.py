@@ -389,14 +389,14 @@ def theta_b0(n: int, b) -> Theta:
 # wall filtration data
 
 
-def wall_filtration_data(points, rep: QuiverRep, seed: int = 0) -> dict:
+def wall_filtration_data(points, rep: QuiverRep) -> dict:
     """The Hilbert-Chow wall of the configuration: the JH factors of rep =
     module_ideal_A1 of the points, as the caller built it, at the boundary
     weight theta_b1(n, 1), with each (1, 2, 1) factor matched to its
     support point (its index in ``points``, or None) by the point read off
     its arrows (`_point_of`)."""
     cfg = _as_config(points)
-    factors = jh_factors(rep, theta_b1(len(cfg), 1), seed=seed)
+    factors = jh_factors(rep, theta_b1(len(cfg), 1))
     where = {_primitive_point(x): k for k, x in enumerate(cfg)}
     support: List[Optional[int]] = []
     for f in factors:

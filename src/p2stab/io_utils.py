@@ -96,8 +96,10 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def json_meta(seed: int = 0) -> dict:
-    return {"seed": seed, "tool": TOOL, "version": VERSION}
+def json_meta() -> dict:
+    """Every JSON output's ``meta``; ``seed`` is the fixed seed of the
+    submodule search's random spans (`quiver._u1_candidates`)."""
+    return {"seed": 0, "tool": TOOL, "version": VERSION}
 
 
 def dumps_json(obj) -> str:

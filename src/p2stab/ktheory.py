@@ -146,7 +146,7 @@ def ch_cotangent(k: int = 0) -> ChernCharacter:
 # ---------------------------------------------------------------------------
 # hearts and dimension vectors
 
-_HEART_RE = re.compile(r"^A(-?\d+)(p?)$")
+_HEART_RE = re.compile(r"A(-?[0-9]+)(p?)")
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,11 @@ class HeartBasis:
 
     @classmethod
     def parse(cls, label: str) -> "HeartBasis":
-        m = _HEART_RE.match(label)
-        if not m:
-            raise InputError(f"cannot parse heart label {label!r}")
-        k = int(m.group(1))
-        return cls("Ap" if m.group(2) else "A", k)
+        m = _HEART_RE.fullmatch(label)
+        try:
+            return cls("Ap" if m.group(2) else "A", int(m.group(1)))
+        except (AttributeError, ValueError) as exc:  # no match, or past the digit limit
+            raise InputError(f"cannot parse heart label {label[:40]!r}") from exc
 
     def label(self) -> str:
         return f"A{self.k}" + ("p" if self.kind == "Ap" else "")

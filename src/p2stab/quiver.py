@@ -119,7 +119,7 @@ _POOL_CAP = 250
 _PAIR_BUDGET = 4000
 
 
-def _u1_candidates(rep: QuiverRep, seed: int) -> Iterator[tuple]:
+def _u1_candidates(rep: QuiverRep) -> Iterator[tuple]:
     """Candidate middle-vertex subspaces, as canonical integer row tuples
     (`linalg.int_rref`: over Q the rref scaled to primitive rows with
     positive pivots, one to one with the rref itself), each yielded once, in
@@ -130,7 +130,8 @@ def _u1_candidates(rep: QuiverRep, seed: int) -> Iterator[tuple]:
     (all of them when n0 <= 4, on the A0 module the sub-sums of the point
     modules, else the cyclic ones), cyclic spans of coordinate vectors and,
     over a small prime field, of every vector, delta-preimages of delta(U1)
-    for the first candidates U1, seeded random spans, then the sums and
+    for the first candidates U1, random spans drawn from the fixed seed 0
+    (so the pool is a function of the module alone), then the sums and
     intersections of pairs of these and one round of sums with the pool,
     under a work budget (`_PAIR_BUDGET`, the pool held to `_POOL_CAP`).
     The first two candidates' rectangles form, as
@@ -191,8 +192,8 @@ def _u1_candidates(rep: QuiverRep, seed: int) -> Iterator[tuple]:
         targets = (_image(u1c, deltas) for u1c in list(pool)[2:40])
         for w in dict.fromkeys(map(canon, targets)):
             yield _preimage(F, deltas, w, n1, n2)
-        # seeded random cyclic spans
-        rng = random.Random(seed)
+        # random cyclic spans, from the one fixed seed
+        rng = random.Random(0)
 
         def rand_vec(n):
             if isinstance(F, PrimeField):
@@ -277,7 +278,7 @@ def _rectangle(F, dims: DimVec, gammas, deltas, u1) -> Tuple[list, list, list, l
 _IDLE_RECTANGLE_PRICE = 4
 
 
-def _layer1(rep: QuiverRep, seed: int, bounds: Iterable[Tuple[int, Callable[[], frozenset]]] = ()):
+def _layer1(rep: QuiverRep, bounds: Iterable[Tuple[int, Callable[[], frozenset]]] = ()):
     """Witnessed dimvec search driven by candidate middle subspaces.
 
     Each candidate U1 certifies every class of its rectangle's outer pairs
@@ -345,7 +346,7 @@ def _layer1(rep: QuiverRep, seed: int, bounds: Iterable[Tuple[int, Callable[[], 
             unwitnessed.discard(dv)
 
     nxt, rent = next(bounds, None), 0  # the next bound, rent paid since the last
-    for u1c in _u1_candidates(rep, seed):
+    for u1c in _u1_candidates(rep):
         u0max, D, growth, ann = (tuple(map(tuple, R))
                                  for R in _rectangle(F, rep.dims, gammas, deltas, u1c))
         dim1, outer = len(u1c), range(len(D), n2 + 1)
@@ -624,7 +625,7 @@ def _primitive_arrows(rep: QuiverRep) -> Tuple[list, list]:
     return tuple([linalg.int_form(QQ, N)[0] for N in Ns] for Ns in _int_arrows(rep))
 
 
-def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
+def submodule_dimvecs(rep: QuiverRep) -> SubmoduleSearch:
     """Two-layer search for the set of submodule dimension vectors.
 
     Layer 1 (always): generated closures + sums/intersections, explicit
@@ -644,11 +645,11 @@ def submodule_dimvecs(rep: QuiverRep, seed: int = 0) -> SubmoduleSearch:
     ``layer1-only (…)`` otherwise; ``layer1-only (Layer 2 over its cost
     bound)`` when no enumeration fits the bound.
     """
-    return _submodule_dimvecs_impl(rep, int(seed))
+    return _submodule_dimvecs_impl(rep)
 
 
 @lru_cache(maxsize=256)
-def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
+def _submodule_dimvecs_impl(rep: QuiverRep) -> SubmoduleSearch:
     own = isinstance(rep.field, PrimeField)
     primes = _affordable_primes(rep.dims, rep.field)
 
@@ -661,9 +662,8 @@ def _submodule_dimvecs_impl(rep: QuiverRep, seed: int) -> SubmoduleSearch:
 
     # every enumeration bounds every class; Layer 1 takes them as bounds at
     # the cost of the subspaces each visits (`_layer1`)
-    witnesses = _layer1(
-        rep, seed, bounds=[(_layer2_cost(rep.dims, p), partial(enumerate_mod, p)) for p in primes]
-    )
+    bounds = [(_layer2_cost(rep.dims, p), partial(enumerate_mod, p)) for p in primes]
+    witnesses = _layer1(rep, bounds=bounds)
     lower = frozenset(witnesses)
     upper = _box(rep.dims)
     layers = ["layer1"]
@@ -746,7 +746,6 @@ def _verdict_of(weight: Tuple[int, ...], dims: DimVec, classes) -> str:
 def king_test(
     rep: QuiverRep,
     theta: Sequence,
-    seed: int = 0,
     search: Optional[SubmoduleSearch] = None,
 ) -> KingVerdict:
     """King (semi)stability of rep for the weight theta.
@@ -765,7 +764,7 @@ def king_test(
     if _int_pair(weight, rep.dims) != 0:
         return KingVerdict("theta-nonvanishing", "exact", None, None, theta, None)
     if search is None:
-        search = submodule_dimvecs(rep, seed=seed)
+        search = submodule_dimvecs(rep)
     verdict = _verdict_of(weight, rep.dims, search.lower)
     exact = verdict == _verdict_of(weight, rep.dims, search.upper)
     certainty = "exact" if exact else "probabilistic"
@@ -788,7 +787,7 @@ class DestabilizedError(VerificationError):
         )
 
 
-def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep]:
+def jh_factors(rep: QuiverRep, theta: Sequence) -> List[QuiverRep]:
     """Jordan-Hoelder factors of a theta-semistable module.
 
     Peels a minimal-dimension theta = 0 proper submodule (automatically
@@ -801,7 +800,7 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
     """
     theta = as_triple(theta)
     weight = _int_weight(theta)
-    first = king_test(rep, theta, seed=seed)
+    first = king_test(rep, theta)
     if first.verdict == "theta-nonvanishing":
         raise InputError("theta does not vanish on the module class")
     if first.verdict == "unstable":
@@ -817,7 +816,7 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
         if not any(_int_pair(weight, dv) == 0 for dv in proper):
             factors.append(current)
             break
-        search = submodule_dimvecs(current, seed=seed)
+        search = submodule_dimvecs(current)
         candidates = [
             dv
             for dv in search.witnesses
@@ -836,22 +835,17 @@ def jh_factors(rep: QuiverRep, theta: Sequence, seed: int = 0) -> List[QuiverRep
     return factors
 
 
-def s_equiv(
-    a: QuiverRep,
-    b: QuiverRep,
-    theta: Sequence,
-    seed: int = 0,
-) -> bool:
+def s_equiv(a: QuiverRep, b: QuiverRep, theta: Sequence) -> bool:
     """S-equivalence: equality of JH factor multisets up to isomorphism."""
-    fa = jh_factors(a, theta, seed=seed)
-    fb = jh_factors(b, theta, seed=seed)
+    fa = jh_factors(a, theta)
+    fb = jh_factors(b, theta)
     if sorted(f.dims for f in fa) != sorted(f.dims for f in fb):
         return False
     unmatched = list(fb)
     for f in fa:
         hit = None
         for g in unmatched:
-            if g.dims == f.dims and iso_test(f, g, seed=seed).isomorphic:
+            if g.dims == f.dims and iso_test(f, g).isomorphic:
                 hit = g
                 break
         if hit is None:

@@ -297,7 +297,6 @@ def walls_json(n: int, heart: str = "A1") -> dict:
 def hilbert_report(
     n: int,
     configs: Sequence,
-    seed: int = 0,
     eps: Optional[Fraction] = None,
 ) -> dict:
     """Stability of the ideal-type modules of point configurations across
@@ -354,10 +353,10 @@ def hilbert_report(
 
         interior = []
         for b in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            v = king_test(m1, theta_b1(n, b), seed=seed)
+            v = king_test(m1, theta_b1(n, b))
             interior.append({"b": b, **verdict_dict(v)})
-        hc = king_test(m1, theta_b1(n, 1), seed=seed)
-        filt = wall_filtration_data(framed, m1, seed=seed)
+        hc = king_test(m1, theta_b1(n, 1))
+        filt = wall_filtration_data(framed, m1)
 
         entry: dict = {
             "points": [[str(c) for c in p] for p in cfg],
@@ -378,8 +377,8 @@ def hilbert_report(
                 "reason": "single point: the line-side wall is not part of the picture",
             }
         else:
-            za = king_test(m0, theta_b0(n, -eps), seed=seed)
-            zb = king_test(m0, theta_b0(n, -eps / 10), seed=seed)
+            za = king_test(m0, theta_b0(n, -eps))
+            zb = king_test(m0, theta_b0(n, -eps / 10))
             entry["zeta"] = {
                 "skipped": False,
                 "eps": eps,
@@ -389,8 +388,8 @@ def hilbert_report(
                 "expected": "unstable" if col else "semistable",
             }
 
-        da = king_test(m1, reverse_theta(theta_b1(n, 1 + eps)), seed=seed)
-        db = king_test(m1, reverse_theta(theta_b1(n, 1 + eps / 10)), seed=seed)
+        da = king_test(m1, reverse_theta(theta_b1(n, 1 + eps)))
+        db = king_test(m1, reverse_theta(theta_b1(n, 1 + eps / 10)))
         entry["dual_across_hc"] = {
             "eps": eps,
             "at_one_plus_eps": verdict_dict(da),
@@ -406,7 +405,7 @@ def hilbert_report(
         groups.setdefault(tuple(entry["support"]), []).append(k)
 
     return {
-        "meta": json_meta(seed),
+        "meta": json_meta(),
         "n": n,
         "epsilon": eps,
         "class_A1": list(d1),

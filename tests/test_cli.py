@@ -300,6 +300,20 @@ def test_module_iso_exact_can_refuse(capsys, tmp_path):
     assert err.startswith("incomplete:")
 
 
+def test_only_module_iso_takes_a_seed(capsys, tmp_path):
+    # the submodule search draws its random spans from one fixed seed, so
+    # only iso_test's random combinations take one
+    points = write_points(tmp_path / "pts.json", [(1, 2, 3)])
+    rep = write_rep(tmp_path / "rep.json", module_point([1, 2, 3]))
+    for argv in (["hilbert", "report", "--n", "1", "--points", points],
+                 ["module", "jh", "--in", rep, "--theta=-1,0,1"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--seed", "1"])
+        assert info.value.code == 2 and "--seed" in capsys.readouterr().err
+    code, out, _ = run(capsys, "module", "iso", "--a", rep, "--b", rep, "--seed", "1")
+    assert (code, out) == (0, "isomorphic (exact)\n")
+
+
 # ---------------------------------------------------------------------------
 # hilbert report and selftest
 
@@ -545,6 +559,33 @@ def test_overlong_json_number_exits_2(capsys, tmp_path, argv, blob):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and err.startswith("error: cannot read JSON") and out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,blob", [
+    (["hilbert", "report", "--n", "1", "--points"], '{"points": %s}'),
+    (["module", "check", "--in"], "%s"),
+])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, blob):
+    # json.load raises RecursionError past the interpreter's nesting depth,
+    # which is invalid input like any other bad JSON
+    path = tmp_path / "deep.json"
+    path.write_text(blob % ("[" * 100_000))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and err.startswith("error: cannot read JSON") and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("heart", [
+    pytest.param("A" + "1" * 4301, id="4301-digits", marks=pytest.mark.skipif(
+        not 0 < _INT_DIGITS < 4301, reason="no integer-string limit below 4301 digits")),
+    pytest.param("A1\n", id="newline"),
+])
+def test_a_malformed_heart_label_exits_2(capsys, heart):
+    code, out, err = run(capsys, "chern", "dimvec", "--ch=1,0,0", f"--heart={heart}")
+    assert (code, out) == (2, "") and err.startswith("error: cannot parse heart label")
+    assert len(err.strip().splitlines()) == 1
+    for label in ("A-2", "A3p"):
+        assert run(capsys, "chern", "dimvec", "--ch=1,0,0", f"--heart={label}")[0] == 0
 
 
 _EXPONENT_MODULE = ('{"algebra": "B", "field": {"kind": "rational"}, "dims": [1, 1, 0],'

@@ -92,7 +92,8 @@ def test_heart_parsing_and_labels():
     assert HeartBasis.parse("A-2") == HeartBasis("A", -2)
     assert HeartBasis.parse("A3p") == HeartBasis("Ap", 3)
     assert A1.label() == "A1" and A1P.label() == "A1p"
-    for label in ("B2", "Ak:-2", "Ak:3p"):
+    # the whole label, in ASCII digits: no trailing newline, no other digits
+    for label in ("B2", "Ak:-2", "Ak:3p", "A1\n", "A\u0661"):
         with pytest.raises(InputError):
             HeartBasis.parse(label)
 

@@ -544,7 +544,7 @@ def test_constructions_match_the_per_vector_code(field):
         algebra = "B" if k % 2 else "Bprime"
         rep = rational_rep(algebra, dims, rng) if field.p is None else random_rep(
             algebra, field, dims, rng)
-        triples = list(quiver._layer1(rep, k).values())  # witnesses
+        triples = list(quiver._layer1(rep).values())  # witnesses
         triples.append(((), (), ()))
         triples.append(tuple(tuple(identity(field, n)) for n in dims))
         for _ in range(4):  # mostly not invariant
@@ -581,8 +581,9 @@ def test_skyscraper_submodule_dimvecs_exact():
 
 
 def test_search_is_deterministic():
-    a = submodule_dimvecs(O_Z, seed=5)
-    b = submodule_dimvecs(O_Z, seed=5)
+    a = submodule_dimvecs(O_Z)
+    quiver._submodule_dimvecs_impl.cache_clear()
+    b = submodule_dimvecs(O_Z)
     assert (a.lower, a.upper, a.evidence) == (b.lower, b.upper, b.evidence)
 
 
@@ -606,7 +607,7 @@ def ref_canon(F, vectors, ncols):
     return tuple(tuple(r) for r in linalg.row_space(F, vectors, ncols)[0])
 
 
-def ref_u1_candidates(rep, seed, cap, pair_budget):
+def ref_u1_candidates(rep, cap, pair_budget):
     F = rep.field
     n0, n1, n2 = rep.dims
     pool = {}
@@ -655,7 +656,7 @@ def ref_u1_candidates(rep, seed, cap, pair_budget):
         add_target(linalg.row_space(F, imgs, n2)[0])
     for w in list(targets):
         add(ref_delta_preimage(rep, w))
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def rand_vec(n):
         if isinstance(F, PrimeField):
@@ -697,7 +698,7 @@ def ref_delta_preimage(rep, wrows):
     return linalg.right_kernel(F, constraints, ncols=n1)
 
 
-def ref_layer1(rep, seed, cap=250, pair_budget=4000):
+def ref_layer1(rep, cap=250, pair_budget=4000):
     """Every class of every outer pair of each candidate, spans formed on
     Fraction rows whether or not a class is left to witness: for each a the
     classes (a, k, c) with dim gamma(U0_a) <= k <= dim U1, then for each c
@@ -714,7 +715,7 @@ def ref_layer1(rep, seed, cap=250, pair_budget=4000):
         if dv not in witnesses:
             witnesses[dv] = tuple(ref_canon(F, list(map(list, U)), n) for U, n in zip(triple, rep.dims))
 
-    for u1c in ref_u1_candidates(rep, seed, cap, pair_budget):
+    for u1c in ref_u1_candidates(rep, cap, pair_budget):
         u1 = [list(r) for r in u1c]
         piv1 = linalg.row_space(F, u1, n1)[1]
         imgs = [row for dt in deltas_t for row in mat_mul(F, u1, dt)]
@@ -804,10 +805,10 @@ def test_layer1_matches_the_fraction_row_search(field, dims, algebra, seed, budg
         rep = rational_rep(algebra, dims, rng)
     else:
         rep = random_rep(algebra, field, dims, rng)
-    assert_layer1_matches_the_fraction_row_search(rep, seed, *budgets)
+    assert_layer1_matches_the_fraction_row_search(rep, *budgets)
 
 
-def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
+def assert_layer1_matches_the_fraction_row_search(rep, cap, pair_budget):
     """The pool, and the witnesses drawn from it, match the Fraction-row
     search's: the same candidates in the same order, and witnesses of the
     same classes in the same order, each an integer triple spanning the
@@ -817,12 +818,12 @@ def assert_layer1_matches_the_fraction_row_search(rep, seed, cap, pair_budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quiver, "_POOL_CAP", cap)
         mp.setattr(quiver, "_PAIR_BUDGET", pair_budget)
-        pool = list(quiver._u1_candidates(rep, seed))
-        got = quiver._layer1(rep, seed)
+        pool = list(quiver._u1_candidates(rep))
+        got = quiver._layer1(rep)
     assert [
         tuple(tuple(r) for r in linalg.int_rows_to_field(field, u1)) for u1 in pool
-    ] == ref_u1_candidates(rep, seed, cap, pair_budget)
-    want = ref_layer1(rep, seed, cap=cap, pair_budget=pair_budget)
+    ] == ref_u1_candidates(rep, cap, pair_budget)
+    want = ref_layer1(rep, cap=cap, pair_budget=pair_budget)
     assert list(got) == list(want)
     for dv, triple in got.items():
         assert field_rrefs(field, triple, rep.dims) == want[dv]
@@ -849,7 +850,7 @@ def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
     for pair_budget in (400, 4000):
         calls.update(int_form=0, _rref_z=0)
         monkeypatch.setattr(quiver, "_PAIR_BUDGET", pair_budget)
-        quiver._layer1(rep, 0)
+        quiver._layer1(rep)
         seen[pair_budget] = dict(calls)
     assert seen[400]["int_form"] == seen[4000]["int_form"] == 0
     assert seen[400]["_rref_z"] < seen[4000]["_rref_z"]
@@ -860,10 +861,10 @@ def test_layer1_conversions_do_not_grow_with_the_pair_budget(monkeypatch):
 # search that runs the whole Layer-1 pool first
 
 
-def ref_search(rep, seed):
+def ref_search(rep):
     """`submodule_dimvecs` as it was before Layer 1 could stop early: the
     whole pool, then the enumerations in turn."""
-    witnesses = quiver._layer1(rep, seed)
+    witnesses = quiver._layer1(rep)
     lower = frozenset(witnesses)
     upper = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     layers = ["layer1"]
@@ -901,9 +902,9 @@ def ref_search(rep, seed):
     return lower, upper, witnesses, evidence, tuple(layers)
 
 
-def assert_matches_whole_pool(rep, seed):
-    got = submodule_dimvecs(rep, seed=seed)
-    lower, upper, witnesses, evidence, layers = ref_search(rep, seed)
+def assert_matches_whole_pool(rep):
+    got = submodule_dimvecs(rep)
+    lower, upper, witnesses, evidence, layers = ref_search(rep)
     assert (got.lower, got.upper, got.evidence, got.layers) == (lower, upper, evidence, layers)
     assert list(got.witnesses.items()) == list(witnesses.items())
     return got
@@ -926,7 +927,7 @@ def test_search_matches_the_whole_pool(field, dims, algebra, seed):
         rep = rational_rep(algebra, dims, rng)
     else:
         rep = random_rep(algebra, field, dims, rng)
-    assert_matches_whole_pool(rep, seed)
+    assert_matches_whole_pool(rep)
 
 
 #: the A0 module of a triple that is not collinear, so stable in truth at
@@ -960,7 +961,7 @@ def test_layer1_matches_the_fraction_row_search_on_report_modules(rep, p, budget
     # is a source
     if p is not None:
         rep = ref_reduce_mod_p(rep, p)
-    assert_layer1_matches_the_fraction_row_search(rep, 0, *budgets)
+    assert_layer1_matches_the_fraction_row_search(rep, *budgets)
 
 
 def test_a_full_pool_pulls_no_further_source(monkeypatch):
@@ -971,7 +972,7 @@ def test_a_full_pool_pulls_no_further_source(monkeypatch):
     real = quiver._preimage
     monkeypatch.setattr(quiver, "_preimage", lambda *args: calls.append(1) or real(*args))
     monkeypatch.setattr(quiver, "_POOL_CAP", 6)
-    pool = quiver._u1_candidates(rep, 0)
+    pool = quiver._u1_candidates(rep)
     assert len(list(itertools.islice(pool, 6))) == 6
     formed = len(calls)
     assert list(pool) == [] and len(calls) == formed
@@ -1021,7 +1022,7 @@ def test_every_interval_witness_is_a_submodule(field, dims, algebra, seed):
     # of gamma(U0_a), U1 and delta^-1(U2_c) without an elimination: each
     # must still be a basis of a submodule of its class
     rep = random_rep(algebra, field, dims, random.Random(seed))
-    witnesses = quiver._layer1(rep, seed)
+    witnesses = quiver._layer1(rep)
     assert (0, 0, 0) in witnesses and tuple(rep.dims) in witnesses
     assert_witnesses_submodules(rep, witnesses)
 
@@ -1039,7 +1040,7 @@ def test_the_sources_witness_the_framed_triple_by_their_intervals(monkeypatch, b
     # the intervals only a sum of two sources witnessed the dim-5 classes
     rep = build([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     monkeypatch.setattr(quiver, "_PAIR_BUDGET", 0)
-    witnesses = quiver._layer1(rep, 0)
+    witnesses = quiver._layer1(rep)
     assert all(dv in witnesses for dv in classes)
     assert set(witnesses) == quiver._layer2_dimvecs(ref_reduce_mod_p(rep, 2))
     assert_witnesses_submodules(rep, witnesses)
@@ -1084,14 +1085,14 @@ def test_layer1_eliminates_nothing_for_a_witnessed_class(monkeypatch):
     monkeypatch.setattr(linalg, "int_rref", counting)
     monkeypatch.setattr(linalg, "int_rows_to_field",
                         lambda *args: calls.update(["to field"]) or to_field(*args))
-    witnesses = quiver._layer1(rep, 0)
+    witnesses = quiver._layer1(rep)
     assert len(witnesses) > 1 and calls["spans"] and calls["inside"] > calls["spans"]
     assert calls["outside"] == calls["to field"] == 0
 
 
 @pytest.mark.parametrize("rep", _REPORT_MODULES, ids=lambda r: str(r.dims))
 def test_search_matches_the_whole_pool_on_report_modules(rep, cold_search):
-    assert_matches_whole_pool(rep, 0)
+    assert_matches_whole_pool(rep)
 
 
 def test_search_squeezed_at_the_first_prime_stops_layer1_early(monkeypatch, cold_search):
@@ -1104,7 +1105,7 @@ def test_search_squeezed_at_the_first_prime_stops_layer1_early(monkeypatch, cold
     search = submodule_dimvecs(rep)
     stopped = len(calls)
     calls.clear()
-    whole = quiver._layer1(rep, 0)
+    whole = quiver._layer1(rep)
     assert search.evidence == "squeeze(p=2)" and search.witnesses == whole
     assert stopped < len(calls)
 
@@ -1135,7 +1136,7 @@ def test_layer1_takes_the_next_prime_once_it_has_spent_its_cost(monkeypatch, col
     assert search.evidence == "squeeze(p=3)"
     assert len(pulled) <= most
     pulled.clear()
-    quiver._layer1(rep, 0, bounds=[(0, lambda: quiver._layer2_dimvecs(ref_reduce_mod_p(rep, 2)))])
+    quiver._layer1(rep, bounds=[(0, lambda: quiver._layer2_dimvecs(ref_reduce_mod_p(rep, 2)))])
     assert len(pulled) == 250  # bounded by mod 2 alone: the whole pool
 
 
@@ -1164,7 +1165,7 @@ def test_the_sources_witness_the_two_point_sub_sums_of_the_A0_module(monkeypatch
     rep = module_ideal_A0(points)
     assert rep.dims == (3, 6, 2)
     monkeypatch.setattr(quiver, "_PAIR_BUDGET", 0)
-    assert (2, 4, 2) in quiver._layer1(rep, 0)
+    assert (2, 4, 2) in quiver._layer1(rep)
 
 
 def test_the_four_point_A0_search_squeezes():
@@ -1208,9 +1209,9 @@ def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_se
     box = frozenset(itertools.product(*(range(n + 1) for n in rep.dims)))
     junk = sorted(box - mod2)[:2]  # classes of no submodule
     pulled = count_candidates(monkeypatch)
-    whole = quiver._layer1(rep, 0)
+    whole = quiver._layer1(rep)
     pulled.clear()
-    assert quiver._layer1(rep, 0, bounds=[(0, lambda: mod2)]) == whole
+    assert quiver._layer1(rep, bounds=[(0, lambda: mod2)]) == whole
     alone = len(pulled)
     pulled.clear()
 
@@ -1223,7 +1224,7 @@ def test_layer1_takes_its_bounds_lazily_and_intersects_them(monkeypatch, cold_se
     # at 4 each, so the intersection is taken, and at once filled, two
     # candidates later, before a bound due once idle rectangles have paid
     # 100 more subspaces of rent
-    got = quiver._layer1(rep, 0, bounds=[(0, lambda: mod2 | {junk[0]}),
+    got = quiver._layer1(rep, bounds=[(0, lambda: mod2 | {junk[0]}),
                                          (5, lambda: mod2 | {junk[1]}),
                                          (100, refuse)])
     assert got == whole and set(got) == mod2
@@ -2274,9 +2275,7 @@ def test_exhaustive_enumeration_proves_unwitnessed_instability(monkeypatch, cold
     real = quiver._layer1
     monkeypatch.setattr(
         quiver, "_layer1",
-        lambda r, seed, *args, **kwargs: {
-            dv: w for dv, w in real(r, seed, *args, **kwargs).items() if dv in kept
-        },
+        lambda r, *args, **kwargs: {dv: w for dv, w in real(r, *args, **kwargs).items() if dv in kept},
     )
     v = king_test(rep, TH_UNSTABLE)
     assert v.search.evidence == "exhaustive(F_5)"
@@ -2312,10 +2311,10 @@ def test_jh_factors_append_a_quotient_without_a_proper_theta_zero_class_unsearch
     # classes (0, 0, 0) and (0, 1, 0) leave nothing to peel: no search
     real = quiver.submodule_dimvecs
 
-    def refusing(rep, seed=0):
+    def refusing(rep):
         if rep.dims == (0, 1, 0):
             raise AssertionError("the last (0, 1, 0) factor searched")
-        return real(rep, seed=seed)
+        return real(rep)
 
     monkeypatch.setattr(quiver, "submodule_dimvecs", refusing)
     factors = jh_factors(module_ideal_A1([(1, 2, 3), (2, -1, 1)]), theta_b1(2, 1))
